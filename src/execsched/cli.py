@@ -70,6 +70,7 @@ from execsched.simulate import (
     estimate_objective,
     evaluate_policy,
     momentum_volatility_buckets,
+    simulate_paths,
 )
 
 EXIT_OK = 0
@@ -676,18 +677,16 @@ def cmd_simulate(args) -> int:
         seed=sim["seed"],
         initial_state=state,
     )
-    dist = evaluate_policy(
-        sim_config, schedule, formulation, side=sim["side"], workers=sim["workers"]
-    )
+    # one pass of path generation feeds both the distribution and the objective
+    paths = simulate_paths(sim_config, schedule, workers=sim["workers"])
+    dist = evaluate_policy(sim_config, paths, formulation, side=sim["side"])
     summary = dist.summary()
     buckets = momentum_volatility_buckets(dist)
     # The realized-shortfall mean is not the solver objective (which is a
     # conditional premium), so the comparable estimate gets its own block.
     objective = None
     if dist.shortfall.size:
-        est, se = estimate_objective(
-            sim_config, schedule, formulation, side=sim["side"], workers=sim["workers"]
-        )
+        est, se = estimate_objective(sim_config, paths, formulation, side=sim["side"])
         objective = {"estimate": est, "standard_error": se}
 
     # workers deliberately stay out of the run identity: results are
@@ -705,6 +704,7 @@ def cmd_simulate(args) -> int:
         "n_paths": dist.n_paths,
         "n_feasible": int(dist.shortfall.size),
         "n_infeasible": dist.n_infeasible,
+        "counters": {name: v.tolist() for name, v in paths.counters.items()},
         "schedule": {
             "trades": [float(s) for s in schedule.trades],
             "residuals": [float(w) for w in schedule.residuals],
@@ -716,12 +716,15 @@ def cmd_simulate(args) -> int:
     dist_entry = _write_output(outdir, "distribution.json", _json_text(dist_doc))
 
     lines = [",".join(PATHS_HEADER)]
-    for i in range(dist.path_index.size):
-        lines.append(
-            f"{int(dist.path_index[i])},{float(dist.shortfall[i])},"
-            f"{float(dist.impact[i])},{float(dist.timing[i])},"
-            f"{float(dist.side_adjusted_return[i])},{float(dist.price_cov[i])}"
-        )
+    columns = (
+        dist.path_index, dist.shortfall, dist.impact, dist.timing,
+        dist.side_adjusted_return, dist.price_cov,
+    )
+    # rows convert to Python numbers 1024 at a time, so that peak memory
+    # does not grow by a Python float per cell
+    for lo in range(0, dist.path_index.size, 1024):
+        rows = zip(*(c[lo:lo + 1024].tolist() for c in columns))
+        lines.extend(f"{i},{sf},{imp},{tim},{ret},{cov}" for i, sf, imp, tim, ret, cov in rows)
     paths_entry = _write_output(outdir, "paths.csv", "\n".join(lines) + "\n")
 
     _write_manifest(

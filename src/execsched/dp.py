@@ -142,6 +142,17 @@ class Schedule:
         return self.residuals[0]
 
 
+def _max(a, b):
+    """Elementwise Python ``max(a, b)``: keeps ``a`` on ties, so signed zeros
+    come out as the scalar builtin gives them (``np.maximum`` does not)."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Elementwise Python ``min(a, b)``, with the builtin's tie-breaking."""
+    return np.where(b < a, b, a)
+
+
 @dataclass(frozen=True)
 class ClosedLinearPolicy:
     """Trade a fixed fraction of the outstanding residual."""
@@ -152,8 +163,10 @@ class ClosedLinearPolicy:
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
 
-    def trade(self, w: float) -> float:
-        return self.fraction * max(w, 0.0)
+    def trade(self, w):
+        """Trade for residual w, a float or an array of residuals."""
+        s = self.fraction * _max(w, 0.0)
+        return float(s) if np.ndim(s) == 0 else s
 
 
 @dataclass(frozen=True)
@@ -189,12 +202,13 @@ class NumericalPolicy:
     def _interp(self) -> PchipInterpolator:
         return PchipInterpolator(self.grid, self.trades, extrapolate=True)
 
-    def trade(self, w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        if w < self.grid[0]:
-            return float(self.trades[0] / self.grid[0]) * w
-        return float(np.clip(self._interp(min(w, self.grid[-1])), 0.0, w))
+    def trade(self, w):
+        """Trade for residual w, a float or an array of residuals (one PCHIP call)."""
+        w = np.asarray(w, dtype=float)
+        inner = np.clip(self._interp(_min(w, self.grid[-1])), 0.0, w)
+        below = float(self.trades[0] / self.grid[0]) * w
+        out = np.where(w <= 0.0, 0.0, np.where(w < self.grid[0], below, inner))
+        return float(out) if out.ndim == 0 else out
 
 
 StagePolicy = ClosedLinearPolicy | NumericalPolicy
@@ -234,11 +248,15 @@ class PolicyTable:
     def horizon_length(self) -> int:
         return len(self.stages)
 
-    def trade_at(self, t: int, w: float) -> float:
-        """Stage-t trade for residual w, clipped to the feasible [0, w]."""
+    def trade_at(self, t: int, w):
+        """Stage-t trade for residual w, clipped to the feasible [0, w].
+
+        ``w`` may be an array of residuals; the trades come back aligned.
+        """
         if not 1 <= t <= len(self.stages):
             raise ValueError(f"stage index {t} outside 1..{len(self.stages)}")
-        return float(min(max(self.stages[t - 1].trade(w), 0.0), max(w, 0.0)))
+        s = _min(_max(self.stages[t - 1].trade(w), 0.0), _max(w, 0.0))
+        return float(s) if np.ndim(s) == 0 else s
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "Benchmark",
     "Ar1Extra",
@@ -18,6 +20,8 @@ __all__ = [
     "Spread",
     "ModelParams",
     "MarketState",
+    "MarketBatch",
+    "StepEvents",
     "LiquidityViolationError",
     "DegeneratePathWarning",
     "step",
@@ -189,52 +193,151 @@ class MarketState:
         )
 
 
-def ar1_volume_update(params: Liquidity, volume: float, z: float) -> tuple[float, bool]:
+def ar1_volume_update(params: Liquidity, volume, z):
     """One AR(1) volume update, clamped at zero.
 
-    Returns the new volume and whether the clamp fired; callers that track
-    path diagnostics count the flags, everything else discards them.
+    Scalars return the new volume and whether the clamp fired; arrays return
+    the new volumes and how many of them the clamp fired on.  Callers that
+    track path diagnostics count the clamps, everything else discards them.
     """
-    raw = params.rho * volume + params.sigma_eta * z
-    if raw < 0.0:
-        return 0.0, True
-    return raw, False
+    raw = params.rho * np.asarray(volume, dtype=float) + params.sigma_eta * np.asarray(z)
+    clamped = raw < 0.0
+    new = np.where(clamped, 0.0, raw)
+    if new.ndim == 0:
+        return float(new), bool(clamped)
+    return new, int(np.count_nonzero(clamped))
 
 
-def step(
-    params: ModelParams,
-    state: MarketState,
-    trade: float,
-    noise: tuple[float, float],
-) -> MarketState:
+@dataclass(frozen=True, eq=False)
+class MarketBatch:
+    """Market states of a block of paths at one stage: the array form of
+    :class:`MarketState`, with aligned 1-d ``price`` and ``aux`` arrays and a
+    ``no_impact_price`` array under LinearPercentage (None otherwise)."""
+
+    price: np.ndarray
+    aux: np.ndarray
+    no_impact_price: np.ndarray | None = None
+    time_index: int = 0
+
+    @classmethod
+    def broadcast(cls, state: MarketState, m: int) -> "MarketBatch":
+        """``m`` paths that all start from ``state``."""
+        nip = state.no_impact_price
+        return cls(
+            price=np.full(m, state.price),
+            aux=np.full(m, state.aux),
+            no_impact_price=None if nip is None else np.full(m, nip),
+            time_index=state.time_index,
+        )
+
+    def take(self, rows: np.ndarray) -> "MarketBatch":
+        """The paths selected by an index or boolean array."""
+        nip = self.no_impact_price
+        return MarketBatch(
+            price=self.price[rows],
+            aux=self.aux[rows],
+            no_impact_price=None if nip is None else nip[rows],
+            time_index=self.time_index,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class StepEvents:
+    """What a batched :func:`step` saw besides the new states.
+
+    ``violated`` marks paths whose trade exceeded the updated interval volume
+    and ``nonpositive`` the other paths whose price reached zero or below;
+    ``clamps`` counts volume updates clamped at zero on all paths.  Only the
+    liquidity law raises any of them.
+    """
+
+    violated: np.ndarray
+    nonpositive: np.ndarray
+    clamps: int = 0
+
+
+def step(params: ModelParams, state, trade, noise):
     """Advance the market one stage under the variant's law of motion.
+
+    The law works on a batch of paths; a single :class:`MarketState` is a
+    batch of one.
 
     Parameters
     ----------
     params : ModelParams
         Variant parameters.
-    state : MarketState
-        State entering the stage.
-    trade : float
+    state : MarketState or MarketBatch
+        State(s) entering the stage.
+    trade : float, or array aligned with the batch
         Shares executed this stage; must be >= 0.
-    noise : (float, float)
+    noise : (float, float), or (m, 2) array for a batch
         Standard-normal draws.  The first drives the price shock (eps, or
         the log-return B under LinearPercentage), the second the auxiliary
         state shock eta; each is scaled by its sigma here.
 
+    Returns
+    -------
+    MarketState for a MarketState, else (MarketBatch, StepEvents).
+
     Raises
     ------
     LiquidityViolationError
-        Under Liquidity, when the trade exceeds the interval volume after
-        its AR(1) update.
+        For a MarketState under Liquidity, when the trade exceeds the
+        interval volume after its AR(1) update.  A batch reports such paths
+        in ``StepEvents.violated`` instead; their new states are meaningless.
     """
+    if isinstance(state, MarketBatch):
+        trade = np.asarray(trade, dtype=float)
+        if not np.all(np.isfinite(trade) & (trade >= 0.0)):
+            raise ValueError("trades must be finite and >= 0")
+        noise = np.asarray(noise, dtype=float)
+        batch, events = _advance(params, state, trade, noise[:, 0], noise[:, 1])
+        if not (np.all(np.isfinite(batch.price)) and np.all(np.isfinite(batch.aux))):
+            raise ValueError(f"a path reached a non-finite state at t={batch.time_index}")
+        return batch, events
+
     if not math.isfinite(trade) or trade < 0.0:
         raise ValueError(f"trade must be finite and >= 0, got {trade}")
-    z_price, z_aux = float(noise[0]), float(noise[1])
+    batch, events = _advance(
+        params,
+        MarketBatch.broadcast(state, 1),
+        np.array([float(trade)]),
+        np.array([float(noise[0])]),
+        np.array([float(noise[1])]),
+    )
+    t = state.time_index + 1
+    price, aux = float(batch.price[0]), float(batch.aux[0])
+    if events.violated[0]:
+        raise LiquidityViolationError(f"trade {trade} exceeds interval volume {aux} at t={t}")
+    if events.nonpositive[0]:
+        warnings.warn(
+            f"liquidity price path reached nonpositive price {price} at t={t}",
+            DegeneratePathWarning,
+            stacklevel=2,
+        )
+    nip = batch.no_impact_price
+    return MarketState(
+        price=price,
+        aux=aux,
+        no_impact_price=None if nip is None else float(nip[0]),
+        time_index=t,
+    )
+
+
+def _advance(
+    params: ModelParams,
+    state: MarketBatch,
+    trade: np.ndarray,
+    z_price: np.ndarray,
+    z_aux: np.ndarray,
+) -> tuple[MarketBatch, StepEvents]:
+    """The laws of motion on aligned arrays of paths."""
+    t = state.time_index + 1
+    quiet = np.zeros(trade.shape, dtype=bool)
 
     if isinstance(params, Benchmark):
         price = state.price + params.theta * trade + params.sigma_eps * z_price
-        return MarketState(price=price, aux=state.aux, time_index=state.time_index + 1)
+        return MarketBatch(price=price, aux=state.aux, time_index=t), StepEvents(quiet, quiet)
 
     if isinstance(params, Ar1Extra):  # includes Spread
         x_new = params.rho * state.aux + params.sigma_eta * z_aux
@@ -244,41 +347,31 @@ def step(
             + params.gamma * x_new
             + params.sigma_eps * z_price
         )
-        return MarketState(price=price, aux=x_new, time_index=state.time_index + 1)
+        return MarketBatch(price=price, aux=x_new, time_index=t), StepEvents(quiet, quiet)
 
     if isinstance(params, LinearPercentage):
         if state.no_impact_price is None:
             raise ValueError("LinearPercentage requires state.no_impact_price")
         b = params.mu_B + params.sigma_B * z_price
-        p_tilde = state.no_impact_price * math.exp(b)
+        # math.exp per element: np.exp differs from it in the last bit on a
+        # few percent of inputs, which would move every seeded path.
+        growth = np.fromiter(map(math.exp, b.tolist()), dtype=float, count=b.size)
+        p_tilde = state.no_impact_price * growth
         x_new = params.rho * state.aux + params.sigma_eta * z_aux
         price = p_tilde * (1.0 + params.theta * trade + params.gamma * x_new)
-        return MarketState(
-            price=price,
-            aux=x_new,
-            no_impact_price=p_tilde,
-            time_index=state.time_index + 1,
-        )
+        batch = MarketBatch(price=price, aux=x_new, no_impact_price=p_tilde, time_index=t)
+        return batch, StepEvents(quiet, quiet)
 
     if isinstance(params, Liquidity):
-        volume, _ = ar1_volume_update(params, state.aux, z_aux)
-        if trade > volume:
-            raise LiquidityViolationError(
-                f"trade {trade} exceeds interval volume {volume} at t={state.time_index + 1}"
-            )
+        volume, clamps = ar1_volume_update(params, state.aux, z_aux)
+        violated = trade > volume
         price = (
             state.price
             * (params.alpha + 1.0 + params.theta * trade - params.gamma * (volume - trade))
             + params.sigma_eps * z_price
         )
-        if price <= 0.0:
-            warnings.warn(
-                f"liquidity price path reached nonpositive price {price} at "
-                f"t={state.time_index + 1}",
-                DegeneratePathWarning,
-                stacklevel=2,
-            )
-        return MarketState(price=price, aux=volume, time_index=state.time_index + 1)
+        events = StepEvents(violated, (price <= 0.0) & ~violated, clamps)
+        return MarketBatch(price=price, aux=volume, time_index=t), events
 
     raise TypeError(f"unsupported model parameters: {type(params).__name__}")
 

@@ -3,16 +3,27 @@ distributions, and the enumerated-schedule oracle.
 
 Determinism contract: every path owns a counter-based Philox stream keyed
 by (seed, path index) and draws its shocks in one fixed order (a (T, 2)
-standard-normal block, price shock first, auxiliary shock second).  Path
-results therefore depend only on the path index, never on evaluation
+standard-normal block, price shock first, auxiliary shock second).  One
+bit generator is reset to each path's key and a zero counter in turn.
+Path results therefore depend only on the path index, never on evaluation
 order, so chunked or parallel runs assemble bit-identical arrays.  All
 reductions over paths happen on the index-ordered assembly.
 
-Policies are executed against :func:`execsched.models.step`, the single
-owner of the transition laws; the terminal trade is always forced to the
-outstanding residual.  Paths on which the liquidity law cannot absorb a
-prescribed trade are excluded from the samples and counted, never clamped,
-since clamping would silently bias the cost distribution.
+Paths advance in blocks of at most ``BLOCK_PATHS``: each stage is one
+batched call of :func:`execsched.models.step`, the single owner of the
+transition laws, and one array evaluation of the policy.  The terminal
+trade is always forced to the outstanding residual; float-dust negative
+trades that a :class:`Schedule` admits execute as zero.  Paths on which
+the liquidity law cannot absorb a prescribed trade are excluded from the
+samples and counted, never clamped, since clamping would silently bias the
+cost distribution.  Per-stage counters (infeasible paths, volume clamps,
+nonpositive prices) are summed over chunks, and DegeneratePathWarning
+fires once per affected stage with its path count.
+
+:func:`simulate_paths` runs one pass; its :class:`SimulatedPaths` can feed
+both ``evaluate_policy`` and ``estimate_objective`` in place of a policy,
+which is how ``execsched simulate`` gets its distribution and objective
+from the same paths.
 
 The realized per-path costs (``evaluate_policy``) are the attribution
 module's shortfall/impact/timing applied to each simulated path.  The
@@ -25,6 +36,7 @@ mean realized impact is smaller by each stage's adverse-move probability.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -37,9 +49,10 @@ from .kernels import mills_psi
 from .models import (
     Ar1Extra,
     Benchmark,
+    DegeneratePathWarning,
     LinearPercentage,
     Liquidity,
-    LiquidityViolationError,
+    MarketBatch,
     MarketState,
     ModelParams,
     step,
@@ -48,6 +61,8 @@ from .models import (
 __all__ = [
     "SimConfig",
     "CostDistribution",
+    "SimulatedPaths",
+    "simulate_paths",
     "BucketThresholds",
     "MOMENTUM_LABELS",
     "VOLATILITY_LABELS",
@@ -74,6 +89,12 @@ BRUTE_FORCE_BUDGET = 200_000
 
 #: Candidate*path ceiling for the enumerated oracle's Monte Carlo objective.
 BRUTE_FORCE_MC_BUDGET = 20_000_000
+
+#: Paths advanced together; bounds the per-block shock and state arrays.
+BLOCK_PATHS = 4096
+
+#: Per-stage event counters of a simulation pass.
+COUNTERS = ("infeasible", "volume_clamps", "nonpositive_prices")
 
 _QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 
@@ -201,67 +222,169 @@ def _check_policy(config: SimConfig, policy) -> None:
         raise TypeError(f"policy must be a Schedule or PolicyTable, got {type(policy).__name__}")
 
 
-def _simulate_chunk(config: SimConfig, policy, start: int, stop: int):
-    """Simulate paths [start, stop); infeasible rows come back as NaN.
+def _draw_shocks(seed: int, start: int, stop: int, T: int) -> np.ndarray:
+    """The (stop - start, T, 2) shocks of paths [start, stop).
 
-    Returns (prices (m, T+1), trades (m, T), feasible (m,)).  Each path's
-    shocks come from Philox keyed by (seed, path index), drawn as one
-    (T, 2) block: column 0 is the price shock, column 1 the auxiliary one.
+    Path i reads a (T, 2) standard-normal block, price shock first, from
+    ``Philox(key=[seed, i])`` at counter zero.  One bit generator is re-keyed
+    per path; constructing one per path would also seed (and discard) a
+    SeedSequence from OS entropy every time.
     """
-    T = config.horizon.T
-    total = config.horizon.total_shares
-    m = stop - start
+    bits = np.random.Philox(key=[seed, start])
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # zero counter, empty buffer
+    key = fresh["state"]["key"]
+    z = np.empty((stop - start, T, 2))
+    for k, i in enumerate(range(start, stop)):
+        key[1] = i
+        bits.state = fresh
+        gen.standard_normal(out=z[k])
+    return z
+
+
+def _zero_counters(T: int) -> dict[str, np.ndarray]:
+    return {name: np.zeros(T, dtype=np.int64) for name in COUNTERS}
+
+
+def _run_paths(config: SimConfig, policy, z: np.ndarray):
+    """Advance the paths whose shocks are ``z`` (m, T, 2) through all T stages.
+
+    Returns (prices (m, T+1), trades (m, T), feasible (m,), counters).  A
+    path leaves the batch at the stage where it turns infeasible, and its
+    rows come back all NaN.
+    """
+    m, T = z.shape[0], config.horizon.T
     prices = np.full((m, T + 1), np.nan)
     trades = np.full((m, T), np.nan)
-    feasible = np.zeros(m, dtype=bool)
+    feasible = np.ones(m, dtype=bool)
+    counters = _zero_counters(T)
     fixed = policy.trades if isinstance(policy, Schedule) else None
+    rows = np.arange(m)
+    state = MarketBatch.broadcast(config.initial_state, m)
+    w = np.full(m, config.horizon.total_shares)
+    prices[:, 0] = config.initial_state.price
+    for t in range(1, T + 1):
+        if t == T:
+            s = w
+        elif fixed is not None:
+            s = np.where(w < fixed[t - 1], w, fixed[t - 1])
+        else:
+            s = policy.trade_at(t, w)
+        # schedules may carry trades down to -1e-12 of float dust; they execute as nothing
+        s = np.where(s < 0.0, 0.0, s)
+        state, events = step(config.model, state, s, z[:, t - 1])
+        counters["volume_clamps"][t - 1] += events.clamps
+        counters["nonpositive_prices"][t - 1] += np.count_nonzero(events.nonpositive)
+        if events.violated.any():
+            dead = rows[events.violated]
+            counters["infeasible"][t - 1] += dead.size
+            feasible[dead] = False
+            prices[dead] = np.nan
+            trades[dead] = np.nan
+            keep = ~events.violated
+            rows, state, s, w, z = rows[keep], state.take(keep), s[keep], w[keep], z[keep]
+        trades[rows, t - 1] = s
+        prices[rows, t] = state.price
+        w = w - s
+    return prices, trades, feasible, counters
 
-    for i in range(m):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, start + i]))
-        z = rng.standard_normal((T, 2))
-        state = config.initial_state
-        w = total
-        prices[i, 0] = state.price
-        ok = True
-        for t in range(1, T + 1):
-            if t == T:
-                s = w
-            elif fixed is not None:
-                s = min(fixed[t - 1], w)
-            else:
-                s = policy.trade_at(t, w)
-            try:
-                state = step(config.model, state, s, (z[t - 1, 0], z[t - 1, 1]))
-            except LiquidityViolationError:
-                ok = False
-                break
-            trades[i, t - 1] = s
-            prices[i, t] = state.price
-            w -= s
-        feasible[i] = ok
-        if not ok:
-            prices[i] = np.nan
-            trades[i] = np.nan
-    return prices, trades, feasible
+
+def _simulate_chunk(config: SimConfig, policy, start: int, stop: int):
+    """Simulate paths [start, stop) in blocks of at most BLOCK_PATHS.
+
+    Returns (prices (m, T+1), trades (m, T), feasible (m,), counters);
+    infeasible rows come back as NaN.
+    """
+    T = config.horizon.T
+    m = stop - start
+    prices = np.empty((m, T + 1))
+    trades = np.empty((m, T))
+    feasible = np.empty(m, dtype=bool)
+    counters = _zero_counters(T)
+    for lo in range(0, m, BLOCK_PATHS):
+        hi = min(lo + BLOCK_PATHS, m)
+        z = _draw_shocks(config.seed, start + lo, start + hi, T)
+        prices[lo:hi], trades[lo:hi], feasible[lo:hi], block = _run_paths(config, policy, z)
+        for name in COUNTERS:
+            counters[name] += block[name]
+    return prices, trades, feasible, counters
 
 
-def _simulate(config: SimConfig, policy, workers: int):
-    """Chunked, optionally parallel path generation; index-ordered output."""
+def _warn_degenerate(counters: dict[str, np.ndarray]) -> None:
+    for t, n in enumerate(counters["nonpositive_prices"], start=1):
+        if n:
+            warnings.warn(
+                f"{n} liquidity price paths reached a nonpositive price at t={t}",
+                DegeneratePathWarning,
+                stacklevel=3,
+            )
+
+
+@dataclass(frozen=True, eq=False)
+class SimulatedPaths:
+    """One pass of path generation for a policy under ``config``.
+
+    ``prices`` (n, T+1) and ``trades`` (n, T) are index-ordered with NaN rows
+    for the infeasible paths, which ``feasible`` marks False.  ``counters``
+    holds per-stage event counts (entry t-1 for stage t): ``infeasible``
+    paths, ``volume_clamps`` and ``nonpositive_prices``.  Pass it to
+    :func:`evaluate_policy` and :func:`estimate_objective` in place of the
+    policy to draw both from the same paths.
+    """
+
+    config: SimConfig
+    prices: np.ndarray
+    trades: np.ndarray
+    feasible: np.ndarray
+    counters: dict[str, np.ndarray]
+
+
+def _simulate(config: SimConfig, policy, workers: int) -> SimulatedPaths:
+    """Chunked, optionally parallel path generation; index-ordered output.
+
+    Counters are summed over chunks and DegeneratePathWarning is raised here,
+    once per stage, so both are the same at any worker count.
+    """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n = config.n_paths
     w = min(workers, n)
     if w == 1:
-        return _simulate_chunk(config, policy, 0, n)
-    bounds = np.linspace(0, n, w + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        parts = list(
-            pool.map(_simulate_chunk, repeat(config), repeat(policy), bounds[:-1], bounds[1:])
-        )
-    prices = np.concatenate([p for p, _, _ in parts], axis=0)
-    trades = np.concatenate([t for _, t, _ in parts], axis=0)
-    feasible = np.concatenate([f for _, _, f in parts], axis=0)
-    return prices, trades, feasible
+        parts = [_simulate_chunk(config, policy, 0, n)]
+    else:
+        bounds = np.linspace(0, n, w + 1).astype(int)
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            parts = list(
+                pool.map(
+                    _simulate_chunk, repeat(config), repeat(policy), bounds[:-1], bounds[1:]
+                )
+            )
+    counters = {name: sum(c[name] for *_, c in parts) for name in COUNTERS}
+    _warn_degenerate(counters)
+    return SimulatedPaths(
+        config=config,
+        prices=np.concatenate([p for p, _, _, _ in parts], axis=0),
+        trades=np.concatenate([t for _, t, _, _ in parts], axis=0),
+        feasible=np.concatenate([f for _, _, f, _ in parts], axis=0),
+        counters=counters,
+    )
+
+
+def simulate_paths(config: SimConfig, policy, *, workers: int = 1) -> SimulatedPaths:
+    """Generate every path of ``config`` under a Schedule or PolicyTable.
+
+    Fixed ``config`` gives bit-identical paths for any ``workers``.
+    """
+    _check_policy(config, policy)
+    return _simulate(config, policy, workers)
+
+
+def _paths_for(config: SimConfig, policy, workers: int) -> SimulatedPaths:
+    if isinstance(policy, SimulatedPaths):
+        if policy.config != config:
+            raise ValueError("the simulated paths were generated under a different config")
+        return policy
+    return simulate_paths(config, policy, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +409,9 @@ def evaluate_policy(
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
-    _check_policy(config, policy)
-    prices, trades, feasible = _simulate(config, policy, workers)
-    idx = np.nonzero(feasible)[0]
-    fp, ft = prices[idx], trades[idx]
+    paths = _paths_for(config, policy, workers)
+    idx = np.nonzero(paths.feasible)[0]
+    fp, ft = paths.prices[idx], paths.trades[idx]
 
     sf, imp, tim = path_costs(fp, ft, side, formulation)
     p0 = config.initial_state.price
@@ -358,11 +480,11 @@ def estimate_objective(
         raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
     if side not in ("buy", "sell"):
         raise ValueError(f"side must be 'buy' or 'sell', got {side!r}")
-    _check_policy(config, policy)
-    prices, trades, feasible = _simulate(config, policy, workers)
-    if not feasible.any():
+    paths = _paths_for(config, policy, workers)
+    ok = paths.feasible
+    if not ok.any():
         raise ValueError("every simulated path was infeasible; nothing to estimate")
-    return _rejection_objective(prices[feasible], trades[feasible], side, formulation)
+    return _rejection_objective(paths.prices[ok], paths.trades[ok], side, formulation)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +577,13 @@ def brute_force_schedule(
             config.model, config.initial_state.aux, candidates, total, formulation
         )
     else:
+        # common random numbers: every candidate runs on the same shocks
+        z = _draw_shocks(config.seed, 0, config.n_paths, T)
         objective = np.empty(len(candidates))
         for j, cand in enumerate(candidates):
             sched = Schedule.from_trades(cand, total)
-            prices, trades, feasible = _simulate(config, sched, 1)
+            prices, trades, feasible, counters = _run_paths(config, sched, z)
+            _warn_degenerate(counters)
             if not feasible.any():
                 objective[j] = np.inf
                 continue

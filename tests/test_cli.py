@@ -424,6 +424,14 @@ class TestSimulate:
         assert dist["objective"]["standard_error"] == 0.0
         assert dist["schedule"]["trades"] == [4.0, 3.0, 3.0]
 
+    def test_dust_negative_schedule_trade_runs(self, tmp_path):
+        # Schedule admits trades down to -1e-12; the simulator executes them as 0
+        doc = _bench_doc(schedule=[5.0, -5e-13, 5.0000000000005])
+        cfg = _write_json(tmp_path, "c.json", doc)
+        assert main(["simulate", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        dist = json.loads((tmp_path / "distribution.json").read_text())
+        assert dist["n_feasible"] == 300
+
     def test_noise_free_config_cannot_be_solved(self, tmp_path, capsys):
         doc = _bench_doc(params={"theta": 0.5, "sigma_eps": 0.0})
         cfg = _write_json(tmp_path, "c.json", doc)

@@ -1,7 +1,11 @@
 """Unit tests for the price-motion laws and their parameter validation."""
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from execsched.models import (
     Ar1Extra,
@@ -10,6 +14,7 @@ from execsched.models import (
     LinearPercentage,
     Liquidity,
     LiquidityViolationError,
+    MarketBatch,
     MarketState,
     Spread,
     ar1_volume_update,
@@ -199,3 +204,97 @@ class TestConvexityCheck:
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
         with pytest.raises(ValueError):
             convexity_check(params)
+
+
+def _reference_step(params, price, aux, nip, trade, z_price, z_aux):
+    """The laws one path at a time in plain floats: (price, aux, nip, violated, clamped)."""
+    if isinstance(params, Benchmark):
+        return price + params.theta * trade + params.sigma_eps * z_price, aux, None, False, False
+    if isinstance(params, Ar1Extra):
+        x = params.rho * aux + params.sigma_eta * z_aux
+        p = price + params.theta * trade + params.gamma * x + params.sigma_eps * z_price
+        return p, x, None, False, False
+    if isinstance(params, LinearPercentage):
+        p_tilde = nip * math.exp(params.mu_B + params.sigma_B * z_price)
+        x = params.rho * aux + params.sigma_eta * z_aux
+        return p_tilde * (1.0 + params.theta * trade + params.gamma * x), x, p_tilde, False, False
+    raw = params.rho * aux + params.sigma_eta * z_aux
+    volume = 0.0 if raw < 0.0 else raw
+    p = (
+        price * (params.alpha + 1.0 + params.theta * trade - params.gamma * (volume - trade))
+        + params.sigma_eps * z_price
+    )
+    return p, volume, None, trade > volume, raw < 0.0
+
+
+_unit = st.floats(0.01, 0.99)
+_LAWS = st.one_of(
+    st.builds(Benchmark, theta=_unit, sigma_eps=st.floats(0.0, 3.0)),
+    st.builds(Ar1Extra, theta=_unit, gamma=st.floats(-1.0, 1.0), rho=st.floats(-0.95, 0.95),
+              sigma_eps=_unit, sigma_eta=_unit),
+    st.builds(Spread, theta=_unit, gamma=st.floats(-1.0, 1.0), rho=st.floats(-0.95, 0.95),
+              sigma_eps=_unit, sigma_eta=_unit),
+    st.builds(LinearPercentage, mu_B=st.floats(-0.1, 0.1), sigma_B=st.floats(0.01, 0.5),
+              theta=st.floats(1e-4, 0.01), gamma=st.floats(-0.01, 0.01),
+              rho=st.floats(-0.95, 0.95), sigma_eta=_unit),
+    # volumes near zero, wide volume shocks and large gamma reach the clamp,
+    # the violation and the nonpositive-price branches
+    st.builds(Liquidity, alpha=st.floats(-0.05, 0.05), theta=st.floats(1e-4, 0.1),
+              gamma=st.floats(1e-4, 0.1), rho=st.floats(-0.95, 0.95),
+              sigma_eps=_unit, sigma_eta=st.floats(0.5, 30.0)),
+)
+_PATH = st.tuples(
+    st.floats(0.5, 200.0),  # price
+    st.floats(0.0, 40.0),  # aux
+    st.floats(0.5, 200.0),  # no-impact price
+    st.floats(0.0, 60.0),  # trade
+    st.floats(-4.0, 4.0),  # price shock
+    st.floats(-4.0, 4.0),  # auxiliary shock
+)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+class TestBatchedStep:
+    @settings(max_examples=150, deadline=None)
+    @given(params=_LAWS, paths=st.lists(_PATH, min_size=1, max_size=12))
+    def test_batch_matches_the_scalar_laws_bit_for_bit(self, params, paths):
+        price, aux, nip, trade, zp, za = (np.array(c) for c in zip(*paths))
+        pct = isinstance(params, LinearPercentage)
+        batch = MarketBatch(price, aux, nip if pct else None, time_index=3)
+        new, events = step(params, batch, trade, np.column_stack([zp, za]))
+        clamps = 0
+        for i, path in enumerate(paths):
+            p, x, n, violated, clamped = _reference_step(params, *path)
+            clamps += clamped
+            assert bool(events.violated[i]) == violated
+            state = MarketState(price=path[0], aux=path[1],
+                                no_impact_price=path[2] if pct else None, time_index=3)
+            if violated:
+                with pytest.raises(LiquidityViolationError):
+                    step(params, state, path[3], path[4:])
+                continue
+            assert bool(events.nonpositive[i]) == (isinstance(params, Liquidity) and p <= 0.0)
+            assert (_bits(new.price[i]), _bits(new.aux[i])) == (_bits(p), _bits(x))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                one = step(params, state, path[3], path[4:])
+            assert len(caught) == int(bool(events.nonpositive[i]))
+            assert (_bits(one.price), _bits(one.aux), one.time_index) == (_bits(p), _bits(x), 4)
+            if pct:
+                assert _bits(new.no_impact_price[i]) == _bits(n) == _bits(one.no_impact_price)
+        assert events.clamps == clamps
+        assert new.time_index == 4
+
+    def test_volume_update_counts_clamps_on_arrays(self):
+        params = make_liquidity()
+        vol, clamps = ar1_volume_update(params, np.array([1.0, 100.0, 2.0]), np.array([-5.0, 0.1, -1.0]))
+        assert vol.tolist() == [0.0, pytest.approx(90.5), 0.0]
+        assert clamps == 2 and type(clamps) is int
+
+    def test_batch_rejects_negative_trades(self):
+        batch = MarketBatch.broadcast(MarketState(price=10.0), 2)
+        with pytest.raises(ValueError):
+            step(Benchmark(1.0, 1.0), batch, np.array([1.0, -1.0]), np.zeros((2, 2)))

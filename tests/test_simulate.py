@@ -8,19 +8,29 @@ value sigma*S*psi(theta*S/sigma), the AR(1) spec-example true-law value
 the single-stage percentage-law value 89.22900329170106 +/-
 0.0300076657180387 (1e7 rejection draws).
 """
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from execsched import simulate as simulate_module
+from execsched.cli import main
 from execsched.dp import ConfigError, Horizon, Schedule
 from execsched.kernels import mills_psi
 from execsched.models import (
     Ar1Extra,
     Benchmark,
+    DegeneratePathWarning,
     LinearPercentage,
     Liquidity,
+    LiquidityViolationError,
     MarketState,
+    Spread,
+    ar1_volume_update,
+    step,
 )
 from execsched.simulate import (
     BucketThresholds,
@@ -32,8 +42,9 @@ from execsched.simulate import (
     estimate_objective,
     evaluate_policy,
     momentum_volatility_buckets,
+    simulate_paths,
 )
-from execsched.dp import solve_benchmark_simple
+from execsched.dp import solve_ar1_complex, solve_benchmark_complex, solve_benchmark_simple
 
 
 def _bench_config(theta=2.0, sigma=2.0, T=3, total=10.0, n_paths=500, seed=99):
@@ -277,6 +288,25 @@ class TestBruteForce:
         sched = brute_force_schedule(cfg, 8, "simple")
         assert math.fsum(sched.trades) == pytest.approx(10.0, rel=1e-12)
 
+    def test_monte_carlo_choice_matches_per_candidate_estimates(self):
+        params = LinearPercentage(
+            mu_B=0.0005, sigma_B=0.05, theta=0.001, gamma=0.0, rho=0.0, sigma_eta=1.0
+        )
+        cfg = SimConfig(
+            model=params,
+            horizon=Horizon(3, 10.0),
+            n_paths=300,
+            seed=8,
+            initial_state=MarketState(price=100.0, no_impact_price=100.0),
+        )
+        candidates = [
+            Schedule.from_trades([a * 10.0 / 6, b * 10.0 / 6, (6 - a - b) * 10.0 / 6], 10.0)
+            for a in range(7) for b in range(7 - a)
+        ]
+        values = [estimate_objective(cfg, c, "complex")[0] for c in candidates]
+        best = candidates[int(np.argmin(values))]
+        assert brute_force_schedule(cfg, 6, "complex").trades == best.trades
+
     # Front-loaded candidates can push the liquidity law to a nonpositive
     # price; that warns and keeps going rather than aborting the search.
     @pytest.mark.filterwarnings("ignore::execsched.models.DegeneratePathWarning")
@@ -443,3 +473,258 @@ class TestBuckets:
         dist = _handmade_distribution(returns=[0.0], covs=[math.inf])
         table = momentum_volatility_buckets(dist)
         assert table["neutral"]["high"]["count"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The batched simulator against the path-by-path reference.
+# ---------------------------------------------------------------------------
+
+
+def _reference_paths(config, policy):
+    """Path by path and stage by stage through the scalar step.
+
+    Returns prices, trades, feasible and the per-stage counters the batched
+    simulator reports.
+    """
+    T = config.horizon.T
+    n = config.n_paths
+    prices = np.full((n, T + 1), np.nan)
+    trades = np.full((n, T), np.nan)
+    feasible = np.zeros(n, dtype=bool)
+    counters = {name: np.zeros(T, dtype=np.int64) for name in simulate_module.COUNTERS}
+    fixed = policy.trades if isinstance(policy, Schedule) else None
+    for i in range(n):
+        z = np.random.Generator(np.random.Philox(key=[config.seed, i])).standard_normal((T, 2))
+        state, w = config.initial_state, config.horizon.total_shares
+        row_p, row_s = [state.price], []
+        for t in range(1, T + 1):
+            if t == T:
+                s = w
+            elif fixed is not None:
+                s = min(fixed[t - 1], w)
+            else:
+                s = policy.trade_at(t, w)
+            s = 0.0 if s < 0.0 else s
+            if isinstance(config.model, Liquidity):
+                counters["volume_clamps"][t - 1] += ar1_volume_update(
+                    config.model, state.aux, z[t - 1, 1])[1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DegeneratePathWarning)
+                try:
+                    state = step(config.model, state, s, (z[t - 1, 0], z[t - 1, 1]))
+                except LiquidityViolationError:
+                    counters["infeasible"][t - 1] += 1
+                    break
+            counters["nonpositive_prices"][t - 1] += len(caught)
+            row_p.append(state.price)
+            row_s.append(s)
+            w -= s
+        else:
+            feasible[i] = True
+            prices[i], trades[i] = row_p, row_s
+    return prices, trades, feasible, counters
+
+
+def _liquidity_config(n_paths=60):
+    # volumes near the trades: paths go infeasible, clamp and turn nonpositive
+    return SimConfig(
+        model=Liquidity(alpha=0.01, theta=0.01, gamma=0.02, rho=0.6,
+                        sigma_eps=0.5, sigma_eta=25.0),
+        horizon=Horizon(4, 20.0),
+        n_paths=n_paths,
+        seed=5,
+        initial_state=MarketState(price=100.0, aux=40.0),
+    )
+
+
+def _law_case(name):
+    if name == "benchmark":
+        return _bench_config(T=4, n_paths=60), _equal_schedule(4, 10.0)
+    if name == "benchmark-table":
+        _, table = solve_benchmark_complex(Benchmark(2.0, 2.0), Horizon(4, 10.0))
+        return _bench_config(T=4, n_paths=60), table
+    if name in ("ar1-table", "spread"):
+        law = Ar1Extra if name == "ar1-table" else Spread
+        params = law(theta=1.5, gamma=0.3, rho=0.6, sigma_eps=1.0, sigma_eta=0.5)
+        cfg = SimConfig(model=params, horizon=Horizon(4, 10.0), n_paths=60, seed=6,
+                        initial_state=MarketState(price=100.0, aux=0.5))
+        if law is Spread:
+            return cfg, Schedule.from_trades([1.0, 2.0, 3.0, 4.0], 10.0)
+        return cfg, solve_ar1_complex(params, Horizon(4, 10.0), 0.5)[1]
+    if name == "linear_percentage":
+        params = LinearPercentage(mu_B=0.0, sigma_B=0.05, theta=0.001, gamma=0.002,
+                                  rho=0.5, sigma_eta=1.0)
+        cfg = SimConfig(model=params, horizon=Horizon(4, 10.0), n_paths=60, seed=7,
+                        initial_state=MarketState(price=100.0, aux=0.1, no_impact_price=100.0))
+        return cfg, Schedule.from_trades([4.0, 3.0, 2.0, 1.0], 10.0)
+    return _liquidity_config(), Schedule.from_trades([2.0, 3.0, 5.0, 10.0], 20.0)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestBatchedSimulator:
+    @pytest.mark.parametrize("law", [
+        "benchmark", "benchmark-table", "ar1-table", "spread", "linear_percentage", "liquidity",
+    ])
+    @pytest.mark.filterwarnings("ignore::execsched.models.DegeneratePathWarning")
+    def test_matches_path_by_path_reference(self, law, monkeypatch):
+        # a block size that does not divide n_paths puts block edges mid-run
+        monkeypatch.setattr(simulate_module, "BLOCK_PATHS", 7)
+        cfg, policy = _law_case(law)
+        prices, trades, feasible, counters = _reference_paths(cfg, policy)
+        paths = simulate_paths(cfg, policy)
+        assert np.array_equal(paths.feasible, feasible)
+        assert _digest(paths.prices, paths.trades) == _digest(prices, trades)
+        for name, ref in counters.items():
+            assert paths.counters[name].tolist() == ref.tolist(), name
+        if law == "liquidity":
+            assert all(counters[name].sum() > 0 for name in counters)
+
+    def test_counters_do_not_depend_on_workers(self):
+        cfg, sched = _law_case("liquidity")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePathWarning)
+            serial = simulate_paths(cfg, sched, workers=1)
+            parallel = simulate_paths(cfg, sched, workers=2)
+        assert {k: v.tolist() for k, v in serial.counters.items()} == {
+            k: v.tolist() for k, v in parallel.counters.items()}
+        assert serial.counters["infeasible"].sum() == (~serial.feasible).sum()
+
+    def test_degenerate_paths_warn_once_per_stage(self):
+        cfg, sched = _law_case("liquidity")
+        with pytest.warns(DegeneratePathWarning) as record:
+            paths = simulate_paths(cfg, sched)
+        counts = paths.counters["nonpositive_prices"]
+        assert len(record) == np.count_nonzero(counts)
+        stages = [t for t, c in enumerate(counts, start=1) if c]
+        for rec, t in zip(record, stages):
+            assert str(rec.message).startswith(f"{counts[t - 1]} liquidity price paths")
+            assert str(rec.message).endswith(f"t={t}")
+
+    def test_paths_feed_both_estimators(self):
+        cfg = _bench_config(n_paths=300)
+        sched = _equal_schedule(3, 10.0)
+        paths = simulate_paths(cfg, sched)
+        a = evaluate_policy(cfg, paths, "complex", side="sell")
+        b = evaluate_policy(cfg, sched, "complex", side="sell")
+        assert np.array_equal(a.shortfall, b.shortfall)
+        assert estimate_objective(cfg, paths) == estimate_objective(cfg, sched)
+        with pytest.raises(ValueError, match="different config"):
+            evaluate_policy(_bench_config(n_paths=300, seed=1), paths)
+
+    def test_dust_negative_trades_execute_as_nothing(self):
+        sched = Schedule.from_trades([5.0, -5e-13, 5.0000000000005], 10.0)
+        cfg = _bench_config(n_paths=50)
+        paths = simulate_paths(cfg, sched)
+        assert np.all(paths.trades[:, 1] == 0.0)
+        assert np.all(paths.trades.sum(axis=1) == 10.0)
+        assert evaluate_policy(cfg, sched).n_infeasible == 0
+
+    @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
+    def test_policy_tables_and_percentage_law_pinned(self):
+        # digests of evaluate_policy output recorded before the simulator was batched
+        bench = Benchmark(theta=2.5, sigma_eps=2.0)
+        _, table = solve_benchmark_complex(bench, Horizon(4, 10.0))
+        cfg = SimConfig(model=bench, horizon=Horizon(4, 10.0), n_paths=1500, seed=31,
+                        initial_state=MarketState(price=100.0))
+        ar1 = Ar1Extra(theta=0.4, gamma=0.3, rho=0.6, sigma_eps=1.0, sigma_eta=0.5)
+        _, ar1_table = solve_ar1_complex(ar1, Horizon(4, 10.0), 0.5)
+        ar1_cfg = SimConfig(model=ar1, horizon=Horizon(4, 10.0), n_paths=1500, seed=32,
+                            initial_state=MarketState(price=100.0, aux=0.5))
+        pct = LinearPercentage(mu_B=0.0, sigma_B=0.02, theta=0.001, gamma=0.002, rho=0.5,
+                               sigma_eta=1.0)
+        pct_cfg = SimConfig(
+            model=pct, horizon=Horizon(4, 10.0), n_paths=1500, seed=33,
+            initial_state=MarketState(price=100.0, aux=0.1, no_impact_price=100.0))
+        runs = {
+            "2f53c9d6e087801fae3546bf7a79edc8e1531ac3a4528f01364056a394fde54a":
+                evaluate_policy(cfg, table, "complex"),
+            "791929a0a1f4d9b3c50b0443b06acc92f6277154d6c3a0b6855b6cfa7e49665c":
+                evaluate_policy(ar1_cfg, ar1_table, "complex"),
+            "6217b4d797a44f5fc337e2e3633d7b67bf5b655b57087622b44ea4a7d6a9e198":
+                evaluate_policy(pct_cfg, Schedule.from_trades([1.0, 2.0, 3.0, 4.0], 10.0)),
+        }
+        for pinned, d in runs.items():
+            assert _digest(d.shortfall, d.impact, d.timing, d.side_adjusted_return,
+                           d.price_cov, d.path_index) == pinned
+
+
+# Configs whose simulate outputs were recorded before the simulator was
+# batched: (config, sha256 of paths.csv, sha256 of distribution.json
+# re-serialized with sorted keys and without its counters block).
+_PINNED_RUNS = {
+    "benchmark": (
+        {
+            "model": "benchmark", "formulation": "complex",
+            "params": {"theta": 2.5, "sigma_eps": 2.0},
+            "horizon": {"periods": 4, "total_shares": 10.0},
+            "initial_state": {"price": 100.0},
+            "solver": {"grid_nodes": 24},
+            "simulation": {"n_paths": 1500, "seed": 4242, "workers": 1},
+        },
+        "1f3171deb8652cd67b3c2482c9ec374522822761250257647baeb0cb1ea7e41d",
+        "c9e738c65f1a5fb795a8db5035089be576ea9ab4d98620937b030e35a0680e88",
+    ),
+    "ar1": (
+        {
+            "model": "ar1", "formulation": "simple",
+            "params": {"theta": 0.4, "gamma": 0.3, "rho": 0.6, "sigma_eps": 1.0,
+                       "sigma_eta": 0.5},
+            "horizon": {"periods": 5, "total_shares": 20.0},
+            "initial_state": {"price": 50.0, "aux": 0.5},
+            "simulation": {"n_paths": 1500, "seed": 77, "workers": 1, "side": "sell"},
+        },
+        "65f7c306d255b5ce8747df175e1e6dbe25a8b503f3762c186f71ef47659a5f76",
+        "2a6ccba3328fcd1b7d43ee26186472ff40081e29a08f77e9517a4409dd5b4528",
+    ),
+    "liquidity": (
+        {
+            "model": "liquidity", "formulation": "simple",
+            "params": {"alpha": 0.015, "theta": 0.0005, "gamma": 0.0002,
+                       "rho": 0.95, "sigma_eps": 0.5, "sigma_eta": 18.0},
+            "horizon": {"periods": 8, "total_shares": 190.0},
+            "initial_state": {"price": 100.0, "aux": 100.0},
+            "schedule": [5.0, 5.0, 10.0, 15.0, 20.0, 30.0, 45.0, 60.0],
+            "simulation": {"n_paths": 1500, "seed": 9001, "workers": 1},
+        },
+        "ae4899168147dc43dd071563e6c12d342370bf8d362447843c6b82bcb28fd358",
+        "f38316d86d0984db199b1fa28f84d31f1d0f9f552a3d96ef83c309c8ba845cb9",
+    ),
+}
+
+
+class TestSimulateCommand:
+    @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+    @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
+    def test_outputs_match_pinned_digests(self, name, tmp_path):
+        doc, paths_sha, dist_sha = _PINNED_RUNS[name]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == paths_sha
+        dist = json.loads((tmp_path / "distribution.json").read_text(encoding="utf-8"))
+        counters = dist.pop("counters")
+        assert sum(counters["infeasible"]) == dist["n_infeasible"]
+        assert all(len(v) == doc["horizon"]["periods"] for v in counters.values())
+        text = json.dumps(dist, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == dist_sha
+
+    def test_paths_are_generated_once(self, tmp_path, monkeypatch):
+        calls = []
+        generate = simulate_module._simulate
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(simulate_module, "_simulate", counted)
+        doc = _PINNED_RUNS["benchmark"][0]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(cfg), "--paths", "200", "--output-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
