@@ -25,7 +25,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from datetime import datetime, timezone
+from time import perf_counter
 
 import numpy as np
 from scipy.integrate import quad
@@ -752,34 +754,27 @@ def _check(name: str, passed, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _verify_kernels() -> list[dict]:
-    checks = []
+def _verify_kernels() -> Iterator[dict]:
     v = mills_psi(-30.0)
-    checks.append(
-        _check(
-            "psi-deep-tail",
-            abs(v / 0.03325966743367704 - 1.0) < 1e-12,
-            f"psi(-30) = {v}",
-        )
+    yield _check(
+        "psi-deep-tail",
+        abs(v / 0.03325966743367704 - 1.0) < 1e-12,
+        f"psi(-30) = {v}",
     )
     v = 7.0 * mills_psi(7.0)
-    checks.append(
-        _check(
-            "psi-near-linear-tail",
-            abs(v / 49.00000000006394 - 1.0) < 1e-13,
-            f"7*psi(7) = {v}",
-        )
+    yield _check(
+        "psi-near-linear-tail",
+        abs(v / 49.00000000006394 - 1.0) < 1e-13,
+        f"7*psi(7) = {v}",
     )
     # E[exp(0.3 Z)] for the quadrature rule against the exact moment
     from execsched.kernels import gauss_hermite
 
     moment = gauss_hermite(48).expect(lambda z: np.exp(0.3 * z))
-    checks.append(
-        _check(
-            "gauss-hermite-moment",
-            abs(moment / math.exp(0.045) - 1.0) < 1e-12,
-            f"E[exp(0.3 Z)] = {moment}",
-        )
+    yield _check(
+        "gauss-hermite-moment",
+        abs(moment / math.exp(0.045) - 1.0) < 1e-12,
+        f"E[exp(0.3 Z)] = {moment}",
     )
     # mixture kernel against the closed form of its nearly-degenerate-Y limit
     mu_x, sig_x, mu_y, k = 0.0, 0.1, 1010.0, -1000.0
@@ -787,18 +782,14 @@ def _verify_kernels() -> list[dict]:
     z = (math.log(-k / mu_y) - mu_x) / sig_x
     p = norm.cdf(-z)
     closed = (mu_y * math.exp(mu_x + sig_x**2 / 2) * norm.cdf(sig_x - z) + k * p) / p
-    checks.append(
-        _check(
-            "mixture-degenerate-limit",
-            abs(mix / closed - 1.0) < 1e-6,
-            f"mixture {mix} vs closed {closed}",
-        )
+    yield _check(
+        "mixture-degenerate-limit",
+        abs(mix / closed - 1.0) < 1e-6,
+        f"mixture {mix} vs closed {closed}",
     )
-    return checks
 
 
-def _verify_solvers() -> list[dict]:
-    checks = []
+def _verify_solvers() -> Iterator[dict]:
     T = 6
     table = approximate_recursion(MillsRecursionProblem.uniform(Horizon(T, 10.0), 2.0, 1.0))
     worst = 0.0
@@ -807,12 +798,10 @@ def _verify_solvers() -> list[dict]:
         lin = grid / (T - t + 1)
         pol = np.array([table.trade_at(t, w) for w in grid])
         worst = max(worst, float(np.max(np.abs(pol - lin) / lin)))
-    checks.append(
-        _check(
-            "linear-law-equal-split",
-            worst < 1e-6,
-            f"worst relative policy error {worst}",
-        )
+    yield _check(
+        "linear-law-equal-split",
+        worst < 1e-6,
+        f"worst relative policy error {worst}",
     )
 
     params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
@@ -825,12 +814,10 @@ def _verify_solvers() -> list[dict]:
     den, _ = quad(dens, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
     v_quad = 1.0 * num / den
     rel = abs(closed / v_quad - 1.0)
-    checks.append(
-        _check(
-            "ar1-closed-vs-quadrature",
-            rel < 1e-8,
-            f"closed {closed} vs quadrature {v_quad} (rel {rel})",
-        )
+    yield _check(
+        "ar1-closed-vs-quadrature",
+        rel < 1e-8,
+        f"closed {closed} vs quadrature {v_quad} (rel {rel})",
     )
 
     theta, sigma, W = 5.0, 1.0, 1.0
@@ -844,12 +831,10 @@ def _verify_solvers() -> list[dict]:
     )
     resid = math.fsum(terms)
     scale = max(1.0, *(abs(t) for t in terms))
-    checks.append(
-        _check(
-            "penultimate-foc-residual",
-            abs(resid) <= 1e-8 * scale,
-            f"FOC residual {resid} at S_1 = {s} (scale {scale})",
-        )
+    yield _check(
+        "penultimate-foc-residual",
+        abs(resid) <= 1e-8 * scale,
+        f"FOC residual {resid} at S_1 = {s} (scale {scale})",
     )
 
     lparams = Liquidity(
@@ -863,18 +848,14 @@ def _verify_solvers() -> list[dict]:
         )
         values.append(float(lt.value_samples[0][-1, 1]))
     rel = abs(values[0] / values[1] - 1.0)
-    checks.append(
-        _check(
-            "liquidity-quadrature-stability",
-            rel < 1e-6,
-            f"order 40 {values[0]} vs order 80 {values[1]} (rel {rel})",
-        )
+    yield _check(
+        "liquidity-quadrature-stability",
+        rel < 1e-6,
+        f"order 40 {values[0]} vs order 80 {values[1]} (rel {rel})",
     )
-    return checks
 
 
-def _verify_attribution() -> list[dict]:
-    checks = []
+def _verify_attribution() -> Iterator[dict]:
     up = OrderContext(
         arrival_price=100.0,
         total_shares=10.0,
@@ -886,12 +867,10 @@ def _verify_attribution() -> list[dict]:
         for t, p, q in zip((1, 2, 3, 4), up.price_path[1:], (4.0, 3.0, 2.0, 1.0))
     ]
     rep = attribute(up, fills, "complex")
-    checks.append(
-        _check(
-            "monotone-up-timing-vanishes",
-            rep.timing == 0.0,
-            f"complex timing {rep.timing} on a monotone adverse path",
-        )
+    yield _check(
+        "monotone-up-timing-vanishes",
+        rep.timing == 0.0,
+        f"complex timing {rep.timing} on a monotone adverse path",
     )
     dip = OrderContext(
         arrival_price=100.0,
@@ -904,17 +883,14 @@ def _verify_attribution() -> list[dict]:
         for t, p, q in zip((1, 2, 3, 4), dip.price_path[1:], (4.0, 3.0, 2.0, 1.0))
     ]
     rep = attribute(dip, fills, "complex")
-    checks.append(
-        _check(
-            "dip-timing-is-residual-weighted-drop",
-            rep.timing == -18.0,
-            f"complex timing {rep.timing}, expected -18.0",
-        )
+    yield _check(
+        "dip-timing-is-residual-weighted-drop",
+        rep.timing == -18.0,
+        f"complex timing {rep.timing}, expected -18.0",
     )
-    return checks
 
 
-def _verify_zero_sum() -> list[dict]:
+def _verify_zero_sum() -> Iterator[dict]:
     rng = np.random.default_rng(np.random.Philox(20260814))
     all_passed = True
     worst = 0.0
@@ -943,13 +919,11 @@ def _verify_zero_sum() -> list[dict]:
             audit = zero_sum_audit(fills, path, formulation)
             all_passed = all_passed and audit.passed
             worst = max(worst, abs(audit.residual) / audit.tolerance)
-    return [
-        _check(
-            "randomized-balanced-markets",
-            all_passed,
-            f"50 markets x both formulations; worst |residual|/tolerance {worst}",
-        )
-    ]
+    yield _check(
+        "randomized-balanced-markets",
+        all_passed,
+        f"50 markets x both formulations; worst |residual|/tolerance {worst}",
+    )
 
 
 _SUITES = {
@@ -964,7 +938,13 @@ def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks.extend(_SUITES[name]())
+        # a suite yields each check as it finishes, so the wall time since
+        # the previous one is the time that check took
+        start = perf_counter()
+        for check in _SUITES[name]():
+            now = perf_counter()
+            checks.append({**check, "seconds": now - start})
+            start = now
     passed = all(c["passed"] for c in checks)
     sys.stdout.write(_json_text({"selector": args.suite, "passed": passed, "checks": checks}))
     return EXIT_OK if passed else EXIT_AUDIT

@@ -19,13 +19,20 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from execsched.kernels import _mills_psi_second, mills_psi, mills_psi_prime
+# ``_mills_psi_second`` is not called here; bench/tracing.py wraps it under
+# this module's name, so the name stays importable from it.
+from execsched.kernels import (  # noqa: F401
+    _mills_psi_second,
+    mills_psi,
+    mills_psi_derivs,
+    mills_psi_prime,
+)
 from execsched.models import Ar1Extra, Benchmark, Spread
 
 __all__ = [
@@ -300,103 +307,156 @@ class RecursionConfig:
 
 @dataclass(frozen=True)
 class _MillsStage:
+    """Stage cost of one (theta, alpha, beta) triple.
+
+    ``alpha`` is a float, or an array with one premium shift per column of a
+    batched recursion; the methods then take ``col``, the column of each
+    element (an int or an int array aligned with ``s``).
+    """
+
     theta: float
-    alpha: float
+    alpha: float | np.ndarray
     beta: float
     weight_by_residual: bool
 
-    def _u(self, s):
-        return (self.theta * s + self.alpha) / self.beta
+    def _u(self, s, col=None):
+        alpha = self.alpha if col is None else self.alpha[col]
+        return (self.theta * s + alpha) / self.beta
 
-    def value(self, s, w):
+    def value(self, s, w, col=None):
         weight = w if self.weight_by_residual else s
-        return weight * self.beta * mills_psi(self._u(s))
+        return weight * self.beta * mills_psi(self._u(s, col))
 
-    def ds(self, s, w):
-        u = self._u(s)
+    def ds(self, s, w, col=None):
+        u = self._u(s, col)
         if self.weight_by_residual:
             return w * self.theta * mills_psi_prime(u)
         return self.beta * mills_psi(u) + s * self.theta * mills_psi_prime(u)
 
-    def dss(self, s, w):
-        u = self._u(s)
-        curv = self.theta * self.theta / self.beta * _mills_psi_second(u)
+    def ds_dss(self, s, w, col=None):
+        """(ds, dss) from one Mills kernel evaluation, bit for bit the separate values."""
+        u = self._u(s, col)
+        curv_scale = self.theta * self.theta / self.beta
         if self.weight_by_residual:
-            return w * curv
-        return 2.0 * self.theta * mills_psi_prime(u) + s * curv
+            p1, p2 = mills_psi_derivs(u)
+            return w * self.theta * p1, w * (curv_scale * p2)
+        p0, p1, p2 = mills_psi_derivs(u, with_psi=True)
+        return (
+            self.beta * p0 + s * self.theta * p1,
+            2.0 * self.theta * p1 + s * (curv_scale * p2),
+        )
 
-    def dw(self, s, w):
+    def dw(self, s, w, col=None):
         if self.weight_by_residual:
-            return self.beta * mills_psi(self._u(s))
+            return self.beta * mills_psi(self._u(s, col))
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    def slope_at_origin(self, cont_slope_at_origin: float) -> float:
-        """V_t'(0) given V_{t+1}'(0); tiny residuals pin the trade."""
+    def slope_at_origin(self, cont_slope_at_origin):
+        """V_t'(0) per column given V_{t+1}'(0); tiny residuals pin the trade."""
         premium_slope = self.beta * mills_psi(self.alpha / self.beta)
         if self.weight_by_residual:
             return premium_slope
-        return min(premium_slope, cont_slope_at_origin)
+        return _min(premium_slope, cont_slope_at_origin)
 
 
 class _TerminalMills:
-    """Exact terminal value r * beta * psi((theta*r + alpha)/beta) and derivatives."""
+    """Exact terminal value r * beta * psi((theta*r + alpha)/beta) and derivatives.
 
-    def __init__(self, theta: float, alpha: float, beta: float):
+    It is also the continuation of the stage before the forced last one.
+    ``alpha`` may hold one value per column, as in :class:`_MillsStage`.
+    """
+
+    def __init__(self, theta: float, alpha, beta: float):
         self.theta = theta
         self.alpha = alpha
         self.beta = beta
+        self.slope_at_origin = self.d(0.0)
 
-    def _u(self, r):
-        return (self.theta * r + self.alpha) / self.beta
+    def _u(self, r, col=None):
+        alpha = self.alpha if col is None else self.alpha[col]
+        return (self.theta * r + alpha) / self.beta
 
-    def value(self, r):
-        return r * self.beta * mills_psi(self._u(r))
+    def value(self, r, col=None):
+        return r * self.beta * mills_psi(self._u(r, col))
 
-    def d(self, r):
-        u = self._u(r)
+    def d(self, r, col=None):
+        u = self._u(r, col)
         return self.beta * mills_psi(u) + r * self.theta * mills_psi_prime(u)
 
-    def dd(self, r):
-        u = self._u(r)
-        return 2.0 * self.theta * mills_psi_prime(u) + r * (
-            self.theta * self.theta / self.beta
-        ) * _mills_psi_second(u)
+    def d_dd(self, r, col=None):
+        """(d, dd) from one Mills kernel evaluation, bit for bit the separate values."""
+        p0, p1, p2 = mills_psi_derivs(self._u(r, col), with_psi=True)
+        return (
+            self.beta * p0 + r * self.theta * p1,
+            2.0 * self.theta * p1 + r * (self.theta * self.theta / self.beta) * p2,
+        )
 
 
 class _SplineCont:
-    """Continuation value carried as a cubic Hermite spline with exact slopes."""
+    """Cubic Hermite interpolants of one or more columns on shared abscissae.
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray):
-        self._h = CubicHermiteSpline(nodes, values, slopes)
-        self._hd = self._h.derivative()
-        self._hdd = self._hd.derivative()
-        self.slope_at_origin = float(slopes[0])
+    ``c`` holds the piecewise-polynomial coefficients, highest power first,
+    shaped (4, n-1, columns) as scipy's ``CubicHermiteSpline`` lays them out.
+    Every method takes the column of each point in ``col``, so one call
+    evaluates each column at its own points.  Coefficients, interval search
+    and evaluation order repeat scipy's ``PPoly`` (and its ``.derivative()``
+    objects) operation for operation, so values agree with scipy's bit for
+    bit.  Scipy starts each sum from +0.0, which turns an exact -0.0 constant
+    term into +0.0; the constant terms here get the same +0.0 once, up front.
+    """
 
-    def value(self, r):
-        return self._h(r)
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x = x
+        self.c = c
 
-    def d(self, r):
-        return self._hd(r)
+    @classmethod
+    def from_slopes(cls, x, y, dydx) -> "_SplineCont":
+        """Interpolate values ``y`` and slopes ``dydx``, shaped (n,) or (n, columns)."""
+        y = np.asarray(y, dtype=float).reshape(len(x), -1)
+        dydx = np.asarray(dydx, dtype=float).reshape(len(x), -1)
+        dx = np.diff(x)[:, None]
+        slope = np.diff(y, axis=0) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])))
 
-    def dd(self, r):
-        return self._hdd(r)
+    @property
+    def slope_at_origin(self) -> np.ndarray:
+        return self.c[2, 0]
 
+    @cached_property
+    def _c0(self):
+        c0, c1, c2, c3 = self.c
+        return c0, c1, c2, c3 + 0.0
 
-class _ExactCont:
-    """Continuation given in closed form (the forced terminal stage)."""
+    @cached_property
+    def _c1(self):
+        return self.c[0] * 3.0, self.c[1] * 2.0, self.c[2] * 1.0 + 0.0
 
-    def __init__(self, terminal: _TerminalMills):
-        self._t = terminal
-        self.slope_at_origin = float(terminal.d(0.0))
+    @cached_property
+    def _c2(self):
+        d0, d1, _ = self._c1
+        return d0 * 2.0, d1 * 1.0 + 0.0
 
-    def value(self, r):
-        return self._t.value(np.asarray(r, dtype=float))
+    def _locate(self, r):
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        s = r - self.x[i]
+        return i, s, s * s
 
-    def d(self, r):
-        return self._t.d(np.asarray(r, dtype=float))
+    def value(self, r, col):
+        i, s, s2 = self._locate(r)
+        c0, c1, c2, c3 = (k[i, col] for k in self._c0)
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
-    def dd(self, r):
-        return self._t.dd(np.asarray(r, dtype=float))
+    def d(self, r, col):
+        i, s, s2 = self._locate(r)
+        d0, d1, d2 = (k[i, col] for k in self._c1)
+        return (d2 + d1 * s) + d0 * s2
+
+    def d_dd(self, r, col):
+        i, s, s2 = self._locate(r)
+        d0, d1, d2 = (k[i, col] for k in self._c1)
+        e0, e1 = (k[i, col] for k in self._c2)
+        return (d2 + d1 * s) + d0 * s2, e1 + e0 * s
 
 
 # ---------------------------------------------------------------------------
@@ -440,41 +500,80 @@ def _build_mesh(total: float, curvature_scale: float, cfg: RecursionConfig) -> _
     return _Mesh(official=official, fine=fine, nodes=nodes, official_idx=official_idx)
 
 
-def _vec_newton(f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
+class _NewtonReport(NamedTuple):
+    """Per-element outcome of :func:`_vec_newton`."""
+
+    iterations: np.ndarray  # Newton steps taken (0 for pinned elements)
+    foc: np.ndarray  # f at the returned point (nan for pinned elements)
+    pinned: np.ndarray  # monotone on [lo, hi]: returned an endpoint
+
+
+def _vec_newton(
+    f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray, iters: int
+) -> tuple[np.ndarray, _NewtonReport]:
     """Bisection-safeguarded Newton on f (increasing through its root).
 
-    Elements whose objective is monotone on [lo, hi] are pinned to the
-    matching endpoint via the sign of f there.
+    ``f_and_fp(x, idx)`` returns f and f' at points ``x`` of the elements
+    ``idx`` (flat indices into ``lo``/``hi``).  Elements whose objective is
+    monotone on [lo, hi] are pinned to the matching endpoint via the sign of
+    f there.  A free element leaves the loop once an iteration returns its
+    iterate unchanged: from there every iterate is the same, so the result
+    is bit for bit the one ``iters`` iterations give, and ``iters`` only
+    caps elements that never settle.
     """
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
-    f_lo, _ = f_and_fp(a)
-    f_hi, _ = f_and_fp(b)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    everything = np.arange(lo.size)
+    f_lo, _ = f_and_fp(lo, everything)
+    f_hi, _ = f_and_fp(hi, everything)
     at_lo = f_lo >= 0.0
     at_hi = f_hi <= 0.0
-    x = 0.5 * (a + b)
-    for _ in range(iters):
-        f, fp = f_and_fp(x)
+    pinned = at_lo | at_hi
+    out = 0.5 * (lo + hi)
+    foc = np.full(lo.size, np.nan)
+    used = np.zeros(lo.size, dtype=int)
+    idx = np.flatnonzero(~pinned)
+    a, b, x = lo[idx], hi[idx], out[idx]
+    for k in range(1, iters + 1):
+        if idx.size == 0:
+            break
+        f, fp = f_and_fp(x, idx)
         a = np.where(f < 0.0, x, a)
         b = np.where(f >= 0.0, x, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(fp > 0.0, -f / np.where(fp > 0.0, fp, 1.0), 0.0)
         xn = x + step
         bad = (xn <= a) | (xn >= b) | ~np.isfinite(xn)
-        x = np.where(bad, 0.5 * (a + b), xn)
-    x = np.where(at_lo, lo, x)
-    return np.where(at_hi & ~at_lo, hi, x)
+        xn = np.where(bad, 0.5 * (a + b), xn)
+        moved = xn.view(np.uint64) != x.view(np.uint64)
+        done = idx[~moved]
+        out[done], foc[done], used[done] = x[~moved], f[~moved], k
+        idx, a, b, x = idx[moved], a[moved], b[moved], xn[moved]
+    if idx.size:
+        out[idx], foc[idx], used[idx] = x, f_and_fp(x, idx)[0], iters
+    out = np.where(at_lo, lo, out)
+    return np.where(at_hi & ~at_lo, hi, out), _NewtonReport(used, foc, pinned)
 
 
-def _vec_golden(f: Callable, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
-    """Element-wise golden-section minimization on [lo, hi]."""
+def _vec_golden(
+    f: Callable, lo: np.ndarray, hi: np.ndarray, iters: int, rtol: float
+) -> tuple[np.ndarray, int]:
+    """Element-wise golden-section minimization on [lo, hi].
+
+    Stops once every bracket is at most ``rtol`` times its starting width,
+    or after ``iters`` iterations; returns the midpoints and the iterations
+    used.
+    """
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
+    tol = rtol * (b - a)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = f(c)
     fd = f(d)
-    for _ in range(iters):
+    k = 0
+    while k < iters and np.any(b - a > tol):
+        k += 1
         left = fc < fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)
@@ -486,64 +585,98 @@ def _vec_golden(f: Callable, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.n
         new_d = np.where(left, c, fresh)
         new_fd = np.where(left, fc, fv)
         c, fc, d, fd = new_c, new_fc, new_d, new_fd
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), k
 
 
-def _stage_minimize(fam: _MillsStage, cont, w: np.ndarray, ub: np.ndarray, cfg: RecursionConfig):
-    """Minimize c(s, w) + V_{t+1}(w - s) over s in [0, ub] at every node."""
+def _stage_minimize(
+    fam: _MillsStage, cont, w: np.ndarray, ub: np.ndarray, col: np.ndarray, cfg: RecursionConfig
+):
+    """Minimize c(s, w) + V_{t+1}(w - s) over s in [0, ub] at every element.
 
-    def f_and_fp(s):
-        r = w - s
-        return fam.ds(s, w) - cont.d(r), fam.dss(s, w) + cont.dd(r)
+    ``w``, ``ub`` and ``col`` are flat arrays: element e is residual w[e] of
+    column col[e].
+    """
 
-    s = _vec_newton(f_and_fp, np.zeros_like(w), ub, cfg.newton_iters)
+    def f_and_fp(s, idx):
+        wi, ci = w[idx], col[idx]
+        ds, dss = fam.ds_dss(s, wi, ci)
+        d, dd = cont.d_dd(wi - s, ci)
+        return ds - d, dss + dd
+
+    s, report = _vec_newton(f_and_fp, np.zeros_like(w), ub, cfg.newton_iters)
     r = w - s
-    v = fam.value(s, w) + cont.value(r)
+    v = fam.value(s, w, col) + cont.value(r, col)
     # Envelope slope; when the whole residual trades (upper bound s = w
     # active) the continuation argument is pinned at 0, so dV/dw picks up
     # the stage cost's s-derivative instead of the continuation slope.
     pinned = (s >= ub) & (ub >= w * (1.0 - 1e-12))
     vd = np.where(
         pinned,
-        fam.ds(s, w) + fam.dw(s, w),
-        fam.dw(s, w) + cont.d(r),
+        fam.ds(s, w, col) + fam.dw(s, w, col),
+        fam.dw(s, w, col) + cont.d(r, col),
     )
-    return s, v, vd
+    return s, v, vd, report
+
+
+def _newton_diagnostics(report: _NewtonReport, columns: int) -> list[dict]:
+    """Per-column summary of a grid Newton solve over the fine mesh."""
+    iters, foc, pinned = (a.reshape(columns, -1) for a in report)
+    out = []
+    for j in range(columns):
+        free = ~pinned[j]
+        out.append(
+            {
+                "newton_iterations": int(iters[j][free].max(initial=0)),
+                "max_abs_foc": float(np.abs(foc[j][free]).max(initial=0.0)),
+                "pinned_nodes": int(pinned[j].sum()),
+            }
+        )
+    return out
 
 
 def _scalar_stage_solve(
-    fam: _MillsStage, cont, w: float, ub: float, cfg: RecursionConfig, convex: bool
-) -> float:
+    fam: _MillsStage,
+    cont,
+    w: float,
+    ub: float,
+    cfg: RecursionConfig,
+    convex: bool,
+    col: int = 0,
+) -> tuple[float, int]:
     """Solve one stage at an exact residual by bracketed root-finding on [0, ub].
 
     Monotone objectives pin to the boundary; without a convexity certificate
     the stationary point is not trusted and a global grid scan (refined by
-    golden section) is used instead.
+    golden section) is used instead.  ``col`` picks the column of ``fam``
+    and ``cont``.  Returns the trade and the iterations of the refining
+    search (0 when the trade sits on a boundary).
     """
     ub = min(ub, w)
     if w <= 0.0 or ub <= 0.0:
-        return 0.0
+        return 0.0, 0
 
     def obj(s):
-        return fam.value(s, w) + cont.value(w - s)
+        return fam.value(s, w, col) + cont.value(w - s, col)
 
     if not convex:
         grid = np.linspace(0.0, ub, 2001)
         j = obj(grid)
         i = int(np.argmin(j))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        s = _vec_golden(obj, np.array([lo]), np.array([hi]), cfg.golden_iters)
-        return float(s[0])
+        s, iters = _vec_golden(
+            obj, np.array([lo]), np.array([hi]), cfg.golden_iters, cfg.foc_tol_factor
+        )
+        return float(s[0]), iters
 
     def fprime(s):
-        return float(fam.ds(np.float64(s), w) - cont.d(np.float64(w - s)))
+        return float(fam.ds(np.float64(s), w, col) - cont.d(np.float64(w - s), col))
 
     fa = fprime(0.0)
     if fa >= 0.0:
-        return 0.0
+        return 0.0, 0
     fb = fprime(ub)
     if fb <= 0.0:
-        return ub
+        return ub, 0
     root, info = brentq(
         fprime,
         0.0,
@@ -559,7 +692,7 @@ def _scalar_stage_solve(
             bracket=(0.0, ub),
             residual=fprime(root),
         )
-    return float(root)
+    return float(root), info.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -624,85 +757,86 @@ class MillsRecursionProblem:
         return min(b / t for b, t in zip(self.betas, self.thetas))
 
     def family(self, t: int) -> _MillsStage:
+        """Stage t's cost as a one-column family."""
         return _MillsStage(
-            self.thetas[t - 1], self.alphas[t - 1], self.betas[t - 1], self.weight_by_residual
+            self.thetas[t - 1],
+            np.array([self.alphas[t - 1]]),
+            self.betas[t - 1],
+            self.weight_by_residual,
         )
+
+    def terminal(self) -> _TerminalMills:
+        """The forced last stage's value as a one-column continuation."""
+        return _TerminalMills(self.thetas[-1], np.array([self.alphas[-1]]), self.betas[-1])
 
 
 @dataclass
 class _RecursionResult:
-    mesh: _Mesh
-    trades: dict[int, np.ndarray]  # stage -> S* at official nodes (t = 1..T-1)
-    values: dict[int, np.ndarray]  # stage -> V_t at official nodes (t = 1..T)
+    trades: dict[int, np.ndarray]  # stage -> S* at official nodes, one row per column
+    values: dict[int, np.ndarray]  # stage -> V_t at official nodes, one row per column
     conts: dict[int, object]  # stage -> continuation V_{t+1} solved against
+    diagnostics: dict[int, list[dict]]  # stage -> grid Newton summary per column
+
+
+def _backward_pass(
+    families: dict[int, _MillsStage],
+    cont,
+    mesh: _Mesh,
+    cfg: RecursionConfig,
+    caps: tuple[float, ...] | None = None,
+) -> _RecursionResult:
+    """Grid recursion over stages max(families)..1, all columns in one solve.
+
+    ``families[t]`` carries one alpha per column that stage t solves; those
+    are the first ``len(alpha)`` columns of its continuation, so columns
+    only drop out as t falls.  ``cont`` is the continuation of the first
+    stage solved; ``caps`` optionally caps the stage-t trade.
+    """
+    fine, oi = mesh.fine, mesh.official_idx
+    m = fine.size
+    res = _RecursionResult({}, {}, {}, {})
+    for t in sorted(families, reverse=True):
+        fam = families[t]
+        k = len(fam.alpha)
+        w = np.tile(fine, k)
+        col = np.repeat(np.arange(k), m)
+        ub = w if caps is None else np.minimum(w, max(caps[t - 1], 0.0))
+        s, v, vd, report = _stage_minimize(fam, cont, w, ub, col, cfg)
+        res.conts[t] = cont
+        res.trades[t] = s.reshape(k, m)[:, oi]
+        res.values[t] = v.reshape(k, m)[:, oi]
+        res.diagnostics[t] = _newton_diagnostics(report, k)
+        if t > 1:
+            slope0 = fam.slope_at_origin(cont.slope_at_origin[:k])
+            cont = _SplineCont.from_slopes(
+                mesh.nodes,
+                np.vstack([np.zeros(k), v.reshape(k, m).T]),
+                np.vstack([slope0, vd.reshape(k, m).T]),
+            )
+    return res
 
 
 def _run_recursion(
     problem: MillsRecursionProblem,
     cfg: RecursionConfig,
     *,
+    mesh: _Mesh,
     initial_cont=None,
     start_stage: int | None = None,
-    mesh: _Mesh | None = None,
 ) -> _RecursionResult:
-    """Backward pass over the residual grid.
+    """Backward pass over the residual grid for one problem (one column).
 
     By default stages T-1..1 are solved against the exact terminal value;
     callers that build stage T-1 by other means pass ``initial_cont`` (the
     spline of V_{start_stage+1}) and ``start_stage``.
     """
     T = problem.horizon.T
-    if mesh is None:
-        mesh = _build_mesh(problem.horizon.total_shares, problem.curvature_scale, cfg)
-    fine, nodes, oi = mesh.fine, mesh.nodes, mesh.official_idx
-
-    trades: dict[int, np.ndarray] = {}
-    values: dict[int, np.ndarray] = {}
-    conts: dict[int, object] = {}
-
     if initial_cont is None:
-        terminal = _TerminalMills(problem.thetas[T - 1], problem.alphas[T - 1], problem.betas[T - 1])
-        values[T] = terminal.value(fine[oi])
-        cont = _ExactCont(terminal)
-        start = T - 1
+        cont, start = problem.terminal(), T - 1
     else:
-        cont = initial_cont
-        start = start_stage if start_stage is not None else T - 1
-
-    for t in range(start, 0, -1):
-        fam = problem.family(t)
-        ub = fine
-        if problem.trade_caps is not None:
-            ub = np.minimum(fine, max(problem.trade_caps[t - 1], 0.0))
-        s, v, vd = _stage_minimize(fam, cont, fine, ub, cfg)
-        conts[t] = cont
-        trades[t] = s[oi].copy()
-        values[t] = v[oi].copy()
-        if t > 1:
-            slope0 = fam.slope_at_origin(cont.slope_at_origin)
-            cont = _SplineCont(
-                nodes,
-                np.concatenate([[0.0], v]),
-                np.concatenate([[slope0], vd]),
-            )
-    return _RecursionResult(mesh=mesh, trades=trades, values=values, conts=conts)
-
-
-def _policy_table_from_recursion(
-    problem: MillsRecursionProblem, res: _RecursionResult, metadata: dict
-) -> PolicyTable:
-    T = problem.horizon.T
-    official = res.mesh.official
-    stages: list[StagePolicy] = []
-    samples: list[np.ndarray] = []
-    for t in range(1, T):
-        stages.append(NumericalPolicy(grid=official, trades=res.trades[t]))
-        samples.append(np.column_stack([official, res.values[t]]))
-    stages.append(ClosedLinearPolicy(1.0))
-    if T not in res.values:  # recursion seeded from a custom terminal
-        raise SolverError("missing terminal value samples")
-    samples.append(np.column_stack([official, res.values[T]]))
-    return PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
+        cont, start = initial_cont, start_stage if start_stage is not None else T - 1
+    families = {t: problem.family(t) for t in range(start, 0, -1)}
+    return _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
 
 
 def approximate_recursion(
@@ -716,14 +850,25 @@ def approximate_recursion(
     track the closed forms to well under 1e-6 relative where those exist.
     """
     cfg = config or RecursionConfig()
-    res = _run_recursion(problem, cfg)
+    T = problem.horizon.T
+    mesh = _build_mesh(problem.horizon.total_shares, problem.curvature_scale, cfg)
+    res = _run_recursion(problem, cfg, mesh=mesh)
+    official = mesh.official
+    stages: list[StagePolicy] = []
+    samples: list[np.ndarray] = []
+    for t in range(1, T):
+        stages.append(NumericalPolicy(grid=official, trades=res.trades[t][0]))
+        samples.append(np.column_stack([official, res.values[t][0]]))
+    stages.append(ClosedLinearPolicy(1.0))
+    samples.append(np.column_stack([official, problem.terminal().value(official, 0)]))
     metadata = {
         "model": problem.model_tag,
         "formulation": "complex" if problem.weight_by_residual else "simple",
         "method": "grid-recursion",
         "grid_nodes": cfg.grid_nodes,
+        "diagnostics": [{"stage": t, **res.diagnostics[t][0]} for t in range(1, T)],
     }
-    return _policy_table_from_recursion(problem, res, metadata)
+    return PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -845,69 +990,64 @@ def _terminal_only_table(
     problem: MillsRecursionProblem, cfg: RecursionConfig, metadata: dict
 ) -> PolicyTable:
     mesh = _build_mesh(problem.horizon.total_shares, problem.curvature_scale, cfg)
-    terminal = _TerminalMills(problem.thetas[-1], problem.alphas[-1], problem.betas[-1])
-    samples = (np.column_stack([mesh.official, terminal.value(mesh.official)]),)
+    samples = (np.column_stack([mesh.official, problem.terminal().value(mesh.official, 0)]),)
     return PolicyTable(stages=(ClosedLinearPolicy(1.0),), value_samples=samples, metadata=metadata)
 
 
 def _solve_residual_weighted(
     problem: MillsRecursionProblem, cfg: RecursionConfig, metadata: dict, convex: bool
 ) -> tuple[Schedule, PolicyTable]:
-    """Drive the grid recursion for a residual-weighted cost.
+    """Drive the grid recursion for a residual-weighted cost with one theta and beta.
 
     The stage-t premium shift alpha_t is held at its stage-t value for the
     whole remaining horizon (the closed forms rest on that convention), so
-    with a non-constant alpha sequence each stage gets its own remaining-
-    horizon recursion; with a constant sequence one recursion serves all
-    stages.  The reported schedule re-solves each stage at the exact
-    certainty-equivalent residual.
+    stage t's policy is the first stage of a uniform (T-t+1)-stage recursion
+    in alpha_t.  Those recursions differ only in alpha, so one backward pass
+    runs them all, one column per distinct alpha: at stage t every column
+    sits at depth T-t+1, and stage t reads the column of alpha_t.  The
+    reported schedule re-solves each stage at the exact certainty-equivalent
+    residual.
     """
     T = problem.horizon.T
     total = problem.horizon.total_shares
     if T == 1:
+        metadata["diagnostics"] = []
         return Schedule.from_trades([total], total), _terminal_only_table(problem, cfg, metadata)
+    if len(set(problem.thetas)) != 1 or len(set(problem.betas)) != 1:
+        raise ValueError("residual-weighted solves need one theta and one beta for all stages")
+    theta, beta = problem.thetas[0], problem.betas[0]
 
     mesh = _build_mesh(total, problem.curvature_scale, cfg)
     official = mesh.official
-    triples = set(zip(problem.thetas, problem.alphas, problem.betas))
-    stationary = len(triples) == 1 and problem.trade_caps is None
-    full_res = _run_recursion(problem, cfg, mesh=mesh) if stationary else None
+    # columns numbered by the first stage that uses them, so the columns
+    # stage t needs are a prefix
+    alphas = list(dict.fromkeys(problem.alphas[: T - 1]))
+    column = [alphas.index(a) for a in problem.alphas[: T - 1]]
+    families = {
+        t: _MillsStage(theta, np.array(alphas[: max(column[:t]) + 1]), beta, True)
+        for t in range(1, T)
+    }
+    res = _backward_pass(families, _TerminalMills(theta, np.array(alphas), beta), mesh, cfg)
 
     stages: list[StagePolicy] = []
     samples: list[np.ndarray] = []
     trades: list[float] = []
+    diagnostics: list[dict] = []
     w = total
     for t in range(1, T):
-        if stationary:
-            res, stage_in_res = full_res, t
-            fam = problem.family(t)
-        else:
-            n = T - t + 1
-            sub = MillsRecursionProblem.uniform(
-                Horizon(n, total),
-                problem.thetas[t - 1],
-                problem.betas[t - 1],
-                alphas=(problem.alphas[t - 1],) * n,
-                weight_by_residual=True,
-                trade_caps=None if problem.trade_caps is None else problem.trade_caps[t - 1 :],
-                model_tag=problem.model_tag,
-            )
-            res, stage_in_res = _run_recursion(sub, cfg, mesh=mesh), 1
-            fam = sub.family(1)
-        stages.append(NumericalPolicy(grid=official, trades=res.trades[stage_in_res]))
-        samples.append(np.column_stack([official, res.values[stage_in_res]]))
-        cap = w
-        if problem.trade_caps is not None:
-            cap = min(w, max(problem.trade_caps[t - 1], 0.0))
-        s = _scalar_stage_solve(fam, res.conts[stage_in_res], w, cap, cfg, convex)
+        j = column[t - 1]
+        stages.append(NumericalPolicy(grid=official, trades=res.trades[t][j]))
+        samples.append(np.column_stack([official, res.values[t][j]]))
+        s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, convex, j)
+        diagnostics.append({"stage": t, **res.diagnostics[t][j], "schedule_iterations": iters})
         trades.append(s)
         w -= s
     trades.append(w)
 
-    terminal = _TerminalMills(problem.thetas[T - 1], problem.alphas[T - 1], problem.betas[T - 1])
     stages.append(ClosedLinearPolicy(1.0))
-    samples.append(np.column_stack([official, terminal.value(official)]))
+    samples.append(np.column_stack([official, problem.terminal().value(official, 0)]))
     schedule = Schedule.from_trades(trades, total)
+    metadata["diagnostics"] = diagnostics
     table = PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
     return schedule, table
 

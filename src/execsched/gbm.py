@@ -30,6 +30,7 @@ from execsched.dp import (
     RecursionConfig,
     Schedule,
     _build_mesh,
+    _SplineCont,
     _vec_golden,
 )
 from execsched.kernels import (
@@ -96,12 +97,13 @@ def _fit_continuation(
     x_next: np.ndarray,
     x_now: np.ndarray,
     degree: int,
-) -> list[PchipInterpolator]:
-    """Splines of w -> E_eta[v_{t+1}(w, rho*x + eta)] for each current sample x.
+) -> _SplineCont:
+    """Monotone cubic (PCHIP) splines of w -> E_eta[v_{t+1}(w, rho*x + eta)].
 
-    ``v_grid`` holds v_{t+1} at (node, x_next-sample); the X dependence is
-    fitted per node with a least-squares polynomial and the AR(1) innovation
-    integrated against the basis in closed form.
+    One column per current sample x.  ``v_grid`` holds v_{t+1} at (node,
+    x_next-sample); the X dependence is fitted per node with a least-squares
+    polynomial and the AR(1) innovation integrated against the basis in
+    closed form.
     """
     if x_next.size == 1:
         g = np.tile(v_grid[:, 0][:, None], (1, x_now.size))
@@ -115,7 +117,7 @@ def _fit_continuation(
             g += coeffs[d][:, None] * moments[d][None, :]
     g = np.maximum(g, 0.0)
     g[0, :] = 0.0  # v(0, x) = 0 exactly
-    return [PchipInterpolator(nodes, g[:, j], extrapolate=False) for j in range(x_now.size)]
+    return _SplineCont(nodes, PchipInterpolator(nodes, g, extrapolate=False).c)
 
 
 def _minimize_stage(
@@ -123,43 +125,37 @@ def _minimize_stage(
     w: np.ndarray,
     x: np.ndarray,
     ratio: float,
-    cont_splines: list[PchipInterpolator] | None,
+    cont: _SplineCont | None,
     e_fac: float,
     cfg: RecursionConfig,
 ):
     """Golden-section minimization of s*premium + E[e^B]*cont over s in [0, w].
 
-    ``w`` and ``x`` are broadcast to pairs; returns (s*, value) per pair.
+    ``w`` and ``x`` are broadcast to pairs, ``cont`` has one column per x;
+    returns (s*, value) per pair and the golden-section iterations used.
     """
     W, X = np.meshgrid(w, x, indexing="ij")
     w_flat, x_flat = W.ravel(), X.ravel()
-    if cont_splines is None:
+    if cont is None:
         s_flat = w_flat.copy()
         v_flat = s_flat * _stage_premium(params, s_flat, x_flat, ratio, cfg.quad_order)
-        return s_flat.reshape(W.shape), v_flat.reshape(W.shape)
+        return s_flat.reshape(W.shape), v_flat.reshape(W.shape), 0
 
     idx = np.repeat(np.arange(x.size)[None, :], w.size, axis=0).ravel()
 
-    def cont_at(r):
-        r = np.clip(r, 0.0, None)
-        out = np.empty_like(r)
-        for j, spline in enumerate(cont_splines):
-            mask = idx == j
-            out[mask] = spline(np.minimum(r[mask], spline.x[-1]))
-        return out
-
     def objective(s):
         prem = _stage_premium(params, s, x_flat, ratio, cfg.quad_order)
-        return s * prem + e_fac * cont_at(w_flat - s)
+        r = np.minimum(np.clip(w_flat - s, 0.0, None), cont.x[-1])
+        return s * prem + e_fac * cont.value(r, idx)
 
     lo = np.zeros_like(w_flat)
-    s_flat = _vec_golden(objective, lo, w_flat, cfg.golden_iters)
+    s_flat, iters = _vec_golden(objective, lo, w_flat, cfg.golden_iters, cfg.foc_tol_factor)
     candidates = np.stack([s_flat, lo, w_flat])
     values = np.stack([objective(c) for c in candidates])
     pick = np.argmin(values, axis=0)
     s_flat = candidates[pick, np.arange(s_flat.size)]
     v_flat = values[pick, np.arange(s_flat.size)]
-    return s_flat.reshape(W.shape), v_flat.reshape(W.shape)
+    return s_flat.reshape(W.shape), v_flat.reshape(W.shape), iters
 
 
 def solve_gbm_simple(
@@ -214,7 +210,8 @@ def solve_gbm_simple(
     }
 
     if T == 1:
-        s_grid, v_grid = _minimize_stage(
+        metadata["diagnostics"] = []
+        s_grid, v_grid, _ = _minimize_stage(
             params, mesh.official, np.array([x0]), ratios[0], None, e_fac, cfg
         )
         samples = (np.column_stack([mesh.official, state.no_impact_price * v_grid[:, 0]]),)
@@ -230,19 +227,20 @@ def solve_gbm_simple(
     # Terminal stage on the fine grid, then fit and walk backward.
     policies: dict[int, np.ndarray] = {}
     values: dict[int, np.ndarray] = {}
-    stage_conts: dict[int, PchipInterpolator] = {}
+    stage_conts: dict[int, _SplineCont] = {}
+    grid_iters: dict[int, int] = {}
 
-    _, v_fine = _minimize_stage(params, fine, stage_x[T], ratios[T - 1], None, e_fac, cfg)
+    _, v_fine, _ = _minimize_stage(params, fine, stage_x[T], ratios[T - 1], None, e_fac, cfg)
     values[T] = v_fine[oi, ce_idx[T]]
 
     v_with_zero = np.vstack([np.zeros((1, stage_x[T].size)), v_fine])
     for t in range(T - 1, 0, -1):
-        splines = _fit_continuation(
+        cont = _fit_continuation(
             params, nodes, v_with_zero, stage_x[t + 1], stage_x[t], cfg.regression_degree
         )
-        stage_conts[t] = splines[ce_idx[t]]
-        s_fine, v_fine = _minimize_stage(
-            params, fine, stage_x[t], ratios[t - 1], splines, e_fac, cfg
+        stage_conts[t] = cont
+        s_fine, v_fine, grid_iters[t] = _minimize_stage(
+            params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg
         )
         policies[t] = s_fine[oi, ce_idx[t]]
         values[t] = v_fine[oi, ce_idx[t]]
@@ -250,21 +248,27 @@ def solve_gbm_simple(
 
     # Forward certainty-equivalent pass at the exact residuals.
     trades: list[float] = []
+    diagnostics: list[dict] = []
     w = total
     for t in range(1, T):
         x_ce = float(stage_x[t][ce_idx[t]])
-        spline = stage_conts[t]
 
-        def objective(s, _x=x_ce, _w=w, _spl=spline, _r=ratios[t - 1]):
+        def objective(s, _x=x_ce, _w=w, _cont=stage_conts[t], _j=ce_idx[t], _r=ratios[t - 1]):
             prem = _stage_premium(params, s, _x, _r, cfg.quad_order)
-            r = np.clip(_w - s, 0.0, _spl.x[-1])
-            return s * prem + e_fac * _spl(r)
+            r = np.clip(_w - s, 0.0, _cont.x[-1])
+            return s * prem + e_fac * _cont.value(r, _j)
 
-        s = float(_vec_golden(objective, np.array([0.0]), np.array([w]), cfg.golden_iters)[0])
-        best = min((float(objective(np.array([c]))[0]), c) for c in (s, 0.0, w))
+        s, iters = _vec_golden(
+            objective, np.array([0.0]), np.array([w]), cfg.golden_iters, cfg.foc_tol_factor
+        )
+        best = min((float(objective(np.array([c]))[0]), c) for c in (float(s[0]), 0.0, w))
+        diagnostics.append(
+            {"stage": t, "golden_iterations": grid_iters[t], "schedule_iterations": iters}
+        )
         trades.append(best[1])
         w -= best[1]
     trades.append(w)
+    metadata["diagnostics"] = diagnostics
 
     official = mesh.official
     stages: list = []

@@ -9,6 +9,13 @@ function
 so that E[Y | Y > 0] = sigma * psi(mu / sigma) for Y ~ N(mu, sigma^2), plus a
 normal-lognormal mixture expectation and Gauss-Hermite rules for the Gaussian
 expectations the solvers take numerically.
+
+There is one Mills kernel, ``_mills_g`` (G = phi/Phi).  It evaluates each
+element on one branch only (erfcx where u < 0, phi/ndtr elsewhere) and
+scatters both into one output.  ``mills_psi``, ``mills_psi_prime`` and
+``_mills_psi_second`` each build on one G; ``mills_psi_derivs`` returns psi'
+and psi'' (optionally psi too) from a single G for the stage solves, bit for
+bit equal to the separate calls.
 """
 from __future__ import annotations
 
@@ -25,10 +32,10 @@ __all__ = [
     "MixtureRegimeError",
     "mills_psi",
     "mills_psi_prime",
+    "mills_psi_derivs",
     "truncated_mean_positive",
     "gauss_hermite",
     "nln_mixture_expectation",
-    "nln_mixture_reference_formula",
 ]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -89,13 +96,41 @@ def _mills_g(u):
     For u < 0 the ratio is formed through the scaled complementary error
     function, phi/Phi = sqrt(2/pi) / erfcx(-u/sqrt(2)), so the e^{-u^2/2}
     factors cancel symbolically and nothing underflows; for u >= 0 the direct
-    quotient is exact.
+    quotient is exact.  Each element is evaluated on its own branch only.
     """
     u = np.asarray(u, dtype=float)
+    left = u < 0.0
+    right = ~left
+    out = np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        left = SQRT_2_OVER_PI / erfcx(-u / SQRT_2)
-        right = _phi(u) / ndtr(u)
-    out = np.where(u < 0.0, left, right)
+        out[left] = SQRT_2_OVER_PI / erfcx(-u[left] / SQRT_2)
+        ur = u[right]
+        out[right] = _phi(ur) / ndtr(ur)
+    return out if out.ndim else float(out)
+
+
+def _psi_from_g(arr, g):
+    """psi = u + G, switching to the asymptotic series at and below u = -150."""
+    direct = arr + g
+    deep = arr <= PSI_SERIES_BRANCH_U
+    if np.any(deep):
+        ud = np.where(deep, arr, PSI_SERIES_BRANCH_U)
+        s = 1.0 / (ud * ud)
+        # truncation of the degree-4 tails is ~1e-18 relative at u = -150
+        num = 1.0 + s * (-3.0 + s * (15.0 + s * (-105.0 + s * 945.0)))
+        den = 1.0 + s * (-1.0 + s * (3.0 + s * (-15.0 + s * 105.0)))
+        direct = np.where(deep, -(num / den) / ud, direct)
+    return direct
+
+
+def _finite(u) -> np.ndarray:
+    arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("mills_psi requires finite input")
+    return arr
+
+
+def _scalar_or_array(out):
     return out if out.ndim else float(out)
 
 
@@ -117,27 +152,15 @@ def mills_psi(u):
     -------
     float or ndarray
     """
-    arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("mills_psi requires finite input")
-    direct = arr + _mills_g(arr)
-    deep = arr <= PSI_SERIES_BRANCH_U
-    if np.any(deep):
-        ud = np.where(deep, arr, PSI_SERIES_BRANCH_U)
-        s = 1.0 / (ud * ud)
-        # truncation of the degree-4 tails is ~1e-18 relative at u = -150
-        num = 1.0 + s * (-3.0 + s * (15.0 + s * (-105.0 + s * 945.0)))
-        den = 1.0 + s * (-1.0 + s * (3.0 + s * (-15.0 + s * 105.0)))
-        direct = np.where(deep, -(num / den) / ud, direct)
-    return direct if arr.ndim else float(direct)
+    arr = _finite(u)
+    return _scalar_or_array(_psi_from_g(arr, _mills_g(arr)))
 
 
 def mills_psi_prime(u):
     """d psi / du = 1 - u*G(u) - G(u)^2 with G = phi/Phi; lies in (0, 1)."""
     u = np.asarray(u, dtype=float)
     g = _mills_g(u)
-    out = 1.0 - u * g - g * g
-    return out if out.ndim else float(out)
+    return _scalar_or_array(1.0 - u * g - g * g)
 
 
 def _mills_psi_second(u):
@@ -145,13 +168,38 @@ def _mills_psi_second(u):
     u = np.asarray(u, dtype=float)
     g = _mills_g(u)
     gp = -g * (u + g)
-    out = -g - u * gp - 2.0 * g * gp
-    return out if out.ndim else float(out)
+    return _scalar_or_array(-g - u * gp - 2.0 * g * gp)
+
+
+def mills_psi_derivs(u, *, with_psi: bool = False):
+    """(psi'(u), psi''(u)) from one G, or (psi, psi', psi'') with ``with_psi``.
+
+    The expressions are those of :func:`mills_psi_prime`,
+    :func:`_mills_psi_second` and :func:`mills_psi`, so every output is bit
+    for bit the separate call's; ``with_psi`` also applies mills_psi's
+    finiteness check.
+    """
+    arr = _finite(u) if with_psi else np.asarray(u, dtype=float)
+    g = _mills_g(arr)
+    d1 = 1.0 - arr * g - g * g
+    gp = -g * (arr + g)
+    d2 = -g - arr * gp - 2.0 * g * gp
+    out = (_scalar_or_array(d1), _scalar_or_array(d2))
+    if with_psi:
+        return (_scalar_or_array(_psi_from_g(arr, g)),) + out
+    return out
 
 
 def truncated_mean_positive(y: Gaussian) -> float:
-    """E[Y | Y > 0] = sigma * psi(mu/sigma) for Y ~ N(mu, sigma^2)."""
-    return y.sigma * mills_psi(y.mu / y.sigma)
+    """E[Y | Y > 0] = sigma * psi(mu/sigma) for Y ~ N(mu, sigma^2).
+
+    For mu >= 0 it is formed as mu + sigma * G(mu/sigma), which keeps it at or
+    above mu: sigma * (mu/sigma) can round below mu.
+    """
+    u = y.mu / y.sigma
+    if u >= 0.0:
+        return y.mu + y.sigma * _mills_g(u)
+    return y.sigma * mills_psi(u)
 
 
 @lru_cache(maxsize=32)
@@ -268,30 +316,3 @@ def _lognormal_shift_conditional(mu_x, sig_x, c, k):
     num = c * np.exp(mu_x + 0.5 * sig_x * sig_x) * ndtr(z + sig_x) + k * pr
     out = num / pr
     return out if out.ndim else float(out)
-
-
-def nln_mixture_reference_formula(x: Gaussian, y: Gaussian, k: float) -> float:
-    """Approximate closed form for the mixture expectation, kept for reference.
-
-    Splits X on its sign and pairs each branch with a fixed Y-band: the X > 0
-    branch carries E[e^X | X > 0] times the unnormalized partial moment
-    E[Y; 0 < Y < -k], the X <= 0 branch E[e^X | X <= 0] times E[Y; Y > -k],
-    plus k.  Because the true event {e^X Y + k > 0} couples X and Y, this
-    factorization is NOT the conditional expectation computed by
-    :func:`nln_mixture_expectation`; it agrees only in near-degenerate limits
-    (measured relative gaps reach 1e-1 at sigma_X ~ 0.5).  Exposed so the
-    approximation error stays easy to inspect; not used by any solver.
-    """
-    if k >= 0.0:
-        raise MixtureRegimeError(f"reference formula requires k < 0, got k={k}")
-    mu_x, sig_x = x.mu, x.sigma
-    mu_y, sig_y = y.mu, y.sigma
-    r_plus = ndtr((mu_x + sig_x * sig_x) / sig_x) / ndtr(mu_x / sig_x)
-    r_minus = (1.0 - ndtr((mu_x + sig_x * sig_x) / sig_x)) / (1.0 - ndtr(mu_x / sig_x))
-    zk = (k + mu_y) / sig_y
-    zm = mu_y / sig_y
-    a_branch = mu_y * (ndtr(-zk) - ndtr(-zm)) - sig_y / SQRT_2PI * (
-        np.exp(-0.5 * zk * zk) - np.exp(-0.5 * zm * zm)
-    )
-    b_branch = mu_y * (1.0 - ndtr(-zk)) + sig_y / SQRT_2PI * np.exp(-0.5 * zk * zk)
-    return k + np.exp(mu_x + 0.5 * sig_x * sig_x) * (r_plus * a_branch + r_minus * b_branch)

@@ -166,20 +166,29 @@ class _Penultimate:
         gauss_w = self.w[None, :] * np.exp(-0.5 * zscore**2) / (s_p * _SQRT_2PI)
         mu_c = -(p.gamma * self.price * p.sigma_eta**2) * zscore / s_p
         sig_c = p.sigma_eta * p.sigma_eps / s_p
-        o_next = p.rho * self.volume + mu_c[..., None] + _SQRT2 * sig_c * self.z_nodes
         s_next = np.hypot(p.gamma * self.x * p.sigma_eta, p.sigma_eps)
-        m = self.x[None, :, None] * (
-            p.alpha + p.beta * resids[:, None, None] - p.gamma * p.rho * o_next
+        # u = P' * (alpha + beta*W - gamma*rho*O') / s(P') is affine in the
+        # volume node: O' = rho*O + mu_c + sqrt(2)*sig_c*z_j, so
+        # u = base[n, k] + slope[k] * z_j without an O' tensor.
+        base = (
+            self.x[None, :]
+            * (
+                p.alpha
+                + p.beta * resids[:, None]
+                - p.gamma * p.rho * (p.rho * self.volume + mu_c)
+            )
+            / s_next[None, :]
         )
-        u = m / s_next[None, :, None]
+        slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * self.x / s_next
+        u = base[:, :, None] + (slope[:, None] * self.z_nodes)[None, :, :]
+        over_z = mills_psi(u) @ self.z_weights
         if derivative:
-            inner = s_next[None, :, None] * mills_psi(u) + (
-                resids[:, None, None] * self.x[None, :, None] * p.beta
-            ) * mills_psi_prime(u)
+            over_z = s_next[None, :] * over_z + (
+                resids[:, None] * self.x[None, :] * p.beta
+            ) * (mills_psi_prime(u) @ self.z_weights)
         else:
-            inner = resids[:, None, None] * s_next[None, :, None] * mills_psi(u)
-        over_z = inner @ self.z_weights / _SQRT_PI
-        return np.einsum("nk,nk->n", over_z, gauss_w)
+            over_z = resids[:, None] * s_next[None, :] * over_z
+        return np.einsum("nk,nk->n", over_z / _SQRT_PI, gauss_w)
 
     def objective(self, trades, resids) -> np.ndarray:
         cost = _mills_form(self.params, self.price, self.volume, trades)
@@ -215,11 +224,12 @@ def _make_penultimate(
     )
 
 
-def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, golden_iters: int):
+def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConfig):
     """Golden-section minimum of the exact stage T-1 objective at every node.
 
-    Returns trades, values, and the envelope slopes dV_{T-1}/dW used to seed
-    the continuation spline for earlier stages.
+    Returns trades, values, the envelope slopes dV_{T-1}/dW used to seed the
+    continuation spline for earlier stages, and the golden-section
+    iterations used.
     """
     w_nodes = np.asarray(w_nodes, dtype=float)
     ub = np.minimum(w_nodes, pen.cap)
@@ -227,7 +237,9 @@ def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, golden_iters: int)
     def obj(s):
         return pen.objective(s, w_nodes)
 
-    s = _vec_golden(obj, np.zeros_like(w_nodes), ub, golden_iters)
+    s, iters = _vec_golden(
+        obj, np.zeros_like(w_nodes), ub, cfg.golden_iters, cfg.foc_tol_factor
+    )
     candidates = np.stack([s, np.zeros_like(ub), ub])
     vals = np.stack([obj(c) for c in candidates])
     pick = np.argmin(vals, axis=0)
@@ -246,7 +258,7 @@ def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, golden_iters: int)
     premium_origin = beta_hat * mills_psi(alpha_hat / beta_hat)
     cont_origin = float(pen.expected_terminal(0.0, 0.0, derivative=True)[0])
     slope0 = min(premium_origin, cont_origin)
-    return s, v, vd, slope0
+    return s, v, vd, slope0, iters
 
 
 def _penultimate_scalar(
@@ -262,6 +274,7 @@ def _penultimate_scalar(
     The objective is re-evaluated at the minimizer with both quadrature
     orders doubled; disagreement beyond 1e-6 relative raises
     ResolutionWarning per the documented under-resolution contract.
+    Returns the trade and the golden-section iterations used.
     """
     ub = min(w, cap)
     order = cfg.quad_order
@@ -270,7 +283,9 @@ def _penultimate_scalar(
     def obj(s):
         return pen.objective(s, np.full_like(np.atleast_1d(s), w))
 
-    s = _vec_golden(obj, np.zeros(1), np.array([ub]), cfg.golden_iters)
+    s, iters = _vec_golden(
+        obj, np.zeros(1), np.array([ub]), cfg.golden_iters, cfg.foc_tol_factor
+    )
     candidates = np.array([s[0], 0.0, ub])
     vals = obj(candidates)
     best = int(np.argmin(vals))
@@ -288,7 +303,7 @@ def _penultimate_scalar(
             ResolutionWarning,
             stacklevel=3,
         )
-    return s_star
+    return s_star, iters
 
 
 def _ce_path(params: Liquidity, state: MarketState, T: int, total: float):
@@ -366,6 +381,7 @@ def solve_liquidity(
             raise InfeasibleLiquidityError(
                 f"terminal trade {total} exceeds the volume bound {bounds[0]}"
             )
+        metadata["diagnostics"] = []
         official = np.geomspace(total * cfg.grid_lo_frac, total, cfg.grid_nodes)
         values = _mills_form(params, prices[0], volumes[0], official)
         table = PolicyTable(
@@ -400,15 +416,16 @@ def solve_liquidity(
         _NODE_PANEL_ORDER,
         cfg.quad_order,
     )
-    s_pen, v_pen, vd_pen, slope0 = _penultimate_pass(pen, pen_nodes, cfg.golden_iters)
+    s_pen, v_pen, vd_pen, slope0, pen_iters = _penultimate_pass(pen, pen_nodes, cfg)
 
     stages: list = []
     samples: list = []
     trades: list[float] = []
+    diagnostics: list[dict] = []
     w = total
 
     if T > 2:
-        cont = _SplineCont(
+        cont = _SplineCont.from_slopes(
             mesh.nodes,
             np.concatenate([[0.0], v_pen]),
             np.concatenate([[slope0], vd_pen]),
@@ -417,10 +434,13 @@ def solve_liquidity(
             problem, cfg_liq, initial_cont=cont, start_stage=T - 2, mesh=mesh
         )
         for t in range(1, T - 1):
-            stages.append(NumericalPolicy(grid=mesh.official, trades=res.trades[t]))
-            samples.append(np.column_stack([mesh.official, res.values[t]]))
-            s = _scalar_stage_solve(
+            stages.append(NumericalPolicy(grid=mesh.official, trades=res.trades[t][0]))
+            samples.append(np.column_stack([mesh.official, res.values[t][0]]))
+            s, iters = _scalar_stage_solve(
                 problem.family(t), res.conts[t], w, bounds[t - 1], cfg_liq, False
+            )
+            diagnostics.append(
+                {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
             )
             trades.append(s)
             w -= s
@@ -431,7 +451,10 @@ def solve_liquidity(
         stages.append(NumericalPolicy(grid=mesh.official, trades=s_pen))
         samples.append(np.column_stack([mesh.official, v_pen]))
 
-    s = _penultimate_scalar(params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg)
+    s, iters = _penultimate_scalar(params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg)
+    diagnostics.append(
+        {"stage": T - 1, "golden_iterations": pen_iters, "schedule_iterations": iters}
+    )
     trades.append(s)
     w -= s
 
@@ -444,5 +467,6 @@ def solve_liquidity(
     terminal_values = _mills_form(params, prices[T - 1], volumes[T - 1], mesh.official)
     samples.append(np.column_stack([mesh.official, terminal_values]))
 
+    metadata["diagnostics"] = diagnostics
     table = PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
     return Schedule.from_trades(trades, total), table

@@ -166,6 +166,27 @@ class TestSolve:
         assert policy["stages"][0]["kind"] == "interpolated"
         assert len(policy["stages"][0]["residual_grid"]) >= 2
 
+    def test_policy_carries_solver_diagnostics_without_a_clock(self, tmp_path):
+        doc = {
+            "model": "benchmark",
+            "formulation": "complex",
+            "params": {"theta": 3.0, "sigma_eps": 1.0},
+            "horizon": {"periods": 3, "total_shares": 10.0},
+        }
+        cfg = _write_json(tmp_path, "c.json", doc)
+        texts = []
+        for run in ("a", "b"):
+            assert main(["solve", cfg, "--output-dir", str(tmp_path / run)]) == EXIT_OK
+            texts.append((tmp_path / run / "policy.json").read_text())
+        assert texts[0] == texts[1]
+        diags = json.loads(texts[0])["metadata"]["diagnostics"]
+        assert [d["stage"] for d in diags] == [1, 2]
+        for d in diags:
+            assert set(d) == {
+                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "schedule_iterations",
+            }
+            assert 0 < d["newton_iterations"] < 100
+
     def test_ar1_needs_initial_state(self, tmp_path, capsys):
         doc = {
             "model": "ar1",
@@ -490,6 +511,7 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["checks"]
         assert all(c["passed"] for c in doc["checks"])
+        assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0.0 for c in doc["checks"])
 
     def test_unknown_selector_exits_2(self):
         with pytest.raises(SystemExit) as err:

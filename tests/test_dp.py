@@ -422,3 +422,246 @@ class TestApproximateRecursion:
         prob = MillsRecursionProblem.uniform(Horizon(2, 1.0), 2.0, 1.0)
         table = approximate_recursion(prob, RecursionConfig(grid_nodes=16))
         assert table.value_samples[0].shape == (16, 2)
+
+
+# ---------------------------------------------------------------------------
+# Stage-solve machinery: Hermite evaluator, early-stopping Newton, batched
+# AR(1) recursion, diagnostics.
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _hermite_case(draw):
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.floats(1e-3, 5.0), min_size=n - 1, max_size=n - 1))
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    vals = st.floats(-50.0, 50.0)
+    y = np.array(draw(st.lists(vals, min_size=n * k, max_size=n * k))).reshape(n, k)
+    dydx = np.array(draw(st.lists(vals, min_size=n * k, max_size=n * k))).reshape(n, k)
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    r = np.concatenate([[0.0, x[-1]], x, x[-1] * np.array(inner)])
+    return x, y, dydx, r
+
+
+class TestHermiteEvaluator:
+    @given(_hermite_case())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_and_its_derivatives_bit_for_bit(self, case):
+        from scipy.interpolate import CubicHermiteSpline
+
+        from execsched.dp import _SplineCont
+
+        x, y, dydx, r = case
+        cont = _SplineCont.from_slopes(x, y, dydx)
+        assert np.array_equal(_bits(cont.slope_at_origin), _bits(dydx[0]))
+        for j in range(y.shape[1]):
+            h = CubicHermiteSpline(x, y[:, j], dydx[:, j])
+            hd = h.derivative()
+            hdd = hd.derivative()
+            col = np.full(r.shape, j)
+            d, dd = cont.d_dd(r, col)
+            assert np.array_equal(_bits(cont.value(r, col)), _bits(h(r)))
+            assert np.array_equal(_bits(cont.d(r, col)), _bits(hd(r)))
+            assert np.array_equal(_bits(d), _bits(hd(r)))
+            assert np.array_equal(_bits(dd), _bits(hdd(r)))
+            # a scalar point and a scalar column, as the schedule re-solve uses
+            assert _bits(cont.d(np.float64(x[-1]), j)) == _bits(hd(x[-1]))
+
+    def test_negative_zero_knot_value_matches_scipy(self):
+        from scipy.interpolate import CubicHermiteSpline
+
+        from execsched.dp import _SplineCont
+
+        # on [1, 2.5] every coefficient is negative, so each term at s = 0 is -0.0
+        x = np.array([0.0, 1.0, 2.5])
+        y = np.array([0.0, -0.0, -4.0])
+        dydx = np.array([0.0, -0.0, -6.0])
+        cont = _SplineCont.from_slopes(x, y, dydx)
+        h = CubicHermiteSpline(x, y, dydx)
+        r = np.array([1.0])
+        col = np.zeros(1, dtype=int)
+        assert _bits(cont.value(r, col)) == _bits(h(r))
+        assert _bits(cont.d(r, col)) == _bits(h.derivative()(r))
+        assert _bits(cont.d_dd(r, col)[1]) == _bits(h.derivative(2)(r))
+
+    def test_each_point_reads_its_own_column(self):
+        from execsched.dp import _SplineCont
+
+        x = np.array([0.0, 1.0, 2.0])
+        y = np.array([[0.0, 0.0], [1.0, 10.0], [4.0, 40.0]])
+        cont = _SplineCont.from_slopes(x, y, 2.0 * x[:, None] * np.array([1.0, 10.0]))
+        got = cont.value(np.array([1.5, 1.5, 2.0]), np.array([0, 1, 1]))
+        np.testing.assert_allclose(got, [2.25, 22.5, 40.0], rtol=1e-15)
+
+
+def _reference_newton(f_and_fp, lo, hi, iters):
+    """The fixed-length loop the early-stopping Newton replaced."""
+    a = lo.astype(float).copy()
+    b = hi.astype(float).copy()
+    f_lo, _ = f_and_fp(a)
+    f_hi, _ = f_and_fp(b)
+    at_lo = f_lo >= 0.0
+    at_hi = f_hi <= 0.0
+    x = 0.5 * (a + b)
+    for _ in range(iters):
+        f, fp = f_and_fp(x)
+        a = np.where(f < 0.0, x, a)
+        b = np.where(f >= 0.0, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(fp > 0.0, -f / np.where(fp > 0.0, fp, 1.0), 0.0)
+        xn = x + step
+        bad = (xn <= a) | (xn >= b) | ~np.isfinite(xn)
+        x = np.where(bad, 0.5 * (a + b), xn)
+    x = np.where(at_lo, lo, x)
+    return np.where(at_hi & ~at_lo, hi, x)
+
+
+class TestEarlyStoppingNewton:
+    @given(
+        st.floats(0.8, 6.0),
+        st.floats(0.3, 3.0),
+        st.floats(-1.0, 1.0),
+        st.floats(0.5, 200.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_fixed_length_loop_bit_for_bit(self, theta, sigma, alpha, total):
+        from execsched.dp import _MillsStage, _TerminalMills, _vec_newton
+
+        fam = _MillsStage(theta, alpha, sigma, True)
+        term = _TerminalMills(theta, alpha, sigma)
+        w = np.geomspace(total * 1e-4, total, 300)
+
+        def f_and_fp(s, idx=slice(None)):
+            ds, dss = fam.ds_dss(s, w[idx])
+            d, dd = term.d_dd(w[idx] - s)
+            return ds - d, dss + dd
+
+        ref = _reference_newton(f_and_fp, np.zeros_like(w), w, 100)
+        got, report = _vec_newton(f_and_fp, np.zeros_like(w), w, 100)
+        assert np.array_equal(_bits(got), _bits(ref))
+        free = ~report.pinned
+        assert np.all(report.iterations[free] < 100)
+        assert np.all(report.iterations[~free] == 0)
+
+    def test_cap_limits_iterations_and_reports_the_residual(self):
+        from execsched.dp import _vec_newton
+
+        # f' = 0 everywhere: every step is a bisection, which needs far more
+        # than 5 halvings to settle
+        def f_and_fp(x, idx):
+            return x - 0.3, np.zeros_like(x)
+
+        x, report = _vec_newton(f_and_fp, np.zeros(2), np.ones(2), 5)
+        ref = _reference_newton(lambda x: f_and_fp(x, None), np.zeros(2), np.ones(2), 5)
+        assert np.array_equal(_bits(x), _bits(ref))
+        assert report.iterations.tolist() == [5, 5]
+        np.testing.assert_array_equal(report.foc, x - 0.3)
+
+
+def _digests(schedule, table):
+    import hashlib
+
+    parts = {
+        "stages": [
+            a
+            for stage in table.stages
+            for a in (
+                (stage.grid, stage.trades)
+                if isinstance(stage, NumericalPolicy)
+                else (np.float64(stage.fraction),)
+            )
+        ],
+        "schedule": [np.asarray(schedule.trades), np.asarray(schedule.residuals)],
+        "value_samples": list(table.value_samples),
+    }
+    out = {}
+    for name, arrs in parts.items():
+        h = hashlib.sha256()
+        for a in arrs:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        out[name] = h.hexdigest()
+    return out
+
+
+class TestComplexSolvesPinned:
+    # sha256 of the solver output as it was before the stage solves stopped
+    # at convergence and the AR(1) sub-recursions were batched
+    def test_benchmark_complex(self):
+        params = Benchmark(theta=3.0, sigma_eps=1.0)
+        got = _digests(*solve_benchmark_complex(params, Horizon(10, 100.0)))
+        assert got == {
+            "stages": "814a7c03193f1186dc55243e137f1065ee96cdfe6d8e35f93e02fb4b28a31fc2",
+            "schedule": "c9bf309af81ded37dc685fd2f5ce372a339903b33a795f0b60a23053f4f6ae81",
+            "value_samples": "ccc8d7fabd60b04fa4d250cb14cfcb138e4d2bec16e0736246c799f01358e6b1",
+        }
+
+    def test_ar1_complex(self):
+        params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
+        got = _digests(*solve_ar1_complex(params, Horizon(10, 10.0), 0.5))
+        assert got == {
+            "stages": "c2b0c4cc2fe9db20b211874962017d5f1999ba18bae0250ac45246e3d090d6da",
+            "schedule": "874dc1f037d2ae602dca08eb60c866f6c6bcbc496cd0feac4dc8fcc67af8d405",
+            "value_samples": "61cc68e0f18d1c14ef6c38fe354f5075d41fb85d11e5278f327880187681afb6",
+        }
+
+    def test_ar1_complex_runs_one_grid_solve_per_stage(self, monkeypatch):
+        import execsched.dp as dp
+
+        calls = []
+        newton = dp._vec_newton
+
+        def counted(f_and_fp, lo, hi, iters):
+            calls.append(lo.size)
+            return newton(f_and_fp, lo, hi, iters)
+
+        monkeypatch.setattr(dp, "_vec_newton", counted)
+        params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
+        solve_ar1_complex(params, Horizon(10, 10.0), 0.5)
+        # T-1 grid solves; stage t holds the columns of alpha_1..alpha_t,
+        # each at depth T-t+1
+        m = calls[-1]
+        assert calls == [m * t for t in range(9, 0, -1)]
+
+
+class TestSolverDiagnostics:
+    def _check_newton(self, diag, cfg):
+        assert 0 < diag["newton_iterations"] < cfg.newton_iters
+        assert 0.0 <= diag["max_abs_foc"] < 1e-9
+        assert isinstance(diag["pinned_nodes"], int)
+
+    def test_complex_solvers_report_each_free_stage(self):
+        cfg = RecursionConfig()
+        params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
+        for _, table in (
+            solve_benchmark_complex(Benchmark(theta=3.0, sigma_eps=1.0), Horizon(5, 100.0)),
+            solve_ar1_complex(params, Horizon(5, 10.0), 0.5),
+        ):
+            diags = table.metadata["diagnostics"]
+            assert [d["stage"] for d in diags] == [1, 2, 3, 4]
+            for d in diags:
+                self._check_newton(d, cfg)
+                assert 0 < d["schedule_iterations"] <= cfg.foc_max_iter
+
+    def test_grid_recursion_reports_each_free_stage(self):
+        cfg = RecursionConfig()
+        table = approximate_recursion(MillsRecursionProblem.uniform(Horizon(4, 6.0), 1.5, 1.0))
+        diags = table.metadata["diagnostics"]
+        assert [d["stage"] for d in diags] == [1, 2, 3]
+        for d in diags:
+            self._check_newton(d, cfg)
+
+    def test_diagnostics_are_deterministic(self):
+        runs = [
+            solve_benchmark_complex(Benchmark(theta=2.0, sigma_eps=1.0), Horizon(4, 10.0))[1]
+            for _ in range(2)
+        ]
+        assert runs[0].metadata["diagnostics"] == runs[1].metadata["diagnostics"]
+
+    def test_forced_single_stage_has_none(self):
+        _, table = solve_benchmark_complex(Benchmark(theta=2.0, sigma_eps=1.0), Horizon(1, 3.0))
+        assert table.metadata["diagnostics"] == []

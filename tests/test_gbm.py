@@ -130,3 +130,12 @@ class TestValidation:
             _params(sigma_B=0.05), Horizon(2, 10.0), _state(), RecursionConfig(grid_nodes=16)
         )
         assert table.value_samples[0].shape == (16, 2)
+
+    def test_diagnostics_report_golden_iterations_per_stage(self):
+        cfg = RecursionConfig(grid_nodes=16)
+        _, table = solve_gbm_simple(_params(), Horizon(3, 10.0), _state(aux=0.2), cfg)
+        diags = table.metadata["diagnostics"]
+        assert [d["stage"] for d in diags] == [1, 2]
+        for d in diags:
+            assert 0 < d["golden_iterations"] < cfg.golden_iters
+            assert 0 < d["schedule_iterations"] < cfg.golden_iters

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erfcx, ndtr
 
 from execsched.kernels import (
     Gaussian,
@@ -21,9 +23,9 @@ from execsched.kernels import (
     _mixture_expectation_gh,
     gauss_hermite,
     mills_psi,
+    mills_psi_derivs,
     mills_psi_prime,
     nln_mixture_expectation,
-    nln_mixture_reference_formula,
     truncated_mean_positive,
 )
 
@@ -107,6 +109,70 @@ class TestMillsPsi:
             assert _mills_psi_second(u) == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
+def _two_branch_g(u):
+    """The two-branch G = phi/Phi the masked kernel replaced: both branches on
+    every element, then np.where picks one."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        left = math.sqrt(2.0 / math.pi) / erfcx(-u / math.sqrt(2.0))
+        right = np.exp(-0.5 * np.square(u)) / math.sqrt(2.0 * math.pi) / ndtr(u)
+    out = np.where(u < 0.0, left, right)
+    return out if out.ndim else float(out)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+_ANY_FLOATS = arrays(np.float64, st.integers(0, 60), elements=st.floats(width=64))
+_FINITE_FLOATS = arrays(
+    np.float64,
+    st.integers(0, 60),
+    elements=st.one_of(st.floats(-400.0, 60.0), st.floats(allow_nan=False, allow_infinity=False)),
+)
+
+
+class TestMaskedKernel:
+    @given(_ANY_FLOATS)
+    @settings(max_examples=300)
+    def test_matches_two_branch_formula_bit_for_bit(self, u):
+        assert np.array_equal(_bits(_mills_g(u)), _bits(_two_branch_g(u)))
+
+    @pytest.mark.parametrize("u", [-1e300, -200.0, -150.0, -1.0, -0.0, 0.0, 1e-300, 5.0, 40.0])
+    def test_scalars_match_two_branch_formula(self, u):
+        got = _mills_g(u)
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(_two_branch_g(u))
+
+    def test_mixed_shapes(self):
+        u = np.linspace(-30.0, 30.0, 24).reshape(2, 3, 4)
+        assert np.array_equal(_bits(_mills_g(u)), _bits(_two_branch_g(u)))
+
+
+class TestFusedDerivatives:
+    @given(_FINITE_FLOATS)
+    @settings(max_examples=300)
+    def test_match_separate_calls_bit_for_bit(self, u):
+        # |u| near the float limit overflows u*G in both forms alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1, d2 = mills_psi_derivs(u)
+            assert np.array_equal(_bits(d1), _bits(mills_psi_prime(u)))
+            assert np.array_equal(_bits(d2), _bits(_mills_psi_second(u)))
+            p0, q1, q2 = mills_psi_derivs(u, with_psi=True)
+            assert np.array_equal(_bits(p0), _bits(mills_psi(u)))
+        assert np.array_equal(_bits(q1), _bits(d1))
+        assert np.array_equal(_bits(q2), _bits(d2))
+
+    def test_scalar_in_scalar_out(self):
+        d1, d2 = mills_psi_derivs(-3.0)
+        assert isinstance(d1, float) and isinstance(d2, float)
+        assert d1 == mills_psi_prime(-3.0) and d2 == _mills_psi_second(-3.0)
+
+    def test_with_psi_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            mills_psi_derivs(np.array([0.0, float("nan")]), with_psi=True)
+
+
 class TestTruncatedMeanPositive:
     def test_standard_normal(self):
         assert truncated_mean_positive(Gaussian(0.0, 1.0)) == pytest.approx(
@@ -133,6 +199,7 @@ class TestTruncatedMeanPositive:
             Gaussian(float("inf"), 1.0)
 
     @given(st.floats(-50.0, 50.0), st.floats(1e-6, 1e6))
+    @example(1.599907565952151, 1e-6)  # sigma * (mu / sigma) rounds below mu
     def test_dominates_mean_and_zero(self, mu, sigma):
         val = truncated_mean_positive(Gaussian(mu, sigma))
         assert val >= max(mu, 0.0)
@@ -259,22 +326,3 @@ class TestLognormalShiftConditional:
         mix = nln_mixture_expectation(Gaussian(0.0, 0.1), Gaussian(1010.0, 1e-6), -1000.0)
         closed = _lognormal_shift_conditional(0.0, 0.1, 1010.0, -1000.0)
         assert mix == pytest.approx(closed, rel=1e-7)
-
-
-class TestReferenceFormula:
-    def test_matches_exact_kernel_in_degenerate_limit(self):
-        val = nln_mixture_reference_formula(Gaussian(0.0, 1e-9), Gaussian(1.0, 1e-9), -0.5)
-        assert val == pytest.approx(0.5, abs=1e-6)
-
-    def test_is_not_the_conditional_expectation(self):
-        # The factorized form visibly departs from the conditional mean away
-        # from degenerate limits; this pins the documented behavior so any
-        # silent "fix" that swaps it into solvers shows up here.
-        x, y, k = Gaussian(0.0, 0.2), Gaussian(1.0, 0.5), -0.8
-        exact = nln_mixture_expectation(x, y, k)
-        ref = nln_mixture_reference_formula(x, y, k)
-        assert abs(ref / exact - 1.0) > 1e-3
-
-    def test_rejects_nonnegative_k(self):
-        with pytest.raises(MixtureRegimeError):
-            nln_mixture_reference_formula(Gaussian(0.0, 0.2), Gaussian(1.0, 0.5), 0.0)

@@ -157,6 +157,46 @@ class TestTwoStage:
             solve_liquidity(p, Horizon(2, 20.0), SPEC_STATE, RecursionConfig(grid_nodes=8))
 
 
+class TestNonUnimodalStage:
+    def test_trade_is_the_global_minimum_not_the_origin(self, spec_solution):
+        # At the spec state J rises from S = 0 (J'(0) > 0) up to S ~ 1.45 and
+        # only then falls to its minimum near 11.4, so a derivative
+        # root-finder started from the origin would stop at S = 0.
+        sched, _ = spec_solution
+        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 40, 40)
+        grid = np.linspace(0.0, 20.0, 401)
+        j = pen.objective(grid, np.full_like(grid, 20.0))
+        assert j[1] > j[0]
+        assert np.argmax(j[: grid.size // 4]) > 1
+        i = int(np.argmin(j))
+        # vertex of the parabola through the grid minimum and its neighbours
+        h = grid[1] - grid[0]
+        vertex = grid[i] + 0.5 * h * (j[i - 1] - j[i + 1]) / (j[i - 1] - 2.0 * j[i] + j[i + 1])
+        assert sched.trades[0] == pytest.approx(vertex, abs=1e-3)
+        solved = float(pen.objective(np.array([sched.trades[0]]), np.array([20.0]))[0])
+        assert solved < j[0]
+        assert solved <= j[i]
+
+
+class TestDiagnostics:
+    def test_two_stage_reports_golden_iterations(self, spec_solution):
+        _, table = spec_solution
+        cfg = RecursionConfig()
+        (diag,) = table.metadata["diagnostics"]
+        assert diag["stage"] == 1
+        assert 0 < diag["golden_iterations"] < cfg.golden_iters
+        assert 0 < diag["schedule_iterations"] < cfg.golden_iters
+
+    def test_three_stage_reports_newton_for_the_grid_stage(self):
+        p = Liquidity(alpha=0.01, theta=0.05, gamma=0.02, rho=0.9, sigma_eps=0.5, sigma_eta=10.0)
+        cfg = RecursionConfig(grid_nodes=16)
+        _, table = solve_liquidity(p, Horizon(3, 20.0), SPEC_STATE, cfg)
+        first, second = table.metadata["diagnostics"]
+        assert (first["stage"], second["stage"]) == (1, 2)
+        assert 0 < first["newton_iterations"] < cfg.newton_iters
+        assert "golden_iterations" in second
+
+
 class TestLongerHorizons:
     def test_three_stage_respects_bounds_and_sums(self):
         p = Liquidity(alpha=0.01, theta=0.05, gamma=0.02, rho=0.9, sigma_eps=0.5, sigma_eta=10.0)
