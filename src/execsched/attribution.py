@@ -322,23 +322,15 @@ def _order_arrays(ctx: OrderContext, fills: list[Fill]) -> tuple[str, str, np.nd
     return participant, side, qty, math.fsum(notional)
 
 
-def shortfall(ctx: OrderContext, fills: list[Fill]) -> float:
-    """Realized execution value against the arrival notional.
-
-    Buys pay sum(qty * price) - S_bar * P_0; sells receive it, so their
-    shortfall is the negation.  Executions are valued at the fill prices.
-    """
-    _, side, _, executed = _order_arrays(ctx, fills)
+def _shortfall(ctx: OrderContext, side: str, executed: float) -> float:
     return _check_side(side) * (executed - ctx.total_shares * ctx.arrival_price)
 
 
 def _impact(
-    ctx: OrderContext, fills: list[Fill], formulation: str, new_levels_only: bool
+    ctx: OrderContext, side: str, qty: np.ndarray, formulation: str, new_levels_only: bool
 ) -> float:
-    _, side, qty, _ = _order_arrays(ctx, fills)
-    sign = _check_side(side)
     path = np.asarray(ctx.price_path)
-    adverse = _adverse_moves(path, sign, new_levels_only)
+    adverse = _adverse_moves(path, _check_side(side), new_levels_only)
     if formulation == "simple":
         weights = qty
     else:
@@ -346,11 +338,22 @@ def _impact(
     return float(adverse @ weights)
 
 
+def shortfall(ctx: OrderContext, fills: list[Fill]) -> float:
+    """Realized execution value against the arrival notional.
+
+    Buys pay sum(qty * price) - S_bar * P_0; sells receive it, so their
+    shortfall is the negation.  Executions are valued at the fill prices.
+    """
+    _, side, _, executed = _order_arrays(ctx, fills)
+    return _shortfall(ctx, side, executed)
+
+
 def impact_simple(
     ctx: OrderContext, fills: list[Fill], *, new_levels_only: bool = False
 ) -> float:
     """Adverse path steps weighted by the shares executed at each interval."""
-    return _impact(ctx, fills, "simple", new_levels_only)
+    _, side, qty, _ = _order_arrays(ctx, fills)
+    return _impact(ctx, side, qty, "simple", new_levels_only)
 
 
 def impact_complex(
@@ -361,13 +364,13 @@ def impact_complex(
     Every interval contributes while shares remain outstanding, traded or
     not; once the order completes the residual weight is zero.
     """
-    return _impact(ctx, fills, "complex", new_levels_only)
+    _, side, qty, _ = _order_arrays(ctx, fills)
+    return _impact(ctx, side, qty, "complex", new_levels_only)
 
 
 def timing(ctx: OrderContext, fills: list[Fill], formulation: str = "simple") -> float:
     """Shortfall minus impact under the chosen formulation; exact remainder."""
-    _check_formulation(formulation)
-    return shortfall(ctx, fills) - _impact(ctx, fills, formulation, False)
+    return attribute(ctx, fills, formulation).timing
 
 
 def attribute(
@@ -375,9 +378,9 @@ def attribute(
 ) -> AttributionReport:
     """Full decomposition for one order, with basis points vs P_0 * S_bar."""
     _check_formulation(formulation)
-    participant, side, _, _ = _order_arrays(ctx, fills)
-    sf = shortfall(ctx, fills)
-    imp = _impact(ctx, fills, formulation, False)
+    participant, side, qty, executed = _order_arrays(ctx, fills)
+    sf = _shortfall(ctx, side, executed)
+    imp = _impact(ctx, side, qty, formulation, False)
     reference = ctx.arrival_price * ctx.total_shares
     return AttributionReport(
         participant=participant,

@@ -250,7 +250,7 @@ def validate_config(doc) -> dict:
             "n_paths": _intval(_required(sm, "n_paths", "simulation"),
                                "simulation.n_paths", lo=1),
             "seed": _intval(_required(sm, "seed", "simulation"),
-                            "simulation.seed", lo=0, hi=2**64),
+                            "simulation.seed", lo=0, hi=2**63),
             "workers": _intval(sm.get("workers", 1), "simulation.workers", lo=1),
             "side": _choice(sm.get("side", "buy"), "simulation.side", SIDES),
         }
@@ -422,7 +422,7 @@ def _stage_doc(stage) -> dict:
         return {"kind": "closed-linear", "fraction": stage.fraction}
     return {
         "kind": "interpolated",
-        "interpolation": stage.interpolation,
+        "interpolation": "pchip",
         "residual_grid": stage.grid.tolist(),
         "trades": stage.trades.tolist(),
     }
@@ -654,7 +654,7 @@ def cmd_simulate(args) -> int:
     if args.paths is not None:
         sim["n_paths"] = _intval(args.paths, "--paths", lo=1)
     if args.seed is not None:
-        sim["seed"] = _intval(args.seed, "--seed", lo=0, hi=2**64)
+        sim["seed"] = _intval(args.seed, "--seed", lo=0, hi=2**63)
     if args.workers is not None:
         sim["workers"] = _intval(args.workers, "--workers", lo=1)
     if args.side is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -187,7 +187,6 @@ class NumericalPolicy:
 
     grid: np.ndarray
     trades: np.ndarray
-    interpolation: str = "pchip"
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -556,23 +555,26 @@ def _vec_newton(
 
 
 def _vec_golden(
-    f: Callable, lo: np.ndarray, hi: np.ndarray, iters: int, rtol: float
-) -> tuple[np.ndarray, int]:
-    """Element-wise golden-section minimization on [lo, hi].
+    f: Callable, lo: np.ndarray, hi: np.ndarray, cfg: RecursionConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Element-wise golden-section minimization of f on [lo, hi] (1-d arrays).
 
-    Stops once every bracket is at most ``rtol`` times its starting width,
-    or after ``iters`` iterations; returns the midpoints and the iterations
-    used.
+    Stops once every bracket is at most ``cfg.foc_tol_factor`` times its
+    starting width, or after ``cfg.golden_iters`` iterations.  The final
+    bracket's midpoint then competes with both ends, each evaluated by its
+    own call of ``f``, so a monotone objective returns its end exactly.
+    Returns the minimizers, their objective values and the iterations used.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    tol = rtol * (b - a)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    a, b = lo.copy(), hi.copy()
+    tol = cfg.foc_tol_factor * (b - a)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = f(c)
     fd = f(d)
     k = 0
-    while k < iters and np.any(b - a > tol):
+    while k < cfg.golden_iters and np.any(b - a > tol):
         k += 1
         left = fc < fd
         a = np.where(left, a, c)
@@ -585,7 +587,10 @@ def _vec_golden(
         new_d = np.where(left, c, fresh)
         new_fd = np.where(left, fc, fv)
         c, fc, d, fd = new_c, new_fc, new_d, new_fd
-    return 0.5 * (a + b), k
+    candidates = np.stack([0.5 * (a + b), lo, hi])
+    values = np.stack([f(x) for x in candidates])
+    pick, cols = np.argmin(values, axis=0), np.arange(lo.size)
+    return candidates[pick, cols], values[pick, cols], k
 
 
 def _stage_minimize(
@@ -663,9 +668,7 @@ def _scalar_stage_solve(
         j = obj(grid)
         i = int(np.argmin(j))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        s, iters = _vec_golden(
-            obj, np.array([lo]), np.array([hi]), cfg.golden_iters, cfg.foc_tol_factor
-        )
+        s, _, iters = _vec_golden(obj, np.array([lo]), np.array([hi]), cfg)
         return float(s[0]), iters
 
     def fprime(s):
@@ -816,29 +819,6 @@ def _backward_pass(
     return res
 
 
-def _run_recursion(
-    problem: MillsRecursionProblem,
-    cfg: RecursionConfig,
-    *,
-    mesh: _Mesh,
-    initial_cont=None,
-    start_stage: int | None = None,
-) -> _RecursionResult:
-    """Backward pass over the residual grid for one problem (one column).
-
-    By default stages T-1..1 are solved against the exact terminal value;
-    callers that build stage T-1 by other means pass ``initial_cont`` (the
-    spline of V_{start_stage+1}) and ``start_stage``.
-    """
-    T = problem.horizon.T
-    if initial_cont is None:
-        cont, start = problem.terminal(), T - 1
-    else:
-        cont, start = initial_cont, start_stage if start_stage is not None else T - 1
-    families = {t: problem.family(t) for t in range(start, 0, -1)}
-    return _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
-
-
 def approximate_recursion(
     problem: MillsRecursionProblem, config: RecursionConfig | None = None
 ) -> PolicyTable:
@@ -852,15 +832,8 @@ def approximate_recursion(
     cfg = config or RecursionConfig()
     T = problem.horizon.T
     mesh = _build_mesh(problem.horizon.total_shares, problem.curvature_scale, cfg)
-    res = _run_recursion(problem, cfg, mesh=mesh)
-    official = mesh.official
-    stages: list[StagePolicy] = []
-    samples: list[np.ndarray] = []
-    for t in range(1, T):
-        stages.append(NumericalPolicy(grid=official, trades=res.trades[t][0]))
-        samples.append(np.column_stack([official, res.values[t][0]]))
-    stages.append(ClosedLinearPolicy(1.0))
-    samples.append(np.column_stack([official, problem.terminal().value(official, 0)]))
+    families = {t: problem.family(t) for t in range(T - 1, 0, -1)}
+    res = _backward_pass(families, problem.terminal(), mesh, cfg, problem.trade_caps)
     metadata = {
         "model": problem.model_tag,
         "formulation": "complex" if problem.weight_by_residual else "simple",
@@ -868,7 +841,25 @@ def approximate_recursion(
         "grid_nodes": cfg.grid_nodes,
         "diagnostics": [{"stage": t, **res.diagnostics[t][0]} for t in range(1, T)],
     }
-    return PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
+    return _grid_table(
+        mesh.official,
+        [res.trades[t][0] for t in range(1, T)],
+        [*(res.values[t][0] for t in range(1, T)), problem.terminal().value(mesh.official, 0)],
+        metadata,
+    )
+
+
+def _grid_table(grid: np.ndarray, trades, values, metadata: dict) -> PolicyTable:
+    """Policy table on one residual grid.
+
+    ``trades`` holds the optimal trades of stages 1..T-1 at the grid nodes
+    and ``values`` the value functions V_1..V_T there; the last stage trades
+    the whole residual.
+    """
+    stages = [NumericalPolicy(grid=grid, trades=s) for s in trades]
+    stages.append(ClosedLinearPolicy(1.0))
+    samples = tuple(np.column_stack([grid, v]) for v in values)
+    return PolicyTable(stages=tuple(stages), value_samples=samples, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -986,14 +977,6 @@ def solve_ar1_simple(
 # ---------------------------------------------------------------------------
 
 
-def _terminal_only_table(
-    problem: MillsRecursionProblem, cfg: RecursionConfig, metadata: dict
-) -> PolicyTable:
-    mesh = _build_mesh(problem.horizon.total_shares, problem.curvature_scale, cfg)
-    samples = (np.column_stack([mesh.official, problem.terminal().value(mesh.official, 0)]),)
-    return PolicyTable(stages=(ClosedLinearPolicy(1.0),), value_samples=samples, metadata=metadata)
-
-
 def _solve_residual_weighted(
     problem: MillsRecursionProblem, cfg: RecursionConfig, metadata: dict, convex: bool
 ) -> tuple[Schedule, PolicyTable]:
@@ -1010,15 +993,11 @@ def _solve_residual_weighted(
     """
     T = problem.horizon.T
     total = problem.horizon.total_shares
-    if T == 1:
-        metadata["diagnostics"] = []
-        return Schedule.from_trades([total], total), _terminal_only_table(problem, cfg, metadata)
     if len(set(problem.thetas)) != 1 or len(set(problem.betas)) != 1:
         raise ValueError("residual-weighted solves need one theta and one beta for all stages")
     theta, beta = problem.thetas[0], problem.betas[0]
 
     mesh = _build_mesh(total, problem.curvature_scale, cfg)
-    official = mesh.official
     # columns numbered by the first stage that uses them, so the columns
     # stage t needs are a prefix
     alphas = list(dict.fromkeys(problem.alphas[: T - 1]))
@@ -1029,27 +1008,27 @@ def _solve_residual_weighted(
     }
     res = _backward_pass(families, _TerminalMills(theta, np.array(alphas), beta), mesh, cfg)
 
-    stages: list[StagePolicy] = []
-    samples: list[np.ndarray] = []
     trades: list[float] = []
     diagnostics: list[dict] = []
     w = total
     for t in range(1, T):
         j = column[t - 1]
-        stages.append(NumericalPolicy(grid=official, trades=res.trades[t][j]))
-        samples.append(np.column_stack([official, res.values[t][j]]))
         s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, convex, j)
         diagnostics.append({"stage": t, **res.diagnostics[t][j], "schedule_iterations": iters})
         trades.append(s)
         w -= s
     trades.append(w)
-
-    stages.append(ClosedLinearPolicy(1.0))
-    samples.append(np.column_stack([official, problem.terminal().value(official, 0)]))
-    schedule = Schedule.from_trades(trades, total)
     metadata["diagnostics"] = diagnostics
-    table = PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
-    return schedule, table
+    table = _grid_table(
+        mesh.official,
+        [res.trades[t][j] for t, j in enumerate(column, start=1)],
+        [
+            *(res.values[t][j] for t, j in enumerate(column, start=1)),
+            problem.terminal().value(mesh.official, 0),
+        ],
+        metadata,
+    )
+    return Schedule.from_trades(trades, total), table
 
 
 def solve_benchmark_complex(

@@ -23,13 +23,12 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from execsched.dp import (
-    ClosedLinearPolicy,
     Horizon,
-    NumericalPolicy,
     PolicyTable,
     RecursionConfig,
     Schedule,
     _build_mesh,
+    _grid_table,
     _SplineCont,
     _vec_golden,
 )
@@ -148,13 +147,7 @@ def _minimize_stage(
         r = np.minimum(np.clip(w_flat - s, 0.0, None), cont.x[-1])
         return s * prem + e_fac * cont.value(r, idx)
 
-    lo = np.zeros_like(w_flat)
-    s_flat, iters = _vec_golden(objective, lo, w_flat, cfg.golden_iters, cfg.foc_tol_factor)
-    candidates = np.stack([s_flat, lo, w_flat])
-    values = np.stack([objective(c) for c in candidates])
-    pick = np.argmin(values, axis=0)
-    s_flat = candidates[pick, np.arange(s_flat.size)]
-    v_flat = values[pick, np.arange(s_flat.size)]
+    s_flat, v_flat, iters = _vec_golden(objective, np.zeros_like(w_flat), w_flat, cfg)
     return s_flat.reshape(W.shape), v_flat.reshape(W.shape), iters
 
 
@@ -211,12 +204,11 @@ def solve_gbm_simple(
 
     if T == 1:
         metadata["diagnostics"] = []
-        s_grid, v_grid, _ = _minimize_stage(
+        _, v_grid, _ = _minimize_stage(
             params, mesh.official, np.array([x0]), ratios[0], None, e_fac, cfg
         )
-        samples = (np.column_stack([mesh.official, state.no_impact_price * v_grid[:, 0]]),)
-        table = PolicyTable(
-            stages=(ClosedLinearPolicy(1.0),), value_samples=samples, metadata=metadata
+        table = _grid_table(
+            mesh.official, [], [state.no_impact_price * v_grid[:, 0]], metadata
         )
         return Schedule.from_trades([total], total), table
 
@@ -258,27 +250,23 @@ def solve_gbm_simple(
             r = np.clip(_w - s, 0.0, _cont.x[-1])
             return s * prem + e_fac * _cont.value(r, _j)
 
-        s, iters = _vec_golden(
-            objective, np.array([0.0]), np.array([w]), cfg.golden_iters, cfg.foc_tol_factor
-        )
-        best = min((float(objective(np.array([c]))[0]), c) for c in (float(s[0]), 0.0, w))
+        s, _, iters = _vec_golden(objective, np.array([0.0]), np.array([w]), cfg)
         diagnostics.append(
             {"stage": t, "golden_iterations": grid_iters[t], "schedule_iterations": iters}
         )
-        trades.append(best[1])
-        w -= best[1]
+        trades.append(float(s[0]))
+        w -= trades[-1]
     trades.append(w)
     metadata["diagnostics"] = diagnostics
 
-    official = mesh.official
-    stages: list = []
-    samples: list[np.ndarray] = []
-    for t in range(1, T):
-        p_tilde_ce = state.no_impact_price * math.exp((t - 1) * params.mu_B)
-        stages.append(NumericalPolicy(grid=official, trades=policies[t]))
-        samples.append(np.column_stack([official, p_tilde_ce * values[t]]))
-    stages.append(ClosedLinearPolicy(1.0))
-    p_tilde_ce = state.no_impact_price * math.exp((T - 1) * params.mu_B)
-    samples.append(np.column_stack([official, p_tilde_ce * values[T]]))
-    table = PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
+    # value samples in currency: scaled by the CE no-impact price entering stage t
+    table = _grid_table(
+        mesh.official,
+        [policies[t] for t in range(1, T)],
+        [
+            state.no_impact_price * math.exp((t - 1) * params.mu_B) * values[t]
+            for t in range(1, T + 1)
+        ],
+        metadata,
+    )
     return Schedule.from_trades(trades, total), table

@@ -40,18 +40,18 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dp import (
-    ClosedLinearPolicy,
     Horizon,
     InfeasibleLiquidityError,
     MillsRecursionProblem,
-    NumericalPolicy,
     PolicyTable,
     RecursionConfig,
     ResolutionWarning,
     Schedule,
     SolverError,
+    _backward_pass,
     _build_mesh,
-    _run_recursion,
+    _grid_table,
+    _MillsStage,
     _scalar_stage_solve,
     _SplineCont,
     _vec_golden,
@@ -81,17 +81,16 @@ def _noise_scale(params: Liquidity, price: float) -> float:
     return math.hypot(params.gamma * price * params.sigma_eta, params.sigma_eps)
 
 
-def _mills_form(params: Liquidity, price: float, volume: float, qty, weight=None):
-    """weight * s(P) * psi(P*(alpha + beta*qty - gamma*rho*O)/s(P)).
+def _mills_form(params: Liquidity, price: float, volume: float, qty):
+    """qty * s(P) * psi(P*(alpha + beta*qty - gamma*rho*O)/s(P)).
 
-    With ``weight`` unset the quantity weights itself: this is both the stage
-    premium cost at trade S = qty and the terminal value at residual W = qty.
+    This is both the stage premium cost at trade S = qty and the terminal
+    value at residual W = qty.
     """
     qty = np.asarray(qty, dtype=float)
     s = _noise_scale(params, price)
     u = price * (params.alpha + params.beta * qty - params.gamma * params.rho * volume) / s
-    w = qty if weight is None else np.asarray(weight, dtype=float)
-    return w * s * mills_psi(u)
+    return qty * s * mills_psi(u)
 
 
 def _stage_family(params: Liquidity, price: float, volume: float):
@@ -233,31 +232,17 @@ def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConf
     """
     w_nodes = np.asarray(w_nodes, dtype=float)
     ub = np.minimum(w_nodes, pen.cap)
-
-    def obj(s):
-        return pen.objective(s, w_nodes)
-
-    s, iters = _vec_golden(
-        obj, np.zeros_like(w_nodes), ub, cfg.golden_iters, cfg.foc_tol_factor
+    s, v, iters = _vec_golden(
+        lambda x: pen.objective(x, w_nodes), np.zeros_like(w_nodes), ub, cfg
     )
-    candidates = np.stack([s, np.zeros_like(ub), ub])
-    vals = np.stack([obj(c) for c in candidates])
-    pick = np.argmin(vals, axis=0)
-    s = candidates[pick, np.arange(w_nodes.size)]
-    v = vals[pick, np.arange(w_nodes.size)]
-
-    theta_hat, alpha_hat, beta_hat = _stage_family(pen.params, pen.price, pen.volume)
+    stage = _MillsStage(*_stage_family(pen.params, pen.price, pen.volume), False)
     pinned = (s >= ub) & (ub >= w_nodes * (1.0 - 1e-12))
-    u = (theta_hat * s + alpha_hat) / beta_hat
-    cost_slope = beta_hat * mills_psi(u) + s * theta_hat * mills_psi_prime(u)
     vd = np.where(
         pinned,
-        cost_slope,
+        stage.ds(s, w_nodes),
         pen.expected_terminal(s, w_nodes - s, derivative=True),
     )
-    premium_origin = beta_hat * mills_psi(alpha_hat / beta_hat)
-    cont_origin = float(pen.expected_terminal(0.0, 0.0, derivative=True)[0])
-    slope0 = min(premium_origin, cont_origin)
+    slope0 = stage.slope_at_origin(float(pen.expected_terminal(0.0, 0.0, derivative=True)[0]))
     return s, v, vd, slope0, iters
 
 
@@ -283,13 +268,8 @@ def _penultimate_scalar(
     def obj(s):
         return pen.objective(s, np.full_like(np.atleast_1d(s), w))
 
-    s, iters = _vec_golden(
-        obj, np.zeros(1), np.array([ub]), cfg.golden_iters, cfg.foc_tol_factor
-    )
-    candidates = np.array([s[0], 0.0, ub])
-    vals = obj(candidates)
-    best = int(np.argmin(vals))
-    s_star, j_star = float(candidates[best]), float(vals[best])
+    s, j, iters = _vec_golden(obj, np.zeros(1), np.array([ub]), cfg)
+    s_star, j_star = float(s[0]), float(j[0])
 
     doubled = _make_penultimate(
         params, price, volume, cap, ub, 2 * order, min(2 * order, GH_MAX_ORDER)
@@ -384,12 +364,7 @@ def solve_liquidity(
         metadata["diagnostics"] = []
         official = np.geomspace(total * cfg.grid_lo_frac, total, cfg.grid_nodes)
         values = _mills_form(params, prices[0], volumes[0], official)
-        table = PolicyTable(
-            stages=(ClosedLinearPolicy(1.0),),
-            value_samples=(np.column_stack([official, values]),),
-            metadata=metadata,
-        )
-        return Schedule.from_trades([total], total), table
+        return Schedule.from_trades([total], total), _grid_table(official, [], [values], metadata)
 
     cfg_liq = replace(cfg, refine=min(cfg.refine, _MAX_REFINE))
     thetas, alphas, betas = zip(
@@ -418,8 +393,8 @@ def solve_liquidity(
     )
     s_pen, v_pen, vd_pen, slope0, pen_iters = _penultimate_pass(pen, pen_nodes, cfg)
 
-    stages: list = []
-    samples: list = []
+    grid_trades: list[np.ndarray] = []
+    grid_values: list[np.ndarray] = []
     trades: list[float] = []
     diagnostics: list[dict] = []
     w = total
@@ -430,26 +405,22 @@ def solve_liquidity(
             np.concatenate([[0.0], v_pen]),
             np.concatenate([[slope0], vd_pen]),
         )
-        res = _run_recursion(
-            problem, cfg_liq, initial_cont=cont, start_stage=T - 2, mesh=mesh
-        )
+        families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
+        res = _backward_pass(families, cont, mesh, cfg_liq, problem.trade_caps)
         for t in range(1, T - 1):
-            stages.append(NumericalPolicy(grid=mesh.official, trades=res.trades[t][0]))
-            samples.append(np.column_stack([mesh.official, res.values[t][0]]))
+            grid_trades.append(res.trades[t][0])
+            grid_values.append(res.values[t][0])
             s, iters = _scalar_stage_solve(
-                problem.family(t), res.conts[t], w, bounds[t - 1], cfg_liq, False
+                families[t], res.conts[t], w, bounds[t - 1], cfg_liq, False
             )
             diagnostics.append(
                 {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
             )
             trades.append(s)
             w -= s
-        pen_official = mesh.official_idx
-        stages.append(NumericalPolicy(grid=mesh.official, trades=s_pen[pen_official]))
-        samples.append(np.column_stack([mesh.official, v_pen[pen_official]]))
-    else:
-        stages.append(NumericalPolicy(grid=mesh.official, trades=s_pen))
-        samples.append(np.column_stack([mesh.official, v_pen]))
+        s_pen, v_pen = s_pen[mesh.official_idx], v_pen[mesh.official_idx]
+    grid_trades.append(s_pen)
+    grid_values.append(v_pen)
 
     s, iters = _penultimate_scalar(params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg)
     diagnostics.append(
@@ -463,10 +434,7 @@ def solve_liquidity(
             f"terminal residual {w} exceeds the stage {T} volume bound {bounds[T - 1]}"
         )
     trades.append(w)
-    stages.append(ClosedLinearPolicy(1.0))
-    terminal_values = _mills_form(params, prices[T - 1], volumes[T - 1], mesh.official)
-    samples.append(np.column_stack([mesh.official, terminal_values]))
-
+    grid_values.append(_mills_form(params, prices[T - 1], volumes[T - 1], mesh.official))
     metadata["diagnostics"] = diagnostics
-    table = PolicyTable(stages=tuple(stages), value_samples=tuple(samples), metadata=metadata)
+    table = _grid_table(mesh.official, grid_trades, grid_values, metadata)
     return Schedule.from_trades(trades, total), table

@@ -44,8 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from .attribution import FORMULATIONS, path_costs
-from .dp import ConfigError, Horizon, PolicyTable, Schedule
-from .kernels import mills_psi
+from .dp import ConfigError, Horizon, PolicyTable, Schedule, _MillsStage
 from .models import (
     Ar1Extra,
     Benchmark,
@@ -128,9 +127,9 @@ class SimConfig:
         if (
             not isinstance(self.seed, int)
             or isinstance(self.seed, bool)
-            or not 0 <= self.seed < 2**64
+            or not 0 <= self.seed < 2**63
         ):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
         _require(
             self.initial_state.price > 0.0,
             f"initial price must be > 0, got {self.initial_state.price}",
@@ -228,7 +227,9 @@ def _draw_shocks(seed: int, start: int, stop: int, T: int) -> np.ndarray:
     Path i reads a (T, 2) standard-normal block, price shock first, from
     ``Philox(key=[seed, i])`` at counter zero.  One bit generator is re-keyed
     per path; constructing one per path would also seed (and discard) a
-    SeedSequence from OS entropy every time.
+    SeedSequence from OS entropy every time.  Seeds stay below 2**63
+    (:class:`SimConfig` checks it), so numpy reads the key as exact 64-bit
+    integers; larger ones would pass through float64 and collide.
     """
     bits = np.random.Philox(key=[seed, start])
     gen = np.random.Generator(bits)
@@ -515,12 +516,9 @@ def _closed_objective(
         alphas = np.zeros(T)
     if scale <= 0.0:
         raise ValueError("the closed objective needs a positive noise scale")
-    if formulation == "simple":
-        weights = trades
-    else:
-        weights = total - np.cumsum(trades, axis=1) + trades
-    u = (model.theta * trades + alphas) / scale
-    return (weights * scale * mills_psi(u)).sum(axis=1)
+    residuals = total - np.cumsum(trades, axis=1) + trades
+    stage = _MillsStage(model.theta, alphas, scale, formulation == "complex")
+    return stage.value(trades, residuals, np.arange(T)).sum(axis=1)
 
 
 def brute_force_schedule(

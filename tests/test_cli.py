@@ -75,6 +75,11 @@ class TestConfigValidation:
             (lambda d: d.update(schedule="front-load"), "schedule"),
             (lambda d: d.update(solver={"nodes": 9}), "solver.nodes"),
             (lambda d: d.update(solver={"grid_nodes": 0}), "solver.grid_nodes"),
+            pytest.param(
+                lambda d: d["simulation"].update(seed=2**63),
+                "simulation.seed",
+                id="simulation.seed-2^63",
+            ),
         ],
     )
     def test_violations_name_the_field(self, mutate, path):

@@ -563,6 +563,44 @@ class TestEarlyStoppingNewton:
         np.testing.assert_array_equal(report.foc, x - 0.3)
 
 
+class TestGoldenSection:
+    OBJECTIVES = {
+        "convex": lambda s, c: (s - c) ** 2,
+        "concave": lambda s, c: -((s - c) ** 2),
+        # exact in floating point, so strictly monotone between any two floats
+        "increasing": lambda s, c: s,
+        "decreasing": lambda s, c: -s,
+    }
+
+    @given(
+        st.sampled_from(sorted(OBJECTIVES)),
+        st.lists(
+            st.tuples(st.floats(-50.0, 50.0), st.floats(1e-6, 100.0), st.floats(-0.5, 1.5)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_returns_its_value_and_beats_both_ends(self, shape, brackets):
+        from execsched.dp import _vec_golden
+
+        lo = np.array([b[0] for b in brackets])
+        hi = lo + np.array([b[1] for b in brackets])
+        center = lo + np.array([b[2] for b in brackets]) * (hi - lo)
+
+        def f(s):
+            return self.OBJECTIVES[shape](s, center)
+
+        s, value, _ = _vec_golden(f, lo, hi, RecursionConfig())
+        assert np.array_equal(_bits(value), _bits(f(s)))
+        assert np.all(value <= f(lo)) and np.all(value <= f(hi))
+        assert np.all((lo <= s) & (s <= hi))
+        if shape == "increasing":
+            assert np.array_equal(_bits(s), _bits(lo))
+        if shape == "decreasing":
+            assert np.array_equal(_bits(s), _bits(hi))
+
+
 def _digests(schedule, table):
     import hashlib
 

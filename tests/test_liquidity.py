@@ -214,6 +214,18 @@ class TestLongerHorizons:
         s2, _ = solve_liquidity(p, Horizon(3, 20.0), SPEC_STATE, cfg)
         assert s1.trades == s2.trades
 
+    def test_non_convex_resolve_checks_its_bracket_ends(self):
+        # the stage-1 grid scan lands on S = 0; the refining search then
+        # returns that end exactly instead of a midpoint 7e-13 above it
+        p = Liquidity(alpha=0.01, theta=0.05, gamma=0.02, rho=0.95, sigma_eps=0.5, sigma_eta=10.0)
+        sched, _ = solve_liquidity(
+            p,
+            Horizon(4, 30.0),
+            MarketState(price=100.0, aux=60.0),
+            RecursionConfig(grid_nodes=16, quad_order=40),
+        )
+        assert sched.trades[0] == 0.0
+
 
 class TestValidation:
     def test_rejects_nonpositive_price(self):

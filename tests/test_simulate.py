@@ -107,6 +107,13 @@ class TestDeterminism:
         b = evaluate_policy(_bench_config(seed=2, n_paths=50), sched)
         assert not np.array_equal(a.shortfall, b.shortfall)
 
+    def test_largest_seed_keys_philox_exactly(self):
+        seed = 2**63 - 1
+        z = simulate_module._draw_shocks(seed, 3, 6, 4)
+        for k, i in enumerate(range(3, 6)):
+            bits = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            assert np.array_equal(z[k], np.random.Generator(bits).standard_normal((4, 2)))
+
 
 class TestEvaluatePolicy:
     def test_noise_free_law_collapses_the_distribution(self):
@@ -370,6 +377,7 @@ class TestValidation:
             dict(good, n_paths=True),
             dict(good, seed=-1),
             dict(good, seed=2**64),
+            dict(good, seed=2**63),
             dict(good, seed=True),
             dict(good, model={"theta": 1.0}),
             dict(good, initial_state=MarketState(price=-5.0)),
