@@ -429,9 +429,7 @@ def _stage_doc(stage) -> dict:
 
 
 def cmd_solve(args) -> int:
-    raw = _read_bytes(args.config)
-    digest = hashlib.sha256(raw).hexdigest()
-    cfg = validate_config(_parse_json(raw, "config"))
+    cfg, digest = load_config(args.config)
     schedule, table = solve_from_config(cfg)
     run_id = _run_id("solve", digest)
     outdir = _resolve_outdir(args)
@@ -645,9 +643,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    raw = _read_bytes(args.config)
-    digest = hashlib.sha256(raw).hexdigest()
-    cfg = validate_config(_parse_json(raw, "config"))
+    cfg, digest = load_config(args.config)
     if cfg["simulation"] is None:
         raise SchemaError("simulation", "required: supply n_paths and seed")
     sim = dict(cfg["simulation"])

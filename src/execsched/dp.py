@@ -33,7 +33,7 @@ from execsched.kernels import (  # noqa: F401
     mills_psi_derivs,
     mills_psi_prime,
 )
-from execsched.models import Ar1Extra, Benchmark, Spread
+from execsched.models import Ar1Extra, Benchmark, Spread, _premium_convex
 
 __all__ = [
     "Horizon",
@@ -863,46 +863,135 @@ def _grid_table(grid: np.ndarray, trades, values, metadata: dict) -> PolicyTable
 
 
 # ---------------------------------------------------------------------------
-# Closed-form solvers (trade-weighted costs under the arithmetic laws).
+# The arithmetic laws.  The benchmark walk and the AR(1)/spread law both price
+# stage t as beta*psi((theta*S + alpha_t)/beta); the benchmark is the
+# zero-shift case.  One driver solves either law in either formulation.
 # ---------------------------------------------------------------------------
 
 
-def _closed_value(theta: float, alpha: float, beta: float, w, n: int):
-    """Remaining-program value W*beta*psi((theta*W + n*alpha)/(n*beta)) over n stages."""
-    w = np.asarray(w, dtype=float)
-    u = (theta * w + n * alpha) / (n * beta)
-    return w * beta * mills_psi(u)
+def _premium_law(params: Benchmark | Ar1Extra, T: int, x0: float):
+    """(theta, beta, alphas) of the law's stage premiums over T stages.
+
+    The AR(1)/spread shift is alpha_t = gamma*rho^t*x0 (the observed state
+    propagated at its conditional mean) and the composite noise scale is
+    beta = sqrt(gamma^2*sigma_eta^2 + sigma_eps^2).
+    """
+    # The zero-noise law simulates fine but has no premium kernel to solve.
+    if params.sigma_eps <= 0.0:
+        raise ValueError(
+            f"sigma_eps must be > 0 for the solver, got {params.sigma_eps}; "
+            "the noise-free law is simulation-only"
+        )
+    if not isinstance(params, Ar1Extra):
+        return params.theta, params.sigma_eps, (0.0,) * T
+    beta = math.hypot(params.gamma * params.sigma_eta, params.sigma_eps)
+    alphas = tuple(params.gamma * params.rho**t * x0 for t in range(1, T + 1))
+    if not all(map(math.isfinite, (beta, *alphas))):
+        raise ValueError(f"x0 = {x0} gives a non-finite premium shift or noise scale")
+    return params.theta, beta, alphas
 
 
-def _equal_split_schedule(horizon: Horizon) -> Schedule:
-    per_stage = horizon.total_shares / horizon.T
-    return Schedule.from_trades([per_stage] * horizon.T, horizon.total_shares)
+def _solve_residual_weighted(
+    theta: float,
+    beta: float,
+    alphas: tuple[float, ...],
+    horizon: Horizon,
+    cfg: RecursionConfig,
+    metadata: dict,
+) -> tuple[Schedule, PolicyTable]:
+    """Drive the grid recursion for a residual-weighted cost with one theta and beta.
+
+    The stage-t premium shift alpha_t is held at its stage-t value for the
+    whole remaining horizon (the closed forms rest on that convention), so
+    stage t's policy is the first stage of a uniform (T-t+1)-stage recursion
+    in alpha_t.  Those recursions differ only in alpha, so one backward pass
+    runs them all, one column per distinct alpha: at stage t every column
+    sits at depth T-t+1, and stage t reads the column of alpha_t.  The
+    reported schedule re-solves each stage at the exact certainty-equivalent
+    residual, trusting stationary points only if ``metadata["convexity_ok"]``.
+    """
+    T, total = horizon.T, horizon.total_shares
+    mesh = _build_mesh(total, beta / theta, cfg)
+    # columns numbered by the first stage that uses them, so the columns
+    # stage t needs are a prefix
+    columns = list(dict.fromkeys(alphas[: T - 1]))
+    column = [columns.index(a) for a in alphas[: T - 1]]
+    families = {
+        t: _MillsStage(theta, np.array(columns[: max(column[:t]) + 1]), beta, True)
+        for t in range(1, T)
+    }
+    res = _backward_pass(families, _TerminalMills(theta, np.array(columns), beta), mesh, cfg)
+
+    trades: list[float] = []
+    diagnostics: list[dict] = []
+    w, convex = total, metadata["convexity_ok"]
+    for t in range(1, T):
+        j = column[t - 1]
+        s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, convex, j)
+        diagnostics.append({"stage": t, **res.diagnostics[t][j], "schedule_iterations": iters})
+        trades.append(s)
+        w -= s
+    trades.append(w)
+    metadata["diagnostics"] = diagnostics
+    table = _grid_table(
+        mesh.official,
+        [res.trades[t][j] for t, j in enumerate(column, start=1)],
+        [
+            *(res.values[t][j] for t, j in enumerate(column, start=1)),
+            _TerminalMills(theta, np.array([alphas[-1]]), beta).value(mesh.official, 0),
+        ],
+        metadata,
+    )
+    return Schedule.from_trades(trades, total), table
 
 
-def _linear_policy_stages(T: int) -> tuple[ClosedLinearPolicy, ...]:
-    # trading 1/n of the residual with n stages to go composes to the equal split
-    return tuple(ClosedLinearPolicy(1.0 / (T - t + 1)) for t in range(1, T + 1))
+def _solve_arithmetic(
+    params: Benchmark | Ar1Extra,
+    horizon: Horizon,
+    x0: float | None,
+    formulation: str,
+    config: RecursionConfig | None,
+) -> tuple[Schedule, PolicyTable]:
+    """Solve an arithmetic law; ``x0`` is None for the benchmark walk.
 
-
-def _warn_if_nonconvex(theta: float, sigma: float, metadata: dict) -> None:
-    ok = theta > 0.75 * sigma
-    metadata["convexity_ok"] = ok
-    if not ok:
+    The trade-weighted ("simple") optimum is the closed-form equal split,
+    with values W*beta*psi((theta*W + n*alpha_t)/(n*beta)) at n stages to
+    go; the residual-weighted ("complex") one runs the grid recursion.
+    """
+    cfg = config or RecursionConfig()
+    T, total = horizon.T, horizon.total_shares
+    theta, beta, alphas = _premium_law(params, T, 0.0 if x0 is None else x0)
+    residual_weighted = formulation == "complex"
+    # policy.json writes the metadata in this key order
+    metadata = {
+        "model": "benchmark" if x0 is None else "spread" if isinstance(params, Spread) else "ar1",
+        "formulation": formulation,
+        "method": "foc-grid-recursion" if residual_weighted else "closed-linear",
+        **({"grid_nodes": cfg.grid_nodes} if residual_weighted else {}),
+        **({} if x0 is None else {"x0": x0}),
+        "convexity_ok": _premium_convex(theta, beta),
+    }
+    if not metadata["convexity_ok"]:
         warnings.warn(
-            f"stage costs are not certified convex (theta={theta} <= 0.75*sigma={0.75 * sigma}); "
-            "reported optima may be local",
+            f"stage costs are not certified convex (theta={theta} against noise scale "
+            f"{beta}); reported optima may be local",
             ConvexityWarning,
             stacklevel=3,
         )
-
-
-def _require_noise_scale(sigma: float) -> None:
-    # The zero-noise law simulates fine but has no premium kernel to solve.
-    if sigma <= 0.0:
-        raise ValueError(
-            f"sigma_eps must be > 0 for the solver, got {sigma}; "
-            "the noise-free law is simulation-only"
-        )
+    if residual_weighted:
+        return _solve_residual_weighted(theta, beta, alphas, horizon, cfg, metadata)
+    # trading 1/n of the residual with n stages to go composes to the equal split
+    w = _build_mesh(total, beta / theta, cfg).official
+    to_go = range(T, 0, -1)
+    values = [
+        w * beta * mills_psi((theta * w + n * a) / (n * beta)) for a, n in zip(alphas, to_go)
+    ]
+    table = PolicyTable(
+        stages=tuple(ClosedLinearPolicy(1.0 / n) for n in to_go),
+        value_samples=tuple(np.column_stack([w, v]) for v in values),
+        metadata=metadata,
+    )
+    return Schedule.from_trades([total / T] * T, total), table
 
 
 def solve_benchmark_simple(
@@ -913,22 +1002,7 @@ def solve_benchmark_simple(
     With n stages to go the optimal trade is W/n, independent of theta and
     sigma; values come from the closed form sigma*W*psi(theta*W/(n*sigma)).
     """
-    cfg = config or RecursionConfig()
-    _require_noise_scale(params.sigma_eps)
-    metadata = {"model": "benchmark", "formulation": "simple", "method": "closed-linear"}
-    _warn_if_nonconvex(params.theta, params.sigma_eps, metadata)
-    schedule = _equal_split_schedule(horizon)
-    official = _build_mesh(horizon.total_shares, params.sigma_eps / params.theta, cfg).official
-    samples = tuple(
-        np.column_stack(
-            [official, _closed_value(params.theta, 0.0, params.sigma_eps, official, horizon.T - t + 1)]
-        )
-        for t in range(1, horizon.T + 1)
-    )
-    table = PolicyTable(
-        stages=_linear_policy_stages(horizon.T), value_samples=samples, metadata=metadata
-    )
-    return schedule, table
+    return _solve_arithmetic(params, horizon, None, "simple", config)
 
 
 def solve_ar1_simple(
@@ -944,91 +1018,7 @@ def solve_ar1_simple(
     beta = sqrt(gamma^2*sigma_eta^2 + sigma_eps^2); the linear trading rule
     is unchanged by the state, only the value moves.
     """
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    cfg = config or RecursionConfig()
-    beta = math.hypot(params.gamma * params.sigma_eta, params.sigma_eps)
-    metadata = {
-        "model": "spread" if isinstance(params, Spread) else "ar1",
-        "formulation": "simple",
-        "method": "closed-linear",
-        "x0": x0,
-    }
-    _warn_if_nonconvex(params.theta, beta, metadata)
-    schedule = _equal_split_schedule(horizon)
-    official = _build_mesh(horizon.total_shares, beta / params.theta, cfg).official
-    samples = []
-    for t in range(1, horizon.T + 1):
-        alpha_t = params.gamma * params.rho**t * x0
-        n = horizon.T - t + 1
-        samples.append(
-            np.column_stack([official, _closed_value(params.theta, alpha_t, beta, official, n)])
-        )
-    table = PolicyTable(
-        stages=_linear_policy_stages(horizon.T),
-        value_samples=tuple(samples),
-        metadata=metadata,
-    )
-    return schedule, table
-
-
-# ---------------------------------------------------------------------------
-# Numerical solvers (residual-weighted costs).
-# ---------------------------------------------------------------------------
-
-
-def _solve_residual_weighted(
-    problem: MillsRecursionProblem, cfg: RecursionConfig, metadata: dict, convex: bool
-) -> tuple[Schedule, PolicyTable]:
-    """Drive the grid recursion for a residual-weighted cost with one theta and beta.
-
-    The stage-t premium shift alpha_t is held at its stage-t value for the
-    whole remaining horizon (the closed forms rest on that convention), so
-    stage t's policy is the first stage of a uniform (T-t+1)-stage recursion
-    in alpha_t.  Those recursions differ only in alpha, so one backward pass
-    runs them all, one column per distinct alpha: at stage t every column
-    sits at depth T-t+1, and stage t reads the column of alpha_t.  The
-    reported schedule re-solves each stage at the exact certainty-equivalent
-    residual.
-    """
-    T = problem.horizon.T
-    total = problem.horizon.total_shares
-    if len(set(problem.thetas)) != 1 or len(set(problem.betas)) != 1:
-        raise ValueError("residual-weighted solves need one theta and one beta for all stages")
-    theta, beta = problem.thetas[0], problem.betas[0]
-
-    mesh = _build_mesh(total, problem.curvature_scale, cfg)
-    # columns numbered by the first stage that uses them, so the columns
-    # stage t needs are a prefix
-    alphas = list(dict.fromkeys(problem.alphas[: T - 1]))
-    column = [alphas.index(a) for a in problem.alphas[: T - 1]]
-    families = {
-        t: _MillsStage(theta, np.array(alphas[: max(column[:t]) + 1]), beta, True)
-        for t in range(1, T)
-    }
-    res = _backward_pass(families, _TerminalMills(theta, np.array(alphas), beta), mesh, cfg)
-
-    trades: list[float] = []
-    diagnostics: list[dict] = []
-    w = total
-    for t in range(1, T):
-        j = column[t - 1]
-        s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, convex, j)
-        diagnostics.append({"stage": t, **res.diagnostics[t][j], "schedule_iterations": iters})
-        trades.append(s)
-        w -= s
-    trades.append(w)
-    metadata["diagnostics"] = diagnostics
-    table = _grid_table(
-        mesh.official,
-        [res.trades[t][j] for t, j in enumerate(column, start=1)],
-        [
-            *(res.values[t][j] for t, j in enumerate(column, start=1)),
-            problem.terminal().value(mesh.official, 0),
-        ],
-        metadata,
-    )
-    return Schedule.from_trades(trades, total), table
+    return _solve_arithmetic(params, horizon, x0, "simple", config)
 
 
 def solve_benchmark_complex(
@@ -1042,23 +1032,7 @@ def solve_benchmark_complex(
     stages run the grid recursion.  The reported schedule is the
     certainty-equivalent composition (all noise at its mean).
     """
-    cfg = config or RecursionConfig()
-    _require_noise_scale(params.sigma_eps)
-    metadata = {
-        "model": "benchmark",
-        "formulation": "complex",
-        "method": "foc-grid-recursion",
-        "grid_nodes": cfg.grid_nodes,
-    }
-    _warn_if_nonconvex(params.theta, params.sigma_eps, metadata)
-    problem = MillsRecursionProblem.uniform(
-        horizon,
-        params.theta,
-        params.sigma_eps,
-        weight_by_residual=True,
-        model_tag="benchmark",
-    )
-    return _solve_residual_weighted(problem, cfg, metadata, metadata["convexity_ok"])
+    return _solve_arithmetic(params, horizon, None, "complex", config)
 
 
 def solve_ar1_complex(
@@ -1074,25 +1048,4 @@ def solve_ar1_complex(
     beta = sqrt(gamma^2*sigma_eta^2 + sigma_eps^2); gamma = 0 collapses to
     :func:`solve_benchmark_complex` exactly.
     """
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    cfg = config or RecursionConfig()
-    beta = math.hypot(params.gamma * params.sigma_eta, params.sigma_eps)
-    metadata = {
-        "model": "spread" if isinstance(params, Spread) else "ar1",
-        "formulation": "complex",
-        "method": "foc-grid-recursion",
-        "grid_nodes": cfg.grid_nodes,
-        "x0": x0,
-    }
-    _warn_if_nonconvex(params.theta, beta, metadata)
-    alphas = tuple(params.gamma * params.rho**t * x0 for t in range(1, horizon.T + 1))
-    problem = MillsRecursionProblem.uniform(
-        horizon,
-        params.theta,
-        beta,
-        alphas=alphas,
-        weight_by_residual=True,
-        model_tag=metadata["model"],
-    )
-    return _solve_residual_weighted(problem, cfg, metadata, metadata["convexity_ok"])
+    return _solve_arithmetic(params, horizon, x0, "complex", config)

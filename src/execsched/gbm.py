@@ -202,16 +202,6 @@ def solve_gbm_simple(
         "price_ratio": ratios[0],
     }
 
-    if T == 1:
-        metadata["diagnostics"] = []
-        _, v_grid, _ = _minimize_stage(
-            params, mesh.official, np.array([x0]), ratios[0], None, e_fac, cfg
-        )
-        table = _grid_table(
-            mesh.official, [], [state.no_impact_price * v_grid[:, 0]], metadata
-        )
-        return Schedule.from_trades([total], total), table
-
     m = cfg.regression_samples if cfg.regression_samples % 2 == 1 else cfg.regression_samples + 1
     stage_x = {t: _x_samples(params, x0, t, m) for t in range(1, T + 1)}
     ce_idx = {t: stage_x[t].size // 2 for t in range(1, T + 1)}

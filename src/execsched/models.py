@@ -376,6 +376,11 @@ def _advance(
     raise TypeError(f"unsupported model parameters: {type(params).__name__}")
 
 
+def _premium_convex(theta: float, beta: float) -> bool:
+    """The convexity certificate of the premium beta*psi((theta*S + alpha)/beta)."""
+    return theta > 0.75 * beta
+
+
 def convexity_check(params: ModelParams) -> bool:
     """Whether the one-stage expected cost is convex: theta > (3/4)*sigma_eps.
 
@@ -387,4 +392,4 @@ def convexity_check(params: ModelParams) -> bool:
         raise ValueError(
             f"convexity_check is defined for Benchmark only, got {type(params).__name__}"
         )
-    return params.theta > 0.75 * params.sigma_eps
+    return _premium_convex(params.theta, params.sigma_eps)

@@ -6,7 +6,7 @@ by (seed, path index) and draws its shocks in one fixed order (a (T, 2)
 standard-normal block, price shock first, auxiliary shock second).  One
 bit generator is reset to each path's key and a zero counter in turn.
 Path results therefore depend only on the path index, never on evaluation
-order, so chunked or parallel runs assemble bit-identical arrays.  All
+order, so block-wise or parallel runs assemble bit-identical arrays.  All
 reductions over paths happen on the index-ordered assembly.
 
 Paths advance in blocks of at most ``BLOCK_PATHS``: each stage is one
@@ -17,7 +17,7 @@ trades that a :class:`Schedule` admits execute as zero.  Paths on which
 the liquidity law cannot absorb a prescribed trade are excluded from the
 samples and counted, never clamped, since clamping would silently bias the
 cost distribution.  Per-stage counters (infeasible paths, volume clamps,
-nonpositive prices) are summed over chunks, and DegeneratePathWarning
+nonpositive prices) are summed over blocks, and DegeneratePathWarning
 fires once per affected stage with its path count.
 
 :func:`simulate_paths` runs one pass; its :class:`SimulatedPaths` can feed
@@ -38,13 +38,14 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .attribution import FORMULATIONS, path_costs
-from .dp import ConfigError, Horizon, PolicyTable, Schedule, _MillsStage
+from .dp import ConfigError, Horizon, PolicyTable, Schedule, _MillsStage, _premium_law
 from .models import (
     Ar1Extra,
     Benchmark,
@@ -290,25 +291,9 @@ def _run_paths(config: SimConfig, policy, z: np.ndarray):
     return prices, trades, feasible, counters
 
 
-def _simulate_chunk(config: SimConfig, policy, start: int, stop: int):
-    """Simulate paths [start, stop) in blocks of at most BLOCK_PATHS.
-
-    Returns (prices (m, T+1), trades (m, T), feasible (m,), counters);
-    infeasible rows come back as NaN.
-    """
-    T = config.horizon.T
-    m = stop - start
-    prices = np.empty((m, T + 1))
-    trades = np.empty((m, T))
-    feasible = np.empty(m, dtype=bool)
-    counters = _zero_counters(T)
-    for lo in range(0, m, BLOCK_PATHS):
-        hi = min(lo + BLOCK_PATHS, m)
-        z = _draw_shocks(config.seed, start + lo, start + hi, T)
-        prices[lo:hi], trades[lo:hi], feasible[lo:hi], block = _run_paths(config, policy, z)
-        for name in COUNTERS:
-            counters[name] += block[name]
-    return prices, trades, feasible, counters
+def _run_block(config: SimConfig, policy, start: int, stop: int):
+    """:func:`_run_paths` on paths [start, stop), drawing their own shocks."""
+    return _run_paths(config, policy, _draw_shocks(config.seed, start, stop, config.horizon.T))
 
 
 def _warn_degenerate(counters: dict[str, np.ndarray]) -> None:
@@ -341,34 +326,32 @@ class SimulatedPaths:
 
 
 def _simulate(config: SimConfig, policy, workers: int) -> SimulatedPaths:
-    """Chunked, optionally parallel path generation; index-ordered output.
+    """Path generation in blocks of BLOCK_PATHS paths; index-ordered output.
 
-    Counters are summed over chunks and DegeneratePathWarning is raised here,
-    once per stage, so both are the same at any worker count.
+    With several blocks and ``workers`` > 1 the blocks run on a process
+    pool; a run of one block never starts one.  Counters are summed over
+    blocks and DegeneratePathWarning is raised here, once per stage, so both
+    are the same at any worker count.
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    n = config.n_paths
-    w = min(workers, n)
-    if w == 1:
-        parts = [_simulate_chunk(config, policy, 0, n)]
-    else:
-        bounds = np.linspace(0, n, w + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            parts = list(
-                pool.map(
-                    _simulate_chunk, repeat(config), repeat(policy), bounds[:-1], bounds[1:]
-                )
-            )
-    counters = {name: sum(c[name] for *_, c in parts) for name in COUNTERS}
+    n, T = config.n_paths, config.horizon.T
+    starts = range(0, n, BLOCK_PATHS)
+    stops = [*starts[1:], n]
+    prices, trades = np.empty((n, T + 1)), np.empty((n, T))
+    feasible = np.empty(n, dtype=bool)
+    counters = _zero_counters(T)
+    with ExitStack() as stack:
+        run = map
+        if workers > 1 and len(starts) > 1:
+            run = stack.enter_context(ProcessPoolExecutor(min(workers, len(starts)))).map
+        blocks = run(_run_block, repeat(config), repeat(policy), starts, stops)
+        for a, b, (p, t, f, c) in zip(starts, stops, blocks):
+            prices[a:b], trades[a:b], feasible[a:b] = p, t, f
+            for name in COUNTERS:
+                counters[name] += c[name]
     _warn_degenerate(counters)
-    return SimulatedPaths(
-        config=config,
-        prices=np.concatenate([p for p, _, _, _ in parts], axis=0),
-        trades=np.concatenate([t for _, t, _, _ in parts], axis=0),
-        feasible=np.concatenate([f for _, _, f, _ in parts], axis=0),
-        counters=counters,
-    )
+    return SimulatedPaths(config, prices, trades, feasible, counters)
 
 
 def simulate_paths(config: SimConfig, policy, *, workers: int = 1) -> SimulatedPaths:
@@ -508,16 +491,9 @@ def _closed_objective(
 ) -> np.ndarray:
     """Exact conditional-premium objective for the arithmetic laws."""
     T = trades.shape[1]
-    if isinstance(model, Ar1Extra):
-        scale = math.hypot(model.gamma * model.sigma_eta, model.sigma_eps)
-        alphas = np.array([model.gamma * model.rho**t * x0 for t in range(1, T + 1)])
-    else:
-        scale = model.sigma_eps
-        alphas = np.zeros(T)
-    if scale <= 0.0:
-        raise ValueError("the closed objective needs a positive noise scale")
+    theta, beta, alphas = _premium_law(model, T, x0)
     residuals = total - np.cumsum(trades, axis=1) + trades
-    stage = _MillsStage(model.theta, alphas, scale, formulation == "complex")
+    stage = _MillsStage(theta, np.array(alphas), beta, formulation == "complex")
     return stage.value(trades, residuals, np.arange(T)).sum(axis=1)
 
 

@@ -5,6 +5,7 @@ closed Mills forms evaluated by hand against the kernel oracles, 1e5-point
 grid brute forces of the two-stage objectives, and a seeded 1e6-path
 rejection Monte Carlo for the policy-evaluation check.
 """
+import itertools
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from execsched.dp import (
     solve_benchmark_simple,
 )
 from execsched.kernels import mills_psi
-from execsched.models import Ar1Extra, Benchmark, Spread
+from execsched.models import Ar1Extra, Benchmark, Spread, convexity_check
 
 
 class TestHorizon:
@@ -299,6 +300,23 @@ class TestBenchmarkComplex:
             _, table = solve_benchmark_complex(Benchmark(theta=2.0, sigma_eps=1.0), Horizon(2, 1.0))
         assert table.metadata["convexity_ok"] is True
 
+    def test_warning_points_at_the_caller(self):
+        with pytest.warns(ConvexityWarning) as record:
+            solve_benchmark_complex(Benchmark(theta=0.3, sigma_eps=1.0), Horizon(2, 1.0))
+        assert record[0].filename == __file__
+
+    @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
+    @given(
+        sigma=st.floats(0.05, 20.0),
+        ratio=st.one_of(st.just(0.75), st.floats(0.05, 3.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_convexity_flag_is_the_models_certificate(self, sigma, ratio):
+        # ratio 0.75 puts theta exactly on the threshold, which is not convex
+        params = Benchmark(theta=ratio * sigma, sigma_eps=sigma)
+        _, table = solve_benchmark_complex(params, Horizon(2, 1.0), RecursionConfig(grid_nodes=8))
+        assert table.metadata["convexity_ok"] is convexity_check(params)
+
     def test_nonconvex_forward_matches_brute_force(self):
         theta, sigma = 0.3, 1.0
         with pytest.warns(ConvexityWarning):
@@ -347,10 +365,34 @@ class TestAr1Complex:
         assert sched.trades[0] == pytest.approx(grid[np.argmin(j)], abs=1e-4)
 
     def test_gamma_zero_matches_benchmark_complex(self):
+        # gamma = 0 gives beta = sigma_eps and zero shifts: the benchmark solve, bit for bit
         a = Ar1Extra(theta=5.0, sigma_eps=1.0, gamma=0.0, rho=0.5, sigma_eta=2.0)
-        sa, _ = solve_ar1_complex(a, Horizon(2, 1.0), x0=3.0)
-        sb, _ = solve_benchmark_complex(Benchmark(theta=5.0, sigma_eps=1.0), Horizon(2, 1.0))
-        assert sa.trades[0] == pytest.approx(sb.trades[0], abs=1e-9)
+        for T, x0 in itertools.product((2, 5), (3.0, -1.5)):
+            sa, ta = solve_ar1_complex(a, Horizon(T, 1.0), x0=x0)
+            sb, tb = solve_benchmark_complex(Benchmark(theta=5.0, sigma_eps=1.0), Horizon(T, 1.0))
+            assert sa == sb
+            for pa, pb in zip(ta.stages, tb.stages, strict=True):
+                if isinstance(pb, NumericalPolicy):
+                    assert np.array_equal(pa.grid, pb.grid)
+                    assert np.array_equal(pa.trades, pb.trades)
+                else:
+                    assert pa == pb
+            for va, vb in zip(ta.value_samples, tb.value_samples, strict=True):
+                assert np.array_equal(va, vb)
+
+    @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
+    @given(
+        theta=st.floats(0.05, 5.0),
+        gamma=st.floats(0.0, 2.0),
+        sigma_eps=st.floats(0.05, 3.0),
+        sigma_eta=st.floats(0.05, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_convexity_flag_uses_the_composite_scale(self, theta, gamma, sigma_eps, sigma_eta):
+        a = Ar1Extra(theta=theta, gamma=gamma, rho=0.5, sigma_eps=sigma_eps, sigma_eta=sigma_eta)
+        _, table = solve_ar1_complex(a, Horizon(2, 1.0), 0.4, RecursionConfig(grid_nodes=8))
+        expected = theta > 0.75 * math.hypot(gamma * sigma_eta, sigma_eps)
+        assert table.metadata["convexity_ok"] is expected
 
     def test_schedule_is_deterministic(self):
         s1, _ = solve_ar1_complex(self.params, Horizon(3, 2.0), x0=0.5)

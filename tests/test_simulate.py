@@ -603,6 +603,38 @@ class TestBatchedSimulator:
             k: v.tolist() for k, v in parallel.counters.items()}
         assert serial.counters["infeasible"].sum() == (~serial.feasible).sum()
 
+    def test_pool_runs_blocks_bit_identically(self, monkeypatch):
+        # three blocks, the last one path long; some paths go infeasible
+        pools = []
+
+        class CountedPool(simulate_module.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", CountedPool)
+        cfg = _liquidity_config(n_paths=2 * simulate_module.BLOCK_PATHS + 1)
+        sched = Schedule.from_trades([2.0, 3.0, 5.0, 10.0], 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePathWarning)
+            serial, *pooled = (simulate_paths(cfg, sched, workers=w) for w in (1, 2, 3))
+        assert pools == [2, 3]
+        assert 0 < serial.feasible.sum() < cfg.n_paths
+        for run in pooled:
+            assert _digest(run.prices, run.trades) == _digest(serial.prices, serial.trades)
+            assert np.array_equal(run.feasible, serial.feasible)
+            assert {k: v.tolist() for k, v in run.counters.items()} == {
+                k: v.tolist() for k, v in serial.counters.items()}
+
+    def test_one_block_never_starts_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block run started a process pool")
+
+        monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", no_pool)
+        cfg = _bench_config(n_paths=simulate_module.BLOCK_PATHS)
+        paths = simulate_paths(cfg, _equal_schedule(3, 10.0), workers=4)
+        assert paths.feasible.all()
+
     def test_degenerate_paths_warn_once_per_stage(self):
         cfg, sched = _law_case("liquidity")
         with pytest.warns(DegeneratePathWarning) as record:
