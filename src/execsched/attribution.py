@@ -72,6 +72,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _require_positive(name: str, value: float) -> None:
+    _require(
+        math.isfinite(value) and value > 0.0, f"{name} must be finite and > 0, got {value}"
+    )
+
+
 def _check_side(side: str) -> float:
     """Return the adverse-direction sign: +1 for buys, -1 for sells."""
     if side == "buy":
@@ -106,14 +112,8 @@ class Fill:
     def __post_init__(self) -> None:
         if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 1:
             raise ValueError(f"t must be an integer >= 1, got {self.t!r}")
-        _require(
-            math.isfinite(self.price) and self.price > 0.0,
-            f"price must be finite and > 0, got {self.price}",
-        )
-        _require(
-            math.isfinite(self.qty) and self.qty > 0.0,
-            f"qty must be finite and > 0, got {self.qty}",
-        )
+        _require_positive("price", self.price)
+        _require_positive("qty", self.qty)
         _check_side(self.side)
         _require(
             isinstance(self.participant, str) and len(self.participant) > 0,
@@ -135,14 +135,8 @@ class OrderContext:
     price_path: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _require(
-            math.isfinite(self.arrival_price) and self.arrival_price > 0.0,
-            f"arrival_price must be finite and > 0, got {self.arrival_price}",
-        )
-        _require(
-            math.isfinite(self.total_shares) and self.total_shares > 0.0,
-            f"total_shares must be finite and > 0, got {self.total_shares}",
-        )
+        _require_positive("arrival_price", self.arrival_price)
+        _require_positive("total_shares", self.total_shares)
         if (
             not isinstance(self.horizon, int)
             or isinstance(self.horizon, bool)
@@ -156,10 +150,7 @@ class OrderContext:
             f"price_path must hold P_0..P_T ({self.horizon + 1} entries), got {len(path)}",
         )
         for t, p in enumerate(path):
-            _require(
-                math.isfinite(p) and p > 0.0,
-                f"price_path[{t}] must be finite and > 0, got {p}",
-            )
+            _require_positive(f"price_path[{t}]", p)
         _require(
             math.isclose(path[0], self.arrival_price, rel_tol=1e-12, abs_tol=0.0),
             f"price_path[0] = {path[0]} does not match arrival_price = {self.arrival_price}",
@@ -192,10 +183,7 @@ class AttributionReport:
             self.timing == self.shortfall - self.impact,
             "timing must equal shortfall - impact exactly",
         )
-        _require(
-            math.isfinite(self.reference_value) and self.reference_value > 0.0,
-            f"reference_value must be finite and > 0, got {self.reference_value}",
-        )
+        _require_positive("reference_value", self.reference_value)
 
 
 @dataclass(frozen=True)
@@ -287,39 +275,116 @@ def path_costs(
 # ---------------------------------------------------------------------------
 
 
-def _order_arrays(ctx: OrderContext, fills: list[Fill]) -> tuple[str, str, np.ndarray, float]:
+def _int_column(values) -> np.ndarray:
+    """``int()`` of each value as int64, or as Python ints (dtype object) when
+    one does not fit; such a value is outside every horizon."""
+    try:
+        return np.fromiter(map(int, values), np.int64, len(values))
+    except OverflowError:
+        return np.array([int(v) for v in values], dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class _FillColumns:
+    """Fills as columns, the form every record-level function works on.
+
+    ``t`` comes from :func:`_int_column`, ``qty`` and ``price`` are float64,
+    and ``order[i]`` indexes fill i's (participant, side) pair in ``orders``,
+    which lists the pairs in order of first appearance.  ``len()`` is the
+    number of fills.
+    """
+
+    t: np.ndarray
+    qty: np.ndarray
+    price: np.ndarray
+    order: np.ndarray
+    orders: tuple[tuple[str, str], ...]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @classmethod
+    def of(cls, fills) -> "_FillColumns":
+        """``fills`` itself if it is columns already, else the columns of a list of Fill."""
+        if isinstance(fills, cls):
+            return fills
+        codes: dict[tuple[str, str], int] = {}
+        order = [codes.setdefault((f.participant, f.side), len(codes)) for f in fills]
+        return cls(
+            t=_int_column([f.t for f in fills]),
+            qty=np.array([f.qty for f in fills], dtype=float),
+            price=np.array([f.price for f in fills], dtype=float),
+            order=np.array(order, dtype=np.intp),
+            orders=tuple(codes),
+        )
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _outside_horizon_error(t, horizon: int) -> ValueError:
+    return ValueError(
+        f"fill at t={t} is outside the horizon T={horizon}; no price step exists for it"
+    )
+
+
+def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, list]:
+    """Per order: quantity per interval, quantity total and executed value.
+
+    Returns a (orders, horizon) array and two lists in the order of
+    ``cols.orders``.  Every sum takes the order's fills in file order:
+    ``ufunc.at`` adds in index order and the stable sort keeps each order's
+    fills as they came, so the floats are those of a loop over the fills.
+    Every ``t`` must lie in 1..horizon.
+    """
+    n_orders = len(cols.orders)
+    qty = np.zeros((n_orders, horizon))
+    by_order = np.argsort(cols.order, kind="stable")
+    with np.errstate(over="ignore"):  # overflow to inf, silently, as Python floats do
+        np.add.at(qty, (cols.order, cols.t.astype(np.intp, copy=False) - 1), cols.qty)
+        notional = (cols.qty * cols.price)[by_order].tolist()
+    fill_qty = cols.qty[by_order].tolist()
+    ends = np.cumsum(np.bincount(cols.order, minlength=n_orders)).tolist()
+    slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+    return (
+        qty,
+        [math.fsum(fill_qty[s]) for s in slices],
+        [math.fsum(notional[s]) for s in slices],
+    )
+
+
+def _order_arrays(ctx: OrderContext, fills) -> tuple[str, str, np.ndarray, float]:
     """Validate one order's fills and aggregate them per interval.
 
     Returns (participant, side, per-interval quantities length T, executed
     value from the fill prices).  All fills must share one participant and
     one side, land inside the horizon, and sum to the order total.
     """
-    if not fills:
+    cols = _FillColumns.of(fills)
+    if not len(cols):
         raise ValueError("need at least one fill")
-    participant, side = fills[0].participant, fills[0].side
-    qty = np.zeros(ctx.horizon)
-    notional = []
-    for f in fills:
-        if f.participant != participant or f.side != side:
-            raise ValueError(
-                f"fills mix ({f.participant!r}, {f.side!r}) with "
-                f"({participant!r}, {side!r}); attribute one order at a time"
-            )
-        if f.t > ctx.horizon:
-            raise ValueError(
-                f"fill at t={f.t} is outside the horizon T={ctx.horizon}; "
-                "no price step exists for it"
-            )
-        qty[f.t - 1] += f.qty
-        notional.append(f.qty * f.price)
-    executed_qty = math.fsum(f.qty for f in fills)
+    participant, side = cols.orders[cols.order[0]]
+    mixed = _first(cols.order != cols.order[0])
+    outside = _first(cols.t > ctx.horizon)
+    if mixed is not None and (outside is None or mixed <= outside):
+        other, other_side = cols.orders[cols.order[mixed]]
+        raise ValueError(
+            f"fills mix ({other!r}, {other_side!r}) with "
+            f"({participant!r}, {side!r}); attribute one order at a time"
+        )
+    if outside is not None:
+        raise _outside_horizon_error(cols.t[outside], ctx.horizon)
+    (qty,), (executed_qty,), (executed,) = _order_sums(cols, ctx.horizon)
     tol = QUANTITY_REL_TOL * ctx.total_shares
     if abs(executed_qty - ctx.total_shares) > tol:
         raise ValueError(
             f"fill quantities sum to {executed_qty}, not the order total "
             f"{ctx.total_shares} (tolerance {tol})"
         )
-    return participant, side, qty, math.fsum(notional)
+    return participant, side, qty, executed
 
 
 def _shortfall(ctx: OrderContext, side: str, executed: float) -> float:
@@ -336,6 +401,23 @@ def _impact(
     else:
         weights = _residual_ladder(qty, np.asarray(ctx.total_shares))
     return float(adverse @ weights)
+
+
+def _report(
+    participant: str, side: str, formulation: str, sf: float, imp: float, reference: float
+) -> AttributionReport:
+    return AttributionReport(
+        participant=participant,
+        side=side,
+        formulation=formulation,
+        shortfall=sf,
+        impact=imp,
+        timing=sf - imp,
+        shortfall_bps=1e4 * sf / reference,
+        impact_bps=1e4 * imp / reference,
+        timing_bps=1e4 * (sf - imp) / reference,
+        reference_value=reference,
+    )
 
 
 def shortfall(ctx: OrderContext, fills: list[Fill]) -> float:
@@ -379,20 +461,13 @@ def attribute(
     """Full decomposition for one order, with basis points vs P_0 * S_bar."""
     _check_formulation(formulation)
     participant, side, qty, executed = _order_arrays(ctx, fills)
-    sf = _shortfall(ctx, side, executed)
-    imp = _impact(ctx, side, qty, formulation, False)
-    reference = ctx.arrival_price * ctx.total_shares
-    return AttributionReport(
-        participant=participant,
-        side=side,
-        formulation=formulation,
-        shortfall=sf,
-        impact=imp,
-        timing=sf - imp,
-        shortfall_bps=1e4 * sf / reference,
-        impact_bps=1e4 * imp / reference,
-        timing_bps=1e4 * (sf - imp) / reference,
-        reference_value=reference,
+    return _report(
+        participant,
+        side,
+        formulation,
+        _shortfall(ctx, side, executed),
+        _impact(ctx, side, qty, formulation, False),
+        ctx.arrival_price * ctx.total_shares,
     )
 
 
@@ -404,41 +479,51 @@ def zero_sum_audit(
     Quantities must balance per interval (total bought equals total sold,
     else :class:`UnbalancedIntervalError` names the interval).  Each
     (participant, side) pair is attributed as one order against the common
-    path and arrival price; the verdict tests |sum(impact) + sum(timing)|
-    against ``AUDIT_REL_TOL`` times the combined arrival notional.
+    path and arrival price, in order of first appearance; the verdict tests
+    |sum(impact) + sum(timing)| against ``AUDIT_REL_TOL`` times the combined
+    arrival notional.
     """
     _check_formulation(formulation)
-    if not fills:
+    cols = _FillColumns.of(fills)
+    if not len(cols):
         raise ValueError("need at least one fill")
     path = tuple(float(p) for p in price_path)
     horizon = len(path) - 1
+    outside = _first(cols.t > horizon)
+    if outside is not None:
+        raise _outside_horizon_error(cols.t[outside], horizon)
+    t = cols.t.astype(np.intp, copy=False)
 
-    bought = [0.0] * (horizon + 1)
-    sold = [0.0] * (horizon + 1)
-    orders: dict[tuple[str, str], list[Fill]] = {}
-    for f in fills:
-        if f.t > horizon:
-            raise ValueError(
-                f"fill at t={f.t} is outside the horizon T={horizon}; "
-                "no price step exists for it"
-            )
-        (bought if f.side == "buy" else sold)[f.t] += f.qty
-        orders.setdefault((f.participant, f.side), []).append(f)
-    for t in range(1, horizon + 1):
-        gap = abs(bought[t] - sold[t])
-        if gap > AUDIT_REL_TOL * max(bought[t], sold[t]):
-            raise UnbalancedIntervalError(t, bought[t], sold[t])
-
-    reports = []
-    for group in orders.values():
-        total = math.fsum(f.qty for f in group)
-        ctx = OrderContext(
-            arrival_price=path[0],
-            total_shares=total,
-            horizon=horizon,
-            price_path=path,
+    # ufunc.at adds in index order, as a loop over the fills would; sums
+    # overflow to inf and compare as Python floats do, without warnings
+    buy = np.array([side == "buy" for _, side in cols.orders], dtype=bool)[cols.order]
+    bought = np.zeros(horizon + 1)
+    sold = np.zeros(horizon + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(bought, t[buy], cols.qty[buy])
+        np.add.at(sold, t[~buy], cols.qty[~buy])
+        gap = np.abs(bought - sold) > AUDIT_REL_TOL * np.maximum(bought, sold)
+    unbalanced = _first(gap)
+    if unbalanced is not None:
+        raise UnbalancedIntervalError(
+            unbalanced, float(bought[unbalanced]), float(sold[unbalanced])
         )
-        reports.append(attribute(ctx, group, formulation))
+
+    qty, totals, executed = _order_sums(cols, horizon)
+    # the path is checked once, against the first order's total
+    ctx = OrderContext(
+        arrival_price=path[0], total_shares=totals[0], horizon=horizon, price_path=path
+    )
+    arrival = ctx.arrival_price
+    path_array = np.asarray(ctx.price_path)
+    adverse = {side: _adverse_moves(path_array, _check_side(side), False) for side in SIDES}
+    weights = qty if formulation == "simple" else _residual_ladder(qty, np.array(totals))
+    reports = []
+    for (participant, side), total, value, w in zip(cols.orders, totals, executed, weights):
+        _require_positive("total_shares", total)
+        sf = _check_side(side) * (value - total * arrival)
+        imp = float(adverse[side] @ w)
+        reports.append(_report(participant, side, formulation, sf, imp, arrival * total))
 
     total_impact = math.fsum(r.impact for r in reports)
     total_timing = math.fsum(r.timing for r in reports)

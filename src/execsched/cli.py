@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -40,6 +41,8 @@ from execsched.attribution import (
     Fill,
     OrderContext,
     UnbalancedIntervalError,
+    _FillColumns,
+    _int_column,
     attribute,
     zero_sum_audit,
 )
@@ -399,7 +402,19 @@ def _resolve_outdir(args) -> str:
     return outdir
 
 
-def _write_manifest(outdir: str, *, command, run_id, inputs, seed, outputs) -> None:
+def _phases(started: float, loaded: float, computed: float) -> dict:
+    """Wall seconds of a command's load, compute and write phases, ending now."""
+    return {
+        "load": loaded - started,
+        "compute": computed - loaded,
+        "write": perf_counter() - computed,
+    }
+
+
+def _write_manifest(
+    outdir: str, *, command, run_id, inputs, seed, outputs, phases_s
+) -> None:
+    # the only file of a run that may differ between reruns: it carries the clock
     doc = {
         "run_id": run_id,
         "command": command,
@@ -408,6 +423,7 @@ def _write_manifest(outdir: str, *, command, run_id, inputs, seed, outputs) -> N
         "seed": seed,
         "inputs": inputs,
         "outputs": outputs,
+        "phases_s": phases_s,
     }
     _write_output(outdir, "manifest.json", _json_text(doc))
 
@@ -429,8 +445,11 @@ def _stage_doc(stage) -> dict:
 
 
 def cmd_solve(args) -> int:
+    started = perf_counter()
     cfg, digest = load_config(args.config)
+    loaded = perf_counter()
     schedule, table = solve_from_config(cfg)
+    computed = perf_counter()
     run_id = _run_id("solve", digest)
     outdir = _resolve_outdir(args)
 
@@ -467,6 +486,7 @@ def cmd_solve(args) -> int:
         inputs={"config": {"path": args.config, "sha256": digest}},
         seed=None,
         outputs=[schedule_entry, policy_entry],
+        phases_s=_phases(started, loaded, computed),
     )
     print(f"wrote schedule.csv, policy.json, manifest.json to {outdir}")
     return EXIT_OK
@@ -510,59 +530,115 @@ def _validate_context(doc) -> dict:
     }
 
 
-def load_fills(path: str) -> tuple[list[Fill], str]:
-    """Parse a fills CSV (strict header) and return the rows plus file digest."""
+def _fill_row_problem(t, participant, side, qty, price) -> str | None:
+    """Why one fills row is rejected, or None when it is valid."""
+    try:
+        t = int(t)
+    except ValueError:
+        return f"t: not an integer: {t!r}"
+    try:
+        qty, price = float(qty), float(price)
+    except ValueError:
+        return f"qty/price: not a number: {qty!r}, {price!r}"
+    try:
+        Fill(t=t, price=price, qty=qty, side=side, participant=participant)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _record_line(text: str, index: int) -> int:
+    """Physical line on which the index-th nonblank record after the header starts."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            if index == 0:
+                break
+            index -= 1
+        start = reader.line_num + 1
+    return start
+
+
+def load_fills(path: str) -> tuple[_FillColumns, str]:
+    """Parse a fills CSV (strict header) into columns; also return the file digest.
+
+    Errors name the physical line on which the first bad record starts.
+    """
     raw = _read_bytes(path)
     digest = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise SchemaError("fills", f"not valid UTF-8 ({e})") from None
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
         raise SchemaError("fills", "empty file")
-    if rows[0] != FILLS_HEADER:
+    if header != FILLS_HEADER:
         raise SchemaError(
             "fills",
             "header must be exactly "
-            f"'{','.join(FILLS_HEADER)}', got '{','.join(rows[0])}'",
+            f"'{','.join(FILLS_HEADER)}', got '{','.join(header)}'",
         )
-    fills = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise SchemaError(f"fills line {ln}", f"expected 5 columns, got {len(row)}")
-        try:
-            t = int(row[0])
-        except ValueError:
-            raise SchemaError(f"fills line {ln}", f"t: not an integer: {row[0]!r}") from None
-        try:
-            qty, price = float(row[3]), float(row[4])
-        except ValueError:
-            raise SchemaError(
-                f"fills line {ln}", f"qty/price: not a number: {row[3]!r}, {row[4]!r}"
-            ) from None
-        try:
-            fills.append(
-                Fill(t=t, price=price, qty=qty, side=row[2], participant=row[1])
-            )
-        except ValueError as e:
-            raise SchemaError(f"fills line {ln}", str(e)) from None
-    if not fills:
+    t_raw, qty_raw, price_raw, order = [], [], [], []
+    codes: dict[tuple[str, str], int] = {}
+    width = None
+    for row in reader:
+        if len(row) == 5:
+            t_raw.append(row[0])
+            qty_raw.append(row[3])
+            price_raw.append(row[4])
+            order.append(codes.setdefault((row[1], row[2]), len(codes)))
+        elif row:
+            # the rows before it are checked first, so the earliest bad line is named
+            width = len(row)
+            break
+    n = len(t_raw)
+    if not n and width is None:
         raise SchemaError("fills", "no fill rows after the header")
-    return fills, digest
+    orders = tuple(codes)
+    try:
+        cols = _FillColumns(
+            t=_int_column(t_raw),
+            qty=np.fromiter(map(float, qty_raw), np.float64, n),
+            price=np.fromiter(map(float, price_raw), np.float64, n),
+            order=np.array(order, dtype=np.intp),
+            orders=orders,
+        )
+    except ValueError:
+        first_bad = 0
+    else:
+        pair_ok = np.array([side in SIDES and who != "" for who, side in orders], dtype=bool)
+        bad = ~(
+            (cols.t >= 1)
+            & np.isfinite(cols.qty) & (cols.qty > 0.0)
+            & np.isfinite(cols.price) & (cols.price > 0.0)
+            & pair_ok[cols.order]
+        )
+        first_bad = int(np.argmax(bad)) if bad.any() else n
+        if first_bad == n and width is None:
+            return cols, digest
+    # a value did not parse, a mask caught a row or a record has the wrong
+    # width: the row checks word the error of the first bad row
+    for i in range(first_bad, n):
+        problem = _fill_row_problem(t_raw[i], *orders[order[i]], qty_raw[i], price_raw[i])
+        if problem is not None:
+            raise SchemaError(f"fills line {_record_line(text, i)}", problem)
+    raise SchemaError(f"fills line {_record_line(text, n)}", f"expected 5 columns, got {width}")
 
 
 def cmd_attribute(args) -> int:
+    started = perf_counter()
     raw_ctx = _read_bytes(args.context)
     ctx_digest = hashlib.sha256(raw_ctx).hexdigest()
     context = _validate_context(_parse_json(raw_ctx, "context"))
     fills, fills_digest = load_fills(args.fills)
     formulation = args.formulation
 
-    groups = list(dict.fromkeys((f.participant, f.side) for f in fills))
-    if len(groups) > 1:
+    loaded = perf_counter()
+    if len(fills.orders) > 1:
         audit = zero_sum_audit(fills, context["price_path"], formulation)
         reports = list(audit.reports)
     else:
@@ -579,6 +655,7 @@ def cmd_attribute(args) -> int:
         audit = None
         reports = [attribute(octx, fills, formulation)]
 
+    computed = perf_counter()
     run_id = _run_id("attribute", ctx_digest, fills_digest, formulation)
     outdir = _resolve_outdir(args)
     doc = {
@@ -621,6 +698,7 @@ def cmd_attribute(args) -> int:
         },
         seed=None,
         outputs=[entry],
+        phases_s=_phases(started, loaded, computed),
     )
     if audit is None:
         r = reports[0]
@@ -643,6 +721,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    started = perf_counter()
     cfg, digest = load_config(args.config)
     if cfg["simulation"] is None:
         raise SchemaError("simulation", "required: supply n_paths and seed")
@@ -660,6 +739,7 @@ def cmd_simulate(args) -> int:
     model = build_model(cfg)
     horizon = build_horizon(cfg)
     state = _require_state(cfg)
+    loaded = perf_counter()
     if cfg["schedule"] is not None:
         try:
             schedule = Schedule.from_trades(cfg["schedule"], horizon.total_shares)
@@ -686,6 +766,7 @@ def cmd_simulate(args) -> int:
     if dist.shortfall.size:
         est, se = estimate_objective(sim_config, paths, formulation, side=sim["side"])
         objective = {"estimate": est, "standard_error": se}
+    computed = perf_counter()
 
     # workers deliberately stay out of the run identity: results are
     # byte-identical at any parallelism level.
@@ -732,6 +813,7 @@ def cmd_simulate(args) -> int:
         inputs={"config": {"path": args.config, "sha256": digest}},
         seed=sim["seed"],
         outputs=[dist_entry, paths_entry],
+        phases_s=_phases(started, loaded, computed),
     )
     mean = summary["shortfall"]["mean"]
     print(

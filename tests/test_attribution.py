@@ -13,10 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execsched.attribution import (
+    FORMULATIONS,
     AttributionReport,
     Fill,
     OrderContext,
     UnbalancedIntervalError,
+    ZeroSumAudit,
+    _adverse_moves,
+    _residual_ladder,
     attribute,
     impact_complex,
     impact_simple,
@@ -381,3 +385,182 @@ class TestZeroSumAudit:
             ("desk", "buy"),
             ("desk", "sell"),
         }
+
+
+# ---------------------------------------------------------------------------
+# The row loop that the columnar audit replaced, kept as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_order_arrays(ctx, fills):
+    if not fills:
+        raise ValueError("need at least one fill")
+    participant, side = fills[0].participant, fills[0].side
+    qty = np.zeros(ctx.horizon)
+    notional = []
+    for f in fills:
+        if f.participant != participant or f.side != side:
+            raise ValueError(
+                f"fills mix ({f.participant!r}, {f.side!r}) with "
+                f"({participant!r}, {side!r}); attribute one order at a time"
+            )
+        if f.t > ctx.horizon:
+            raise ValueError(
+                f"fill at t={f.t} is outside the horizon T={ctx.horizon}; "
+                "no price step exists for it"
+            )
+        qty[f.t - 1] += f.qty
+        notional.append(f.qty * f.price)
+    executed_qty = math.fsum(f.qty for f in fills)
+    tol = 1e-9 * ctx.total_shares
+    if abs(executed_qty - ctx.total_shares) > tol:
+        raise ValueError(
+            f"fill quantities sum to {executed_qty}, not the order total "
+            f"{ctx.total_shares} (tolerance {tol})"
+        )
+    return participant, side, qty, math.fsum(notional)
+
+
+def _oracle_attribute(ctx, fills, formulation):
+    participant, side, qty, executed = _oracle_order_arrays(ctx, fills)
+    sign = 1.0 if side == "buy" else -1.0
+    sf = sign * (executed - ctx.total_shares * ctx.arrival_price)
+    adverse = _adverse_moves(np.asarray(ctx.price_path), sign, False)
+    if formulation == "simple":
+        weights = qty
+    else:
+        weights = _residual_ladder(qty, np.asarray(ctx.total_shares))
+    imp = float(adverse @ weights)
+    reference = ctx.arrival_price * ctx.total_shares
+    return AttributionReport(
+        participant=participant,
+        side=side,
+        formulation=formulation,
+        shortfall=sf,
+        impact=imp,
+        timing=sf - imp,
+        shortfall_bps=1e4 * sf / reference,
+        impact_bps=1e4 * imp / reference,
+        timing_bps=1e4 * (sf - imp) / reference,
+        reference_value=reference,
+    )
+
+
+def _oracle_audit(fills, price_path, formulation):
+    path = tuple(float(p) for p in price_path)
+    horizon = len(path) - 1
+    bought = [0.0] * (horizon + 1)
+    sold = [0.0] * (horizon + 1)
+    orders = {}
+    for f in fills:
+        if f.t > horizon:
+            raise ValueError(
+                f"fill at t={f.t} is outside the horizon T={horizon}; "
+                "no price step exists for it"
+            )
+        (bought if f.side == "buy" else sold)[f.t] += f.qty
+        orders.setdefault((f.participant, f.side), []).append(f)
+    for t in range(1, horizon + 1):
+        gap = abs(bought[t] - sold[t])
+        if gap > 1e-9 * max(bought[t], sold[t]):
+            raise UnbalancedIntervalError(t, bought[t], sold[t])
+    reports = []
+    for group in orders.values():
+        total = math.fsum(f.qty for f in group)
+        ctx = OrderContext(path[0], total, horizon, path)
+        reports.append(_oracle_attribute(ctx, group, formulation))
+    total_impact = math.fsum(r.impact for r in reports)
+    total_timing = math.fsum(r.timing for r in reports)
+    residual = total_impact + total_timing
+    tolerance = 1e-9 * math.fsum(r.reference_value for r in reports)
+    return ZeroSumAudit(
+        reports=tuple(reports),
+        total_impact=total_impact,
+        total_timing=total_timing,
+        residual=residual,
+        tolerance=tolerance,
+        passed=abs(residual) <= tolerance,
+        formulation=formulation,
+    )
+
+
+@st.composite
+def _markets(draw):
+    """Fills of a market over one path, in shuffled row order.
+
+    Buyers and sellers come from one small name pool, so a participant can
+    trade on both sides; several fills can share an (order, interval).  The
+    sells of each interval split its bought total, so quantities balance up
+    to rounding unless ``unbalance`` scales one interval's sells.
+    """
+    T = draw(st.integers(1, 5))
+    path = draw(st.lists(st.floats(50.0, 150.0), min_size=T + 1, max_size=T + 1))
+    names = st.sampled_from(["a", "b", "c"])
+    buyers = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    sellers = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    qty = st.integers(1, 60).map(float) if draw(st.booleans()) else st.floats(0.01, 60.0)
+    unbalance = draw(st.integers(0, T))
+    fills = []
+    for t in range(1, T + 1):
+        price = st.sampled_from([path[t], path[t], path[t] * 1.001])
+        buys = draw(st.lists(st.tuples(st.sampled_from(buyers), qty), min_size=1, max_size=4))
+        total = math.fsum(q for _, q in buys)
+        shares = draw(
+            st.lists(st.tuples(st.sampled_from(sellers), st.floats(0.1, 1.0)),
+                     min_size=1, max_size=4)
+        )
+        scale = (1.5 if t == unbalance else 1.0) * total / math.fsum(w for _, w in shares)
+        fills += [Fill(t, draw(price), q, "buy", who) for who, q in buys]
+        fills += [Fill(t, draw(price), w * scale, "sell", who) for who, w in shares]
+    return draw(st.permutations(fills)), path
+
+
+class TestColumnarParity:
+    """The columnar core against the row loop it replaced, bit for bit."""
+
+    @given(_markets(), st.sampled_from(FORMULATIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_audit_matches_the_row_loop(self, market, formulation):
+        fills, path = market
+        try:
+            expected = _oracle_audit(fills, path, formulation)
+        except UnbalancedIntervalError as oracle:
+            with pytest.raises(UnbalancedIntervalError) as err:
+                zero_sum_audit(fills, path, formulation)
+            got = err.value
+            assert (got.interval, got.bought, got.sold) == (
+                oracle.interval, oracle.bought, oracle.sold
+            )
+            assert type(got.bought) is float and type(got.sold) is float
+            assert str(got) == str(oracle)
+            return
+        # repr spells every float exactly, signed zeros included
+        assert repr(zero_sum_audit(fills, path, formulation)) == repr(expected)
+
+    @given(_markets(), st.sampled_from(FORMULATIONS))
+    @settings(max_examples=100, deadline=None)
+    def test_attribute_matches_the_row_loop(self, market, formulation):
+        fills, path = market
+        orders = {}
+        for f in fills:
+            orders.setdefault((f.participant, f.side), []).append(f)
+        for group in orders.values():
+            ctx = _ctx(path, total=math.fsum(f.qty for f in group))
+            assert repr(attribute(ctx, group, formulation)) == repr(
+                _oracle_attribute(ctx, group, formulation)
+            )
+        # one order per call: the mix and horizon checks name the same fill
+        short = _ctx(path[:-1] if len(path) > 2 else path)
+        for ctx in (_ctx(path), short):
+            with pytest.raises(ValueError) as oracle:
+                _oracle_attribute(ctx, fills, formulation)
+            with pytest.raises(ValueError) as err:
+                attribute(ctx, fills, formulation)
+            assert str(err.value) == str(oracle.value)
+
+    def test_t_beyond_int64_is_outside_the_horizon(self):
+        fills = [_buy(1, 101.0, 5.0, who="b"), _sell(10**30, 101.0, 5.0, who="s")]
+        with pytest.raises(ValueError, match=f"t={10**30} is outside the horizon T=1"):
+            zero_sum_audit(fills, [100.0, 101.0])
+        with pytest.raises(ValueError, match=f"t={10**30} is outside the horizon T=1"):
+            attribute(_ctx([100.0, 101.0], total=5.0), [_buy(10**30, 101.0, 5.0)])

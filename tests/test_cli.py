@@ -406,6 +406,149 @@ class TestAttribute:
         assert "line 3" in capsys.readouterr().err
 
 
+_GOOD_FILLS = ("1,b,buy,5,101.0", "1,s,sell,5,101.0", "2,b,buy,5,102.0", "2,s,sell,5,102.0")
+
+
+def _fills_text(*rows):
+    return "t,participant,side,qty,price\n" + "".join(r + "\n" for r in rows)
+
+
+def _swap(i, row):
+    rows = list(_GOOD_FILLS)
+    rows[i] = row
+    return _fills_text(*rows)
+
+
+# stderr and exit code of `execsched attribute` on each bad fills file, as
+# recorded for the row-by-row parser that the columnar one replaced; the
+# context is _ERROR_CONTEXT
+_FILLS_ERRORS = [
+    ("four-columns", _swap(2, "2,b,buy,5"), 2,
+     "fills line 4: expected 5 columns, got 4"),
+    ("six-columns", _swap(2, "2,b,buy,5,102.0,x"), 2,
+     "fills line 4: expected 5 columns, got 6"),
+    ("t-not-integer", _swap(2, "x,b,buy,5,102.0"), 2,
+     "fills line 4: t: not an integer: 'x'"),
+    ("t-zero", _swap(2, "0,b,buy,5,102.0"), 2,
+     "fills line 4: t must be an integer >= 1, got 0"),
+    ("t-fraction", _swap(2, "1.5,b,buy,5,102.0"), 2,
+     "fills line 4: t: not an integer: '1.5'"),
+    ("t-beyond-int64", _swap(3, f"{10**30},s,sell,5,102.0"), 2,
+     f"fill at t={10**30} is outside the horizon T=2; no price step exists for it"),
+    ("t-beyond-int64-single-order", _fills_text("1,b,buy,5,101.0", f"{10**30},b,buy,5,102.0"), 2,
+     f"fill at t={10**30} is outside the horizon T=2; no price step exists for it"),
+    ("earlier-t-beyond-horizon",
+     _fills_text("1,b,buy,5,101.0", "3,s,sell,5,102.0", f"{10**30},s,sell,5,102.0"), 2,
+     "fill at t=3 is outside the horizon T=2; no price step exists for it"),
+    ("qty-not-number", _swap(2, "2,b,buy,x,102.0"), 2,
+     "fills line 4: qty/price: not a number: 'x', '102.0'"),
+    ("qty-negative", _swap(2, "2,b,buy,-1,102.0"), 2,
+     "fills line 4: qty must be finite and > 0, got -1.0"),
+    ("price-nan", _swap(2, "2,b,buy,5,nan"), 2,
+     "fills line 4: price must be finite and > 0, got nan"),
+    ("side-hold", _swap(2, "2,b,hold,5,102.0"), 2,
+     "fills line 4: side must be 'buy' or 'sell', got 'hold'"),
+    ("empty-participant", _swap(2, "2,,buy,5,102.0"), 2,
+     "fills line 4: participant must be a nonempty string, got ''"),
+    ("blank-lines-before-bad-row",
+     _fills_text(_GOOD_FILLS[0], "", "", _GOOD_FILLS[1], "", "2,b,buy,x,102.0", _GOOD_FILLS[3]),
+     2, "fills line 7: qty/price: not a number: 'x', '102.0'"),
+    ("earlier-of-width-and-qty",
+     _fills_text(_GOOD_FILLS[0], "2,b,buy,5", "2,b,buy,-1,102.0", _GOOD_FILLS[3]), 2,
+     "fills line 3: expected 5 columns, got 4"),
+    ("earlier-of-t-and-width",
+     _fills_text(_GOOD_FILLS[0], "x,b,buy,5,102.0", "2,b,buy,5", _GOOD_FILLS[3]), 2,
+     "fills line 3: t: not an integer: 'x'"),
+    ("earlier-of-participant-and-qty",
+     _fills_text(_GOOD_FILLS[0], "2,,buy,5,102.0", "2,b,buy,nan,102.0", _GOOD_FILLS[3]), 2,
+     "fills line 3: participant must be a nonempty string, got ''"),
+    ("t-before-qty-in-one-row", _swap(2, "x,b,buy,y,102.0"), 2,
+     "fills line 4: t: not an integer: 'x'"),
+    ("qty-before-side-in-one-row", _swap(2, "2,b,hold,-1,102.0"), 2,
+     "fills line 4: qty must be finite and > 0, got -1.0"),
+    ("single-order-short-of-total", _fills_text("1,b,buy,5,101.0"), 2,
+     "fill quantities sum to 5.0, not the order total 10.0 (tolerance 1e-08)"),
+    ("unbalanced", _swap(3, "2,s,sell,4,102.0"), 4,
+     "interval 2: bought 5.0 but sold 4.0; the audit needs balanced quantities per interval"),
+    ("empty", "", 2, "fills: empty file"),
+    ("header-only", _fills_text(), 2, "fills: no fill rows after the header"),
+    ("blank-rows-only", _fills_text("", ""), 2, "fills: no fill rows after the header"),
+    ("bad-header", "t,who,side,qty,price\n1,b,buy,5,101.0\n", 2,
+     "fills: header must be exactly 't,participant,side,qty,price', got 't,who,side,qty,price'"),
+]
+
+_ERROR_CONTEXT = {
+    "arrival_price": 100.0, "horizon": 2, "price_path": [100.0, 101.0, 102.0],
+    "total_shares": 10.0,
+}
+
+
+class TestFillsErrors:
+    def _run(self, tmp_path, text):
+        fills = tmp_path / "fills.csv"
+        fills.write_bytes(text.encode("utf-8"))
+        return main([
+            "attribute", str(fills), _write_json(tmp_path, "ctx.json", _ERROR_CONTEXT),
+            "--output-dir", str(tmp_path / "out"),
+        ])
+
+    @pytest.mark.parametrize(
+        "text, code, message", [c[1:] for c in _FILLS_ERRORS], ids=[c[0] for c in _FILLS_ERRORS]
+    )
+    def test_message_and_exit_code(self, tmp_path, capsys, text, code, message):
+        assert self._run(tmp_path, text) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_quoted_newline_names_the_physical_line(self, tmp_path, capsys):
+        # the quoted participant spans lines 3-4, so the bad row is on line 5
+        text = _fills_text("1,b,buy,5,102.0", '1,"s\nx",sell,5,102.0', "1,s,sell,x,102.0")
+        assert self._run(tmp_path, text) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: fills line 5: qty/price: not a number: 'x', '102.0'\n"
+
+    def test_form_feed_stays_inside_its_field(self, tmp_path, capsys):
+        text = _fills_text("1,b\x0cx,buy,5,101.0", "1,s,sell,x,101.0")
+        assert self._run(tmp_path, text) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: fills line 3: qty/price: not a number: 'x', '101.0'\n"
+
+    def test_quoted_fields_are_read_whole(self, tmp_path):
+        text = _fills_text('1,"b\x0c,\n1",buy,5,101.0', "1,s,sell,5,101.0",
+                           '2,"b\x0c,\n1",buy,5,102.0', "2,s,sell,5,102.0")
+        assert self._run(tmp_path, text) == EXIT_OK
+        doc = json.loads((tmp_path / "out" / "attribution.json").read_text())
+        assert [(r["participant"], r["side"]) for r in doc["reports"]] == [
+            ("b\x0c,\n1", "buy"), ("s", "sell"),
+        ]
+
+
+class TestManifestPhases:
+    @pytest.mark.parametrize("command", ["solve", "simulate", "attribute"])
+    def test_only_the_manifest_carries_the_clock(self, tmp_path, command):
+        if command == "attribute":
+            argv = ["attribute",
+                    _write_text(tmp_path, "fills.csv", _fills_text(*_GOOD_FILLS)),
+                    _write_json(tmp_path, "ctx.json", _ERROR_CONTEXT)]
+        else:
+            argv = [command, _write_json(tmp_path, "c.json", _bench_doc())]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--output-dir", str(a)]) == EXIT_OK
+        assert main([*argv, "--output-dir", str(b)]) == EXIT_OK
+        ma = json.loads((a / "manifest.json").read_text())
+        mb = json.loads((b / "manifest.json").read_text())
+        for manifest in (ma, mb):
+            phases = manifest["phases_s"]
+            assert list(phases) == ["load", "compute", "write"]
+            assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+        assert {k: v for k, v in ma.items() if k not in ("phases_s", "created_utc")} == {
+            k: v for k, v in mb.items() if k not in ("phases_s", "created_utc")
+        }
+        for entry in ma["outputs"]:
+            name = entry["path"]
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+            assert hashlib.sha256((a / name).read_bytes()).hexdigest() == entry["sha256"]
+
+
 class TestSimulate:
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_json(tmp_path, "c.json", _bench_doc())
