@@ -338,7 +338,8 @@ def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, lis
     ``cols.orders``.  Every sum takes the order's fills in file order:
     ``ufunc.at`` adds in index order and the stable sort keeps each order's
     fills as they came, so the floats are those of a loop over the fills.
-    Every ``t`` must lie in 1..horizon.
+    Every ``t`` must lie in 1..horizon.  An order whose quantities or fill
+    values sum beyond the float range raises ValueError naming the order.
     """
     n_orders = len(cols.orders)
     qty = np.zeros((n_orders, horizon))
@@ -348,12 +349,17 @@ def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, lis
         notional = (cols.qty * cols.price)[by_order].tolist()
     fill_qty = cols.qty[by_order].tolist()
     ends = np.cumsum(np.bincount(cols.order, minlength=n_orders)).tolist()
-    slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-    return (
-        qty,
-        [math.fsum(fill_qty[s]) for s in slices],
-        [math.fsum(notional[s]) for s in slices],
-    )
+    totals, values = [], []
+    for (participant, side), a, b in zip(cols.orders, [0, *ends[:-1]], ends):
+        try:
+            totals.append(math.fsum(fill_qty[a:b]))
+            values.append(math.fsum(notional[a:b]))
+        except OverflowError:
+            raise ValueError(
+                f"order ({participant!r}, {side!r}): fill quantities or values "
+                "sum beyond the float range"
+            ) from None
+    return qty, totals, values
 
 
 def _order_arrays(ctx: OrderContext, fills) -> tuple[str, str, np.ndarray, float]:

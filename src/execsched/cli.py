@@ -71,6 +71,7 @@ from execsched.models import (
     Spread,
 )
 from execsched.simulate import (
+    STREAM_VERSION,
     SimConfig,
     estimate_objective,
     evaluate_policy,
@@ -412,7 +413,7 @@ def _phases(started: float, loaded: float, computed: float) -> dict:
 
 
 def _write_manifest(
-    outdir: str, *, command, run_id, inputs, seed, outputs, phases_s
+    outdir: str, *, command, run_id, inputs, seed, outputs, phases_s, **extra
 ) -> None:
     # the only file of a run that may differ between reruns: it carries the clock
     doc = {
@@ -421,6 +422,7 @@ def _write_manifest(
         "library_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": seed,
+        **extra,
         "inputs": inputs,
         "outputs": outputs,
         "phases_s": phases_s,
@@ -768,10 +770,11 @@ def cmd_simulate(args) -> int:
         objective = {"estimate": est, "standard_error": se}
     computed = perf_counter()
 
-    # workers deliberately stay out of the run identity: results are
-    # byte-identical at any parallelism level.
+    # workers have no effect and stay out of the run identity; the stream
+    # version goes in, so a run on another random stream gets another id
     run_id = _run_id(
-        "simulate", digest, sim["seed"], sim["n_paths"], formulation, sim["side"]
+        "simulate", digest, sim["seed"], sim["n_paths"], formulation, sim["side"],
+        f"stream_version={STREAM_VERSION}",
     )
     outdir = _resolve_outdir(args)
     dist_doc = {
@@ -814,6 +817,7 @@ def cmd_simulate(args) -> int:
         seed=sim["seed"],
         outputs=[dist_entry, paths_entry],
         phases_s=_phases(started, loaded, computed),
+        stream_version=STREAM_VERSION,
     )
     mean = summary["shortfall"]["mean"]
     print(
@@ -1063,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--formulation", choices=list(FORMULATIONS), default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="validated; has no effect")
     p.add_argument("--side", choices=list(SIDES), default=None)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(handler=cmd_simulate)

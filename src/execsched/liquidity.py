@@ -253,13 +253,14 @@ def _penultimate_scalar(
     cap: float,
     w: float,
     cfg: RecursionConfig,
-) -> float:
+) -> tuple[float, int, float]:
     """Reported stage T-1 trade at the exact residual, with a resolution check.
 
     The objective is re-evaluated at the minimizer with both quadrature
     orders doubled; disagreement beyond 1e-6 relative raises
     ResolutionWarning per the documented under-resolution contract.
-    Returns the trade and the golden-section iterations used.
+    Returns the trade, the golden-section iterations used and that relative
+    change (the quadrature drift).
     """
     ub = min(w, cap)
     order = cfg.quad_order
@@ -283,7 +284,7 @@ def _penultimate_scalar(
             ResolutionWarning,
             stacklevel=3,
         )
-    return s_star, iters
+    return s_star, iters, rel
 
 
 def _ce_path(params: Liquidity, state: MarketState, T: int, total: float):
@@ -422,10 +423,13 @@ def solve_liquidity(
     grid_trades.append(s_pen)
     grid_values.append(v_pen)
 
-    s, iters = _penultimate_scalar(params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg)
-    diagnostics.append(
-        {"stage": T - 1, "golden_iterations": pen_iters, "schedule_iterations": iters}
+    s, iters, drift = _penultimate_scalar(
+        params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg
     )
+    diagnostics.append({
+        "stage": T - 1, "golden_iterations": pen_iters,
+        "schedule_iterations": iters, "quadrature_drift": drift,
+    })
     trades.append(s)
     w -= s
 

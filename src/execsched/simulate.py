@@ -1,13 +1,12 @@
 """Seeded Monte Carlo over the laws of motion: policy evaluation, cost
 distributions, and the enumerated-schedule oracle.
 
-Determinism contract: every path owns a counter-based Philox stream keyed
-by (seed, path index) and draws its shocks in one fixed order (a (T, 2)
-standard-normal block, price shock first, auxiliary shock second).  One
-bit generator is reset to each path's key and a zero counter in turn.
-Path results therefore depend only on the path index, never on evaluation
-order, so block-wise or parallel runs assemble bit-identical arrays.  All
-reductions over paths happen on the index-ordered assembly.
+Determinism contract: the shocks are random stream v2 (``STREAM_VERSION``),
+one counter-based Philox stream keyed by the seed in which every path owns
+its own counters (:func:`_draw_shocks`) and reads a (T, 2) standard-normal
+block, price shock first.  A path's shocks therefore depend only on (seed,
+path index), never on block size or ``workers`` (validated, no effect).
+All reductions over paths happen on the index-ordered assembly.
 
 Paths advance in blocks of at most ``BLOCK_PATHS``: each stage is one
 batched call of :func:`execsched.models.step`, the single owner of the
@@ -27,24 +26,24 @@ from the same paths.
 
 The realized per-path costs (``evaluate_policy``) are the attribution
 module's shortfall/impact/timing applied to each simulated path.  The
-solver objective is a different functional: the sum of conditional stage
-premiums, which ``estimate_objective`` estimates per stage from the paths
-where the adverse move actually happened (a rejection estimate of
-E[dP * weight | dP > 0]); its mean matches the closed forms, while the
-mean realized impact is smaller by each stage's adverse-move probability.
+solver objective is a different functional: the sum of stage premiums,
+which ``estimate_objective`` estimates per stage from the paths where the
+adverse move actually happened (a rejection estimate of
+E[dP * weight | dP > 0]).  It matches the closed forms for the benchmark
+walk; with an auxiliary state it estimates the unconditional per-stage
+premium.  The mean realized impact is smaller by each stage's adverse-move
+probability.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
+from scipy.special import ndtri
 
-from .attribution import FORMULATIONS, path_costs
+from .attribution import _check_formulation, _check_side, _require, path_costs
 from .dp import ConfigError, Horizon, PolicyTable, Schedule, _MillsStage, _premium_law
 from .models import (
     Ar1Extra,
@@ -93,15 +92,13 @@ BRUTE_FORCE_MC_BUDGET = 20_000_000
 #: Paths advanced together; bounds the per-block shock and state arrays.
 BLOCK_PATHS = 4096
 
+#: Version of the shock stream; part of the simulate run identity.
+STREAM_VERSION = 2
+
 #: Per-stage event counters of a simulation pass.
 COUNTERS = ("infeasible", "volume_clamps", "nonpositive_prices")
 
 _QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 @dataclass(frozen=True)
@@ -223,25 +220,19 @@ def _check_policy(config: SimConfig, policy) -> None:
 
 
 def _draw_shocks(seed: int, start: int, stop: int, T: int) -> np.ndarray:
-    """The (stop - start, T, 2) shocks of paths [start, stop).
+    """The (stop - start, T, 2) shocks of paths [start, stop), stream v2.
 
-    Path i reads a (T, 2) standard-normal block, price shock first, from
-    ``Philox(key=[seed, i])`` at counter zero.  One bit generator is re-keyed
-    per path; constructing one per path would also seed (and discard) a
-    SeedSequence from OS entropy every time.  Seeds stay below 2**63
-    (:class:`SimConfig` checks it), so numpy reads the key as exact 64-bit
-    integers; larger ones would pass through float64 and collide.
+    Under key ``seed``, path i reads the first 2T of the 4K words after
+    counter iK (K = ceil(2T/4)), so a block is one ``random_raw`` call.  A
+    word's top 52 bits give the midpoint of one of 2**52 equal cells of
+    (0, 1), exact and symmetric about 1/2, and ``ndtri`` maps it to a
+    finite standard normal.  Seeds below 2**63 make exact keys.
     """
-    bits = np.random.Philox(key=[seed, start])
-    gen = np.random.Generator(bits)
-    fresh = bits.state  # zero counter, empty buffer
-    key = fresh["state"]["key"]
-    z = np.empty((stop - start, T, 2))
-    for k, i in enumerate(range(start, stop)):
-        key[1] = i
-        bits.state = fresh
-        gen.standard_normal(out=z[k])
-    return z
+    K = -(-2 * T // 4)
+    m = stop - start
+    words = np.random.Philox(key=seed, counter=[start * K, 0, 0, 0]).random_raw(4 * K * m)
+    r = words.reshape(m, 4 * K)[:, : 2 * T]
+    return ndtri(((r >> 12) + 0.5) * 2.0**-52).reshape(m, T, 2)
 
 
 def _zero_counters(T: int) -> dict[str, np.ndarray]:
@@ -291,11 +282,6 @@ def _run_paths(config: SimConfig, policy, z: np.ndarray):
     return prices, trades, feasible, counters
 
 
-def _run_block(config: SimConfig, policy, start: int, stop: int):
-    """:func:`_run_paths` on paths [start, stop), drawing their own shocks."""
-    return _run_paths(config, policy, _draw_shocks(config.seed, start, stop, config.horizon.T))
-
-
 def _warn_degenerate(counters: dict[str, np.ndarray]) -> None:
     for t, n in enumerate(counters["nonpositive_prices"], start=1):
         if n:
@@ -328,28 +314,21 @@ class SimulatedPaths:
 def _simulate(config: SimConfig, policy, workers: int) -> SimulatedPaths:
     """Path generation in blocks of BLOCK_PATHS paths; index-ordered output.
 
-    With several blocks and ``workers`` > 1 the blocks run on a process
-    pool; a run of one block never starts one.  Counters are summed over
-    blocks and DegeneratePathWarning is raised here, once per stage, so both
-    are the same at any worker count.
+    ``workers`` is validated and ignored.  Counters are summed over blocks
+    and DegeneratePathWarning is raised here, once per stage.
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n, T = config.n_paths, config.horizon.T
-    starts = range(0, n, BLOCK_PATHS)
-    stops = [*starts[1:], n]
     prices, trades = np.empty((n, T + 1)), np.empty((n, T))
     feasible = np.empty(n, dtype=bool)
     counters = _zero_counters(T)
-    with ExitStack() as stack:
-        run = map
-        if workers > 1 and len(starts) > 1:
-            run = stack.enter_context(ProcessPoolExecutor(min(workers, len(starts)))).map
-        blocks = run(_run_block, repeat(config), repeat(policy), starts, stops)
-        for a, b, (p, t, f, c) in zip(starts, stops, blocks):
-            prices[a:b], trades[a:b], feasible[a:b] = p, t, f
-            for name in COUNTERS:
-                counters[name] += c[name]
+    for a in range(0, n, BLOCK_PATHS):
+        b = min(a + BLOCK_PATHS, n)
+        z = _draw_shocks(config.seed, a, b, T)
+        prices[a:b], trades[a:b], feasible[a:b], c = _run_paths(config, policy, z)
+        for name in COUNTERS:
+            counters[name] += c[name]
     _warn_degenerate(counters)
     return SimulatedPaths(config, prices, trades, feasible, counters)
 
@@ -357,7 +336,7 @@ def _simulate(config: SimConfig, policy, workers: int) -> SimulatedPaths:
 def simulate_paths(config: SimConfig, policy, *, workers: int = 1) -> SimulatedPaths:
     """Generate every path of ``config`` under a Schedule or PolicyTable.
 
-    Fixed ``config`` gives bit-identical paths for any ``workers``.
+    ``workers`` must be an integer >= 1 and has no effect.
     """
     _check_policy(config, policy)
     return _simulate(config, policy, workers)
@@ -389,10 +368,10 @@ def evaluate_policy(
     The law of motion prices the schedule owner's trades; ``side="sell"``
     reattributes the same fills from the counterparty's perspective (their
     impact counts the opposite price moves and their shortfall flips sign).
-    Fixed ``config`` gives bit-identical samples for any ``workers``.
+    ``workers`` is validated and has no effect.
     """
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
+    _check_formulation(formulation)
+    _check_side(side)  # before any path is generated
     paths = _paths_for(config, policy, workers)
     idx = np.nonzero(paths.feasible)[0]
     fp, ft = paths.prices[idx], paths.trades[idx]
@@ -456,14 +435,14 @@ def estimate_objective(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the solver objective for a policy.
 
-    Returns (value, standard error).  This is the conditional-premium
-    functional the solvers minimize, so it is the right comparison against
-    their closed-form values; it is not the mean realized impact.
+    Returns (value, standard error).  For the benchmark walk this is the
+    conditional-premium functional the solvers minimize, so it matches
+    their closed-form values; with an auxiliary state it estimates the
+    unconditional per-stage premium instead.  It is not the mean realized
+    impact.  ``workers`` has no effect.
     """
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
-    if side not in ("buy", "sell"):
-        raise ValueError(f"side must be 'buy' or 'sell', got {side!r}")
+    _check_formulation(formulation)
+    _check_side(side)  # before any path is generated
     paths = _paths_for(config, policy, workers)
     ok = paths.feasible
     if not ok.any():
@@ -512,8 +491,7 @@ def brute_force_schedule(
     ("mc") with common random numbers across candidates.  Test oracle only;
     the budget guards keep the enumeration honest about its own cost.
     """
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
+    _check_formulation(formulation)
     if (
         not isinstance(grid_per_stage, int)
         or isinstance(grid_per_stage, bool)

@@ -311,6 +311,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one fill"):
             shortfall(ctx, [])
 
+    def test_order_sums_beyond_the_float_range_name_the_order(self):
+        buys = [_buy(1, 100.0, 1e308, who="b")] * 2
+        sells = [_sell(1, 100.0, 1e308, who="s")] * 2
+        message = r"order \('b', 'buy'\): fill quantities or values sum beyond"
+        with pytest.raises(ValueError, match=message):
+            zero_sum_audit(buys + sells, [100.0, 101.0])
+        with pytest.raises(ValueError, match=message):
+            attribute(OrderContext(100.0, 1e308, 1, (100.0, 101.0)), buys)
+
     def test_timing_rejects_unknown_formulation(self):
         ctx = _ctx([100.0, 101.0])
         with pytest.raises(ValueError, match="formulation"):

@@ -484,11 +484,11 @@ _ERROR_CONTEXT = {
 
 
 class TestFillsErrors:
-    def _run(self, tmp_path, text):
+    def _run(self, tmp_path, text, context=_ERROR_CONTEXT):
         fills = tmp_path / "fills.csv"
         fills.write_bytes(text.encode("utf-8"))
         return main([
-            "attribute", str(fills), _write_json(tmp_path, "ctx.json", _ERROR_CONTEXT),
+            "attribute", str(fills), _write_json(tmp_path, "ctx.json", context),
             "--output-dir", str(tmp_path / "out"),
         ])
 
@@ -498,6 +498,16 @@ class TestFillsErrors:
     def test_message_and_exit_code(self, tmp_path, capsys, text, code, message):
         assert self._run(tmp_path, text) == code
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("sells", [2, 0], ids=["audit", "single-order"])
+    def test_order_sums_beyond_the_float_range(self, tmp_path, capsys, sells):
+        # each quantity is finite, but two of them sum past the float range
+        rows = ["1,b,buy,1e308,100"] * 2 + ["1,s,sell,1e308,100"] * sells
+        context = {"arrival_price": 100.0, "horizon": 1, "price_path": [100.0, 101.0],
+                   "total_shares": 1e308}
+        assert self._run(tmp_path, _fills_text(*rows), context) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: order ('b', 'buy'): fill quantities or values sum beyond the float range\n")
 
     def test_quoted_newline_names_the_physical_line(self, tmp_path, capsys):
         # the quoted participant spans lines 3-4, so the bad row is on line 5
@@ -560,6 +570,18 @@ class TestSimulate:
         ma = json.loads((a / "manifest.json").read_text())
         mb = json.loads((b / "manifest.json").read_text())
         assert ma["run_id"] == mb["run_id"]
+
+    def test_run_identity_carries_the_stream_version(self, tmp_path):
+        cfg = _write_json(tmp_path, "c.json", _bench_doc())
+        assert main(["simulate", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        dist = json.loads((tmp_path / "distribution.json").read_text())
+        assert manifest["stream_version"] == 2
+        assert dist["run_id"] == manifest["run_id"]
+        # the identity the same run had on the unversioned stream
+        digest = manifest["inputs"]["config"]["sha256"]
+        parts = "\n".join(["simulate", digest, "7", "300", "simple", "buy"])
+        assert manifest["run_id"] != hashlib.sha256(parts.encode()).hexdigest()[:16]
 
     def test_parallelism_does_not_change_bytes(self, tmp_path):
         cfg = _write_json(tmp_path, "c.json", _bench_doc())

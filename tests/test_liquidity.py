@@ -187,6 +187,17 @@ class TestDiagnostics:
         assert 0 < diag["golden_iterations"] < cfg.golden_iters
         assert 0 < diag["schedule_iterations"] < cfg.golden_iters
 
+    def test_stage_t_minus_1_records_quadrature_drift(self, spec_solution):
+        (diag,) = spec_solution[1].metadata["diagnostics"]
+        assert 0.0 <= diag["quadrature_drift"] <= 1e-6
+        with pytest.warns(ResolutionWarning) as record:
+            _, coarse = solve_liquidity(
+                SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE, RecursionConfig(quad_order=1)
+            )
+        (diag,) = coarse.metadata["diagnostics"]
+        assert diag["quadrature_drift"] > 1e-6
+        assert f"moved {diag['quadrature_drift']:.3e} relative" in str(record[0].message)
+
     def test_three_stage_reports_newton_for_the_grid_stage(self):
         p = Liquidity(alpha=0.01, theta=0.05, gamma=0.02, rho=0.9, sigma_eps=0.5, sigma_eta=10.0)
         cfg = RecursionConfig(grid_nodes=16)

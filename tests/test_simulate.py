@@ -2,11 +2,14 @@
 
 Statistical assertions run against closed-form or previously frozen
 rejection Monte Carlo oracles at 3 combined standard errors; determinism
-assertions are bitwise.  The frozen oracles: the arithmetic-walk stage
-value sigma*S*psi(theta*S/sigma), the AR(1) spec-example true-law value
-1.3372811010551942 +/- 0.0006748509283721568 (1e6 rejection paths), and
-the single-stage percentage-law value 89.22900329170106 +/-
-0.0300076657180387 (1e7 rejection draws).
+assertions are bitwise.  The closed forms: the arithmetic-walk stage value
+sigma*S*psi(theta*S/sigma), and for the AR(1) spec example the
+unconditional stage premium s*b_t*psi(mu_t/b_t) summed over the stages,
+where mu_t and b_t are the mean and standard deviation of the price step
+with the auxiliary state integrated out.  The frozen oracle: the
+single-stage percentage-law value 89.22900329170106 +/- 0.0300076657180387
+(1e7 rejection draws).  Stream oracles draw each path's shocks of random
+stream v2 on their own, one Philox call per path.
 """
 import hashlib
 import json
@@ -15,6 +18,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from execsched import simulate as simulate_module
 from execsched.cli import main
@@ -111,8 +116,35 @@ class TestDeterminism:
         seed = 2**63 - 1
         z = simulate_module._draw_shocks(seed, 3, 6, 4)
         for k, i in enumerate(range(3, 6)):
-            bits = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-            assert np.array_equal(z[k], np.random.Generator(bits).standard_normal((4, 2)))
+            assert np.array_equal(z[k], _v2_path_shocks(seed, i, 4))
+
+
+class TestShockStream:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), T=st.integers(1, 12), data=st.data())
+    def test_any_block_is_rows_of_the_whole_draw(self, seed, T, data):
+        n = data.draw(st.integers(1, 300), label="n")
+        a = data.draw(st.integers(0, n - 1), label="a")
+        b = data.draw(st.integers(a + 1, n), label="b")
+        whole = simulate_module._draw_shocks(seed, 0, n, T)
+        block = simulate_module._draw_shocks(seed, a, b, T)
+        assert block.shape == (b - a, T, 2)
+        assert block.tobytes() == whole[a:b].tobytes()
+        assert np.isfinite(whole).all()
+
+    def test_large_seeds_are_distinct_keys(self):
+        # float(top) == float(top - 2**8): a key read through float64 merges them
+        top = 2**63 - 1
+        for other in (top - 2**11, top - 2**8):
+            a = simulate_module._draw_shocks(top, 0, 4, 3)
+            b = simulate_module._draw_shocks(other, 0, 4, 3)
+            assert not np.array_equal(a, b)
+
+    def test_moments_of_a_large_draw(self):
+        z = simulate_module._draw_shocks(20260814, 0, 200_000, 4).ravel()
+        n = z.size
+        assert abs(z.mean()) <= 4.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
 
 
 class TestEvaluatePolicy:
@@ -218,7 +250,13 @@ class TestEstimateObjective:
             initial_state=MarketState(price=100.0, aux=1.0),
         )
         est, se = estimate_objective(cfg, _equal_schedule(2, 1.0), "simple")
-        assert abs(est - 1.3372811010551942) <= 3.0 * (se + 0.0006748509283721568)
+        # The estimator averages over the auxiliary state: the price step of
+        # stage t is normal with mean theta*s + gamma*rho**t*x0 and variance
+        # sigma_eps**2 + gamma**2 * sigma_eta**2 * (1 + ... + rho**(2(t-1))).
+        b1, b2 = math.hypot(0.5, 1.0), math.sqrt(1.4525)
+        closed = 0.5 * (b1 * mills_psi(0.95 / b1) + b2 * mills_psi(0.905 / b2))
+        assert se > 0.0
+        assert abs(est - closed) <= 3.0 * se
 
     def test_percentage_law_matches_frozen_value(self):
         params = LinearPercentage(
@@ -407,6 +445,16 @@ class TestValidation:
         with pytest.raises(TypeError, match="Schedule or PolicyTable"):
             evaluate_policy(cfg, [5.0, 5.0])
 
+    def test_bad_side_raises_before_any_path(self, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("paths were generated for a bad side")
+
+        monkeypatch.setattr(simulate_module, "_simulate", no_paths)
+        cfg, sched = _bench_config(n_paths=10), _equal_schedule(3, 10.0)
+        for estimator in (evaluate_policy, estimate_objective):
+            with pytest.raises(ValueError, match="side must be 'buy' or 'sell', got 'hold'"):
+                estimator(cfg, sched, side="hold")
+
     def test_bad_formulation_and_workers(self):
         cfg = _bench_config(n_paths=10)
         sched = _equal_schedule(3, 10.0)
@@ -488,6 +536,19 @@ class TestBuckets:
 # ---------------------------------------------------------------------------
 
 
+def _v2_path_shocks(seed, i, T):
+    """Path i's (T, 2) shocks of random stream v2, drawn on their own.
+
+    Under key ``seed`` path i reads the first 2T words after counter
+    i*ceil(2T/4); the top 52 bits of a word are the midpoint of one of 2**52
+    cells of (0, 1), which the inverse normal CDF maps to a shock.
+    """
+    K = math.ceil(2 * T / 4)
+    words = np.random.Philox(key=seed, counter=i * K).random_raw(2 * T).tolist()
+    u = [((w >> 12) + 0.5) / 2**52 for w in words]
+    return ndtri(np.array(u)).reshape(T, 2)
+
+
 def _reference_paths(config, policy):
     """Path by path and stage by stage through the scalar step.
 
@@ -502,7 +563,7 @@ def _reference_paths(config, policy):
     counters = {name: np.zeros(T, dtype=np.int64) for name in simulate_module.COUNTERS}
     fixed = policy.trades if isinstance(policy, Schedule) else None
     for i in range(n):
-        z = np.random.Generator(np.random.Philox(key=[config.seed, i])).standard_normal((T, 2))
+        z = _v2_path_shocks(config.seed, i, T)
         state, w = config.initial_state, config.horizon.total_shares
         row_p, row_s = [state.price], []
         for t in range(1, T + 1):
@@ -603,38 +664,6 @@ class TestBatchedSimulator:
             k: v.tolist() for k, v in parallel.counters.items()}
         assert serial.counters["infeasible"].sum() == (~serial.feasible).sum()
 
-    def test_pool_runs_blocks_bit_identically(self, monkeypatch):
-        # three blocks, the last one path long; some paths go infeasible
-        pools = []
-
-        class CountedPool(simulate_module.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", CountedPool)
-        cfg = _liquidity_config(n_paths=2 * simulate_module.BLOCK_PATHS + 1)
-        sched = Schedule.from_trades([2.0, 3.0, 5.0, 10.0], 20.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneratePathWarning)
-            serial, *pooled = (simulate_paths(cfg, sched, workers=w) for w in (1, 2, 3))
-        assert pools == [2, 3]
-        assert 0 < serial.feasible.sum() < cfg.n_paths
-        for run in pooled:
-            assert _digest(run.prices, run.trades) == _digest(serial.prices, serial.trades)
-            assert np.array_equal(run.feasible, serial.feasible)
-            assert {k: v.tolist() for k, v in run.counters.items()} == {
-                k: v.tolist() for k, v in serial.counters.items()}
-
-    def test_one_block_never_starts_a_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-block run started a process pool")
-
-        monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", no_pool)
-        cfg = _bench_config(n_paths=simulate_module.BLOCK_PATHS)
-        paths = simulate_paths(cfg, _equal_schedule(3, 10.0), workers=4)
-        assert paths.feasible.all()
-
     def test_degenerate_paths_warn_once_per_stage(self):
         cfg, sched = _law_case("liquidity")
         with pytest.warns(DegeneratePathWarning) as record:
@@ -667,7 +696,7 @@ class TestBatchedSimulator:
 
     @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
     def test_policy_tables_and_percentage_law_pinned(self):
-        # digests of evaluate_policy output recorded before the simulator was batched
+        # digests of evaluate_policy output on random stream v2
         bench = Benchmark(theta=2.5, sigma_eps=2.0)
         _, table = solve_benchmark_complex(bench, Horizon(4, 10.0))
         cfg = SimConfig(model=bench, horizon=Horizon(4, 10.0), n_paths=1500, seed=31,
@@ -682,11 +711,11 @@ class TestBatchedSimulator:
             model=pct, horizon=Horizon(4, 10.0), n_paths=1500, seed=33,
             initial_state=MarketState(price=100.0, aux=0.1, no_impact_price=100.0))
         runs = {
-            "2f53c9d6e087801fae3546bf7a79edc8e1531ac3a4528f01364056a394fde54a":
+            "ae6c1da6e7fc9d6a30574a867b1b9a1e604613f0d5d1032d2eb658930c2d7059":
                 evaluate_policy(cfg, table, "complex"),
-            "791929a0a1f4d9b3c50b0443b06acc92f6277154d6c3a0b6855b6cfa7e49665c":
+            "72627f614010628fc4c30ce3fef1c06ca6e3fdcb1586cdd66361d4fa6656f11b":
                 evaluate_policy(ar1_cfg, ar1_table, "complex"),
-            "6217b4d797a44f5fc337e2e3633d7b67bf5b655b57087622b44ea4a7d6a9e198":
+            "5832836c262bc09f6d08455f2e657b65598b328c958535dfc8c65580898da8da":
                 evaluate_policy(pct_cfg, Schedule.from_trades([1.0, 2.0, 3.0, 4.0], 10.0)),
         }
         for pinned, d in runs.items():
@@ -694,9 +723,9 @@ class TestBatchedSimulator:
                            d.price_cov, d.path_index) == pinned
 
 
-# Configs whose simulate outputs were recorded before the simulator was
-# batched: (config, sha256 of paths.csv, sha256 of distribution.json
-# re-serialized with sorted keys and without its counters block).
+# Configs whose simulate outputs were recorded on random stream v2:
+# (config, sha256 of paths.csv, sha256 of distribution.json re-serialized
+# with sorted keys and without its counters block).
 _PINNED_RUNS = {
     "benchmark": (
         {
@@ -707,8 +736,8 @@ _PINNED_RUNS = {
             "solver": {"grid_nodes": 24},
             "simulation": {"n_paths": 1500, "seed": 4242, "workers": 1},
         },
-        "1f3171deb8652cd67b3c2482c9ec374522822761250257647baeb0cb1ea7e41d",
-        "c9e738c65f1a5fb795a8db5035089be576ea9ab4d98620937b030e35a0680e88",
+        "2caeaf2d38dc2cd34df432519ec1d2979358805a7386983d40d6d9702b7da183",
+        "326e1ada09c3c612d19a401727782c9896adb02339bcc72d149792e6f9463a8b",
     ),
     "ar1": (
         {
@@ -719,8 +748,8 @@ _PINNED_RUNS = {
             "initial_state": {"price": 50.0, "aux": 0.5},
             "simulation": {"n_paths": 1500, "seed": 77, "workers": 1, "side": "sell"},
         },
-        "65f7c306d255b5ce8747df175e1e6dbe25a8b503f3762c186f71ef47659a5f76",
-        "2a6ccba3328fcd1b7d43ee26186472ff40081e29a08f77e9517a4409dd5b4528",
+        "ecdeefa1d75ace91394f3f1900ad36a744aa00788dc364349df98e67f9626117",
+        "ac6d8639332ceb037ffea65ab94261bf87ffdd02a011940effbb4a172110a90f",
     ),
     "liquidity": (
         {
@@ -732,8 +761,8 @@ _PINNED_RUNS = {
             "schedule": [5.0, 5.0, 10.0, 15.0, 20.0, 30.0, 45.0, 60.0],
             "simulation": {"n_paths": 1500, "seed": 9001, "workers": 1},
         },
-        "ae4899168147dc43dd071563e6c12d342370bf8d362447843c6b82bcb28fd358",
-        "f38316d86d0984db199b1fa28f84d31f1d0f9f552a3d96ef83c309c8ba845cb9",
+        "dc4f6db82115f7aaadc36623a08273c8ee4fefbda11e8de972599b125a34efec",
+        "05ec615419f5bd90e1fa208140c6cc4c1bf4d16a169e44e528c748490d18a631",
     ),
 }
 
