@@ -505,10 +505,11 @@ class _NewtonReport(NamedTuple):
     iterations: np.ndarray  # Newton steps taken (0 for pinned elements)
     foc: np.ndarray  # f at the returned point (nan for pinned elements)
     pinned: np.ndarray  # monotone on [lo, hi]: returned an endpoint
+    curvature: np.ndarray  # f' at the returned point (nan for pinned elements)
 
 
 def _vec_newton(
-    f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray, iters: int
+    f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray, iters: int, stop_at_root: bool = False
 ) -> tuple[np.ndarray, _NewtonReport]:
     """Bisection-safeguarded Newton on f (increasing through its root).
 
@@ -519,6 +520,12 @@ def _vec_newton(
     iterate unchanged: from there every iterate is the same, so the result
     is bit for bit the one ``iters`` iterations give, and ``iters`` only
     caps elements that never settle.
+
+    An iterate where f is exactly 0 has just become the bracket's upper end,
+    so its zero Newton step counts as leaving the bracket and the element
+    bisects away from its root.  ``stop_at_root`` keeps such an iterate
+    instead; without it the Mills grid solves keep their published results
+    bit for bit.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -530,6 +537,7 @@ def _vec_newton(
     pinned = at_lo | at_hi
     out = 0.5 * (lo + hi)
     foc = np.full(lo.size, np.nan)
+    curv = np.full(lo.size, np.nan)
     used = np.zeros(lo.size, dtype=int)
     idx = np.flatnonzero(~pinned)
     a, b, x = lo[idx], hi[idx], out[idx]
@@ -543,15 +551,18 @@ def _vec_newton(
             step = np.where(fp > 0.0, -f / np.where(fp > 0.0, fp, 1.0), 0.0)
         xn = x + step
         bad = (xn <= a) | (xn >= b) | ~np.isfinite(xn)
+        if stop_at_root:
+            bad &= f != 0.0
         xn = np.where(bad, 0.5 * (a + b), xn)
         moved = xn.view(np.uint64) != x.view(np.uint64)
         done = idx[~moved]
-        out[done], foc[done], used[done] = x[~moved], f[~moved], k
+        out[done], foc[done], curv[done], used[done] = x[~moved], f[~moved], fp[~moved], k
         idx, a, b, x = idx[moved], a[moved], b[moved], xn[moved]
     if idx.size:
-        out[idx], foc[idx], used[idx] = x, f_and_fp(x, idx)[0], iters
+        out[idx], used[idx] = x, iters
+        foc[idx], curv[idx] = f_and_fp(x, idx)
     out = np.where(at_lo, lo, out)
-    return np.where(at_hi & ~at_lo, hi, out), _NewtonReport(used, foc, pinned)
+    return np.where(at_hi & ~at_lo, hi, out), _NewtonReport(used, foc, pinned, curv)
 
 
 def _vec_golden(
@@ -623,9 +634,13 @@ def _stage_minimize(
     return s, v, vd, report
 
 
-def _newton_diagnostics(report: _NewtonReport, columns: int) -> list[dict]:
-    """Per-column summary of a grid Newton solve over the fine mesh."""
-    iters, foc, pinned = (a.reshape(columns, -1) for a in report)
+def _newton_diagnostics(report: _NewtonReport, columns: int = 1) -> list[dict]:
+    """Per-column summary of a grid Newton solve over the fine mesh.
+
+    ``convex`` says whether the objective's second derivative is positive at
+    every free element's solution.
+    """
+    iters, foc, pinned, curv = (a.reshape(columns, -1) for a in report)
     out = []
     for j in range(columns):
         free = ~pinned[j]
@@ -634,6 +649,7 @@ def _newton_diagnostics(report: _NewtonReport, columns: int) -> list[dict]:
                 "newton_iterations": int(iters[j][free].max(initial=0)),
                 "max_abs_foc": float(np.abs(foc[j][free]).max(initial=0.0)),
                 "pinned_nodes": int(pinned[j].sum()),
+                "convex": bool(np.all(curv[j][free] > 0.0)),
             }
         )
     return out
@@ -928,7 +944,9 @@ def _solve_residual_weighted(
     for t in range(1, T):
         j = column[t - 1]
         s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, convex, j)
-        diagnostics.append({"stage": t, **res.diagnostics[t][j], "schedule_iterations": iters})
+        diagnostics.append(
+            {"stage": t, **res.diagnostics[t][j], "convex": convex, "schedule_iterations": iters}
+        )
         trades.append(s)
         w -= s
     trades.append(w)

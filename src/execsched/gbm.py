@@ -12,6 +12,11 @@ approximated by least-squares polynomial fits in X on stratified samples of
 the X-marginal (the usual regression treatment of a conditioning variable in
 simulation-based recursions), with the fitted basis integrated against the
 AR(1) innovation in closed form.
+
+The premium depends on the trade only through the mean of Y, so its first
+two trade derivatives come in closed form from the same Gauss-Hermite pieces
+as its value, and every stage, on the grid and in the certainty-equivalent
+re-solve, runs the shared safeguarded Newton on the first-order condition.
 """
 from __future__ import annotations
 
@@ -29,22 +34,31 @@ from execsched.dp import (
     Schedule,
     _build_mesh,
     _grid_table,
+    _newton_diagnostics,
     _SplineCont,
-    _vec_golden,
+    _vec_newton,
 )
 from execsched.kernels import (
     MixtureRegimeError,
     _lognormal_shift_conditional,
+    _lognormal_shift_derivs,
+    _mixture_derivs_gh,
     _mixture_expectation_gh,
 )
 from execsched.models import LinearPercentage, MarketState
 
 __all__ = ["solve_gbm_simple"]
 
-# Grid refinement is capped for this model: every objective evaluation costs
-# a Gauss-Hermite pass over the mixture, and the spline payoff from refine=8
+# Grid refinement is capped for this model: every Newton step costs a
+# Gauss-Hermite pass over the mixture, and the spline payoff from refine=8
 # is far below the regression error in X.
 _GBM_MAX_REFINE = 2
+
+
+def _premium_mean(params: LinearPercentage, s, x):
+    """Mean of Y, 1 + theta*s + gamma*rho*x; the premium's only s-dependence."""
+    s = np.asarray(s, dtype=float)
+    return 1.0 + params.theta * s + params.gamma * params.rho * np.asarray(x, dtype=float)
 
 
 def _stage_premium(params: LinearPercentage, s, x, ratio: float, order: int):
@@ -52,9 +66,7 @@ def _stage_premium(params: LinearPercentage, s, x, ratio: float, order: int):
 
     D/P~ = e^B * Y - ratio with Y ~ N(1 + theta*s + gamma*rho*x, (gamma*sigma_eta)^2).
     """
-    mu_y = 1.0 + params.theta * np.asarray(s, dtype=float) + params.gamma * params.rho * np.asarray(
-        x, dtype=float
-    )
+    mu_y = _premium_mean(params, s, x)
     if params.gamma == 0.0:
         return _lognormal_shift_conditional(params.mu_B, params.sigma_B, mu_y, -ratio)
     return _mixture_expectation_gh(
@@ -65,6 +77,18 @@ def _stage_premium(params: LinearPercentage, s, x, ratio: float, order: int):
         -ratio,
         order=order,
     )
+
+
+def _stage_premium_derivs(params: LinearPercentage, s, x, ratio: float, order: int):
+    """The stage premium and its first two s-derivatives (d mu_Y/ds = theta)."""
+    mu_y = _premium_mean(params, s, x)
+    if params.gamma == 0.0:
+        prem, d1, d2 = _lognormal_shift_derivs(params.mu_B, params.sigma_B, mu_y, -ratio)
+    else:
+        prem, d1, d2 = _mixture_derivs_gh(
+            params.mu_B, params.sigma_B, mu_y, params.gamma * params.sigma_eta, -ratio, order
+        )
+    return prem, params.theta * d1, params.theta * params.theta * d2
 
 
 def _x_samples(params: LinearPercentage, x0: float, t: int, m: int) -> np.ndarray:
@@ -119,6 +143,37 @@ def _fit_continuation(
     return _SplineCont(nodes, PchipInterpolator(nodes, g, extrapolate=False).c)
 
 
+def _stage_newton(
+    params: LinearPercentage,
+    w: np.ndarray,
+    x: np.ndarray,
+    col: np.ndarray,
+    ratio: float,
+    cont: _SplineCont,
+    e_fac: float,
+    cfg: RecursionConfig,
+):
+    """Minimize s*premium + E[e^B]*cont(w - s) over s in [0, w] at every element.
+
+    Element e is residual w[e] at state x[e], continued by column col[e] of
+    ``cont``.  Newton runs on the first-order condition with the premium's
+    closed-form derivatives; returns (s*, value) per element and the Newton
+    report.
+    """
+
+    def resid(w, s):
+        return np.minimum(np.clip(w - s, 0.0, None), cont.x[-1])
+
+    def f_and_fp(s, idx):
+        prem, d1, d2 = _stage_premium_derivs(params, s, x[idx], ratio, cfg.quad_order)
+        d, dd = cont.d_dd(resid(w[idx], s), col[idx])
+        return prem + s * d1 - e_fac * d, 2.0 * d1 + s * d2 + e_fac * dd
+
+    s, report = _vec_newton(f_and_fp, np.zeros_like(w), w, cfg.newton_iters, stop_at_root=True)
+    prem = _stage_premium(params, s, x, ratio, cfg.quad_order)
+    return s, s * prem + e_fac * cont.value(resid(w, s), col), report
+
+
 def _minimize_stage(
     params: LinearPercentage,
     w: np.ndarray,
@@ -128,27 +183,20 @@ def _minimize_stage(
     e_fac: float,
     cfg: RecursionConfig,
 ):
-    """Golden-section minimization of s*premium + E[e^B]*cont over s in [0, w].
+    """The stage solve at every (w, x) pair; ``cont`` has one column per x.
 
-    ``w`` and ``x`` are broadcast to pairs, ``cont`` has one column per x;
-    returns (s*, value) per pair and the golden-section iterations used.
+    Returns (s*, value) per pair and the Newton diagnostics.
     """
     W, X = np.meshgrid(w, x, indexing="ij")
     w_flat, x_flat = W.ravel(), X.ravel()
     if cont is None:
         s_flat = w_flat.copy()
         v_flat = s_flat * _stage_premium(params, s_flat, x_flat, ratio, cfg.quad_order)
-        return s_flat.reshape(W.shape), v_flat.reshape(W.shape), 0
+        return s_flat.reshape(W.shape), v_flat.reshape(W.shape), {}
 
     idx = np.repeat(np.arange(x.size)[None, :], w.size, axis=0).ravel()
-
-    def objective(s):
-        prem = _stage_premium(params, s, x_flat, ratio, cfg.quad_order)
-        r = np.minimum(np.clip(w_flat - s, 0.0, None), cont.x[-1])
-        return s * prem + e_fac * cont.value(r, idx)
-
-    s_flat, v_flat, iters = _vec_golden(objective, np.zeros_like(w_flat), w_flat, cfg)
-    return s_flat.reshape(W.shape), v_flat.reshape(W.shape), iters
+    s_flat, v_flat, report = _stage_newton(params, w_flat, x_flat, idx, ratio, cont, e_fac, cfg)
+    return s_flat.reshape(W.shape), v_flat.reshape(W.shape), _newton_diagnostics(report)[0]
 
 
 def solve_gbm_simple(
@@ -210,7 +258,7 @@ def solve_gbm_simple(
     policies: dict[int, np.ndarray] = {}
     values: dict[int, np.ndarray] = {}
     stage_conts: dict[int, _SplineCont] = {}
-    grid_iters: dict[int, int] = {}
+    grid_diags: dict[int, dict] = {}
 
     _, v_fine, _ = _minimize_stage(params, fine, stage_x[T], ratios[T - 1], None, e_fac, cfg)
     values[T] = v_fine[oi, ce_idx[T]]
@@ -221,7 +269,7 @@ def solve_gbm_simple(
             params, nodes, v_with_zero, stage_x[t + 1], stage_x[t], cfg.regression_degree
         )
         stage_conts[t] = cont
-        s_fine, v_fine, grid_iters[t] = _minimize_stage(
+        s_fine, v_fine, grid_diags[t] = _minimize_stage(
             params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg
         )
         policies[t] = s_fine[oi, ce_idx[t]]
@@ -233,16 +281,18 @@ def solve_gbm_simple(
     diagnostics: list[dict] = []
     w = total
     for t in range(1, T):
-        x_ce = float(stage_x[t][ce_idx[t]])
-
-        def objective(s, _x=x_ce, _w=w, _cont=stage_conts[t], _j=ce_idx[t], _r=ratios[t - 1]):
-            prem = _stage_premium(params, s, _x, _r, cfg.quad_order)
-            r = np.clip(_w - s, 0.0, _cont.x[-1])
-            return s * prem + e_fac * _cont.value(r, _j)
-
-        s, _, iters = _vec_golden(objective, np.array([0.0]), np.array([w]), cfg)
+        s, _, report = _stage_newton(
+            params,
+            np.array([w]),
+            stage_x[t][ce_idx[t] : ce_idx[t] + 1],
+            np.array([ce_idx[t]]),
+            ratios[t - 1],
+            stage_conts[t],
+            e_fac,
+            cfg,
+        )
         diagnostics.append(
-            {"stage": t, "golden_iterations": grid_iters[t], "schedule_iterations": iters}
+            {"stage": t, **grid_diags[t], "schedule_iterations": int(report.iterations[0])}
         )
         trades.append(float(s[0]))
         w -= trades[-1]

@@ -15,7 +15,10 @@ element on one branch only (erfcx where u < 0, phi/ndtr elsewhere) and
 scatters both into one output.  ``mills_psi``, ``mills_psi_prime`` and
 ``_mills_psi_second`` each build on one G; ``mills_psi_derivs`` returns psi'
 and psi'' (optionally psi too) from a single G for the stage solves, bit for
-bit equal to the separate calls.
+bit equal to the separate calls.  The Gauss-Hermite mixture expectation and
+its sigma_Y = 0 limit have companions (``_mixture_derivs_gh``,
+``_lognormal_shift_derivs``) that also return the first two derivatives in
+the mean of Y, with values bit for bit equal to theirs.
 """
 from __future__ import annotations
 
@@ -302,6 +305,45 @@ def _mixture_expectation_gh(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
     return num / den
 
 
+def _ratio_derivs(num, d_num, dd_num, den, d_den, dd_den):
+    """(r, r', r'') of r = num/den from the derivatives of both parts."""
+    r = num / den
+    d_r = (d_num - r * d_den) / den
+    return r, d_r, (dd_num - 2.0 * d_r * d_den - r * dd_den) / den
+
+
+def _mixture_derivs_gh(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
+    """The Gauss-Hermite mixture expectation and its first two mu_y-derivatives.
+
+    From the pieces of :func:`_mixture_pieces` at each node x: the numerator
+    integrand n = e^x*M1 + k*Q has dn/dmu_y = e^x*Q and d2n = e^x*phi(zc)/sig_y
+    (the c-terms cancel because e^x*c = -k), and Q = P(Y > c) has
+    dQ/dmu_y = phi(zc)/sig_y and d2Q = phi(zc)*zc/sig_y^2.  The value is
+    bit for bit :func:`_mixture_expectation_gh`'s.
+    """
+    nodes, weights = _hermgauss_cached(int(order))
+    mu_y, sig_y, k = np.broadcast_arrays(
+        np.asarray(mu_y, dtype=float),
+        np.asarray(sig_y, dtype=float),
+        np.asarray(k, dtype=float),
+    )
+    shape = (-1,) + (1,) * mu_y.ndim
+    xv = (mu_x + sig_x * np.sqrt(2.0) * nodes).reshape(shape)
+    n, q = _mixture_pieces(xv, mu_y[None], sig_y[None], k[None])
+    zc = (-k[None] * np.exp(-xv) - mu_y[None]) / sig_y[None]
+    dens = _phi(zc) / sig_y[None]
+    ex = np.exp(xv)
+    w = weights.reshape(shape) / np.sqrt(np.pi)
+    return _ratio_derivs(
+        (w * n).sum(axis=0),
+        (w * (ex * q)).sum(axis=0),
+        (w * (ex * dens)).sum(axis=0),
+        (w * q).sum(axis=0),
+        (w * dens).sum(axis=0),
+        (w * (dens * zc / sig_y[None])).sum(axis=0),
+    )
+
+
 def _lognormal_shift_conditional(mu_x, sig_x, c, k):
     """E[c e^X + k | c e^X + k > 0] for c > 0, k < 0, X ~ N(mu_x, sig_x^2).
 
@@ -316,3 +358,28 @@ def _lognormal_shift_conditional(mu_x, sig_x, c, k):
     num = c * np.exp(mu_x + 0.5 * sig_x * sig_x) * ndtr(z + sig_x) + k * pr
     out = num / pr
     return out if out.ndim else float(out)
+
+
+def _lognormal_shift_derivs(mu_x, sig_x, c, k):
+    """:func:`_lognormal_shift_conditional` and its first two c-derivatives.
+
+    With z = (mu_x - log(-k/c))/sig_x, dz/dc = 1/(c*sig_x); the numerator
+    c*E[e^X]*Phi(z + sig_x) + k*Phi(z) has derivative E[e^X]*Phi(z + sig_x)
+    (the phi terms cancel, E[e^X]*phi(z + sig_x) = -k*phi(z)/c), so its
+    second derivative is -k*phi(z)/(c^2*sig_x).  The value is bit for bit
+    the conditional's.
+    """
+    c = np.asarray(c, dtype=float)
+    k = np.asarray(k, dtype=float)
+    z = (mu_x - np.log(-k / c)) / sig_x
+    pr = ndtr(z)
+    e_fac = np.exp(mu_x + 0.5 * sig_x * sig_x)
+    dens = _phi(z) / (c * sig_x)
+    return _ratio_derivs(
+        c * e_fac * ndtr(z + sig_x) + k * pr,
+        e_fac * ndtr(z + sig_x),
+        -k * dens / c,
+        pr,
+        dens,
+        -dens * (z + sig_x) / (c * sig_x),
+    )

@@ -20,9 +20,15 @@ conditioning on P' (itself Gaussian) the volume innovation is Gaussian again,
 so the double integral becomes a Gauss-Hermite rule in the conditional volume
 crossed with panelled Gauss-Legendre in P'.  The panels are graded toward
 P' = 0, where the terminal scale hypot(gamma*P'*sigma_eta, sigma_eps) has a
-kink that a raw tensor Hermite rule resolves poorly.  Stages before T-1 run
-the shared residual-grid recursion at certainty-equivalent states, every
-search interval capped by the volume bound.
+kink that a raw tensor Hermite rule resolves poorly.  The stage T-1 objective
+is smooth in the trade S: the price-node weights are Gaussian in an affine
+function of S and every Mills argument shifts linearly with S, so its first
+and second S-derivatives come in closed form from psi, psi' and psi'' on the
+same tensor.  It need not be unimodal (it can rise from S = 0 over a hump),
+so a coarse scan brackets the best scan point and the shared safeguarded
+Newton finishes on the first-order condition.  Stages before T-1 run the
+shared residual-grid recursion at certainty-equivalent states, every search
+interval capped by the volume bound.
 
 Schedules report the certainty-equivalent path (noises at their means, volume
 propagated by rho and clamped at zero); the PolicyTable carries the full
@@ -35,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -53,10 +60,11 @@ from .dp import (
     _grid_table,
     _MillsStage,
     _scalar_stage_solve,
+    _newton_diagnostics,
     _SplineCont,
-    _vec_golden,
+    _vec_newton,
 )
-from .kernels import GH_MAX_ORDER, gauss_hermite, mills_psi, mills_psi_prime
+from .kernels import GH_MAX_ORDER, gauss_hermite, mills_psi, mills_psi_derivs, mills_psi_prime
 from .models import Liquidity, MarketState
 
 __all__ = ["solve_liquidity"]
@@ -66,9 +74,14 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Stage T-1 on the full refined mesh is a dense (nodes x price x volume)
-# tensor per golden-section probe; two refinement levels keep that affordable
-# while the Hermite slopes preserve the continuation's accuracy.
+# tensor per scan point and Newton step; two refinement levels keep that
+# affordable while the Hermite slopes preserve the continuation's accuracy.
 _MAX_REFINE = 2
+# Elements of one evaluated block of that tensor: it bounds the memory, and
+# blocks of this size ran fastest on a 2-core host with 2 MiB of L2 per core.
+_BLOCK_ELEMS = 1 << 16
+# Points of the coarse scan of the stage T-1 objective that brackets Newton.
+_SCAN_POINTS = 9
 # Gauss-Legendre points per price panel when sweeping grid nodes; scalar
 # solves for the reported schedule use the configured order instead.
 _NODE_PANEL_ORDER = 16
@@ -135,7 +148,13 @@ def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int)
 
 @dataclass(frozen=True)
 class _Penultimate:
-    """Stage T-1 expectation machinery at a fixed decision state (P, O)."""
+    """Stage T-1 expectation machinery at a fixed decision state (P, O).
+
+    Every method takes flat arrays of trades and residuals and evaluates
+    the (element, price node, volume node) tensor in blocks of about
+    ``_BLOCK_ELEMS`` elements, so memory stays flat in the number of
+    elements.
+    """
 
     params: Liquidity
     price: float
@@ -146,18 +165,40 @@ class _Penultimate:
     z_nodes: np.ndarray
     z_weights: np.ndarray
 
-    def expected_terminal(self, trades, resids, *, derivative: bool = False) -> np.ndarray:
-        """E over (eta, eps) of V_T(P', O', resid), or of dV_T/dW.
+    @cached_property
+    def s_p(self) -> float:
+        return _noise_scale(self.params, self.price)
 
-        Conditioning on P' ~ N(A0(S), s_P^2) with A0 = P*(alpha + 1 + beta*S
-        - gamma*rho*O) leaves eta | P' Gaussian with mean
-        -gamma*P*sigma_eta^2*(P' - A0)/s_P^2 and standard deviation
-        sigma_eta*sigma_eps/s_P.
-        """
+    @cached_property
+    def s_next(self) -> np.ndarray:
+        """Terminal noise scale s(P') at every price node."""
         p = self.params
-        trades = np.atleast_1d(np.asarray(trades, dtype=float))
-        resids = np.atleast_1d(np.asarray(resids, dtype=float))
-        s_p = _noise_scale(p, self.price)
+        return np.hypot(p.gamma * self.x * p.sigma_eta, p.sigma_eps)
+
+    @cached_property
+    def stage(self) -> _MillsStage:
+        return _MillsStage(*_stage_family(self.params, self.price, self.volume), False)
+
+    def _blocked(self, block, *arrays):
+        """``block`` over slices of the broadcast 1-d ``arrays``, results joined."""
+        arrays = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in arrays))
+        step = max(1, _BLOCK_ELEMS // (self.x.size * self.z_nodes.size))
+        parts = [
+            block(*(a[i : i + step] for a in arrays)) for i in range(0, arrays[0].size, step)
+        ]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(col) for col in zip(*parts))
+        return np.concatenate(parts)
+
+    def _tensor(self, trades, resids):
+        """(zscore, gauss_w, u) for a block: the price-node z-scores and weights
+        under P' ~ N(A0(S), s_P^2), and the terminal Mills arguments.
+
+        Conditioning on P' with A0 = P*(alpha + 1 + beta*S - gamma*rho*O)
+        leaves eta | P' Gaussian with mean -gamma*P*sigma_eta^2*(P' - A0)/s_P^2
+        and standard deviation sigma_eta*sigma_eps/s_P.
+        """
+        p, s_p = self.params, self.s_p
         a0 = self.price * (
             p.alpha + 1.0 + p.beta * trades - p.gamma * p.rho * self.volume
         )
@@ -165,7 +206,6 @@ class _Penultimate:
         gauss_w = self.w[None, :] * np.exp(-0.5 * zscore**2) / (s_p * _SQRT_2PI)
         mu_c = -(p.gamma * self.price * p.sigma_eta**2) * zscore / s_p
         sig_c = p.sigma_eta * p.sigma_eps / s_p
-        s_next = np.hypot(p.gamma * self.x * p.sigma_eta, p.sigma_eps)
         # u = P' * (alpha + beta*W - gamma*rho*O') / s(P') is affine in the
         # volume node: O' = rho*O + mu_c + sqrt(2)*sig_c*z_j, so
         # u = base[n, k] + slope[k] * z_j without an O' tensor.
@@ -176,22 +216,61 @@ class _Penultimate:
                 + p.beta * resids[:, None]
                 - p.gamma * p.rho * (p.rho * self.volume + mu_c)
             )
-            / s_next[None, :]
+            / self.s_next[None, :]
         )
-        slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * self.x / s_next
-        u = base[:, :, None] + (slope[:, None] * self.z_nodes)[None, :, :]
+        slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * self.x / self.s_next
+        return zscore, gauss_w, base[:, :, None] + (slope[:, None] * self.z_nodes)[None, :, :]
+
+    def _expected_block(self, trades, resids, derivative):
+        _, gauss_w, u = self._tensor(trades, resids)
         over_z = mills_psi(u) @ self.z_weights
         if derivative:
-            over_z = s_next[None, :] * over_z + (
-                resids[:, None] * self.x[None, :] * p.beta
+            over_z = self.s_next[None, :] * over_z + (
+                resids[:, None] * self.x[None, :] * self.params.beta
             ) * (mills_psi_prime(u) @ self.z_weights)
         else:
-            over_z = resids[:, None] * s_next[None, :] * over_z
+            over_z = resids[:, None] * self.s_next[None, :] * over_z
         return np.einsum("nk,nk->n", over_z / _SQRT_PI, gauss_w)
+
+    def expected_terminal(self, trades, resids, *, derivative: bool = False) -> np.ndarray:
+        """E over (eta, eps) of V_T(P', O', resid), or of dV_T/dW."""
+        return self._blocked(
+            lambda s, r: self._expected_block(s, r, derivative), trades, resids
+        )
 
     def objective(self, trades, resids) -> np.ndarray:
         cost = _mills_form(self.params, self.price, self.volume, trades)
         return cost + self.expected_terminal(trades, resids - trades)
+
+    def _derivs_block(self, trades, resids):
+        p, s_p = self.params, self.s_p
+        r = resids - trades
+        zscore, gauss_w, u = self._tensor(trades, r)
+        psi, d1, d2 = (k @ self.z_weights for k in mills_psi_derivs(u, with_psi=True))
+        # A0 moves by P*beta per share: the z-scores fall at that rate over
+        # s_P, and u moves through the residual and the conditional mean of
+        # eta, by the same amount at every volume node
+        rate = self.price * p.beta / s_p
+        du = -(p.beta + p.gamma * p.rho * (p.gamma * self.price * p.sigma_eta**2 / s_p) * rate) * (
+            self.x / self.s_next
+        )
+        dw = gauss_w * zscore * rate
+        ddw = gauss_w * (zscore * zscore - 1.0) * (rate * rate)
+        # per price node, s(P') times the z-sum of r*psi(u) and its two
+        # derivatives in S
+        rr = r[:, None]
+        f0 = rr * psi
+        f1 = rr * du * d1 - psi
+        f2 = du * (rr * du * d2 - 2.0 * d1)
+        scale = self.s_next / _SQRT_PI
+        e1 = (dw * f0 + gauss_w * f1) @ scale
+        e2 = (ddw * f0 + 2.0 * dw * f1 + gauss_w * f2) @ scale
+        c1, c2 = self.stage.ds_dss(trades, resids)
+        return c1 + e1, c2 + e2
+
+    def objective_derivs(self, trades, resids) -> tuple[np.ndarray, np.ndarray]:
+        """(dJ/dS, d2J/dS2) of :meth:`objective` at residuals ``resids``."""
+        return self._blocked(self._derivs_block, trades, resids)
 
 
 def _make_penultimate(
@@ -223,27 +302,47 @@ def _make_penultimate(
     )
 
 
+def _penultimate_minimize(pen: _Penultimate, w: np.ndarray, ub: np.ndarray, cfg: RecursionConfig):
+    """Global minimum of the stage T-1 objective over [0, ub] at every residual w.
+
+    The objective need not be unimodal: it can rise from S = 0 over a hump
+    before it falls to its minimum.  A coarse scan brackets the best scan
+    point by its neighbours, Newton on dJ/dS finishes inside that bracket,
+    and the best scan point, no worse than both interval ends, competes
+    with the result.  Returns the trades, their objective values and the
+    Newton report.
+    """
+    grid = ub[:, None] * np.linspace(0.0, 1.0, _SCAN_POINTS)
+    j = pen.objective(grid.ravel(), np.repeat(w, _SCAN_POINTS)).reshape(grid.shape)
+    rows, best = np.arange(w.size), np.argmin(j, axis=1)
+    lo = grid[rows, np.maximum(best - 1, 0)]
+    hi = grid[rows, np.minimum(best + 1, _SCAN_POINTS - 1)]
+    s, report = _vec_newton(
+        lambda x, idx: pen.objective_derivs(x, w[idx]), lo, hi, cfg.newton_iters, stop_at_root=True
+    )
+    v = pen.objective(s, w)
+    scan = j[rows, best] < v
+    return np.where(scan, grid[rows, best], s), np.where(scan, j[rows, best], v), report
+
+
 def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConfig):
-    """Golden-section minimum of the exact stage T-1 objective at every node.
+    """The minimum of the exact stage T-1 objective at every node.
 
     Returns trades, values, the envelope slopes dV_{T-1}/dW used to seed the
-    continuation spline for earlier stages, and the golden-section
-    iterations used.
+    continuation spline for earlier stages, the slope at the origin and the
+    Newton diagnostics.
     """
     w_nodes = np.asarray(w_nodes, dtype=float)
     ub = np.minimum(w_nodes, pen.cap)
-    s, v, iters = _vec_golden(
-        lambda x: pen.objective(x, w_nodes), np.zeros_like(w_nodes), ub, cfg
-    )
-    stage = _MillsStage(*_stage_family(pen.params, pen.price, pen.volume), False)
+    s, v, report = _penultimate_minimize(pen, w_nodes, ub, cfg)
     pinned = (s >= ub) & (ub >= w_nodes * (1.0 - 1e-12))
     vd = np.where(
         pinned,
-        stage.ds(s, w_nodes),
+        pen.stage.ds(s, w_nodes),
         pen.expected_terminal(s, w_nodes - s, derivative=True),
     )
-    slope0 = stage.slope_at_origin(float(pen.expected_terminal(0.0, 0.0, derivative=True)[0]))
-    return s, v, vd, slope0, iters
+    slope0 = pen.stage.slope_at_origin(float(pen.expected_terminal(0.0, 0.0, derivative=True)[0]))
+    return s, v, vd, slope0, _newton_diagnostics(report)[0]
 
 
 def _penultimate_scalar(
@@ -259,17 +358,13 @@ def _penultimate_scalar(
     The objective is re-evaluated at the minimizer with both quadrature
     orders doubled; disagreement beyond 1e-6 relative raises
     ResolutionWarning per the documented under-resolution contract.
-    Returns the trade, the golden-section iterations used and that relative
-    change (the quadrature drift).
+    Returns the trade, the Newton iterations used and that relative change
+    (the quadrature drift).
     """
     ub = min(w, cap)
     order = cfg.quad_order
     pen = _make_penultimate(params, price, volume, cap, ub, order, order)
-
-    def obj(s):
-        return pen.objective(s, np.full_like(np.atleast_1d(s), w))
-
-    s, j, iters = _vec_golden(obj, np.zeros(1), np.array([ub]), cfg)
+    s, j, report = _penultimate_minimize(pen, np.array([w]), np.array([ub]), cfg)
     s_star, j_star = float(s[0]), float(j[0])
 
     doubled = _make_penultimate(
@@ -284,7 +379,7 @@ def _penultimate_scalar(
             ResolutionWarning,
             stacklevel=3,
         )
-    return s_star, iters, rel
+    return s_star, int(report.iterations[0]), rel
 
 
 def _ce_path(params: Liquidity, state: MarketState, T: int, total: float):
@@ -392,7 +487,7 @@ def solve_liquidity(
         _NODE_PANEL_ORDER,
         cfg.quad_order,
     )
-    s_pen, v_pen, vd_pen, slope0, pen_iters = _penultimate_pass(pen, pen_nodes, cfg)
+    s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg)
 
     grid_trades: list[np.ndarray] = []
     grid_values: list[np.ndarray] = []
@@ -426,10 +521,9 @@ def solve_liquidity(
     s, iters, drift = _penultimate_scalar(
         params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg
     )
-    diagnostics.append({
-        "stage": T - 1, "golden_iterations": pen_iters,
-        "schedule_iterations": iters, "quadrature_drift": drift,
-    })
+    diagnostics.append(
+        {"stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift}
+    )
     trades.append(s)
     w -= s
 

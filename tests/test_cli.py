@@ -188,9 +188,12 @@ class TestSolve:
         assert [d["stage"] for d in diags] == [1, 2]
         for d in diags:
             assert set(d) == {
-                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "schedule_iterations",
+                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "convex",
+                "schedule_iterations",
             }
             assert 0 < d["newton_iterations"] < 100
+            # theta = 3 > 0.75 * sigma_eps: the arithmetic-law certificate holds
+            assert d["convex"] is True
 
     def test_ar1_needs_initial_state(self, tmp_path, capsys):
         doc = {

@@ -316,6 +316,8 @@ class TestBenchmarkComplex:
         params = Benchmark(theta=ratio * sigma, sigma_eps=sigma)
         _, table = solve_benchmark_complex(params, Horizon(2, 1.0), RecursionConfig(grid_nodes=8))
         assert table.metadata["convexity_ok"] is convexity_check(params)
+        # each stage's diagnostics carry the same certificate
+        assert [d["convex"] for d in table.metadata["diagnostics"]] == [convexity_check(params)]
 
     def test_nonconvex_forward_matches_brute_force(self):
         theta, sigma = 0.3, 1.0
@@ -713,6 +715,7 @@ class TestSolverDiagnostics:
         assert 0 < diag["newton_iterations"] < cfg.newton_iters
         assert 0.0 <= diag["max_abs_foc"] < 1e-9
         assert isinstance(diag["pinned_nodes"], int)
+        assert diag["convex"] is True
 
     def test_complex_solvers_report_each_free_stage(self):
         cfg = RecursionConfig()

@@ -11,11 +11,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from execsched import cli, gbm
 from execsched.dp import Horizon, RecursionConfig
-from execsched.gbm import solve_gbm_simple
-from execsched.kernels import MixtureRegimeError
+from execsched.gbm import _stage_premium, solve_gbm_simple
+from execsched.kernels import (
+    MixtureRegimeError,
+    _lognormal_shift_conditional,
+    _lognormal_shift_derivs,
+    _mixture_derivs_gh,
+    _mixture_expectation_gh,
+)
 from execsched.models import LinearPercentage, MarketState
+from support import bench_solve_config, central_differences
+
+EPS = np.finfo(float).eps
 
 
 def _params(**kw):
@@ -131,11 +143,118 @@ class TestValidation:
         )
         assert table.value_samples[0].shape == (16, 2)
 
-    def test_diagnostics_report_golden_iterations_per_stage(self):
+    def test_diagnostics_report_newton_iterations_per_stage(self):
         cfg = RecursionConfig(grid_nodes=16)
         _, table = solve_gbm_simple(_params(), Horizon(3, 10.0), _state(aux=0.2), cfg)
         diags = table.metadata["diagnostics"]
         assert [d["stage"] for d in diags] == [1, 2]
         for d in diags:
-            assert 0 < d["golden_iterations"] < cfg.golden_iters
-            assert 0 < d["schedule_iterations"] < cfg.golden_iters
+            assert set(d) == {
+                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "convex",
+                "schedule_iterations",
+            }
+            assert 0 < d["newton_iterations"] < cfg.newton_iters
+            assert math.isfinite(d["max_abs_foc"])
+            assert 0 < d["schedule_iterations"] < cfg.newton_iters
+            assert d["convex"] is True
+
+
+class TestPremiumDerivatives:
+    # Domain: the price ratio k stays near -1 and mu_Y >= 1, so wherever
+    # X > 0.02 the cut c = -k*e^-X lies below mu_Y and P(Y > c) >= 1/2; X
+    # exceeds 0.02 with probability >= Phi(-1.5) > 0.06, so the conditioning
+    # probability (the denominator) stays above 0.03.
+    @given(
+        mu_x=st.floats(-0.01, 0.01),
+        sig_x=st.floats(0.02, 0.3),
+        mu_y=st.floats(1.0, 1.1),
+        sig_y=st.floats(0.001, 0.1),
+        k=st.floats(-1.02, -0.98),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixture_branch_matches_central_differences(self, mu_x, sig_x, mu_y, sig_y, k):
+        order = 64
+        value, d1, d2 = _mixture_derivs_gh(mu_x, sig_x, mu_y, sig_y, k, order)
+        assert value == _mixture_expectation_gh(mu_x, sig_x, mu_y, sig_y, k, order)
+
+        def f(m):
+            return float(_mixture_expectation_gh(mu_x, sig_x, m, sig_y, k, order))
+
+        def f1(m):
+            return float(_mixture_derivs_gh(mu_x, sig_x, m, sig_y, k, order)[1])
+
+        # rounding: the numerator sums `order` terms no larger than
+        # E[e^X](|mu_Y| + sig_Y) + |k|, the derivative's sums also terms up
+        # to phi(0)/sig_Y, and each quotient divides by a denominator above
+        # 0.03; every node's P(Y > c) turns over on the scale sig_Y in mu_Y
+        scale = math.exp(mu_x + 0.5 * sig_x**2 + 3.0 * sig_x) * (mu_y + sig_y) + abs(k)
+        noise = 4.0 * order * EPS * scale / 0.03
+        noise1 = 4.0 * order * EPS * scale * (1.0 + 0.4 / sig_y) / 0.03**2
+        h = 1e-2 * sig_y
+        fd1, tol1, _, _ = central_differences(f, mu_y, h, 10.0 * h, noise)
+        fd2, tol2, _, _ = central_differences(f1, mu_y, h, 10.0 * h, noise1)
+        assert abs(d1 - fd1) <= tol1
+        assert abs(d2 - fd2) <= tol2
+
+    @given(
+        mu_x=st.floats(-0.01, 0.01),
+        sig_x=st.floats(0.02, 0.3),
+        c=st.floats(1.0, 1.1),
+        k=st.floats(-1.02, -0.98),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gamma_zero_branch_matches_central_differences(self, mu_x, sig_x, c, k):
+        value, d1, d2 = _lognormal_shift_derivs(mu_x, sig_x, c, k)
+        assert value == _lognormal_shift_conditional(mu_x, sig_x, c, k)
+
+        def f(m):
+            return float(_lognormal_shift_conditional(mu_x, sig_x, m, k))
+
+        def f1(m):
+            return float(_lognormal_shift_derivs(mu_x, sig_x, m, k)[1])
+
+        # a handful of operations on terms of size E[e^X]*c + |k| (and
+        # phi(0)/(c*sig_X) in the derivative) over a probability above 0.06:
+        # the event {X > log(-k/c)} contains X > 0.02; the conditional turns
+        # over on the scale c*sig_X in c
+        scale = math.exp(mu_x + 0.5 * sig_x**2) * c + abs(k)
+        noise = 16.0 * EPS * scale / 0.06
+        noise1 = 16.0 * EPS * scale * (1.0 + 0.4 / sig_x) / 0.06**2
+        h = 1e-2 * sig_x
+        fd1, tol1, _, _ = central_differences(f, c, h, 10.0 * h, noise)
+        fd2, tol2, _, _ = central_differences(f1, c, h, 10.0 * h, noise1)
+        assert abs(d1 - fd1) <= tol1
+        assert abs(d2 - fd2) <= tol2
+
+
+class TestGlobalMinimum:
+    def test_every_official_node_beats_a_dense_scan(self, monkeypatch):
+        # the bench linear_percentage config; every stage's Newton solve is
+        # recorded and, at the official nodes and every X sample, its value
+        # must not exceed the minimum of a 401-point scan of its objective
+        cfg = bench_solve_config("linear_percentage", 0.05)
+        params, horizon = cli.build_model(cfg), cli.build_horizon(cfg)
+        state, rc = cli.build_state(cfg), cli.build_recursion_config(cfg) or RecursionConfig()
+        calls = []
+        newton = gbm._stage_newton
+
+        def recorded(*args):
+            out = newton(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(gbm, "_stage_newton", recorded)
+        _, table = solve_gbm_simple(params, horizon, state, rc)
+        official = table.value_samples[0][:, 0]
+        grid_calls = [c for c in calls if c[0][1].size > 1]
+        assert len(grid_calls) == horizon.T - 1
+        frac = np.linspace(0.0, 1.0, 401)
+        for (_, w, x, col, ratio, cont, e_fac, _), (_, v, _) in grid_calls:
+            at = np.flatnonzero(np.isin(w, official))
+            assert at.size == official.size * cont.c.shape[-1]
+            s = w[at, None] * frac
+            r = np.minimum(np.clip(w[at, None] - s, 0.0, None), cont.x[-1])
+            scan = s * _stage_premium(params, s, x[at, None], ratio, rc.quad_order) + (
+                e_fac * cont.value(r, col[at, None])
+            )
+            assert np.all(v[at] <= scan.min(axis=1) * (1.0 + 1e-12))

@@ -12,7 +12,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from execsched import cli
 from execsched.dp import (
     Horizon,
     InfeasibleLiquidityError,
@@ -21,13 +24,20 @@ from execsched.dp import (
     SolverError,
 )
 from execsched.kernels import mills_psi
-from execsched.liquidity import _make_penultimate, _mills_form, solve_liquidity
+from execsched.liquidity import (
+    _NODE_PANEL_ORDER,
+    _make_penultimate,
+    _mills_form,
+    solve_liquidity,
+)
 from execsched.models import Liquidity, MarketState
+from support import bench_solve_config, central_differences
 
 SPEC_PARAMS = Liquidity(
     alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5, sigma_eta=10.0
 )
 SPEC_STATE = MarketState(price=100.0, aux=50.0)
+NEWTON_KEYS = {"stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "convex"}
 
 
 @pytest.fixture(scope="module")
@@ -178,14 +188,74 @@ class TestNonUnimodalStage:
         assert solved <= j[i]
 
 
+class TestStageDerivatives:
+    @given(
+        price=st.floats(70.0, 130.0),
+        volume=st.floats(30.0, 80.0),
+        alpha=st.floats(-0.005, 0.02),
+        theta=st.floats(0.02, 0.08),
+        gamma=st.floats(0.01, 0.03),
+        rho=st.floats(0.3, 0.9),
+        sigma_eps=st.floats(0.3, 1.5),
+        sigma_eta=st.floats(5.0, 15.0),
+        resid=st.floats(4.0, 25.0),
+        frac=st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_matches_central_differences(
+        self, price, volume, alpha, theta, gamma, rho, sigma_eps, sigma_eta, resid, frac
+    ):
+        p = Liquidity(alpha=alpha, theta=theta, gamma=gamma, rho=rho,
+                      sigma_eps=sigma_eps, sigma_eta=sigma_eta)
+        pen = _make_penultimate(p, price, volume, rho * volume, resid, 16, 40)
+        w = np.array([resid])
+
+        def j(s):
+            return float(pen.objective(np.array([s]), w)[0])
+
+        s = frac * resid
+        # rounding: a sum of n positive terms carries at most n*eps relative;
+        # J changes by far less than 2x over the stencil
+        noise = 2.0 * pen.x.size * pen.z_nodes.size * np.finfo(float).eps * j(s)
+        d1, tol1, d2, tol2 = central_differences(j, s, 1e-3, 0.1, noise)
+        got1, got2 = (float(a[0]) for a in pen.objective_derivs(np.array([s]), w))
+        assert abs(got1 - d1) <= tol1
+        assert abs(got2 - d2) <= tol2
+
+
+class TestGlobalMinimum:
+    def test_every_official_node_beats_a_dense_scan(self):
+        # the bench liquidity config: T = 2, so the published stage-1 values
+        # are the stage T-1 minima on the official nodes
+        cfg = bench_solve_config("liquidity", 20.0)
+        params, horizon = cli.build_model(cfg), cli.build_horizon(cfg)
+        state, rc = cli.build_state(cfg), cli.build_recursion_config(cfg)
+        assert horizon.T == 2
+        _, table = solve_liquidity(params, horizon, state, rc)
+        cap = params.rho * state.aux
+        total = horizon.total_shares
+        pen = _make_penultimate(
+            params, state.price, state.aux, cap, min(total, cap), _NODE_PANEL_ORDER, rc.quad_order
+        )
+        nodes, solved = table.value_samples[0].T
+        frac = np.linspace(0.0, 1.0, 401)
+        for w, v in zip(nodes, solved):
+            scan = pen.objective(min(w, cap) * frac, np.full(frac.size, w))
+            assert v <= scan.min() * (1.0 + 1e-12)
+
+
 class TestDiagnostics:
-    def test_two_stage_reports_golden_iterations(self, spec_solution):
+    def test_two_stage_reports_newton_iterations(self, spec_solution):
         _, table = spec_solution
         cfg = RecursionConfig()
         (diag,) = table.metadata["diagnostics"]
+        assert set(diag) == NEWTON_KEYS | {"schedule_iterations", "quadrature_drift"}
         assert diag["stage"] == 1
-        assert 0 < diag["golden_iterations"] < cfg.golden_iters
-        assert 0 < diag["schedule_iterations"] < cfg.golden_iters
+        assert 0 < diag["newton_iterations"] < cfg.newton_iters
+        assert math.isfinite(diag["max_abs_foc"])
+        assert 0 < diag["schedule_iterations"] < cfg.newton_iters
+        # the objective is not convex near S = 0, but it is at every solution
+        assert diag["convex"] is True
 
     def test_stage_t_minus_1_records_quadrature_drift(self, spec_solution):
         (diag,) = spec_solution[1].metadata["diagnostics"]
@@ -204,8 +274,11 @@ class TestDiagnostics:
         _, table = solve_liquidity(p, Horizon(3, 20.0), SPEC_STATE, cfg)
         first, second = table.metadata["diagnostics"]
         assert (first["stage"], second["stage"]) == (1, 2)
-        assert 0 < first["newton_iterations"] < cfg.newton_iters
-        assert "golden_iterations" in second
+        assert set(first) == NEWTON_KEYS | {"schedule_iterations"}
+        assert set(second) == NEWTON_KEYS | {"schedule_iterations", "quadrature_drift"}
+        for diag in (first, second):
+            assert 0 < diag["newton_iterations"] < cfg.newton_iters
+            assert math.isfinite(diag["max_abs_foc"])
 
 
 class TestLongerHorizons:
