@@ -9,9 +9,11 @@ keeps every stage objective smooth and lets the grid recursion carry exact
 value derivatives (envelope slopes) instead of differencing them.
 
 Where the optimum is proven linear (trade-weighted arithmetic laws) the
-solvers return the closed form; everywhere else stage T-1 is solved by
-bracketed root-finding on the first-order condition and earlier stages by
-the grid recursion in :func:`approximate_recursion`.
+solvers return the closed form; everywhere else the grid recursion in
+:func:`approximate_recursion` solves every free stage at every node, and the
+reported schedule re-solves each stage at its exact residual.  Both run one
+stage minimizer, the safeguarded Newton of :func:`_vec_newton` on the
+first-order condition.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 # ``_mills_psi_second`` is not called here; bench/tracing.py wraps it under
 # this module's name, so the name stays importable from it.
@@ -55,7 +56,9 @@ __all__ = [
     "solve_ar1_complex",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of the scan that brackets the re-solve of a stage at an exact
+# residual; the stage objective need not be convex there.
+_RESOLVE_POINTS = 2001
 
 # Tolerance scale for Schedule bookkeeping identities (relative to S-bar).
 SCHEDULE_REL_TOL = 1e-9
@@ -273,9 +276,6 @@ class RecursionConfig:
     grid_lo_frac: float = 1e-3
     refine: int = 8
     newton_iters: int = 100
-    golden_iters: int = 72
-    foc_tol_factor: float = 1e-10
-    foc_max_iter: int = 200
     quad_order: int = 40
     regression_samples: int = 15
     regression_degree: int = 3
@@ -290,6 +290,8 @@ class RecursionConfig:
             raise ConfigError(f"grid_lo_frac must lie in (0, 0.5], got {self.grid_lo_frac}")
         if self.refine < 1:
             raise ConfigError(f"refine must be >= 1, got {self.refine}")
+        if self.newton_iters < 1:
+            raise ConfigError(f"newton_iters must be >= 1, got {self.newton_iters}")
         if not 1 <= self.quad_order <= 128:
             raise ConfigError(f"quad_order must lie in [1, 128], got {self.quad_order}")
         if self.regression_degree < 1 or self.regression_samples <= self.regression_degree:
@@ -509,23 +511,20 @@ class _NewtonReport(NamedTuple):
 
 
 def _vec_newton(
-    f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray, iters: int, stop_at_root: bool = False
+    f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray, iters: int
 ) -> tuple[np.ndarray, _NewtonReport]:
     """Bisection-safeguarded Newton on f (increasing through its root).
 
     ``f_and_fp(x, idx)`` returns f and f' at points ``x`` of the elements
     ``idx`` (flat indices into ``lo``/``hi``).  Elements whose objective is
     monotone on [lo, hi] are pinned to the matching endpoint via the sign of
-    f there.  A free element leaves the loop once an iteration returns its
-    iterate unchanged: from there every iterate is the same, so the result
-    is bit for bit the one ``iters`` iterations give, and ``iters`` only
-    caps elements that never settle.
-
-    An iterate where f is exactly 0 has just become the bracket's upper end,
-    so its zero Newton step counts as leaving the bracket and the element
-    bisects away from its root.  ``stop_at_root`` keeps such an iterate
-    instead; without it the Mills grid solves keep their published results
-    bit for bit.
+    f there.  A step that leaves the bracket falls back to bisection, except
+    when the step is defined (f' > 0) and does not move the iterate: that
+    iterate is the root to rounding (f is 0, or the step is under half an
+    ulp) and is kept.  A free element leaves the loop once an iteration
+    returns its iterate unchanged: from there every iterate is the same, so
+    the result is bit for bit the one ``iters`` iterations give, and
+    ``iters`` only caps elements that never settle.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -551,8 +550,7 @@ def _vec_newton(
             step = np.where(fp > 0.0, -f / np.where(fp > 0.0, fp, 1.0), 0.0)
         xn = x + step
         bad = (xn <= a) | (xn >= b) | ~np.isfinite(xn)
-        if stop_at_root:
-            bad &= f != 0.0
+        bad &= (xn != x) | (fp <= 0.0)
         xn = np.where(bad, 0.5 * (a + b), xn)
         moved = xn.view(np.uint64) != x.view(np.uint64)
         done = idx[~moved]
@@ -565,43 +563,38 @@ def _vec_newton(
     return np.where(at_hi & ~at_lo, hi, out), _NewtonReport(used, foc, pinned, curv)
 
 
-def _vec_golden(
-    f: Callable, lo: np.ndarray, hi: np.ndarray, cfg: RecursionConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Element-wise golden-section minimization of f on [lo, hi] (1-d arrays).
+def _scan_newton(
+    objective: Callable, derivs: Callable, ub: np.ndarray, points: int, iters: int
+) -> tuple[np.ndarray, np.ndarray, _NewtonReport]:
+    """Global minimum of a smooth objective over [0, ub] at every element.
 
-    Stops once every bracket is at most ``cfg.foc_tol_factor`` times its
-    starting width, or after ``cfg.golden_iters`` iterations.  The final
-    bracket's midpoint then competes with both ends, each evaluated by its
-    own call of ``f``, so a monotone objective returns its end exactly.
-    Returns the minimizers, their objective values and the iterations used.
+    ``objective(s, idx)`` and ``derivs(s, idx)`` (the first two
+    s-derivatives) take trades ``s`` of the elements ``idx``, flat indices
+    into ``ub``.  The objective need not be unimodal, so a scan of
+    ``points`` equally spaced trades brackets the best scan point by its
+    neighbours, :func:`_vec_newton` finishes on the first-order condition
+    inside that bracket, and the best scan point, no worse than both
+    interval ends, competes with the result.  Returns the trades, their
+    objective values and the Newton report.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    a, b = lo.copy(), hi.copy()
-    tol = cfg.foc_tol_factor * (b - a)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    k = 0
-    while k < cfg.golden_iters and np.any(b - a > tol):
-        k += 1
-        left = fc < fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        width = b - a
-        fresh = np.where(left, b - _INVPHI * width, a + _INVPHI * width)
-        fv = f(fresh)
-        new_c = np.where(left, fresh, d)
-        new_fc = np.where(left, fv, fd)
-        new_d = np.where(left, c, fresh)
-        new_fd = np.where(left, fc, fv)
-        c, fc, d, fd = new_c, new_fc, new_d, new_fd
-    candidates = np.stack([0.5 * (a + b), lo, hi])
-    values = np.stack([f(x) for x in candidates])
-    pick, cols = np.argmin(values, axis=0), np.arange(lo.size)
-    return candidates[pick, cols], values[pick, cols], k
+    ub = np.asarray(ub, dtype=float)
+    rows = np.arange(ub.size)
+    grid = ub[:, None] * np.linspace(0.0, 1.0, points)
+    j = objective(grid.ravel(), np.repeat(rows, points)).reshape(grid.shape)
+    best = np.argmin(j, axis=1)
+    lo = grid[rows, np.maximum(best - 1, 0)]
+    hi = grid[rows, np.minimum(best + 1, points - 1)]
+    s, report = _vec_newton(derivs, lo, hi, iters)
+    v = objective(s, rows)
+    scan = j[rows, best] < v
+    return np.where(scan, grid[rows, best], s), np.where(scan, j[rows, best], v), report
+
+
+def _stage_foc(fam: _MillsStage, cont, s, w, col):
+    """First-order condition of c(s, w) + V_{t+1}(w - s) and its s-derivative."""
+    ds, dss = fam.ds_dss(s, w, col)
+    d, dd = cont.d_dd(w - s, col)
+    return ds - d, dss + dd
 
 
 def _stage_minimize(
@@ -612,14 +605,12 @@ def _stage_minimize(
     ``w``, ``ub`` and ``col`` are flat arrays: element e is residual w[e] of
     column col[e].
     """
-
-    def f_and_fp(s, idx):
-        wi, ci = w[idx], col[idx]
-        ds, dss = fam.ds_dss(s, wi, ci)
-        d, dd = cont.d_dd(wi - s, ci)
-        return ds - d, dss + dd
-
-    s, report = _vec_newton(f_and_fp, np.zeros_like(w), ub, cfg.newton_iters)
+    s, report = _vec_newton(
+        lambda s, idx: _stage_foc(fam, cont, s, w[idx], col[idx]),
+        np.zeros_like(w),
+        ub,
+        cfg.newton_iters,
+    )
     r = w - s
     v = fam.value(s, w, col) + cont.value(r, col)
     # Envelope slope; when the whole residual trades (upper bound s = w
@@ -661,57 +652,36 @@ def _scalar_stage_solve(
     w: float,
     ub: float,
     cfg: RecursionConfig,
-    convex: bool,
     col: int = 0,
 ) -> tuple[float, int]:
-    """Solve one stage at an exact residual by bracketed root-finding on [0, ub].
+    """Solve one stage at an exact residual: the global minimum over [0, ub].
 
-    Monotone objectives pin to the boundary; without a convexity certificate
-    the stationary point is not trusted and a global grid scan (refined by
-    golden section) is used instead.  ``col`` picks the column of ``fam``
-    and ``cont``.  Returns the trade and the iterations of the refining
-    search (0 when the trade sits on a boundary).
+    A scan of ``_RESOLVE_POINTS`` trades and Newton inside the bracket of the
+    best one (:func:`_scan_newton`) finds it whether or not the objective is
+    convex.  ``col`` picks the column of ``fam`` and ``cont``.  Returns the
+    trade and the Newton iterations (0 when the objective is monotone on
+    Newton's bracket); raises SolverError when Newton does not settle within
+    ``cfg.newton_iters``.
     """
     ub = min(ub, w)
     if w <= 0.0 or ub <= 0.0:
         return 0.0, 0
 
-    def obj(s):
-        return fam.value(s, w, col) + cont.value(w - s, col)
-
-    if not convex:
-        grid = np.linspace(0.0, ub, 2001)
-        j = obj(grid)
-        i = int(np.argmin(j))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        s, _, iters = _vec_golden(obj, np.array([lo]), np.array([hi]), cfg)
-        return float(s[0]), iters
-
-    def fprime(s):
-        return float(fam.ds(np.float64(s), w, col) - cont.d(np.float64(w - s), col))
-
-    fa = fprime(0.0)
-    if fa >= 0.0:
-        return 0.0, 0
-    fb = fprime(ub)
-    if fb <= 0.0:
-        return ub, 0
-    root, info = brentq(
-        fprime,
-        0.0,
-        ub,
-        xtol=cfg.foc_tol_factor * w,
-        maxiter=cfg.foc_max_iter,
-        full_output=True,
-        disp=False,
+    s, _, report = _scan_newton(
+        lambda s, idx: fam.value(s, w, col) + cont.value(w - s, col),
+        lambda s, idx: _stage_foc(fam, cont, s, w, col),
+        np.array([ub]),
+        _RESOLVE_POINTS,
+        cfg.newton_iters,
     )
-    if not info.converged:
+    iters = int(report.iterations[0])
+    if iters >= cfg.newton_iters:
         raise SolverError(
-            f"stage root-finder did not converge within {cfg.foc_max_iter} iterations",
+            f"stage solve did not converge within {cfg.newton_iters} Newton iterations",
             bracket=(0.0, ub),
-            residual=fprime(root),
+            residual=float(report.foc[0]),
         )
-    return float(root), info.iterations
+    return float(s[0]), iters
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +894,8 @@ def _solve_residual_weighted(
     runs them all, one column per distinct alpha: at stage t every column
     sits at depth T-t+1, and stage t reads the column of alpha_t.  The
     reported schedule re-solves each stage at the exact certainty-equivalent
-    residual, trusting stationary points only if ``metadata["convexity_ok"]``.
+    residual by :func:`_scalar_stage_solve`, which finds the global minimum
+    whether or not ``metadata["convexity_ok"]`` certifies the stage convex.
     """
     T, total = horizon.T, horizon.total_shares
     mesh = _build_mesh(total, beta / theta, cfg)
@@ -943,7 +914,7 @@ def _solve_residual_weighted(
     w, convex = total, metadata["convexity_ok"]
     for t in range(1, T):
         j = column[t - 1]
-        s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, convex, j)
+        s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, j)
         diagnostics.append(
             {"stage": t, **res.diagnostics[t][j], "convex": convex, "schedule_iterations": iters}
         )
@@ -1044,11 +1015,12 @@ def solve_benchmark_complex(
 ) -> tuple[Schedule, PolicyTable]:
     """Residual-weighted cost on the arithmetic walk.
 
-    The last free stage solves its first-order condition
-    W*theta*psi'(u) - sigma*psi(v) - (W-S)*theta*psi'(v) = 0 by bracketed
-    root-finding (monotone objectives pin to the matching boundary); earlier
-    stages run the grid recursion.  The reported schedule is the
-    certainty-equivalent composition (all noise at its mean).
+    Every free stage runs the grid recursion; the last one continues on the
+    exact terminal value, so it solves the first-order condition
+    W*theta*psi'(u) - sigma*psi(v) - (W-S)*theta*psi'(v) = 0 by safeguarded
+    Newton (monotone objectives pin to the matching boundary).  The reported
+    schedule is the certainty-equivalent composition (all noise at its
+    mean), each stage re-solved at its exact residual.
     """
     return _solve_arithmetic(params, horizon, None, "complex", config)
 

@@ -169,7 +169,7 @@ def _stage_newton(
         d, dd = cont.d_dd(resid(w[idx], s), col[idx])
         return prem + s * d1 - e_fac * d, 2.0 * d1 + s * d2 + e_fac * dd
 
-    s, report = _vec_newton(f_and_fp, np.zeros_like(w), w, cfg.newton_iters, stop_at_root=True)
+    s, report = _vec_newton(f_and_fp, np.zeros_like(w), w, cfg.newton_iters)
     prem = _stage_premium(params, s, x, ratio, cfg.quad_order)
     return s, s * prem + e_fac * cont.value(resid(w, s), col), report
 

@@ -61,8 +61,8 @@ from .dp import (
     _MillsStage,
     _scalar_stage_solve,
     _newton_diagnostics,
+    _scan_newton,
     _SplineCont,
-    _vec_newton,
 )
 from .kernels import GH_MAX_ORDER, gauss_hermite, mills_psi, mills_psi_derivs, mills_psi_prime
 from .models import Liquidity, MarketState
@@ -302,29 +302,6 @@ def _make_penultimate(
     )
 
 
-def _penultimate_minimize(pen: _Penultimate, w: np.ndarray, ub: np.ndarray, cfg: RecursionConfig):
-    """Global minimum of the stage T-1 objective over [0, ub] at every residual w.
-
-    The objective need not be unimodal: it can rise from S = 0 over a hump
-    before it falls to its minimum.  A coarse scan brackets the best scan
-    point by its neighbours, Newton on dJ/dS finishes inside that bracket,
-    and the best scan point, no worse than both interval ends, competes
-    with the result.  Returns the trades, their objective values and the
-    Newton report.
-    """
-    grid = ub[:, None] * np.linspace(0.0, 1.0, _SCAN_POINTS)
-    j = pen.objective(grid.ravel(), np.repeat(w, _SCAN_POINTS)).reshape(grid.shape)
-    rows, best = np.arange(w.size), np.argmin(j, axis=1)
-    lo = grid[rows, np.maximum(best - 1, 0)]
-    hi = grid[rows, np.minimum(best + 1, _SCAN_POINTS - 1)]
-    s, report = _vec_newton(
-        lambda x, idx: pen.objective_derivs(x, w[idx]), lo, hi, cfg.newton_iters, stop_at_root=True
-    )
-    v = pen.objective(s, w)
-    scan = j[rows, best] < v
-    return np.where(scan, grid[rows, best], s), np.where(scan, j[rows, best], v), report
-
-
 def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConfig):
     """The minimum of the exact stage T-1 objective at every node.
 
@@ -334,7 +311,13 @@ def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConf
     """
     w_nodes = np.asarray(w_nodes, dtype=float)
     ub = np.minimum(w_nodes, pen.cap)
-    s, v, report = _penultimate_minimize(pen, w_nodes, ub, cfg)
+    s, v, report = _scan_newton(
+        lambda x, idx: pen.objective(x, w_nodes[idx]),
+        lambda x, idx: pen.objective_derivs(x, w_nodes[idx]),
+        ub,
+        _SCAN_POINTS,
+        cfg.newton_iters,
+    )
     pinned = (s >= ub) & (ub >= w_nodes * (1.0 - 1e-12))
     vd = np.where(
         pinned,
@@ -364,7 +347,13 @@ def _penultimate_scalar(
     ub = min(w, cap)
     order = cfg.quad_order
     pen = _make_penultimate(params, price, volume, cap, ub, order, order)
-    s, j, report = _penultimate_minimize(pen, np.array([w]), np.array([ub]), cfg)
+    s, j, report = _scan_newton(
+        lambda x, idx: pen.objective(x, w),
+        lambda x, idx: pen.objective_derivs(x, w),
+        np.array([ub]),
+        _SCAN_POINTS,
+        cfg.newton_iters,
+    )
     s_star, j_star = float(s[0]), float(j[0])
 
     doubled = _make_penultimate(
@@ -506,9 +495,7 @@ def solve_liquidity(
         for t in range(1, T - 1):
             grid_trades.append(res.trades[t][0])
             grid_values.append(res.values[t][0])
-            s, iters = _scalar_stage_solve(
-                families[t], res.conts[t], w, bounds[t - 1], cfg_liq, False
-            )
+            s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg_liq)
             diagnostics.append(
                 {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
             )

@@ -75,6 +75,9 @@ class TestConfigValidation:
             (lambda d: d.update(schedule="front-load"), "schedule"),
             (lambda d: d.update(solver={"nodes": 9}), "solver.nodes"),
             (lambda d: d.update(solver={"grid_nodes": 0}), "solver.grid_nodes"),
+            (lambda d: d.update(solver={"golden_iters": 72}), "solver.golden_iters"),
+            (lambda d: d.update(solver={"foc_tol_factor": 1e-10}), "solver.foc_tol_factor"),
+            (lambda d: d.update(solver={"foc_max_iter": 200}), "solver.foc_max_iter"),
             pytest.param(
                 lambda d: d["simulation"].update(seed=2**63),
                 "simulation.seed",
@@ -245,6 +248,13 @@ class TestSolve:
                    "--output-dir", str(tmp_path)])
         assert rc == EXIT_SOLVER
         assert "error:" in capsys.readouterr().err
+
+    def test_unsettled_stage_solve_exits_3(self, tmp_path, capsys):
+        doc = _bench_doc(formulation="complex", solver={"newton_iters": 1})
+        rc = main(["solve", _write_json(tmp_path, "c.json", doc),
+                   "--output-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        assert "did not converge" in capsys.readouterr().err
 
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         outdir = tmp_path / "env_out"

@@ -24,6 +24,7 @@ from execsched.dp import (
     PolicyTable,
     RecursionConfig,
     Schedule,
+    SolverError,
     approximate_recursion,
     solve_ar1_complex,
     solve_ar1_simple,
@@ -31,7 +32,8 @@ from execsched.dp import (
     solve_benchmark_simple,
 )
 from execsched.kernels import mills_psi
-from execsched.models import Ar1Extra, Benchmark, Spread, convexity_check
+from execsched.liquidity import solve_liquidity
+from execsched.models import Ar1Extra, Benchmark, Liquidity, MarketState, Spread, convexity_check
 
 
 class TestHorizon:
@@ -139,6 +141,7 @@ class TestRecursionConfig:
             {"grid_lo_frac": 0.0},
             {"grid_lo_frac": 0.6},
             {"refine": 0},
+            {"newton_iters": 0},
             {"quad_order": 0},
             {"quad_order": 1000},
             {"regression_degree": 0},
@@ -544,7 +547,8 @@ class TestHermiteEvaluator:
 
 
 def _reference_newton(f_and_fp, lo, hi, iters):
-    """The fixed-length loop the early-stopping Newton replaced."""
+    """The fixed-length loop the early-stopping Newton replaced, with its exit
+    rule: a defined step that does not move the iterate keeps it."""
     a = lo.astype(float).copy()
     b = hi.astype(float).copy()
     f_lo, _ = f_and_fp(a)
@@ -560,6 +564,7 @@ def _reference_newton(f_and_fp, lo, hi, iters):
             step = np.where(fp > 0.0, -f / np.where(fp > 0.0, fp, 1.0), 0.0)
         xn = x + step
         bad = (xn <= a) | (xn >= b) | ~np.isfinite(xn)
+        bad &= (xn != x) | (fp <= 0.0)
         x = np.where(bad, 0.5 * (a + b), xn)
     x = np.where(at_lo, lo, x)
     return np.where(at_hi & ~at_lo, hi, x)
@@ -607,42 +612,48 @@ class TestEarlyStoppingNewton:
         np.testing.assert_array_equal(report.foc, x - 0.3)
 
 
-class TestGoldenSection:
+class TestScanNewton:
+    # objective and its first two derivatives, about a center c
     OBJECTIVES = {
-        "convex": lambda s, c: (s - c) ** 2,
-        "concave": lambda s, c: -((s - c) ** 2),
+        "convex": lambda s, c: ((s - c) ** 2, 2.0 * (s - c), np.full_like(s, 2.0)),
+        "concave": lambda s, c: (-((s - c) ** 2), -2.0 * (s - c), np.full_like(s, -2.0)),
         # exact in floating point, so strictly monotone between any two floats
-        "increasing": lambda s, c: s,
-        "decreasing": lambda s, c: -s,
+        "increasing": lambda s, c: (s, np.ones_like(s), np.zeros_like(s)),
+        "decreasing": lambda s, c: (-s, -np.ones_like(s), np.zeros_like(s)),
     }
 
     @given(
         st.sampled_from(sorted(OBJECTIVES)),
         st.lists(
-            st.tuples(st.floats(-50.0, 50.0), st.floats(1e-6, 100.0), st.floats(-0.5, 1.5)),
+            st.tuples(st.floats(1e-6, 100.0), st.floats(-0.5, 1.5)),
             min_size=1,
             max_size=6,
         ),
+        st.integers(2, 40),
     )
     @settings(max_examples=80, deadline=None)
-    def test_returns_its_value_and_beats_both_ends(self, shape, brackets):
-        from execsched.dp import _vec_golden
+    def test_returns_its_value_and_beats_both_ends(self, shape, brackets, points):
+        from execsched.dp import _scan_newton
 
-        lo = np.array([b[0] for b in brackets])
-        hi = lo + np.array([b[1] for b in brackets])
-        center = lo + np.array([b[2] for b in brackets]) * (hi - lo)
+        ub = np.array([b[0] for b in brackets])
+        center = np.array([b[1] for b in brackets]) * ub
 
-        def f(s):
-            return self.OBJECTIVES[shape](s, center)
+        def objective(s, idx):
+            return self.OBJECTIVES[shape](s, center[idx])[0]
 
-        s, value, _ = _vec_golden(f, lo, hi, RecursionConfig())
-        assert np.array_equal(_bits(value), _bits(f(s)))
-        assert np.all(value <= f(lo)) and np.all(value <= f(hi))
-        assert np.all((lo <= s) & (s <= hi))
+        def derivs(s, idx):
+            return self.OBJECTIVES[shape](s, center[idx])[1:]
+
+        rows = np.arange(ub.size)
+        s, value, _ = _scan_newton(objective, derivs, ub, points, 100)
+        assert np.array_equal(_bits(value), _bits(objective(s, rows)))
+        assert np.all(value <= objective(np.zeros_like(ub), rows))
+        assert np.all(value <= objective(ub, rows))
+        assert np.all((0.0 <= s) & (s <= ub))
         if shape == "increasing":
-            assert np.array_equal(_bits(s), _bits(lo))
+            assert np.array_equal(_bits(s), _bits(np.zeros_like(ub)))
         if shape == "decreasing":
-            assert np.array_equal(_bits(s), _bits(hi))
+            assert np.array_equal(_bits(s), _bits(ub))
 
 
 def _digests(schedule, table):
@@ -671,24 +682,24 @@ def _digests(schedule, table):
 
 
 class TestComplexSolvesPinned:
-    # sha256 of the solver output as it was before the stage solves stopped
-    # at convergence and the AR(1) sub-recursions were batched
+    # sha256 of the solver output, recorded with every stage solve on one
+    # Newton exit rule; any change that moves a bit of it shows here
     def test_benchmark_complex(self):
         params = Benchmark(theta=3.0, sigma_eps=1.0)
         got = _digests(*solve_benchmark_complex(params, Horizon(10, 100.0)))
         assert got == {
-            "stages": "814a7c03193f1186dc55243e137f1065ee96cdfe6d8e35f93e02fb4b28a31fc2",
-            "schedule": "c9bf309af81ded37dc685fd2f5ce372a339903b33a795f0b60a23053f4f6ae81",
-            "value_samples": "ccc8d7fabd60b04fa4d250cb14cfcb138e4d2bec16e0736246c799f01358e6b1",
+            "stages": "ecad1a8f79131caf5542ae2d0401067232087a3365d03aaa237ab55ac04d26ff",
+            "schedule": "508ed5244c506198d32f6084aa6622438c5037914535f37c2123a89d435aaa9c",
+            "value_samples": "fd6e11b988011c2e2b05dec5bd1d1e8f09f5e207685655460afe58b68e1cd709",
         }
 
     def test_ar1_complex(self):
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
         got = _digests(*solve_ar1_complex(params, Horizon(10, 10.0), 0.5))
         assert got == {
-            "stages": "c2b0c4cc2fe9db20b211874962017d5f1999ba18bae0250ac45246e3d090d6da",
-            "schedule": "874dc1f037d2ae602dca08eb60c866f6c6bcbc496cd0feac4dc8fcc67af8d405",
-            "value_samples": "61cc68e0f18d1c14ef6c38fe354f5075d41fb85d11e5278f327880187681afb6",
+            "stages": "8ac2e50378e7284c441e3bd1bda9edec8c902e3eedc9a8145ca3a6c8a91924ec",
+            "schedule": "190ff7adcd67d7e46e1ea9c99a3dfd65aa0c8863364c5f742372b84eed0523d4",
+            "value_samples": "6005298467e936d34ecee0d41d3f5cd85aa9e024631797420f26565a0c7af7af",
         }
 
     def test_ar1_complex_runs_one_grid_solve_per_stage(self, monkeypatch):
@@ -703,11 +714,14 @@ class TestComplexSolvesPinned:
 
         monkeypatch.setattr(dp, "_vec_newton", counted)
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
-        solve_ar1_complex(params, Horizon(10, 10.0), 0.5)
+        sched, _ = solve_ar1_complex(params, Horizon(10, 10.0), 0.5)
         # T-1 grid solves; stage t holds the columns of alpha_1..alpha_t,
-        # each at depth T-t+1
-        m = calls[-1]
-        assert calls == [m * t for t in range(9, 0, -1)]
+        # each at depth T-t+1; then a one-element re-solve of every schedule
+        # stage with shares left to trade
+        m = calls[8]
+        resolves = sum(w > 0.0 for w in sched.residuals[:9])
+        assert resolves > 0
+        assert calls == [m * t for t in range(9, 0, -1)] + [1] * resolves
 
 
 class TestSolverDiagnostics:
@@ -728,7 +742,7 @@ class TestSolverDiagnostics:
             assert [d["stage"] for d in diags] == [1, 2, 3, 4]
             for d in diags:
                 self._check_newton(d, cfg)
-                assert 0 < d["schedule_iterations"] <= cfg.foc_max_iter
+                assert 0 < d["schedule_iterations"] < cfg.newton_iters
 
     def test_grid_recursion_reports_each_free_stage(self):
         cfg = RecursionConfig()
@@ -748,3 +762,76 @@ class TestSolverDiagnostics:
     def test_forced_single_stage_has_none(self):
         _, table = solve_benchmark_complex(Benchmark(theta=2.0, sigma_eps=1.0), Horizon(1, 3.0))
         assert table.metadata["diagnostics"] == []
+
+
+# Solves whose stage objectives are not certified convex at the exact-residual
+# re-solve, with the number of stages each re-solves that way
+_NONCONVEX_RESOLVES = {
+    "benchmark-theta-0.3": (
+        lambda: solve_benchmark_complex(Benchmark(theta=0.3, sigma_eps=1.0), Horizon(4, 100.0)),
+        3,
+    ),
+    "benchmark-theta-0.5": (
+        lambda: solve_benchmark_complex(Benchmark(theta=0.5, sigma_eps=1.0), Horizon(4, 100.0)),
+        3,
+    ),
+    "ar1": (
+        lambda: solve_ar1_complex(
+            Ar1Extra(theta=0.4, gamma=0.3, rho=0.6, sigma_eps=1.0, sigma_eta=0.5),
+            Horizon(4, 10.0),
+            0.5,
+        ),
+        3,
+    ),
+    "liquidity-T3": (
+        lambda: solve_liquidity(
+            Liquidity(alpha=0.01, theta=0.05, gamma=0.02, rho=0.9, sigma_eps=0.5, sigma_eta=10.0),
+            Horizon(3, 20.0),
+            MarketState(price=100.0, aux=50.0),
+            RecursionConfig(grid_nodes=16),
+        ),
+        1,
+    ),
+    "liquidity-T4": (
+        lambda: solve_liquidity(
+            Liquidity(alpha=0.01, theta=0.05, gamma=0.02, rho=0.95, sigma_eps=0.5, sigma_eta=10.0),
+            Horizon(4, 30.0),
+            MarketState(price=100.0, aux=60.0),
+            RecursionConfig(quad_order=40),
+        ),
+        2,
+    ),
+}
+
+
+class TestExactResidualResolve:
+    @pytest.mark.parametrize("name", sorted(_NONCONVEX_RESOLVES))
+    @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
+    def test_nonconvex_resolve_finds_the_global_minimum(self, name, monkeypatch):
+        import execsched.dp as dp
+        import execsched.liquidity as liquidity
+
+        solve = dp._scalar_stage_solve
+        seen = []
+
+        def recorded(fam, cont, w, ub, cfg, col=0):
+            s, iters = solve(fam, cont, w, ub, cfg, col)
+            seen.append((lambda x: fam.value(x, w, col) + cont.value(w - x, col), min(ub, w), s))
+            return s, iters
+
+        monkeypatch.setattr(dp, "_scalar_stage_solve", recorded)
+        monkeypatch.setattr(liquidity, "_scalar_stage_solve", recorded)
+        run, stages = _NONCONVEX_RESOLVES[name]
+        run()
+        assert len(seen) == stages
+        for objective, ub, s in seen:
+            scan = objective(np.linspace(0.0, ub, 20001)).min()
+            assert objective(np.array([s]))[0] <= scan * (1.0 + 1e-12)
+
+    def test_unsettled_resolve_raises_solver_error(self):
+        cfg = RecursionConfig(newton_iters=1)
+        with pytest.raises(SolverError) as err:
+            solve_benchmark_complex(Benchmark(theta=3.0, sigma_eps=1.0), Horizon(4, 100.0), cfg)
+        # one iteration cannot show that Newton settled, whatever it reached
+        assert err.value.bracket == (0.0, 100.0)
+        assert math.isfinite(err.value.residual)

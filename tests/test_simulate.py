@@ -711,9 +711,9 @@ class TestBatchedSimulator:
             model=pct, horizon=Horizon(4, 10.0), n_paths=1500, seed=33,
             initial_state=MarketState(price=100.0, aux=0.1, no_impact_price=100.0))
         runs = {
-            "ae6c1da6e7fc9d6a30574a867b1b9a1e604613f0d5d1032d2eb658930c2d7059":
+            "4fdc5ad536b4d46a8f3a48603ae47041aef0dc0679a3c1e9ee6a0830b6f93dd0":
                 evaluate_policy(cfg, table, "complex"),
-            "72627f614010628fc4c30ce3fef1c06ca6e3fdcb1586cdd66361d4fa6656f11b":
+            "79ef1e167cf2f4d6fedfd0e613b528c35277ee9947871d146b22a3e2116f4a92":
                 evaluate_policy(ar1_cfg, ar1_table, "complex"),
             "5832836c262bc09f6d08455f2e657b65598b328c958535dfc8c65580898da8da":
                 evaluate_policy(pct_cfg, Schedule.from_trades([1.0, 2.0, 3.0, 4.0], 10.0)),
@@ -736,8 +736,8 @@ _PINNED_RUNS = {
             "solver": {"grid_nodes": 24},
             "simulation": {"n_paths": 1500, "seed": 4242, "workers": 1},
         },
-        "2caeaf2d38dc2cd34df432519ec1d2979358805a7386983d40d6d9702b7da183",
-        "326e1ada09c3c612d19a401727782c9896adb02339bcc72d149792e6f9463a8b",
+        "e2cd7699ae7c1614526ef5e9983c0818a3c2a44bbb4a9b6456ee85f4ff133c4b",
+        "744ccfa5e756fe1b37eee3b181d596c56835a3058701a3743c4a04520f611972",
     ),
     "ar1": (
         {
