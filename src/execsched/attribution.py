@@ -17,8 +17,9 @@ interval quantities balance, total impact plus total timing cancels: each
 participant's timing is their shortfall minus their impact, and balanced
 shortfalls sum to zero.
 
-``path_costs`` is the array core shared by the record-level functions and
-the simulation harness; it accepts stacked paths and vectorizes row-wise.
+``path_costs`` is the array core of the simulation harness; it accepts
+stacked paths and vectorizes row-wise.  It shares ``_adverse_moves`` and
+``_residual_ladder`` with the record-level functions.
 """
 from __future__ import annotations
 

@@ -758,7 +758,7 @@ def cmd_simulate(args) -> int:
         initial_state=state,
     )
     # one pass of path generation feeds both the distribution and the objective
-    paths = simulate_paths(sim_config, schedule, workers=sim["workers"])
+    paths = simulate_paths(sim_config, schedule)
     dist = evaluate_policy(sim_config, paths, formulation, side=sim["side"])
     summary = dist.summary()
     buckets = momentum_volatility_buckets(dist)

@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-# ``_mills_psi_second`` is not called here; bench/tracing.py wraps it under
-# this module's name, so the name stays importable from it.
+# bench/tracing.py wraps ``mills_psi_prime`` and ``_mills_psi_second`` under
+# this module's name, so they stay importable from it though unused here.
 from execsched.kernels import (  # noqa: F401
     _mills_psi_second,
     mills_psi,
@@ -328,20 +328,12 @@ class _MillsStage:
         weight = w if self.weight_by_residual else s
         return weight * self.beta * mills_psi(self._u(s, col))
 
-    def ds(self, s, w, col=None):
-        u = self._u(s, col)
-        if self.weight_by_residual:
-            return w * self.theta * mills_psi_prime(u)
-        return self.beta * mills_psi(u) + s * self.theta * mills_psi_prime(u)
-
     def ds_dss(self, s, w, col=None):
-        """(ds, dss) from one Mills kernel evaluation, bit for bit the separate values."""
-        u = self._u(s, col)
+        """The cost's first two s-derivatives from one Mills kernel evaluation."""
+        p0, p1, p2 = mills_psi_derivs(self._u(s, col))
         curv_scale = self.theta * self.theta / self.beta
         if self.weight_by_residual:
-            p1, p2 = mills_psi_derivs(u)
             return w * self.theta * p1, w * (curv_scale * p2)
-        p0, p1, p2 = mills_psi_derivs(u, with_psi=True)
         return (
             self.beta * p0 + s * self.theta * p1,
             2.0 * self.theta * p1 + s * (curv_scale * p2),
@@ -371,7 +363,7 @@ class _TerminalMills:
         self.theta = theta
         self.alpha = alpha
         self.beta = beta
-        self.slope_at_origin = self.d(0.0)
+        self.slope_at_origin = self.d_dd(0.0)[0]
 
     def _u(self, r, col=None):
         alpha = self.alpha if col is None else self.alpha[col]
@@ -380,13 +372,9 @@ class _TerminalMills:
     def value(self, r, col=None):
         return r * self.beta * mills_psi(self._u(r, col))
 
-    def d(self, r, col=None):
-        u = self._u(r, col)
-        return self.beta * mills_psi(u) + r * self.theta * mills_psi_prime(u)
-
     def d_dd(self, r, col=None):
-        """(d, dd) from one Mills kernel evaluation, bit for bit the separate values."""
-        p0, p1, p2 = mills_psi_derivs(self._u(r, col), with_psi=True)
+        """The value's first two r-derivatives from one Mills kernel evaluation."""
+        p0, p1, p2 = mills_psi_derivs(self._u(r, col))
         return (
             self.beta * p0 + r * self.theta * p1,
             2.0 * self.theta * p1 + r * (self.theta * self.theta / self.beta) * p2,
@@ -448,11 +436,6 @@ class _SplineCont:
         c0, c1, c2, c3 = (k[i, col] for k in self._c0)
         return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
-    def d(self, r, col):
-        i, s, s2 = self._locate(r)
-        d0, d1, d2 = (k[i, col] for k in self._c1)
-        return (d2 + d1 * s) + d0 * s2
-
     def d_dd(self, r, col):
         i, s, s2 = self._locate(r)
         d0, d1, d2 = (k[i, col] for k in self._c1)
@@ -508,6 +491,7 @@ class _NewtonReport(NamedTuple):
     foc: np.ndarray  # f at the returned point (nan for pinned elements)
     pinned: np.ndarray  # monotone on [lo, hi]: returned an endpoint
     curvature: np.ndarray  # f' at the returned point (nan for pinned elements)
+    settled: np.ndarray  # False only for elements still moving at the cap
 
 
 def _vec_newton(
@@ -524,7 +508,7 @@ def _vec_newton(
     ulp) and is kept.  A free element leaves the loop once an iteration
     returns its iterate unchanged: from there every iterate is the same, so
     the result is bit for bit the one ``iters`` iterations give, and
-    ``iters`` only caps elements that never settle.
+    ``iters`` only caps elements that never settle (``settled`` False).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -538,6 +522,7 @@ def _vec_newton(
     foc = np.full(lo.size, np.nan)
     curv = np.full(lo.size, np.nan)
     used = np.zeros(lo.size, dtype=int)
+    settled = np.ones(lo.size, dtype=bool)
     idx = np.flatnonzero(~pinned)
     a, b, x = lo[idx], hi[idx], out[idx]
     for k in range(1, iters + 1):
@@ -557,10 +542,10 @@ def _vec_newton(
         out[done], foc[done], curv[done], used[done] = x[~moved], f[~moved], fp[~moved], k
         idx, a, b, x = idx[moved], a[moved], b[moved], xn[moved]
     if idx.size:
-        out[idx], used[idx] = x, iters
+        out[idx], used[idx], settled[idx] = x, iters, False
         foc[idx], curv[idx] = f_and_fp(x, idx)
     out = np.where(at_lo, lo, out)
-    return np.where(at_hi & ~at_lo, hi, out), _NewtonReport(used, foc, pinned, curv)
+    return np.where(at_hi & ~at_lo, hi, out), _NewtonReport(used, foc, pinned, curv, settled)
 
 
 def _scan_newton(
@@ -619,8 +604,8 @@ def _stage_minimize(
     pinned = (s >= ub) & (ub >= w * (1.0 - 1e-12))
     vd = np.where(
         pinned,
-        fam.ds(s, w, col) + fam.dw(s, w, col),
-        fam.dw(s, w, col) + cont.d(r, col),
+        fam.ds_dss(s, w, col)[0] + fam.dw(s, w, col),
+        fam.dw(s, w, col) + cont.d_dd(r, col)[0],
     )
     return s, v, vd, report
 
@@ -629,9 +614,10 @@ def _newton_diagnostics(report: _NewtonReport, columns: int = 1) -> list[dict]:
     """Per-column summary of a grid Newton solve over the fine mesh.
 
     ``convex`` says whether the objective's second derivative is positive at
-    every free element's solution.
+    every free element's solution; ``unsettled_nodes`` counts the elements
+    Newton left still moving at the iteration cap.
     """
-    iters, foc, pinned, curv = (a.reshape(columns, -1) for a in report)
+    iters, foc, pinned, curv, settled = (a.reshape(columns, -1) for a in report)
     out = []
     for j in range(columns):
         free = ~pinned[j]
@@ -640,10 +626,31 @@ def _newton_diagnostics(report: _NewtonReport, columns: int = 1) -> list[dict]:
                 "newton_iterations": int(iters[j][free].max(initial=0)),
                 "max_abs_foc": float(np.abs(foc[j][free]).max(initial=0.0)),
                 "pinned_nodes": int(pinned[j].sum()),
+                "unsettled_nodes": int((~settled[j]).sum()),
                 "convex": bool(np.all(curv[j][free] > 0.0)),
             }
         )
     return out
+
+
+def _resolve_stage(
+    objective: Callable, derivs: Callable, ub: float, points: int, cfg: RecursionConfig
+) -> tuple[float, float, int]:
+    """Re-solve one stage at an exact residual by :func:`_scan_newton` on one element.
+
+    Returns the trade, its objective value and the Newton iterations (0 when
+    the objective is monotone on Newton's bracket); raises SolverError when
+    Newton has not settled within ``cfg.newton_iters``.  Two ``points`` scan
+    only the interval ends, so Newton runs on all of [0, ub].
+    """
+    s, v, report = _scan_newton(objective, derivs, np.array([ub]), points, cfg.newton_iters)
+    if not report.settled[0]:
+        raise SolverError(
+            f"stage solve did not converge within {cfg.newton_iters} Newton iterations",
+            bracket=(0.0, ub),
+            residual=float(report.foc[0]),
+        )
+    return float(s[0]), float(v[0]), int(report.iterations[0])
 
 
 def _scalar_stage_solve(
@@ -654,34 +661,21 @@ def _scalar_stage_solve(
     cfg: RecursionConfig,
     col: int = 0,
 ) -> tuple[float, int]:
-    """Solve one stage at an exact residual: the global minimum over [0, ub].
+    """The global minimum over [0, min(ub, w)], convex or not, and its Newton iterations.
 
-    A scan of ``_RESOLVE_POINTS`` trades and Newton inside the bracket of the
-    best one (:func:`_scan_newton`) finds it whether or not the objective is
-    convex.  ``col`` picks the column of ``fam`` and ``cont``.  Returns the
-    trade and the Newton iterations (0 when the objective is monotone on
-    Newton's bracket); raises SolverError when Newton does not settle within
-    ``cfg.newton_iters``.
+    ``col`` picks the column of ``fam`` and ``cont``.
     """
     ub = min(ub, w)
     if w <= 0.0 or ub <= 0.0:
         return 0.0, 0
-
-    s, _, report = _scan_newton(
+    s, _, iters = _resolve_stage(
         lambda s, idx: fam.value(s, w, col) + cont.value(w - s, col),
         lambda s, idx: _stage_foc(fam, cont, s, w, col),
-        np.array([ub]),
+        ub,
         _RESOLVE_POINTS,
-        cfg.newton_iters,
+        cfg,
     )
-    iters = int(report.iterations[0])
-    if iters >= cfg.newton_iters:
-        raise SolverError(
-            f"stage solve did not converge within {cfg.newton_iters} Newton iterations",
-            bracket=(0.0, ub),
-            residual=float(report.foc[0]),
-        )
-    return float(s[0]), iters
+    return s, iters
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from execsched.dp import (
     _build_mesh,
     _grid_table,
     _newton_diagnostics,
+    _resolve_stage,
     _SplineCont,
     _vec_newton,
 )
@@ -143,7 +144,7 @@ def _fit_continuation(
     return _SplineCont(nodes, PchipInterpolator(nodes, g, extrapolate=False).c)
 
 
-def _stage_newton(
+def _stage_objective(
     params: LinearPercentage,
     w: np.ndarray,
     x: np.ndarray,
@@ -153,25 +154,26 @@ def _stage_newton(
     e_fac: float,
     cfg: RecursionConfig,
 ):
-    """Minimize s*premium + E[e^B]*cont(w - s) over s in [0, w] at every element.
+    """(objective, foc) of s*premium + E[e^B]*cont(w - s) over s in [0, w].
 
     Element e is residual w[e] at state x[e], continued by column col[e] of
-    ``cont``.  Newton runs on the first-order condition with the premium's
-    closed-form derivatives; returns (s*, value) per element and the Newton
-    report.
+    ``cont``; both take trades ``s`` of the elements ``idx``.  ``foc`` gives
+    the first-order condition and its s-derivative in closed form.
     """
 
-    def resid(w, s):
-        return np.minimum(np.clip(w - s, 0.0, None), cont.x[-1])
+    def resid(s, idx):
+        return np.minimum(np.clip(w[idx] - s, 0.0, None), cont.x[-1])
 
-    def f_and_fp(s, idx):
+    def objective(s, idx):
+        prem = _stage_premium(params, s, x[idx], ratio, cfg.quad_order)
+        return s * prem + e_fac * cont.value(resid(s, idx), col[idx])
+
+    def foc(s, idx):
         prem, d1, d2 = _stage_premium_derivs(params, s, x[idx], ratio, cfg.quad_order)
-        d, dd = cont.d_dd(resid(w[idx], s), col[idx])
+        d, dd = cont.d_dd(resid(s, idx), col[idx])
         return prem + s * d1 - e_fac * d, 2.0 * d1 + s * d2 + e_fac * dd
 
-    s, report = _vec_newton(f_and_fp, np.zeros_like(w), w, cfg.newton_iters)
-    prem = _stage_premium(params, s, x, ratio, cfg.quad_order)
-    return s, s * prem + e_fac * cont.value(resid(w, s), col), report
+    return objective, foc
 
 
 def _minimize_stage(
@@ -194,8 +196,10 @@ def _minimize_stage(
         v_flat = s_flat * _stage_premium(params, s_flat, x_flat, ratio, cfg.quad_order)
         return s_flat.reshape(W.shape), v_flat.reshape(W.shape), {}
 
-    idx = np.repeat(np.arange(x.size)[None, :], w.size, axis=0).ravel()
-    s_flat, v_flat, report = _stage_newton(params, w_flat, x_flat, idx, ratio, cont, e_fac, cfg)
+    col = np.repeat(np.arange(x.size)[None, :], w.size, axis=0).ravel()
+    objective, foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
+    s_flat, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, cfg.newton_iters)
+    v_flat = objective(s_flat, np.arange(s_flat.size))
     return s_flat.reshape(W.shape), v_flat.reshape(W.shape), _newton_diagnostics(report)[0]
 
 
@@ -276,26 +280,20 @@ def solve_gbm_simple(
         values[t] = v_fine[oi, ce_idx[t]]
         v_with_zero = np.vstack([np.zeros((1, stage_x[t].size)), v_fine])
 
-    # Forward certainty-equivalent pass at the exact residuals.
+    # Forward certainty-equivalent pass at the exact residuals, Newton on [0, w].
     trades: list[float] = []
     diagnostics: list[dict] = []
     w = total
     for t in range(1, T):
-        s, _, report = _stage_newton(
-            params,
-            np.array([w]),
-            stage_x[t][ce_idx[t] : ce_idx[t] + 1],
-            np.array([ce_idx[t]]),
-            ratios[t - 1],
-            stage_conts[t],
-            e_fac,
-            cfg,
+        j = ce_idx[t]
+        objective, foc = _stage_objective(
+            params, np.array([w]), stage_x[t][j : j + 1], np.array([j]),
+            ratios[t - 1], stage_conts[t], e_fac, cfg,
         )
-        diagnostics.append(
-            {"stage": t, **grid_diags[t], "schedule_iterations": int(report.iterations[0])}
-        )
-        trades.append(float(s[0]))
-        w -= trades[-1]
+        s, _, iters = _resolve_stage(objective, foc, w, 2, cfg)
+        diagnostics.append({"stage": t, **grid_diags[t], "schedule_iterations": iters})
+        trades.append(s)
+        w -= s
     trades.append(w)
     metadata["diagnostics"] = diagnostics
 

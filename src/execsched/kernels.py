@@ -13,9 +13,9 @@ expectations the solvers take numerically.
 There is one Mills kernel, ``_mills_g`` (G = phi/Phi).  It evaluates each
 element on one branch only (erfcx where u < 0, phi/ndtr elsewhere) and
 scatters both into one output.  ``mills_psi``, ``mills_psi_prime`` and
-``_mills_psi_second`` each build on one G; ``mills_psi_derivs`` returns psi'
-and psi'' (optionally psi too) from a single G for the stage solves, bit for
-bit equal to the separate calls.  The Gauss-Hermite mixture expectation and
+``_mills_psi_second`` each build on one G; ``mills_psi_derivs`` returns psi,
+psi' and psi'' from a single G for the stage solves, bit for bit equal to
+the separate calls.  The Gauss-Hermite mixture expectation and
 its sigma_Y = 0 limit have companions (``_mixture_derivs_gh``,
 ``_lognormal_shift_derivs``) that also return the first two derivatives in
 the mean of Y, with values bit for bit equal to theirs.
@@ -174,23 +174,21 @@ def _mills_psi_second(u):
     return _scalar_or_array(-g - u * gp - 2.0 * g * gp)
 
 
-def mills_psi_derivs(u, *, with_psi: bool = False):
-    """(psi'(u), psi''(u)) from one G, or (psi, psi', psi'') with ``with_psi``.
+def mills_psi_derivs(u):
+    """(psi(u), psi'(u), psi''(u)) from one G.
 
-    The expressions are those of :func:`mills_psi_prime`,
-    :func:`_mills_psi_second` and :func:`mills_psi`, so every output is bit
-    for bit the separate call's; ``with_psi`` also applies mills_psi's
-    finiteness check.
+    The expressions are those of :func:`mills_psi`, :func:`mills_psi_prime`
+    and :func:`_mills_psi_second`, so every output is bit for bit the
+    separate call's; like mills_psi it requires finite input.
     """
-    arr = _finite(u) if with_psi else np.asarray(u, dtype=float)
+    arr = _finite(u)
     g = _mills_g(arr)
-    d1 = 1.0 - arr * g - g * g
     gp = -g * (arr + g)
-    d2 = -g - arr * gp - 2.0 * g * gp
-    out = (_scalar_or_array(d1), _scalar_or_array(d2))
-    if with_psi:
-        return (_scalar_or_array(_psi_from_g(arr, g)),) + out
-    return out
+    return (
+        _scalar_or_array(_psi_from_g(arr, g)),
+        _scalar_or_array(1.0 - arr * g - g * g),
+        _scalar_or_array(-g - arr * gp - 2.0 * g * gp),
+    )
 
 
 def truncated_mean_positive(y: Gaussian) -> float:

@@ -59,10 +59,12 @@ from .dp import (
     _build_mesh,
     _grid_table,
     _MillsStage,
-    _scalar_stage_solve,
     _newton_diagnostics,
+    _resolve_stage,
+    _scalar_stage_solve,
     _scan_newton,
     _SplineCont,
+    _TerminalMills,
 )
 from .kernels import GH_MAX_ORDER, gauss_hermite, mills_psi, mills_psi_derivs, mills_psi_prime
 from .models import Liquidity, MarketState
@@ -92,18 +94,6 @@ _PRICE_SPAN = 10.0
 def _noise_scale(params: Liquidity, price: float) -> float:
     """Standard deviation of P' - P given (P, O, S): hypot(gamma*P*sigma_eta, sigma_eps)."""
     return math.hypot(params.gamma * price * params.sigma_eta, params.sigma_eps)
-
-
-def _mills_form(params: Liquidity, price: float, volume: float, qty):
-    """qty * s(P) * psi(P*(alpha + beta*qty - gamma*rho*O)/s(P)).
-
-    This is both the stage premium cost at trade S = qty and the terminal
-    value at residual W = qty.
-    """
-    qty = np.asarray(qty, dtype=float)
-    s = _noise_scale(params, price)
-    u = price * (params.alpha + params.beta * qty - params.gamma * params.rho * volume) / s
-    return qty * s * mills_psi(u)
 
 
 def _stage_family(params: Liquidity, price: float, volume: float):
@@ -239,14 +229,14 @@ class _Penultimate:
         )
 
     def objective(self, trades, resids) -> np.ndarray:
-        cost = _mills_form(self.params, self.price, self.volume, trades)
+        cost = self.stage.value(trades, trades)
         return cost + self.expected_terminal(trades, resids - trades)
 
     def _derivs_block(self, trades, resids):
         p, s_p = self.params, self.s_p
         r = resids - trades
         zscore, gauss_w, u = self._tensor(trades, r)
-        psi, d1, d2 = (k @ self.z_weights for k in mills_psi_derivs(u, with_psi=True))
+        psi, d1, d2 = (k @ self.z_weights for k in mills_psi_derivs(u))
         # A0 moves by P*beta per share: the z-scores fall at that rate over
         # s_P, and u moves through the residual and the conditional mean of
         # eta, by the same amount at every volume node
@@ -321,7 +311,7 @@ def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConf
     pinned = (s >= ub) & (ub >= w_nodes * (1.0 - 1e-12))
     vd = np.where(
         pinned,
-        pen.stage.ds(s, w_nodes),
+        pen.stage.ds_dss(s, w_nodes)[0],
         pen.expected_terminal(s, w_nodes - s, derivative=True),
     )
     slope0 = pen.stage.slope_at_origin(float(pen.expected_terminal(0.0, 0.0, derivative=True)[0]))
@@ -338,23 +328,22 @@ def _penultimate_scalar(
 ) -> tuple[float, int, float]:
     """Reported stage T-1 trade at the exact residual, with a resolution check.
 
-    The objective is re-evaluated at the minimizer with both quadrature
-    orders doubled; disagreement beyond 1e-6 relative raises
-    ResolutionWarning per the documented under-resolution contract.
-    Returns the trade, the Newton iterations used and that relative change
-    (the quadrature drift).
+    :func:`_resolve_stage` scans ``_SCAN_POINTS`` trades; the objective is
+    then re-evaluated at the minimizer with both quadrature orders doubled,
+    and disagreement beyond 1e-6 relative raises ResolutionWarning per the
+    documented under-resolution contract.  Returns the trade, the Newton
+    iterations used and that relative change (the quadrature drift).
     """
     ub = min(w, cap)
     order = cfg.quad_order
     pen = _make_penultimate(params, price, volume, cap, ub, order, order)
-    s, j, report = _scan_newton(
+    s_star, j_star, iters = _resolve_stage(
         lambda x, idx: pen.objective(x, w),
         lambda x, idx: pen.objective_derivs(x, w),
-        np.array([ub]),
+        ub,
         _SCAN_POINTS,
-        cfg.newton_iters,
+        cfg,
     )
-    s_star, j_star = float(s[0]), float(j[0])
 
     doubled = _make_penultimate(
         params, price, volume, cap, ub, 2 * order, min(2 * order, GH_MAX_ORDER)
@@ -368,7 +357,7 @@ def _penultimate_scalar(
             ResolutionWarning,
             stacklevel=3,
         )
-    return s_star, int(report.iterations[0]), rel
+    return s_star, iters, rel
 
 
 def _ce_path(params: Liquidity, state: MarketState, T: int, total: float):
@@ -448,7 +437,7 @@ def solve_liquidity(
             )
         metadata["diagnostics"] = []
         official = np.geomspace(total * cfg.grid_lo_frac, total, cfg.grid_nodes)
-        values = _mills_form(params, prices[0], volumes[0], official)
+        values = _TerminalMills(*_stage_family(params, prices[0], volumes[0])).value(official)
         return Schedule.from_trades([total], total), _grid_table(official, [], [values], metadata)
 
     cfg_liq = replace(cfg, refine=min(cfg.refine, _MAX_REFINE))
@@ -519,7 +508,7 @@ def solve_liquidity(
             f"terminal residual {w} exceeds the stage {T} volume bound {bounds[T - 1]}"
         )
     trades.append(w)
-    grid_values.append(_mills_form(params, prices[T - 1], volumes[T - 1], mesh.official))
+    grid_values.append(problem.terminal().value(mesh.official, 0))
     metadata["diagnostics"] = diagnostics
     table = _grid_table(mesh.official, grid_trades, grid_values, metadata)
     return Schedule.from_trades(trades, total), table

@@ -5,7 +5,7 @@ Determinism contract: the shocks are random stream v2 (``STREAM_VERSION``),
 one counter-based Philox stream keyed by the seed in which every path owns
 its own counters (:func:`_draw_shocks`) and reads a (T, 2) standard-normal
 block, price shock first.  A path's shocks therefore depend only on (seed,
-path index), never on block size or ``workers`` (validated, no effect).
+path index), never on block size.
 All reductions over paths happen on the index-ordered assembly.
 
 Paths advance in blocks of at most ``BLOCK_PATHS``: each stage is one
@@ -311,14 +311,12 @@ class SimulatedPaths:
     counters: dict[str, np.ndarray]
 
 
-def _simulate(config: SimConfig, policy, workers: int) -> SimulatedPaths:
+def _simulate(config: SimConfig, policy) -> SimulatedPaths:
     """Path generation in blocks of BLOCK_PATHS paths; index-ordered output.
 
-    ``workers`` is validated and ignored.  Counters are summed over blocks
-    and DegeneratePathWarning is raised here, once per stage.
+    Counters are summed over blocks and DegeneratePathWarning is raised
+    here, once per stage.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n, T = config.n_paths, config.horizon.T
     prices, trades = np.empty((n, T + 1)), np.empty((n, T))
     feasible = np.empty(n, dtype=bool)
@@ -333,21 +331,18 @@ def _simulate(config: SimConfig, policy, workers: int) -> SimulatedPaths:
     return SimulatedPaths(config, prices, trades, feasible, counters)
 
 
-def simulate_paths(config: SimConfig, policy, *, workers: int = 1) -> SimulatedPaths:
-    """Generate every path of ``config`` under a Schedule or PolicyTable.
-
-    ``workers`` must be an integer >= 1 and has no effect.
-    """
+def simulate_paths(config: SimConfig, policy) -> SimulatedPaths:
+    """Generate every path of ``config`` under a Schedule or PolicyTable."""
     _check_policy(config, policy)
-    return _simulate(config, policy, workers)
+    return _simulate(config, policy)
 
 
-def _paths_for(config: SimConfig, policy, workers: int) -> SimulatedPaths:
+def _paths_for(config: SimConfig, policy) -> SimulatedPaths:
     if isinstance(policy, SimulatedPaths):
         if policy.config != config:
             raise ValueError("the simulated paths were generated under a different config")
         return policy
-    return simulate_paths(config, policy, workers=workers)
+    return simulate_paths(config, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +356,16 @@ def evaluate_policy(
     formulation: str = "simple",
     *,
     side: str = "buy",
-    workers: int = 1,
 ) -> CostDistribution:
     """Simulate the policy and attribute every feasible path's cost.
 
     The law of motion prices the schedule owner's trades; ``side="sell"``
     reattributes the same fills from the counterparty's perspective (their
     impact counts the opposite price moves and their shortfall flips sign).
-    ``workers`` is validated and has no effect.
     """
     _check_formulation(formulation)
     _check_side(side)  # before any path is generated
-    paths = _paths_for(config, policy, workers)
+    paths = _paths_for(config, policy)
     idx = np.nonzero(paths.feasible)[0]
     fp, ft = paths.prices[idx], paths.trades[idx]
 
@@ -431,7 +424,6 @@ def estimate_objective(
     formulation: str = "simple",
     *,
     side: str = "buy",
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the solver objective for a policy.
 
@@ -439,11 +431,11 @@ def estimate_objective(
     conditional-premium functional the solvers minimize, so it matches
     their closed-form values; with an auxiliary state it estimates the
     unconditional per-stage premium instead.  It is not the mean realized
-    impact.  ``workers`` has no effect.
+    impact.
     """
     _check_formulation(formulation)
     _check_side(side)  # before any path is generated
-    paths = _paths_for(config, policy, workers)
+    paths = _paths_for(config, policy)
     ok = paths.feasible
     if not ok.any():
         raise ValueError("every simulated path was infeasible; nothing to estimate")

@@ -21,6 +21,7 @@ from execsched.cli import (
     validate_config,
 )
 from execsched.kernels import mills_psi
+from support import bench_solve_config
 
 
 def _write_json(tmp_path, name, doc):
@@ -191,10 +192,11 @@ class TestSolve:
         assert [d["stage"] for d in diags] == [1, 2]
         for d in diags:
             assert set(d) == {
-                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "convex",
-                "schedule_iterations",
+                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "unsettled_nodes",
+                "convex", "schedule_iterations",
             }
             assert 0 < d["newton_iterations"] < 100
+            assert d["unsettled_nodes"] == 0
             # theta = 3 > 0.75 * sigma_eps: the arithmetic-law certificate holds
             assert d["convex"] is True
 
@@ -250,11 +252,19 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
     def test_unsettled_stage_solve_exits_3(self, tmp_path, capsys):
-        doc = _bench_doc(formulation="complex", solver={"newton_iters": 1})
-        rc = main(["solve", _write_json(tmp_path, "c.json", doc),
-                   "--output-dir", str(tmp_path)])
-        assert rc == EXIT_SOLVER
-        assert "did not converge" in capsys.readouterr().err
+        # every solver family's re-solve at the exact residual: the grid
+        # recursion's, liquidity stage T-1 and the percentage law's
+        docs = [_bench_doc(formulation="complex", solver={"newton_iters": 1})]
+        for model, value in (("liquidity", 20.0), ("linear_percentage", 0.05)):
+            cfg = json.loads(canonical_json(bench_solve_config(model, value)))
+            for newton_iters in (1, 2):
+                docs.append({**cfg, "solver": {**(cfg["solver"] or {}),
+                                               "newton_iters": newton_iters}})
+        for k, doc in enumerate(docs):
+            rc = main(["solve", _write_json(tmp_path, f"c{k}.json", doc),
+                       "--output-dir", str(tmp_path)])
+            assert rc == EXIT_SOLVER, doc
+            assert "did not converge" in capsys.readouterr().err
 
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         outdir = tmp_path / "env_out"

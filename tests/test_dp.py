@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from execsched import cli
 from execsched.dp import (
     ClosedLinearPolicy,
     ConfigError,
@@ -31,9 +32,11 @@ from execsched.dp import (
     solve_benchmark_complex,
     solve_benchmark_simple,
 )
+from execsched.gbm import solve_gbm_simple
 from execsched.kernels import mills_psi
 from execsched.liquidity import solve_liquidity
 from execsched.models import Ar1Extra, Benchmark, Liquidity, MarketState, Spread, convexity_check
+from support import bench_solve_config
 
 
 class TestHorizon:
@@ -278,8 +281,8 @@ class TestBenchmarkComplex:
 
         fam = _MillsStage(theta, 0.0, sigma, True)
         term = _TerminalMills(theta, 0.0, sigma)
-        residual = fam.ds(s, 1.0) - term.d(1.0 - s)
-        scale = abs(fam.ds(0.0, 1.0)) + abs(term.d(1.0))
+        residual = fam.ds_dss(s, 1.0)[0] - term.d_dd(1.0 - s)[0]
+        scale = abs(fam.ds_dss(0.0, 1.0)[0]) + abs(term.d_dd(1.0)[0])
         assert abs(residual) <= 1e-8 * scale
 
     def test_unit_theta_sits_on_the_boundary(self):
@@ -513,11 +516,10 @@ class TestHermiteEvaluator:
             col = np.full(r.shape, j)
             d, dd = cont.d_dd(r, col)
             assert np.array_equal(_bits(cont.value(r, col)), _bits(h(r)))
-            assert np.array_equal(_bits(cont.d(r, col)), _bits(hd(r)))
             assert np.array_equal(_bits(d), _bits(hd(r)))
             assert np.array_equal(_bits(dd), _bits(hdd(r)))
             # a scalar point and a scalar column, as the schedule re-solve uses
-            assert _bits(cont.d(np.float64(x[-1]), j)) == _bits(hd(x[-1]))
+            assert _bits(cont.d_dd(np.float64(x[-1]), j)[0]) == _bits(hd(x[-1]))
 
     def test_negative_zero_knot_value_matches_scipy(self):
         from scipy.interpolate import CubicHermiteSpline
@@ -533,8 +535,9 @@ class TestHermiteEvaluator:
         r = np.array([1.0])
         col = np.zeros(1, dtype=int)
         assert _bits(cont.value(r, col)) == _bits(h(r))
-        assert _bits(cont.d(r, col)) == _bits(h.derivative()(r))
-        assert _bits(cont.d_dd(r, col)[1]) == _bits(h.derivative(2)(r))
+        d, dd = cont.d_dd(r, col)
+        assert _bits(d) == _bits(h.derivative()(r))
+        assert _bits(dd) == _bits(h.derivative(2)(r))
 
     def test_each_point_reads_its_own_column(self):
         from execsched.dp import _SplineCont
@@ -596,6 +599,7 @@ class TestEarlyStoppingNewton:
         free = ~report.pinned
         assert np.all(report.iterations[free] < 100)
         assert np.all(report.iterations[~free] == 0)
+        assert report.settled.all()
 
     def test_cap_limits_iterations_and_reports_the_residual(self):
         from execsched.dp import _vec_newton
@@ -609,7 +613,30 @@ class TestEarlyStoppingNewton:
         ref = _reference_newton(lambda x: f_and_fp(x, None), np.zeros(2), np.ones(2), 5)
         assert np.array_equal(_bits(x), _bits(ref))
         assert report.iterations.tolist() == [5, 5]
+        assert report.settled.tolist() == [False, False]
         np.testing.assert_array_equal(report.foc, x - 0.3)
+
+    def test_settling_on_the_last_allowed_iteration_counts_as_settled(self):
+        from execsched.dp import _resolve_stage, _vec_newton
+
+        def objective(s, idx):
+            return (s - 0.3) ** 2
+
+        def derivs(s, idx):
+            return 2.0 * (s - 0.3), np.full_like(s, 2.0)
+
+        _, report = _vec_newton(derivs, np.zeros(1), np.ones(1), 100)
+        k = int(report.iterations[0])
+        assert k > 1
+        at_cap = _vec_newton(derivs, np.zeros(1), np.ones(1), k)[1]
+        assert at_cap.iterations[0] == k and at_cap.settled[0]
+        assert not _vec_newton(derivs, np.zeros(1), np.ones(1), k - 1)[1].settled[0]
+        # 2 scan points leave Newton the whole of [0, 1]
+        s, v, iters = _resolve_stage(objective, derivs, 1.0, 2, RecursionConfig(newton_iters=k))
+        assert (iters, v) == (k, objective(s, None))
+        with pytest.raises(SolverError) as err:
+            _resolve_stage(objective, derivs, 1.0, 2, RecursionConfig(newton_iters=k - 1))
+        assert err.value.bracket == (0.0, 1.0)
 
 
 class TestScanNewton:
@@ -729,6 +756,7 @@ class TestSolverDiagnostics:
         assert 0 < diag["newton_iterations"] < cfg.newton_iters
         assert 0.0 <= diag["max_abs_foc"] < 1e-9
         assert isinstance(diag["pinned_nodes"], int)
+        assert diag["unsettled_nodes"] == 0
         assert diag["convex"] is True
 
     def test_complex_solvers_report_each_free_stage(self):
@@ -751,6 +779,13 @@ class TestSolverDiagnostics:
         assert [d["stage"] for d in diags] == [1, 2, 3]
         for d in diags:
             self._check_newton(d, cfg)
+
+    def test_grid_recursion_counts_unsettled_nodes(self):
+        problem = MillsRecursionProblem.uniform(Horizon(4, 6.0), 1.5, 1.0)
+        capped = approximate_recursion(problem, RecursionConfig(newton_iters=2))
+        assert sum(d["unsettled_nodes"] for d in capped.metadata["diagnostics"]) > 0
+        settled = approximate_recursion(problem)
+        assert all(d["unsettled_nodes"] == 0 for d in settled.metadata["diagnostics"])
 
     def test_diagnostics_are_deterministic(self):
         runs = [
@@ -834,4 +869,18 @@ class TestExactResidualResolve:
             solve_benchmark_complex(Benchmark(theta=3.0, sigma_eps=1.0), Horizon(4, 100.0), cfg)
         # one iteration cannot show that Newton settled, whatever it reached
         assert err.value.bracket == (0.0, 100.0)
+        assert math.isfinite(err.value.residual)
+
+    @pytest.mark.parametrize("newton_iters", [1, 2])
+    @pytest.mark.parametrize("model, value", [("liquidity", 20.0), ("linear_percentage", 0.05)])
+    def test_every_family_raises_on_an_unsettled_resolve(self, model, value, newton_iters):
+        # the bench liquidity T=2 and percentage-law solves: capped short of
+        # settling, their schedule re-solves raise like the grid recursion's
+        cfg = bench_solve_config(model, value)
+        params, horizon, state = cli.build_model(cfg), cli.build_horizon(cfg), cli.build_state(cfg)
+        rc = RecursionConfig(**{**(cfg["solver"] or {}), "newton_iters": newton_iters})
+        solve = solve_liquidity if model == "liquidity" else solve_gbm_simple
+        with pytest.raises(SolverError, match="did not converge") as err:
+            solve(params, horizon, state, rc)
+        assert err.value.bracket == (0.0, horizon.total_shares)
         assert math.isfinite(err.value.residual)

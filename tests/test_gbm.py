@@ -150,9 +150,10 @@ class TestValidation:
         assert [d["stage"] for d in diags] == [1, 2]
         for d in diags:
             assert set(d) == {
-                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "convex",
-                "schedule_iterations",
+                "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "unsettled_nodes",
+                "convex", "schedule_iterations",
             }
+            assert d["unsettled_nodes"] == 0
             assert 0 < d["newton_iterations"] < cfg.newton_iters
             assert math.isfinite(d["max_abs_foc"])
             assert 0 < d["schedule_iterations"] < cfg.newton_iters
@@ -229,32 +230,35 @@ class TestPremiumDerivatives:
 
 class TestGlobalMinimum:
     def test_every_official_node_beats_a_dense_scan(self, monkeypatch):
-        # the bench linear_percentage config; every stage's Newton solve is
+        # the bench linear_percentage config; every stage's grid solve is
         # recorded and, at the official nodes and every X sample, its value
         # must not exceed the minimum of a 401-point scan of its objective
         cfg = bench_solve_config("linear_percentage", 0.05)
         params, horizon = cli.build_model(cfg), cli.build_horizon(cfg)
         state, rc = cli.build_state(cfg), cli.build_recursion_config(cfg) or RecursionConfig()
         calls = []
-        newton = gbm._stage_newton
+        minimize = gbm._minimize_stage
 
         def recorded(*args):
-            out = newton(*args)
+            out = minimize(*args)
             calls.append((args, out))
             return out
 
-        monkeypatch.setattr(gbm, "_stage_newton", recorded)
+        monkeypatch.setattr(gbm, "_minimize_stage", recorded)
         _, table = solve_gbm_simple(params, horizon, state, rc)
         official = table.value_samples[0][:, 0]
-        grid_calls = [c for c in calls if c[0][1].size > 1]
+        grid_calls = [c for c in calls if c[0][4] is not None]
         assert len(grid_calls) == horizon.T - 1
         frac = np.linspace(0.0, 1.0, 401)
-        for (_, w, x, col, ratio, cont, e_fac, _), (_, v, _) in grid_calls:
+        for (_, w, x, ratio, cont, e_fac, _), (_, v, _) in grid_calls:
             at = np.flatnonzero(np.isin(w, official))
-            assert at.size == official.size * cont.c.shape[-1]
-            s = w[at, None] * frac
-            r = np.minimum(np.clip(w[at, None] - s, 0.0, None), cont.x[-1])
-            scan = s * _stage_premium(params, s, x[at, None], ratio, rc.quad_order) + (
-                e_fac * cont.value(r, col[at, None])
+            assert at.size == official.size and x.size == cont.c.shape[-1]
+            # (node, X sample) pairs, X fastest, as v[at] ravels
+            w_at, x_at = (a.ravel() for a in np.meshgrid(w[at], x, indexing="ij"))
+            col = np.tile(np.arange(x.size), at.size)
+            s = w_at[:, None] * frac
+            r = np.minimum(np.clip(w_at[:, None] - s, 0.0, None), cont.x[-1])
+            scan = s * _stage_premium(params, s, x_at[:, None], ratio, rc.quad_order) + (
+                e_fac * cont.value(r, col[:, None])
             )
-            assert np.all(v[at] <= scan.min(axis=1) * (1.0 + 1e-12))
+            assert np.all(v[at].ravel() <= scan.min(axis=1) * (1.0 + 1e-12))

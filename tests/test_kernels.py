@@ -155,22 +155,20 @@ class TestFusedDerivatives:
     def test_match_separate_calls_bit_for_bit(self, u):
         # |u| near the float limit overflows u*G in both forms alike
         with np.errstate(over="ignore", invalid="ignore"):
-            d1, d2 = mills_psi_derivs(u)
+            p0, d1, d2 = mills_psi_derivs(u)
+            assert np.array_equal(_bits(p0), _bits(mills_psi(u)))
             assert np.array_equal(_bits(d1), _bits(mills_psi_prime(u)))
             assert np.array_equal(_bits(d2), _bits(_mills_psi_second(u)))
-            p0, q1, q2 = mills_psi_derivs(u, with_psi=True)
-            assert np.array_equal(_bits(p0), _bits(mills_psi(u)))
-        assert np.array_equal(_bits(q1), _bits(d1))
-        assert np.array_equal(_bits(q2), _bits(d2))
 
     def test_scalar_in_scalar_out(self):
-        d1, d2 = mills_psi_derivs(-3.0)
-        assert isinstance(d1, float) and isinstance(d2, float)
+        p0, d1, d2 = mills_psi_derivs(-3.0)
+        assert all(isinstance(v, float) for v in (p0, d1, d2))
+        assert p0 == mills_psi(-3.0)
         assert d1 == mills_psi_prime(-3.0) and d2 == _mills_psi_second(-3.0)
 
-    def test_with_psi_rejects_non_finite(self):
+    def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            mills_psi_derivs(np.array([0.0, float("nan")]), with_psi=True)
+            mills_psi_derivs(np.array([0.0, float("nan")]))
 
 
 class TestTruncatedMeanPositive:

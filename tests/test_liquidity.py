@@ -24,10 +24,11 @@ from execsched.dp import (
     SolverError,
 )
 from execsched.kernels import mills_psi
+from execsched.dp import _TerminalMills
 from execsched.liquidity import (
     _NODE_PANEL_ORDER,
     _make_penultimate,
-    _mills_form,
+    _stage_family,
     solve_liquidity,
 )
 from execsched.models import Liquidity, MarketState
@@ -37,7 +38,9 @@ SPEC_PARAMS = Liquidity(
     alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5, sigma_eta=10.0
 )
 SPEC_STATE = MarketState(price=100.0, aux=50.0)
-NEWTON_KEYS = {"stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "convex"}
+NEWTON_KEYS = {
+    "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "unsettled_nodes", "convex",
+}
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +48,14 @@ def spec_solution():
     return solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
 
 
+def _terminal_value(params, price, volume, resid):
+    """The closed-form V_T at residual ``resid`` and decision state (price, volume)."""
+    return float(_TerminalMills(*_stage_family(params, price, volume)).value(resid))
+
+
 class TestTerminalForm:
     def test_closed_form_frozen(self):
-        assert _mills_form(SPEC_PARAMS, 100.0, 50.0, 20.0) == pytest.approx(
+        assert _terminal_value(SPEC_PARAMS, 100.0, 50.0, 20.0) == pytest.approx(
             1820.0051336242236, rel=1e-12
         )
 
@@ -67,13 +75,13 @@ class TestTerminalForm:
             prem = nxt - price
             kept = prem[prem > 0.0] * resid
             se = kept.std(ddof=1) / np.sqrt(kept.size)
-            assert abs(_mills_form(p, price, vol, resid) - kept.mean()) <= 3.0 * se
+            assert abs(_terminal_value(p, price, vol, resid) - kept.mean()) <= 3.0 * se
 
     def test_gamma_collapse_to_single_noise_arm(self):
         # with gamma ~ 0 and alpha = 0 the scale loses the volume arm and the
         # form reduces to sigma_eps * W * psi(theta*W*P/sigma_eps)
         p = Liquidity(alpha=0.0, theta=0.05, gamma=1e-12, rho=0.5, sigma_eps=0.5, sigma_eta=10.0)
-        got = float(_mills_form(p, 100.0, 50.0, 20.0))
+        got = _terminal_value(p, 100.0, 50.0, 20.0)
         want = 0.5 * 20.0 * float(mills_psi(0.05 * 20.0 * 100.0 / 0.5))
         assert got == pytest.approx(want, rel=1e-7)
 
@@ -254,6 +262,7 @@ class TestDiagnostics:
         assert 0 < diag["newton_iterations"] < cfg.newton_iters
         assert math.isfinite(diag["max_abs_foc"])
         assert 0 < diag["schedule_iterations"] < cfg.newton_iters
+        assert diag["unsettled_nodes"] == 0
         # the objective is not convex near S = 0, but it is at every solution
         assert diag["convex"] is True
 
@@ -279,6 +288,7 @@ class TestDiagnostics:
         for diag in (first, second):
             assert 0 < diag["newton_iterations"] < cfg.newton_iters
             assert math.isfinite(diag["max_abs_foc"])
+            assert diag["unsettled_nodes"] == 0
 
 
 class TestLongerHorizons:

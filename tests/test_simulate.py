@@ -77,35 +77,6 @@ class TestDeterminism:
         assert np.array_equal(a.timing, b.timing)
         assert np.array_equal(a.path_index, b.path_index)
 
-    def test_workers_do_not_change_samples(self):
-        cfg = _bench_config(n_paths=600)
-        sched = _equal_schedule(3, 10.0)
-        serial = evaluate_policy(cfg, sched, "complex", workers=1)
-        parallel = evaluate_policy(cfg, sched, "complex", workers=2)
-        assert np.array_equal(serial.shortfall, parallel.shortfall)
-        assert np.array_equal(serial.impact, parallel.impact)
-        assert np.array_equal(serial.timing, parallel.timing)
-        assert np.array_equal(serial.side_adjusted_return, parallel.side_adjusted_return)
-        assert np.array_equal(serial.price_cov, parallel.price_cov)
-
-    def test_workers_do_not_change_exclusions(self):
-        params = Liquidity(
-            alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5, sigma_eta=10.0
-        )
-        cfg = SimConfig(
-            model=params,
-            horizon=Horizon(2, 40.0),
-            n_paths=300,
-            seed=5,
-            initial_state=MarketState(price=100.0, aux=50.0),
-        )
-        sched = _equal_schedule(2, 40.0)
-        serial = evaluate_policy(cfg, sched, "simple", workers=1)
-        parallel = evaluate_policy(cfg, sched, "simple", workers=2)
-        assert serial.n_infeasible == parallel.n_infeasible
-        assert np.array_equal(serial.path_index, parallel.path_index)
-        assert np.array_equal(serial.shortfall, parallel.shortfall)
-
     def test_different_seeds_differ(self):
         sched = _equal_schedule(3, 10.0)
         a = evaluate_policy(_bench_config(seed=1, n_paths=50), sched)
@@ -455,13 +426,11 @@ class TestValidation:
             with pytest.raises(ValueError, match="side must be 'buy' or 'sell', got 'hold'"):
                 estimator(cfg, sched, side="hold")
 
-    def test_bad_formulation_and_workers(self):
+    def test_bad_formulation(self):
         cfg = _bench_config(n_paths=10)
         sched = _equal_schedule(3, 10.0)
         with pytest.raises(ValueError, match="formulation"):
             evaluate_policy(cfg, sched, "net")
-        with pytest.raises(ValueError, match="workers"):
-            evaluate_policy(cfg, sched, workers=0)
 
 
 def _handmade_distribution(returns, covs):
@@ -654,20 +623,11 @@ class TestBatchedSimulator:
         if law == "liquidity":
             assert all(counters[name].sum() > 0 for name in counters)
 
-    def test_counters_do_not_depend_on_workers(self):
-        cfg, sched = _law_case("liquidity")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneratePathWarning)
-            serial = simulate_paths(cfg, sched, workers=1)
-            parallel = simulate_paths(cfg, sched, workers=2)
-        assert {k: v.tolist() for k, v in serial.counters.items()} == {
-            k: v.tolist() for k, v in parallel.counters.items()}
-        assert serial.counters["infeasible"].sum() == (~serial.feasible).sum()
-
     def test_degenerate_paths_warn_once_per_stage(self):
         cfg, sched = _law_case("liquidity")
         with pytest.warns(DegeneratePathWarning) as record:
             paths = simulate_paths(cfg, sched)
+        assert paths.counters["infeasible"].sum() == (~paths.feasible).sum()
         counts = paths.counters["nonpositive_prices"]
         assert len(record) == np.count_nonzero(counts)
         stages = [t for t, c in enumerate(counts, start=1) if c]
