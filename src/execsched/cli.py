@@ -31,8 +31,7 @@ from datetime import datetime, timezone
 from time import perf_counter
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from execsched import __version__
 from execsched.attribution import (
@@ -862,8 +861,8 @@ def _verify_kernels() -> Iterator[dict]:
     mu_x, sig_x, mu_y, k = 0.0, 0.1, 1010.0, -1000.0
     mix = nln_mixture_expectation(Gaussian(mu_x, sig_x), Gaussian(mu_y, 1e-6), k)
     z = (math.log(-k / mu_y) - mu_x) / sig_x
-    p = norm.cdf(-z)
-    closed = (mu_y * math.exp(mu_x + sig_x**2 / 2) * norm.cdf(sig_x - z) + k * p) / p
+    p = ndtr(-z)
+    closed = (mu_y * math.exp(mu_x + sig_x**2 / 2) * ndtr(sig_x - z) + k * p) / p
     yield _check(
         "mixture-degenerate-limit",
         abs(mix / closed - 1.0) < 1e-6,
@@ -872,6 +871,8 @@ def _verify_kernels() -> Iterator[dict]:
 
 
 def _verify_solvers() -> Iterator[dict]:
+    from scipy.integrate import quad  # here, so importing the CLI leaves scipy.integrate out
+
     T = 6
     table = approximate_recursion(MillsRecursionProblem.uniform(Horizon(T, 10.0), 2.0, 1.0))
     worst = 0.0

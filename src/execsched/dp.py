@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 # bench/tracing.py wraps ``mills_psi_prime`` and ``_mills_psi_second`` under
 # this module's name, so they stay importable from it though unused here.
@@ -183,9 +182,12 @@ class ClosedLinearPolicy:
 class NumericalPolicy:
     """Optimal trade sampled on a residual grid, interpolated monotone-cubic.
 
-    Below the lowest node the policy extends linearly through the origin at
-    the lowest node's trade fraction; everywhere the result is clipped to
-    [0, w].
+    The interpolant is :func:`_pchip`, whose slopes and coefficients repeat
+    scipy's ``PchipInterpolator`` bit for bit; above the highest node it
+    holds that node's trade.  Below the lowest node the policy extends
+    linearly through the origin at the lowest node's trade fraction;
+    everywhere the result is clipped to [0, w].  Grid and trades must be
+    finite.
     """
 
     grid: np.ndarray
@@ -198,6 +200,8 @@ class NumericalPolicy:
             raise ValueError("grid and trades must be equal-length 1-d arrays (>= 2 nodes)")
         if not (np.all(np.diff(grid) > 0.0) and grid[0] > 0.0):
             raise ValueError("grid must be strictly increasing and positive")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(trades))):
+            raise ValueError("grid and policy values must be finite at every node")
         tol = 1e-9 * grid
         if np.any(trades < -tol) or np.any(trades > grid + tol):
             raise ValueError("policy values must lie in [0, W] at every node")
@@ -208,13 +212,13 @@ class NumericalPolicy:
         object.__setattr__(self, "trades", trades)
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self.grid, self.trades, extrapolate=True)
+    def _interp(self) -> _SplineCont:
+        return _pchip(self.grid, self.trades)
 
     def trade(self, w):
         """Trade for residual w, a float or an array of residuals (one PCHIP call)."""
         w = np.asarray(w, dtype=float)
-        inner = np.clip(self._interp(_min(w, self.grid[-1])), 0.0, w)
+        inner = np.clip(self._interp.value(_min(w, self.grid[-1]), 0), 0.0, w)
         below = float(self.trades[0] / self.grid[0]) * w
         out = np.where(w <= 0.0, 0.0, np.where(w < self.grid[0], below, inner))
         return float(out) if out.ndim == 0 else out
@@ -330,7 +334,7 @@ class _MillsStage:
 
     def ds_dss(self, s, w, col=None):
         """The cost's first two s-derivatives from one Mills kernel evaluation."""
-        p0, p1, p2 = mills_psi_derivs(self._u(s, col))
+        p0, p1, p2 = mills_psi_derivs(self._u(s, col), with_psi=not self.weight_by_residual)
         curv_scale = self.theta * self.theta / self.beta
         if self.weight_by_residual:
             return w * self.theta * p1, w * (curv_scale * p2)
@@ -390,8 +394,9 @@ class _SplineCont:
     evaluates each column at its own points.  Coefficients, interval search
     and evaluation order repeat scipy's ``PPoly`` (and its ``.derivative()``
     objects) operation for operation, so values agree with scipy's bit for
-    bit.  Scipy starts each sum from +0.0, which turns an exact -0.0 constant
-    term into +0.0; the constant terms here get the same +0.0 once, up front.
+    bit; :func:`_pchip` builds one whose PCHIP slopes repeat scipy's.  Scipy
+    starts each sum from +0.0, which turns an exact -0.0 constant term into
+    +0.0; the constant terms here get the same +0.0 once, up front.
     """
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
@@ -427,7 +432,8 @@ class _SplineCont:
         return d0 * 2.0, d1 * 1.0 + 0.0
 
     def _locate(self, r):
-        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        # the piece index clipped to [0, n-2], so the end pieces extend outward
+        i = np.searchsorted(self.x[1:-1], r, side="right")
         s = r - self.x[i]
         return i, s, s * s
 
@@ -441,6 +447,47 @@ class _SplineCont:
         d0, d1, d2 = (k[i, col] for k in self._c1)
         e0, e1 = (k[i, col] for k in self._c2)
         return (d2 + d1 * s) + d0 * s2, e1 + e0 * s
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, zeroed or capped to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    cap = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(cap, 3.0 * m0, d))
+
+
+def _pchip(x, y) -> _SplineCont:
+    """Monotone cubic (PCHIP) interpolant of ``y``, shaped (n,) or (n, columns).
+
+    Interior slopes are the weighted harmonic means of the neighbouring secants
+    (Fritsch & Carlson 1980), zero where the secants change sign or one is
+    flat; the end slopes follow Moler, *Numerical Computing with MATLAB*,
+    section 3.6; two nodes give the straight line.  The expressions are those
+    of scipy's ``PchipInterpolator._find_derivatives`` and ``_edge_case``, so
+    the coefficients are scipy's bit for bit.  ``x`` must be strictly
+    increasing; non-finite ``y`` raises ValueError.
+    """
+    y = np.asarray(y, dtype=float).reshape(len(x), -1)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("PCHIP values must be finite at every node")
+    h = np.diff(x)[:, None]
+    m = np.diff(y, axis=0) / h
+    if len(x) == 2:
+        return _SplineCont.from_slopes(x, y, np.vstack((m, m)))
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d = np.vstack(
+        (
+            _pchip_end_slope(h[0], h[1], m[0], m[1]),
+            inner,
+            _pchip_end_slope(h[-1], h[-2], m[-1], m[-2]),
+        )
+    )
+    return _SplineCont.from_slopes(x, y, d)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +649,10 @@ def _stage_minimize(
     # active) the continuation argument is pinned at 0, so dV/dw picks up
     # the stage cost's s-derivative instead of the continuation slope.
     pinned = (s >= ub) & (ub >= w * (1.0 - 1e-12))
-    vd = np.where(
-        pinned,
-        fam.ds_dss(s, w, col)[0] + fam.dw(s, w, col),
-        fam.dw(s, w, col) + cont.d_dd(r, col)[0],
-    )
+    free = ~pinned
+    vd = fam.dw(s, w, col)
+    vd[pinned] += fam.ds_dss(s[pinned], w[pinned], col[pinned])[0]
+    vd[free] += cont.d_dd(r[free], col[free])[0]
     return s, v, vd, report
 
 

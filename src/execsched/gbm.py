@@ -24,7 +24,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from execsched.dp import (
@@ -35,6 +34,7 @@ from execsched.dp import (
     _build_mesh,
     _grid_table,
     _newton_diagnostics,
+    _pchip,
     _resolve_stage,
     _SplineCont,
     _vec_newton,
@@ -141,7 +141,7 @@ def _fit_continuation(
             g += coeffs[d][:, None] * moments[d][None, :]
     g = np.maximum(g, 0.0)
     g[0, :] = 0.0  # v(0, x) = 0 exactly
-    return _SplineCont(nodes, PchipInterpolator(nodes, g, extrapolate=False).c)
+    return _pchip(nodes, g)
 
 
 def _stage_objective(

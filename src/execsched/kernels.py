@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx, ndtr
 
 __all__ = [
@@ -174,8 +173,8 @@ def _mills_psi_second(u):
     return _scalar_or_array(-g - u * gp - 2.0 * g * gp)
 
 
-def mills_psi_derivs(u):
-    """(psi(u), psi'(u), psi''(u)) from one G.
+def mills_psi_derivs(u, with_psi: bool = True):
+    """(psi(u), psi'(u), psi''(u)) from one G; psi is None unless ``with_psi``.
 
     The expressions are those of :func:`mills_psi`, :func:`mills_psi_prime`
     and :func:`_mills_psi_second`, so every output is bit for bit the
@@ -185,7 +184,7 @@ def mills_psi_derivs(u):
     g = _mills_g(arr)
     gp = -g * (arr + g)
     return (
-        _scalar_or_array(_psi_from_g(arr, g)),
+        _scalar_or_array(_psi_from_g(arr, g)) if with_psi else None,
         _scalar_or_array(1.0 - arr * g - g * g),
         _scalar_or_array(-g - arr * gp - 2.0 * g * gp),
     )
@@ -255,6 +254,7 @@ def nln_mixture_expectation(x: Gaussian, y: Gaussian, k: float) -> float:
         raise ValueError("k must be finite")
     if k >= 0.0:
         raise MixtureRegimeError(f"mixture expectation requires k < 0, got k={k}")
+    from scipy.integrate import quad  # here, so importing execsched leaves scipy.integrate out
 
     scale = max(abs(y.mu) + 3.0 * y.sigma, abs(k), 1.0) * np.exp(x.mu + 3.0 * x.sigma)
 

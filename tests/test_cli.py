@@ -711,6 +711,16 @@ class TestVerify:
             main(["verify", "everything"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("suite", ["kernels", "solvers"])
+    def test_quadrature_suites_pass_in_a_fresh_interpreter(self, suite):
+        # scipy.integrate is imported on demand; nothing else loads it first here
+        proc = subprocess.run(
+            [sys.executable, "-m", "execsched", "verify", suite],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "execsched", "verify", "attribution"],
@@ -718,3 +728,18 @@ class TestVerify:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+
+class TestColdImport:
+    @pytest.mark.parametrize("module", ["execsched.cli", "execsched"])
+    def test_import_leaves_unused_scipy_subpackages_unloaded(self, module):
+        code = (
+            f"import json, sys, {module}; "
+            "print(json.dumps([m for m in ('scipy.interpolate', 'scipy.stats', "
+            "'scipy.integrate') if m in sys.modules]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []

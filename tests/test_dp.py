@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from execsched import cli
@@ -111,6 +111,19 @@ class TestPolicies:
     def test_numerical_policy_rejects_trade_above_grid(self):
         with pytest.raises(ValueError):
             NumericalPolicy(grid=np.array([1.0, 2.0]), trades=np.array([0.5, 2.5]))
+
+    @pytest.mark.parametrize(
+        "grid, trades",
+        [
+            ([1.0, 2.0, 4.0], [0.5, math.nan, 1.0]),
+            ([1.0, 2.0, 4.0], [math.nan, 1.0, 2.0]),
+            ([1.0, 2.0, math.inf], [0.5, 1.0, 2.0]),
+        ],
+    )
+    def test_numerical_policy_rejects_non_finite_nodes(self, grid, trades):
+        # NaN fails every comparison of the [0, W] check, so it needs its own
+        with pytest.raises(ValueError, match="finite at every node"):
+            NumericalPolicy(grid=np.array(grid), trades=np.array(trades))
 
     def test_policy_table_requires_metadata_keys(self):
         grid = np.array([1.0, 2.0])
@@ -547,6 +560,84 @@ class TestHermiteEvaluator:
         cont = _SplineCont.from_slopes(x, y, 2.0 * x[:, None] * np.array([1.0, 10.0]))
         got = cont.value(np.array([1.5, 1.5, 2.0]), np.array([0, 1, 1]))
         np.testing.assert_allclose(got, [2.25, 22.5, 40.0], rtol=1e-15)
+
+
+# Node values from a small integer set give flat segments and sign changes.
+_PCHIP_VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def _pchip_case(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.floats(1e-3, 5.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = np.array(draw(st.lists(_PCHIP_VALUES, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if draw(st.booleans()):
+        y = np.cumsum(np.abs(y), axis=0)  # monotone data
+    if k == 1 and draw(st.booleans()):
+        y = y[:, 0]
+    frac = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=12)))
+    return x, y, np.concatenate([x, x[0] + (x[-1] - x[0]) * frac])
+
+
+@st.composite
+def _policy_case(draw):
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(1e-3, 5.0), min_size=n - 1, max_size=n - 1))
+    grid = draw(st.floats(1e-3, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    fracs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    trades = grid * np.array(draw(st.lists(fracs, min_size=n, max_size=n)))
+    scale = np.array(draw(st.lists(st.floats(-0.2, 1.5), min_size=1, max_size=12)))
+    return grid, trades, np.concatenate([grid, [0.0, -1.0], grid[-1] * scale])
+
+
+class TestPchip:
+    @given(_pchip_case())
+    @example((np.array([0.0, 1.5]), np.array([1.0, -2.0]), np.array([-1.0, 0.5, 1.5, 4.0])))
+    @example(
+        (
+            np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+            np.array([[0.0, 1.0], [0.0, -1.0], [2.0, 1.0], [2.0, -1.0], [1.0, 1.0]]),
+            np.array([-1.0, 0.5, 1.5, 2.5, 3.5, 5.0]),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_pchip_bit_for_bit(self, case):
+        from scipy.interpolate import PchipInterpolator
+
+        from execsched.dp import _pchip
+
+        x, y, r = case
+        cont = _pchip(x, y)
+        k = cont.c.shape[2]
+        for extrapolate in (True, False):
+            ref = PchipInterpolator(x, y, extrapolate=extrapolate)
+            assert np.array_equal(_bits(cont.c), _bits(ref.c.reshape(cont.c.shape)))
+        got = np.column_stack([cont.value(r, j) for j in range(k)])
+        want = PchipInterpolator(x, y, extrapolate=True)(r).reshape(r.size, k)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @given(_policy_case())
+    @settings(max_examples=200, deadline=None)
+    def test_policy_trade_matches_a_scipy_built_policy(self, case):
+        from scipy.interpolate import PchipInterpolator
+
+        grid, trades, w = case
+        inner = np.clip(PchipInterpolator(grid, trades)(np.minimum(w, grid[-1])), 0.0, w)
+        below = float(trades[0] / grid[0]) * w
+        want = np.where(w <= 0.0, 0.0, np.where(w < grid[0], below, inner))
+        pol = NumericalPolicy(grid=grid, trades=trades)
+        assert np.array_equal(_bits(pol.trade(w)), _bits(want))
+        assert np.array_equal(_bits([pol.trade(float(v)) for v in w]), _bits(want))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        from execsched.dp import _pchip
+
+        y = np.array([[0.0, 1.0], [1.0, bad], [2.0, 3.0]])
+        with pytest.raises(ValueError, match="finite"):
+            _pchip(np.array([0.0, 1.0, 2.0]), y)
 
 
 def _reference_newton(f_and_fp, lo, hi, iters):

@@ -129,6 +129,14 @@ class TestValidation:
                 _params(), Horizon(1, 10.0), MarketState(price=-100.0, no_impact_price=100.0)
             )
 
+    def test_non_finite_continuation_fails_loudly(self):
+        nodes = np.array([0.0, 1.0, 2.0, 4.0])
+        v_grid = np.array([[0.0], [0.5], [math.nan], [2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            gbm._fit_continuation(
+                _params(), nodes, v_grid, np.array([0.0]), np.array([0.0, 0.1]), 2
+            )
+
     def test_metadata_describes_the_run(self):
         _, table = solve_gbm_simple(_params(), Horizon(2, 10.0), _state())
         md = table.metadata

@@ -159,6 +159,10 @@ class TestFusedDerivatives:
             assert np.array_equal(_bits(p0), _bits(mills_psi(u)))
             assert np.array_equal(_bits(d1), _bits(mills_psi_prime(u)))
             assert np.array_equal(_bits(d2), _bits(_mills_psi_second(u)))
+            none, e1, e2 = mills_psi_derivs(u, with_psi=False)
+            assert none is None
+            assert np.array_equal(_bits(e1), _bits(d1))
+            assert np.array_equal(_bits(e2), _bits(d2))
 
     def test_scalar_in_scalar_out(self):
         p0, d1, d2 = mills_psi_derivs(-3.0)
@@ -169,6 +173,8 @@ class TestFusedDerivatives:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             mills_psi_derivs(np.array([0.0, float("nan")]))
+        with pytest.raises(ValueError):
+            mills_psi_derivs(np.array([0.0, float("nan")]), with_psi=False)
 
 
 class TestTruncatedMeanPositive:
