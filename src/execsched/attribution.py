@@ -18,8 +18,11 @@ participant's timing is their shortfall minus their impact, and balanced
 shortfalls sum to zero.
 
 ``path_costs`` is the array core of the simulation harness; it accepts
-stacked paths and vectorizes row-wise.  It shares ``_adverse_moves`` and
-``_residual_ladder`` with the record-level functions.
+stacked paths and vectorizes row-wise.  It values executions at the path
+prices instead of fill prices, and otherwise shares its two rules with the
+record-level functions: the adverse moves (``_adverse_moves``) and the
+shares they are charged to (``_weights``).  Every record-level function
+builds its reports in ``_reports``.
 """
 from __future__ import annotations
 
@@ -205,19 +208,10 @@ class ZeroSumAudit:
 # ---------------------------------------------------------------------------
 
 
-def _adverse_moves(path: np.ndarray, sign: float, new_levels_only: bool) -> np.ndarray:
-    """Per-interval adverse price moves, (..., T) from a (..., T+1) path.
-
-    With ``new_levels_only`` an adverse step counts only the excess over the
-    worst level already seen, so a retracement that recovers old ground is
-    free and the total telescopes to the net adverse move.
-    """
+def _adverse_moves(path: np.ndarray, sign: float) -> np.ndarray:
+    """Per-interval adverse price moves, (..., T) from a (..., T+1) path."""
     adj = sign * path
-    if new_levels_only:
-        prior = np.maximum.accumulate(adj[..., :-1], axis=-1)
-    else:
-        prior = adj[..., :-1]
-    return np.maximum(adj[..., 1:] - prior, 0.0)
+    return np.maximum(adj[..., 1:] - adj[..., :-1], 0.0)
 
 
 def _residual_ladder(qty: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -225,19 +219,19 @@ def _residual_ladder(qty: np.ndarray, total: np.ndarray) -> np.ndarray:
     return total[..., None] - np.cumsum(qty, axis=-1) + qty
 
 
-def path_costs(
-    price_path,
-    trades,
-    side: str = "buy",
-    formulation: str = "simple",
-    *,
-    new_levels_only: bool = False,
-):
+def _weights(qty: np.ndarray, total: np.ndarray, formulation: str) -> np.ndarray:
+    """Shares each adverse move is charged to: the traded shares (simple) or
+    the pre-trade residual (complex)."""
+    return qty if formulation == "simple" else _residual_ladder(qty, total)
+
+
+def path_costs(price_path, trades, side: str = "buy", formulation: str = "simple"):
     """Shortfall, impact, and timing for orders executed along price paths.
 
     ``price_path`` has shape (..., T+1) holding P_0..P_T and ``trades`` has
     shape (..., T) with zeros at intervals the order skipped; rows are
-    independent orders.  Executions are valued at the path prices.  Returns
+    independent orders.  Executions are valued at the path prices.  Prices
+    and trades must be finite; prices may be zero or negative.  Returns
     (shortfall, impact, timing) with the leading shape (python floats for
     1-d inputs); timing is computed as the exact difference.
     """
@@ -252,19 +246,17 @@ def path_costs(
         )
     if qty.shape[-1] < 1:
         raise ValueError("need at least one interval")
+    if not np.isfinite(path).all():
+        raise ValueError("price_path must be finite")
+    if not np.isfinite(qty).all():
+        raise ValueError("trades must be finite")
     if np.any(qty < 0.0):
         raise ValueError("trades must be >= 0")
 
     total = qty.sum(axis=-1)
     executed = (qty * path[..., 1:]).sum(axis=-1)
     sf = sign * (executed - total * path[..., 0])
-
-    adverse = _adverse_moves(path, sign, new_levels_only)
-    if formulation == "simple":
-        weights = qty
-    else:
-        weights = _residual_ladder(qty, total)
-    imp = (adverse * weights).sum(axis=-1)
+    imp = (_adverse_moves(path, sign) * _weights(qty, total, formulation)).sum(axis=-1)
 
     if path.ndim == 1:
         sf, imp = float(sf), float(imp)
@@ -363,13 +355,78 @@ def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, lis
     return qty, totals, values
 
 
-def _order_arrays(ctx: OrderContext, fills) -> tuple[str, str, np.ndarray, float]:
-    """Validate one order's fills and aggregate them per interval.
+def _reports(
+    orders, qty: np.ndarray, totals, executed, ctx: OrderContext, formulation: str
+) -> list[AttributionReport]:
+    """One report per (participant, side) order on the path of ``ctx``.
 
-    Returns (participant, side, per-interval quantities length T, executed
-    value from the fill prices).  All fills must share one participant and
-    one side, land inside the horizon, and sum to the order total.
+    Row i of ``qty`` holds order i's quantity per interval, and ``totals[i]``
+    and ``executed[i]`` its share total and executed value; the arrival price
+    and path come from ``ctx`` (its ``total_shares`` is not read).
     """
+    path = np.asarray(ctx.price_path)
+    arrival = ctx.arrival_price
+    adverse = {side: _adverse_moves(path, _check_side(side)) for side in SIDES}
+    weights = _weights(qty, np.array(totals), formulation)
+    reports = []
+    for (participant, side), total, value, w in zip(orders, totals, executed, weights):
+        _require_positive("total_shares", total)
+        sf = _check_side(side) * (value - total * arrival)
+        imp = float(adverse[side] @ w)
+        reference = arrival * total
+        report = AttributionReport(
+            participant=participant,
+            side=side,
+            formulation=formulation,
+            shortfall=sf,
+            impact=imp,
+            timing=sf - imp,
+            shortfall_bps=1e4 * sf / reference,
+            impact_bps=1e4 * imp / reference,
+            timing_bps=1e4 * (sf - imp) / reference,
+            reference_value=reference,
+        )
+        reports.append(report)
+    return reports
+
+
+def shortfall(ctx: OrderContext, fills: list[Fill]) -> float:
+    """Realized execution value against the arrival notional.
+
+    Buys pay sum(qty * price) - S_bar * P_0; sells receive it, so their
+    shortfall is the negation.  Executions are valued at the fill prices.
+    """
+    return attribute(ctx, fills).shortfall
+
+
+def impact_simple(ctx: OrderContext, fills: list[Fill]) -> float:
+    """Adverse path steps weighted by the shares executed at each interval."""
+    return attribute(ctx, fills, "simple").impact
+
+
+def impact_complex(ctx: OrderContext, fills: list[Fill]) -> float:
+    """Adverse path steps weighted by the pre-trade unexecuted residual.
+
+    Every interval contributes while shares remain outstanding, traded or
+    not; once the order completes the residual weight is zero.
+    """
+    return attribute(ctx, fills, "complex").impact
+
+
+def timing(ctx: OrderContext, fills: list[Fill], formulation: str = "simple") -> float:
+    """Shortfall minus impact under the chosen formulation; exact remainder."""
+    return attribute(ctx, fills, formulation).timing
+
+
+def attribute(
+    ctx: OrderContext, fills: list[Fill], formulation: str = "simple"
+) -> AttributionReport:
+    """Full decomposition for one order, with basis points vs P_0 * S_bar.
+
+    All fills must share one participant and one side, land inside the
+    horizon, and sum to the order total.
+    """
+    _check_formulation(formulation)
     cols = _FillColumns.of(fills)
     if not len(cols):
         raise ValueError("need at least one fill")
@@ -384,98 +441,15 @@ def _order_arrays(ctx: OrderContext, fills) -> tuple[str, str, np.ndarray, float
         )
     if outside is not None:
         raise _outside_horizon_error(cols.t[outside], ctx.horizon)
-    (qty,), (executed_qty,), (executed,) = _order_sums(cols, ctx.horizon)
+    qty, (executed_qty,), executed = _order_sums(cols, ctx.horizon)
     tol = QUANTITY_REL_TOL * ctx.total_shares
     if abs(executed_qty - ctx.total_shares) > tol:
         raise ValueError(
             f"fill quantities sum to {executed_qty}, not the order total "
             f"{ctx.total_shares} (tolerance {tol})"
         )
-    return participant, side, qty, executed
-
-
-def _shortfall(ctx: OrderContext, side: str, executed: float) -> float:
-    return _check_side(side) * (executed - ctx.total_shares * ctx.arrival_price)
-
-
-def _impact(
-    ctx: OrderContext, side: str, qty: np.ndarray, formulation: str, new_levels_only: bool
-) -> float:
-    path = np.asarray(ctx.price_path)
-    adverse = _adverse_moves(path, _check_side(side), new_levels_only)
-    if formulation == "simple":
-        weights = qty
-    else:
-        weights = _residual_ladder(qty, np.asarray(ctx.total_shares))
-    return float(adverse @ weights)
-
-
-def _report(
-    participant: str, side: str, formulation: str, sf: float, imp: float, reference: float
-) -> AttributionReport:
-    return AttributionReport(
-        participant=participant,
-        side=side,
-        formulation=formulation,
-        shortfall=sf,
-        impact=imp,
-        timing=sf - imp,
-        shortfall_bps=1e4 * sf / reference,
-        impact_bps=1e4 * imp / reference,
-        timing_bps=1e4 * (sf - imp) / reference,
-        reference_value=reference,
-    )
-
-
-def shortfall(ctx: OrderContext, fills: list[Fill]) -> float:
-    """Realized execution value against the arrival notional.
-
-    Buys pay sum(qty * price) - S_bar * P_0; sells receive it, so their
-    shortfall is the negation.  Executions are valued at the fill prices.
-    """
-    _, side, _, executed = _order_arrays(ctx, fills)
-    return _shortfall(ctx, side, executed)
-
-
-def impact_simple(
-    ctx: OrderContext, fills: list[Fill], *, new_levels_only: bool = False
-) -> float:
-    """Adverse path steps weighted by the shares executed at each interval."""
-    _, side, qty, _ = _order_arrays(ctx, fills)
-    return _impact(ctx, side, qty, "simple", new_levels_only)
-
-
-def impact_complex(
-    ctx: OrderContext, fills: list[Fill], *, new_levels_only: bool = False
-) -> float:
-    """Adverse path steps weighted by the pre-trade unexecuted residual.
-
-    Every interval contributes while shares remain outstanding, traded or
-    not; once the order completes the residual weight is zero.
-    """
-    _, side, qty, _ = _order_arrays(ctx, fills)
-    return _impact(ctx, side, qty, "complex", new_levels_only)
-
-
-def timing(ctx: OrderContext, fills: list[Fill], formulation: str = "simple") -> float:
-    """Shortfall minus impact under the chosen formulation; exact remainder."""
-    return attribute(ctx, fills, formulation).timing
-
-
-def attribute(
-    ctx: OrderContext, fills: list[Fill], formulation: str = "simple"
-) -> AttributionReport:
-    """Full decomposition for one order, with basis points vs P_0 * S_bar."""
-    _check_formulation(formulation)
-    participant, side, qty, executed = _order_arrays(ctx, fills)
-    return _report(
-        participant,
-        side,
-        formulation,
-        _shortfall(ctx, side, executed),
-        _impact(ctx, side, qty, formulation, False),
-        ctx.arrival_price * ctx.total_shares,
-    )
+    (report,) = _reports(cols.orders, qty, [ctx.total_shares], executed, ctx, formulation)
+    return report
 
 
 def zero_sum_audit(
@@ -521,16 +495,7 @@ def zero_sum_audit(
     ctx = OrderContext(
         arrival_price=path[0], total_shares=totals[0], horizon=horizon, price_path=path
     )
-    arrival = ctx.arrival_price
-    path_array = np.asarray(ctx.price_path)
-    adverse = {side: _adverse_moves(path_array, _check_side(side), False) for side in SIDES}
-    weights = qty if formulation == "simple" else _residual_ladder(qty, np.array(totals))
-    reports = []
-    for (participant, side), total, value, w in zip(cols.orders, totals, executed, weights):
-        _require_positive("total_shares", total)
-        sf = _check_side(side) * (value - total * arrival)
-        imp = float(adverse[side] @ w)
-        reports.append(_report(participant, side, formulation, sf, imp, arrival * total))
+    reports = _reports(cols.orders, qty, totals, executed, ctx, formulation)
 
     total_impact = math.fsum(r.impact for r in reports)
     total_timing = math.fsum(r.timing for r in reports)

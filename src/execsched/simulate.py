@@ -43,7 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .attribution import _check_formulation, _check_side, _require, path_costs
+from .attribution import (
+    _adverse_moves,
+    _check_formulation,
+    _check_side,
+    _require,
+    _residual_ladder,
+    _weights,
+    path_costs,
+)
 from .dp import ConfigError, Horizon, PolicyTable, Schedule, _MillsStage, _premium_law
 from .models import (
     Ar1Extra,
@@ -399,13 +407,8 @@ def _rejection_objective(prices: np.ndarray, trades: np.ndarray, side: str, form
     zero.  Returns (value, standard error), the latter combining per-stage
     sampling variances (cross-stage covariance is ignored).
     """
-    sign = 1.0 if side == "buy" else -1.0
-    steps = sign * np.diff(prices, axis=1)
-    if formulation == "simple":
-        weights = trades
-    else:
-        totals = trades.sum(axis=1, keepdims=True)
-        weights = totals - np.cumsum(trades, axis=1) + trades
+    steps = _adverse_moves(prices, _check_side(side))
+    weights = _weights(trades, trades.sum(axis=1), formulation)
     value_terms, var_terms = [], []
     for t in range(steps.shape[1]):
         hit = steps[:, t] > 0.0
@@ -463,7 +466,7 @@ def _closed_objective(
     """Exact conditional-premium objective for the arithmetic laws."""
     T = trades.shape[1]
     theta, beta, alphas = _premium_law(model, T, x0)
-    residuals = total - np.cumsum(trades, axis=1) + trades
+    residuals = _residual_ladder(trades, np.asarray(total))
     stage = _MillsStage(theta, np.array(alphas), beta, formulation == "complex")
     return stage.value(trades, residuals, np.arange(T)).sum(axis=1)
 

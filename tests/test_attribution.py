@@ -125,21 +125,6 @@ class TestImpactSimple:
         expected = 3.0 * (101.0 - 100.0) + 5.0 * (103.0 - 100.0)
         assert timing(ctx, fills, "simple") == expected
 
-    def test_new_levels_only_skips_recovered_ground(self):
-        path = [100.0, 105.0, 102.0, 105.0, 103.0]
-        qty = [1.0, 1.0, 1.0, 1.0]
-        ctx = _ctx(path, total=4.0)
-        fills = [_buy(t + 1, path[t + 1], qty[t]) for t in range(4)]
-        assert impact_simple(ctx, fills) == 8.0
-        assert impact_simple(ctx, fills, new_levels_only=True) == 5.0
-
-    def test_new_levels_only_counts_fresh_highs(self):
-        path = [100.0, 105.0, 102.0, 107.0]
-        qty = [1.0, 1.0, 1.0]
-        ctx = _ctx(path, total=3.0)
-        fills = [_buy(t + 1, path[t + 1], qty[t]) for t in range(3)]
-        assert impact_simple(ctx, fills, new_levels_only=True) == 7.0
-
 
 class TestImpactComplex:
     def test_monotone_up_timing_is_exactly_zero(self):
@@ -222,6 +207,13 @@ class TestPathCosts:
             path_costs([100.0, 101.0], [1.0], side="short")
         with pytest.raises(ValueError, match="formulation"):
             path_costs([100.0, 101.0], [1.0], formulation="both")
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="price_path must be finite"):
+                path_costs([100.0, bad], [1.0])
+            with pytest.raises(ValueError, match="trades must be finite"):
+                path_costs([100.0, 101.0], [bad])
+        # liquidity paths can reach zero or below; those prices stay legal
+        assert path_costs([100.0, 0.0, -5.0], [1.0, 1.0]) == (-205.0, 0.0, -205.0)
 
     @given(
         st.lists(st.floats(90.0, 110.0), min_size=2, max_size=8),
@@ -232,11 +224,17 @@ class TestPathCosts:
         path = np.asarray(prices)
         T = path.size - 1
         qty = np.random.default_rng(seed).uniform(0.0, 4.0, T)
-        for side in ("buy", "sell"):
-            for formulation in ("simple", "complex"):
-                sf, imp, tim = path_costs(path, qty, side, formulation)
+        for formulation in ("simple", "complex"):
+            costs = {side: path_costs(path, qty, side, formulation) for side in ("buy", "sell")}
+            for sf, imp, tim in costs.values():
                 assert imp >= 0.0
                 assert tim == sf - imp
+            # the two sides of the same trades cancel: shortfalls exactly, and
+            # impact plus timing up to the rounding of each timing subtraction
+            (buy_sf, buy_imp, buy_tim), (sell_sf, sell_imp, sell_tim) = costs.values()
+            assert buy_sf == -sell_sf
+            net = buy_imp + buy_tim + sell_imp + sell_tim
+            assert abs(net) <= 1e-12 * path[0] * qty.sum()
 
 
 class TestAttribute:
@@ -434,7 +432,7 @@ def _oracle_attribute(ctx, fills, formulation):
     participant, side, qty, executed = _oracle_order_arrays(ctx, fills)
     sign = 1.0 if side == "buy" else -1.0
     sf = sign * (executed - ctx.total_shares * ctx.arrival_price)
-    adverse = _adverse_moves(np.asarray(ctx.price_path), sign, False)
+    adverse = _adverse_moves(np.asarray(ctx.price_path), sign)
     if formulation == "simple":
         weights = qty
     else:
@@ -555,9 +553,12 @@ class TestColumnarParity:
             orders.setdefault((f.participant, f.side), []).append(f)
         for group in orders.values():
             ctx = _ctx(path, total=math.fsum(f.qty for f in group))
-            assert repr(attribute(ctx, group, formulation)) == repr(
-                _oracle_attribute(ctx, group, formulation)
-            )
+            expected = _oracle_attribute(ctx, group, formulation)
+            assert repr(attribute(ctx, group, formulation)) == repr(expected)
+            impact = impact_simple if formulation == "simple" else impact_complex
+            assert repr(shortfall(ctx, group)) == repr(expected.shortfall)
+            assert repr(impact(ctx, group)) == repr(expected.impact)
+            assert repr(timing(ctx, group, formulation)) == repr(expected.timing)
         # one order per call: the mix and horizon checks name the same fill
         short = _ctx(path[:-1] if len(path) > 2 else path)
         for ctx in (_ctx(path), short):
