@@ -20,12 +20,14 @@ fallback for runs that do not pass --output-dir.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Iterator
 from datetime import datetime, timezone
 from time import perf_counter
@@ -380,8 +382,39 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
+@functools.cache
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder whose item separator carries the indent of nesting ``depth``."""
+    pad = "\n" + "  " * (depth + 1)
+    return json.JSONEncoder(separators=("," + pad, ": "), default=_json_default)
+
+
+def _json_block(o, depth: int) -> str:
+    """``o`` as ``json.dumps(o, indent=2)`` prints it at nesting ``depth``.
+
+    A container none of whose values is a nonempty container is one call of
+    the C encoder, since an encoded string never holds a raw newline; only
+    nested containers recurse.
+    """
+    enc = _json_encoder(depth)
+    if not isinstance(o, (dict, list, tuple)) or not o:
+        return enc.encode(o)
+    is_dict = isinstance(o, dict)
+    pad = enc.item_separator[1:]
+    close = "\n" + "  " * depth + ("}" if is_dict else "]")
+    if not any(isinstance(v, (dict, list, tuple)) and v for v in (o.values() if is_dict else o)):
+        text = enc.encode(o)
+        return text[0] + pad + text[1:-1] + close
+    if is_dict:
+        # '{"key": null}' less its brace and 'null}' is the key and its separator
+        items = (enc.encode({k: None})[1:-5] + _json_block(v, depth + 1) for k, v in o.items())
+    else:
+        items = (_json_block(v, depth + 1) for v in o)
+    return ("{" if is_dict else "[") + pad + enc.item_separator.join(items) + close
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+    return _json_block(doc, 0) + "\n"
 
 
 def _write_output(outdir: str, name: str, text: str) -> dict:
@@ -562,17 +595,63 @@ def _record_line(text: str, index: int) -> int:
     return start
 
 
-def load_fills(path: str) -> tuple[_FillColumns, str]:
-    """Parse a fills CSV (strict header) into columns; also return the file digest.
+def _first_bad_fill(cols: _FillColumns) -> int:
+    """Index of the first fill that a column check rejects, or ``len(cols)``."""
+    pair_ok = np.array([side in SIDES and who != "" for who, side in cols.orders], dtype=bool)
+    bad = ~(
+        (cols.t >= 1)
+        & np.isfinite(cols.qty) & (cols.qty > 0.0)
+        & np.isfinite(cols.price) & (cols.price > 0.0)
+        & pair_ok[cols.order]
+    )
+    return int(np.argmax(bad)) if bad.any() else len(cols)
+
+
+# ASCII bytes of a fills file that send it to the csv route: numpy does not
+# read quotes and CR as csv does, and it strips \x1c-\x1f around a number,
+# which int() and float() reject
+_CSV_ONLY_BYTES = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_FILLS_DTYPE = np.dtype(
+    [("t", "i8"), ("participant", "O"), ("side", "O"), ("qty", "f8"), ("price", "f8")]
+)
+
+
+def _plain_fill_columns(raw: bytes) -> _FillColumns | None:
+    """The columns of an ASCII fills file that holds none of ``_CSV_ONLY_BYTES``,
+    read after its header line by numpy's C tokenizer; None when a record does
+    not parse or a row fails a check.
+
+    On such a file ``loadtxt`` splits records and fields as ``csv.reader``
+    does, skips blank lines, rejects a record that is not 5 fields wide and
+    parses a number to the value ``int()``/``float()`` give or not at all, so
+    the columns are those of the csv route, which words every error.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a file with no record only warns
+        try:
+            rec = np.loadtxt(
+                io.BytesIO(raw), dtype=_FILLS_DTYPE, delimiter=",", comments=None,
+                skiprows=1, ndmin=1, encoding="utf-8",
+            )
+        except (ValueError, Warning):
+            return None
+    who, side = rec["participant"].tolist(), rec["side"].tolist()
+    index = {key: i for i, key in enumerate(dict.fromkeys(zip(who, side)))}
+    cols = _FillColumns(
+        t=rec["t"].copy(),
+        qty=rec["qty"].copy(),
+        price=rec["price"].copy(),
+        order=np.fromiter(map(index.__getitem__, zip(who, side)), np.intp, len(who)),
+        orders=tuple(index),
+    )
+    return cols if _first_bad_fill(cols) == len(cols) else None
+
+
+def _csv_fill_columns(text: str) -> _FillColumns:
+    """The columns of a fills text parsed by ``csv``.
 
     Errors name the physical line on which the first bad record starts.
     """
-    raw = _read_bytes(path)
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as e:
-        raise SchemaError("fills", f"not valid UTF-8 ({e})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
@@ -611,16 +690,9 @@ def load_fills(path: str) -> tuple[_FillColumns, str]:
     except ValueError:
         first_bad = 0
     else:
-        pair_ok = np.array([side in SIDES and who != "" for who, side in orders], dtype=bool)
-        bad = ~(
-            (cols.t >= 1)
-            & np.isfinite(cols.qty) & (cols.qty > 0.0)
-            & np.isfinite(cols.price) & (cols.price > 0.0)
-            & pair_ok[cols.order]
-        )
-        first_bad = int(np.argmax(bad)) if bad.any() else n
+        first_bad = _first_bad_fill(cols)
         if first_bad == n and width is None:
-            return cols, digest
+            return cols
     # a value did not parse, a mask caught a row or a record has the wrong
     # width: the row checks word the error of the first bad row
     for i in range(first_bad, n):
@@ -628,6 +700,33 @@ def load_fills(path: str) -> tuple[_FillColumns, str]:
         if problem is not None:
             raise SchemaError(f"fills line {_record_line(text, i)}", problem)
     raise SchemaError(f"fills line {_record_line(text, n)}", f"expected 5 columns, got {width}")
+
+
+def _parse_fills(raw: bytes) -> _FillColumns:
+    """The columns of a fills CSV (strict header).
+
+    An ASCII file with none of ``_CSV_ONLY_BYTES`` goes through
+    :func:`_plain_fill_columns`; any other file, and any file that route turns
+    down, through :func:`_csv_fill_columns`, which words every error.  Both
+    give the same columns.  (numpy's int64 reader takes many non-ASCII
+    characters for digits, so a non-ASCII file never reaches it.)
+    """
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise SchemaError("fills", f"not valid UTF-8 ({e})") from None
+    plain = raw.isascii() and not any(b in raw for b in _CSV_ONLY_BYTES)
+    if plain and text.startswith(",".join(FILLS_HEADER) + "\n"):
+        cols = _plain_fill_columns(raw)
+        if cols is not None:
+            return cols
+    return _csv_fill_columns(text)
+
+
+def load_fills(path: str) -> tuple[_FillColumns, str]:
+    """Parse a fills CSV (strict header) into columns; also return the file digest."""
+    raw = _read_bytes(path)
+    return _parse_fills(raw), hashlib.sha256(raw).hexdigest()
 
 
 def cmd_attribute(args) -> int:

@@ -656,13 +656,20 @@ def _stage_minimize(
     return s, v, vd, report
 
 
-def _newton_diagnostics(report: _NewtonReport, columns: int = 1) -> list[dict]:
-    """Per-column summary of a grid Newton solve over the fine mesh.
+def _newton_diagnostics(report: _NewtonReport, stage: int, columns: int = 1) -> list[dict]:
+    """Per-column summary of the grid Newton solve of ``stage`` over the fine mesh.
 
     ``convex`` says whether the objective's second derivative is positive at
     every free element's solution; ``unsettled_nodes`` counts the elements
-    Newton left still moving at the iteration cap.
+    Newton left still moving at the iteration cap, and any such element
+    raises SolverError, so a published summary always reads 0 there.
     """
+    unsettled = int((~report.settled).sum())
+    if unsettled:
+        raise SolverError(
+            f"stage {stage} grid solve did not converge within {report.iterations.max()} "
+            f"Newton iterations at {unsettled} nodes"
+        )
     iters, foc, pinned, curv, settled = (a.reshape(columns, -1) for a in report)
     out = []
     for j in range(columns):
@@ -834,7 +841,7 @@ def _backward_pass(
         res.conts[t] = cont
         res.trades[t] = s.reshape(k, m)[:, oi]
         res.values[t] = v.reshape(k, m)[:, oi]
-        res.diagnostics[t] = _newton_diagnostics(report, k)
+        res.diagnostics[t] = _newton_diagnostics(report, t, k)
         if t > 1:
             slope0 = fam.slope_at_origin(cont.slope_at_origin[:k])
             cont = _SplineCont.from_slopes(

@@ -184,8 +184,9 @@ def _minimize_stage(
     cont: _SplineCont | None,
     e_fac: float,
     cfg: RecursionConfig,
+    stage: int,
 ):
-    """The stage solve at every (w, x) pair; ``cont`` has one column per x.
+    """The solve of ``stage`` at every (w, x) pair; ``cont`` has one column per x.
 
     Returns (s*, value) per pair and the Newton diagnostics.
     """
@@ -200,7 +201,7 @@ def _minimize_stage(
     objective, foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
     s_flat, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, cfg.newton_iters)
     v_flat = objective(s_flat, np.arange(s_flat.size))
-    return s_flat.reshape(W.shape), v_flat.reshape(W.shape), _newton_diagnostics(report)[0]
+    return s_flat.reshape(W.shape), v_flat.reshape(W.shape), _newton_diagnostics(report, stage)[0]
 
 
 def solve_gbm_simple(
@@ -264,7 +265,7 @@ def solve_gbm_simple(
     stage_conts: dict[int, _SplineCont] = {}
     grid_diags: dict[int, dict] = {}
 
-    _, v_fine, _ = _minimize_stage(params, fine, stage_x[T], ratios[T - 1], None, e_fac, cfg)
+    _, v_fine, _ = _minimize_stage(params, fine, stage_x[T], ratios[T - 1], None, e_fac, cfg, T)
     values[T] = v_fine[oi, ce_idx[T]]
 
     v_with_zero = np.vstack([np.zeros((1, stage_x[T].size)), v_fine])
@@ -274,7 +275,7 @@ def solve_gbm_simple(
         )
         stage_conts[t] = cont
         s_fine, v_fine, grid_diags[t] = _minimize_stage(
-            params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg
+            params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg, t
         )
         policies[t] = s_fine[oi, ce_idx[t]]
         values[t] = v_fine[oi, ce_idx[t]]

@@ -292,8 +292,10 @@ def _make_penultimate(
     )
 
 
-def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConfig):
-    """The minimum of the exact stage T-1 objective at every node.
+def _penultimate_pass(
+    pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConfig, stage: int
+):
+    """The minimum of the exact stage T-1 objective (``stage``) at every node.
 
     Returns trades, values, the envelope slopes dV_{T-1}/dW used to seed the
     continuation spline for earlier stages, the slope at the origin and the
@@ -315,7 +317,7 @@ def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConf
         pen.expected_terminal(s, w_nodes - s, derivative=True),
     )
     slope0 = pen.stage.slope_at_origin(float(pen.expected_terminal(0.0, 0.0, derivative=True)[0]))
-    return s, v, vd, slope0, _newton_diagnostics(report)[0]
+    return s, v, vd, slope0, _newton_diagnostics(report, stage)[0]
 
 
 def _penultimate_scalar(
@@ -465,7 +467,7 @@ def solve_liquidity(
         _NODE_PANEL_ORDER,
         cfg.quad_order,
     )
-    s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg)
+    s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
 
     grid_trades: list[np.ndarray] = []
     grid_values: list[np.ndarray] = []

@@ -1,9 +1,11 @@
-"""Helpers shared by the solver tests: finite-difference checks and bench configs."""
+"""Helpers shared by the solver tests: finite-difference checks, bench configs
+and a cap on the exact-residual stage re-solves."""
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
-from execsched import cli
+from execsched import cli, dp, gbm, liquidity
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -14,6 +16,21 @@ def bench_solve_config(model: str, value: float) -> dict:
     inputs = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(inputs)
     return cli.validate_config(inputs.solve_config(model, value))
+
+
+_RESOLVE_STAGE = dp._resolve_stage
+
+
+def cap_resolves(monkeypatch, newton_iters: int) -> None:
+    """Cap the exact-residual stage re-solves of every solver family, and only
+    them, at ``newton_iters`` Newton iterations; the grid stages keep theirs."""
+
+    def capped(objective, derivs, ub, points, cfg):
+        cfg = dataclasses.replace(cfg, newton_iters=newton_iters)
+        return _RESOLVE_STAGE(objective, derivs, ub, points, cfg)
+
+    for module in (dp, gbm, liquidity):
+        monkeypatch.setattr(module, "_resolve_stage", capped)
 
 
 def central_differences(f, x: float, h: float, H: float, noise: float):

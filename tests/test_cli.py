@@ -8,8 +8,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from execsched import cli
 from execsched.cli import (
     EXIT_AUDIT,
     EXIT_INPUT,
@@ -21,7 +25,7 @@ from execsched.cli import (
     validate_config,
 )
 from execsched.kernels import mills_psi
-from support import bench_solve_config
+from support import bench_solve_config, cap_resolves
 
 
 def _write_json(tmp_path, name, doc):
@@ -251,20 +255,33 @@ class TestSolve:
         assert rc == EXIT_SOLVER
         assert "error:" in capsys.readouterr().err
 
-    def test_unsettled_stage_solve_exits_3(self, tmp_path, capsys):
-        # every solver family's re-solve at the exact residual: the grid
-        # recursion's, liquidity stage T-1 and the percentage law's
-        docs = [_bench_doc(formulation="complex", solver={"newton_iters": 1})]
+    def test_unsettled_stage_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        # every solver family's re-solve at the exact residual, capped short
+        # of settling while the grid stages settle: the grid recursion's,
+        # liquidity stage T-1 and the percentage law's
+        runs = [(_bench_doc(formulation="complex"), 1)]
         for model, value in (("liquidity", 20.0), ("linear_percentage", 0.05)):
             cfg = json.loads(canonical_json(bench_solve_config(model, value)))
-            for newton_iters in (1, 2):
-                docs.append({**cfg, "solver": {**(cfg["solver"] or {}),
-                                               "newton_iters": newton_iters}})
-        for k, doc in enumerate(docs):
+            runs += [(cfg, 1), (cfg, 2)]
+        for k, (doc, newton_iters) in enumerate(runs):
+            cap_resolves(monkeypatch, newton_iters)
             rc = main(["solve", _write_json(tmp_path, f"c{k}.json", doc),
                        "--output-dir", str(tmp_path)])
             assert rc == EXIT_SOLVER, doc
-            assert "did not converge" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err == f"error: stage solve did not converge within {newton_iters} Newton iterations\n"
+
+    def test_unsettled_grid_stage_exits_3(self, tmp_path, capsys):
+        # the bench's complex benchmark solve (theta 3, T=10) with Newton
+        # capped at 4 iterations leaves grid nodes of its first stage moving
+        cfg = json.loads(canonical_json(bench_solve_config("benchmark", 3.0)))
+        cfg["solver"] = {**(cfg["solver"] or {}), "newton_iters": 4}
+        rc = main(["solve", _write_json(tmp_path, "c.json", cfg), "--output-dir", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "error: stage 9 grid solve did not converge within 4 Newton iterations at 128 nodes\n"
+        )
+        assert not (tmp_path / "policy.json").exists()
 
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         outdir = tmp_path / "env_out"
@@ -553,6 +570,175 @@ class TestFillsErrors:
         assert [(r["participant"], r["side"]) for r in doc["reports"]] == [
             ("b\x0c,\n1", "buy"), ("s", "sell"),
         ]
+
+
+# blanks that int() and float() strip around a number, then some they do not
+_BLANKS = " \t\x0b\x0c\x85\xa0\u2028\u3000\x1c\x1f"
+_SPECIAL_NUMBERS = [
+    "", "inf", "-inf", "nan", "-nan", "Infinity", "iNf", "1e400", "1e-400", "1_0", "1_0.5",
+    "\u0663", "\u01fe1", "0x10", "1.0", "1e0", "-0", "+-1", "1 0",
+    str(2**63), str(-(2**63) - 1), str(10**30),
+]
+_ODD_NAMES = st.text(st.sampled_from([*"ab, \t\x0b\x0c\x00\"\r\n\xe9", "\u2028"]), max_size=3)
+
+
+def _padded(values):
+    blanks = st.text(st.sampled_from(" \t\x0b\x0c"), max_size=2)
+    return st.tuples(blanks, values, blanks).map("".join)
+
+
+def _odd(values):
+    """Fields near ``values`` that int() or float() may read otherwise or not at all."""
+    char = st.one_of(
+        st.characters(), st.characters(min_codepoint=0x80), st.sampled_from(_BLANKS)
+    )
+    return st.one_of(
+        st.tuples(char, values).map("".join),
+        st.tuples(values, char).map("".join),
+        st.sampled_from(_SPECIAL_NUMBERS),
+        st.floats().map(repr),
+        st.text(st.sampled_from([*"0123456789+-.eE_xin", *_BLANKS, "\x00", "\u0663"]), max_size=6),
+    )
+
+
+# values of the fields of rows both routes accept, in forms int()/float() read alike
+_T_VALUES = st.one_of(st.integers(1, 6).map(str), st.sampled_from(["+3", "002"]))
+_NUMBER_VALUES = st.one_of(
+    st.floats(1e-3, 1e6).map(repr),
+    st.integers(1, 10**6).map(str),
+    st.sampled_from([".5", "5.", "+3", "1E+02", "0.1e1", "007", "1e-3"]),
+)
+_GOOD_FIELDS = (
+    _padded(_T_VALUES),
+    st.text(st.sampled_from([*"ab# \t\x0b\x0c\x00\x7f"]), min_size=1, max_size=3),
+    st.sampled_from(["buy", "sell"]),
+    _padded(_NUMBER_VALUES),
+    _padded(_NUMBER_VALUES),
+)
+_ODD_FIELDS = (
+    _odd(_T_VALUES),
+    _ODD_NAMES,
+    st.sampled_from(["hold", "", " buy", "sell\x0c", "Buy"]),
+    _odd(_NUMBER_VALUES),
+    _odd(_NUMBER_VALUES),
+)
+# rows either route may reject: one odd field, a wrong width or blanks only
+_ODD_ROWS = st.one_of(
+    st.integers(0, 4).flatmap(
+        lambda k: st.tuples(*_GOOD_FIELDS[:k], _ODD_FIELDS[k], *_GOOD_FIELDS[k + 1:])
+    ).map(",".join),
+    st.lists(st.one_of(_GOOD_FIELDS[0], _ODD_NAMES), max_size=7).map(",".join),
+    st.text(st.sampled_from(" \t\x0b\x0c"), max_size=2),
+)
+
+
+def _fills_texts():
+    """Fills texts: good rows and blank lines, often with one odd row among them."""
+    good = st.one_of(st.tuples(*_GOOD_FIELDS).map(",".join), st.just(""))
+    header = st.sampled_from(["t,participant,side,qty,price"] * 3 + ["t,participant,side,qty"])
+
+    def text(parts):
+        bom, head, body, (k, odd), end = parts
+        if odd is not None:
+            body.insert(k % (len(body) + 1), odd)
+        return bom + head + "".join("\n" + row for row in body) + end
+
+    return st.tuples(
+        st.sampled_from(["", "", "", "\ufeff"]),
+        header,
+        st.lists(good, max_size=5),
+        st.tuples(st.integers(0, 5), st.one_of(st.none(), _ODD_ROWS, _ODD_ROWS)),
+        st.sampled_from(["", "\n"]),
+    ).map(text)
+
+
+def _fill_outcome(parse, data):
+    """The columns ``parse(data)`` gives, bit for bit, or its SchemaError text."""
+    try:
+        cols = parse(data)
+    except SchemaError as e:
+        return str(e)
+    return (
+        cols.t.dtype, cols.t.tolist(), cols.qty.dtype, cols.qty.tobytes(),
+        cols.price.dtype, cols.price.tobytes(), cols.order.dtype, cols.order.tolist(),
+        cols.orders,
+    )
+
+
+class TestFillsRoutes:
+    """An ASCII fills file with no quote, CR or \\x1c-\\x1f is read by numpy's C
+    tokenizer; every other file, and every file that route turns down, by ``csv``."""
+
+    @given(_fills_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_both_routes_agree(self, text):
+        raw = text.encode("utf-8")
+        assert _fill_outcome(cli._parse_fills, raw) == _fill_outcome(
+            cli._csv_fill_columns, raw.decode("utf-8-sig")
+        )
+
+    @pytest.mark.parametrize("row, message", [
+        # numpy's int64 reader takes these characters for digits
+        ("\u01fe1,b,buy,5,101.0", "t: not an integer: '\u01fe1'"),
+        ("1\u0761,b,buy,5,101.0", "t: not an integer: '1\u0761'"),
+        # and strips \x1c-\x1f around a number, which int() and float() do not
+        ("\x1c1,b,buy,5,101.0", "t: not an integer: '\\x1c1'"),
+        ("1,b,buy,5\x1f,101.0", "qty/price: not a number: '5\\x1f', '101.0'"),
+        ("1,b,buy,5,\x1e101.0", "qty/price: not a number: '5', '\\x1e101.0'"),
+    ])
+    def test_numbers_numpy_reads_otherwise_are_rejected(self, row, message):
+        raw = _fills_text(row).encode("utf-8")
+        for parse, data in ((cli._parse_fills, raw), (cli._csv_fill_columns, raw.decode())):
+            assert _fill_outcome(parse, data) == f"fills line 2: {message}"
+
+    def test_plain_market_skips_the_csv_reader(self, tmp_path, monkeypatch):
+        rows = [
+            (t, f"{who}{i}", side, (7 * i + t) % 90 + 1, repr(100.0 + t / 8.0))
+            for t in range(1, 31)
+            for who, side in (("b", "buy"), ("s", "sell"))
+            for i in range(50)
+        ]
+
+        def load(name, template, newline="\n"):
+            text = _fills_text(*(template.format(*row) for row in rows)).replace("\n", newline)
+            path = tmp_path / name
+            path.write_bytes(text.encode("utf-8"))
+            return _fill_outcome(lambda p: cli.load_fills(p)[0], str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain fills file")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli.csv, "reader", refuse)
+            plain = load("plain.csv", "{},{},{},{},{}")
+        assert len(plain[1]) == 3000 and len(plain[-1]) == 100
+        assert load("quoted.csv", '{},"{}",{},{},{}') == plain
+        assert load("crlf.csv", "{},{},{},{},{}", "\r\n") == plain
+
+
+class TestJsonText:
+    @given(
+        st.recursive(
+            st.one_of(
+                st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(),
+                st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+                st.integers(-(2**63), 2**63 - 1).map(np.int64),
+            ),
+            lambda kids: st.one_of(
+                st.lists(kids, max_size=4),
+                st.lists(kids, max_size=3).map(tuple),
+                st.dictionaries(
+                    st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.none()),
+                    kids,
+                    max_size=4,
+                ),
+            ),
+            max_leaves=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_indented_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, default=cli._json_default) + "\n"
 
 
 class TestManifestPhases:

@@ -36,7 +36,7 @@ from execsched.gbm import solve_gbm_simple
 from execsched.kernels import mills_psi
 from execsched.liquidity import solve_liquidity
 from execsched.models import Ar1Extra, Benchmark, Liquidity, MarketState, Spread, convexity_check
-from support import bench_solve_config
+from support import bench_solve_config, cap_resolves
 
 
 class TestHorizon:
@@ -872,9 +872,12 @@ class TestSolverDiagnostics:
             self._check_newton(d, cfg)
 
     def test_grid_recursion_counts_unsettled_nodes(self):
+        # a grid stage with nodes still moving at the cap raises rather than
+        # publish a policy that interpolates unconverged trades
         problem = MillsRecursionProblem.uniform(Horizon(4, 6.0), 1.5, 1.0)
-        capped = approximate_recursion(problem, RecursionConfig(newton_iters=2))
-        assert sum(d["unsettled_nodes"] for d in capped.metadata["diagnostics"]) > 0
+        stage2 = r"stage 2 grid solve did not converge within 2 Newton iterations at \d+ nodes"
+        with pytest.raises(SolverError, match=stage2):
+            approximate_recursion(problem, RecursionConfig(newton_iters=2))
         settled = approximate_recursion(problem)
         assert all(d["unsettled_nodes"] == 0 for d in settled.metadata["diagnostics"])
 
@@ -954,22 +957,26 @@ class TestExactResidualResolve:
             scan = objective(np.linspace(0.0, ub, 20001)).min()
             assert objective(np.array([s]))[0] <= scan * (1.0 + 1e-12)
 
-    def test_unsettled_resolve_raises_solver_error(self):
-        cfg = RecursionConfig(newton_iters=1)
+    def test_unsettled_resolve_raises_solver_error(self, monkeypatch):
+        # the grid stages settle; one iteration of the exact-residual re-solve
+        # cannot show that Newton settled, whatever it reached
+        cap_resolves(monkeypatch, 1)
         with pytest.raises(SolverError) as err:
-            solve_benchmark_complex(Benchmark(theta=3.0, sigma_eps=1.0), Horizon(4, 100.0), cfg)
-        # one iteration cannot show that Newton settled, whatever it reached
+            solve_benchmark_complex(Benchmark(theta=3.0, sigma_eps=1.0), Horizon(4, 100.0))
         assert err.value.bracket == (0.0, 100.0)
         assert math.isfinite(err.value.residual)
 
     @pytest.mark.parametrize("newton_iters", [1, 2])
     @pytest.mark.parametrize("model, value", [("liquidity", 20.0), ("linear_percentage", 0.05)])
-    def test_every_family_raises_on_an_unsettled_resolve(self, model, value, newton_iters):
+    def test_every_family_raises_on_an_unsettled_resolve(
+        self, model, value, newton_iters, monkeypatch
+    ):
         # the bench liquidity T=2 and percentage-law solves: capped short of
         # settling, their schedule re-solves raise like the grid recursion's
         cfg = bench_solve_config(model, value)
         params, horizon, state = cli.build_model(cfg), cli.build_horizon(cfg), cli.build_state(cfg)
-        rc = RecursionConfig(**{**(cfg["solver"] or {}), "newton_iters": newton_iters})
+        rc = RecursionConfig(**(cfg["solver"] or {}))
+        cap_resolves(monkeypatch, newton_iters)
         solve = solve_liquidity if model == "liquidity" else solve_gbm_simple
         with pytest.raises(SolverError, match="did not converge") as err:
             solve(params, horizon, state, rc)

@@ -258,7 +258,7 @@ class TestGlobalMinimum:
         grid_calls = [c for c in calls if c[0][4] is not None]
         assert len(grid_calls) == horizon.T - 1
         frac = np.linspace(0.0, 1.0, 401)
-        for (_, w, x, ratio, cont, e_fac, _), (_, v, _) in grid_calls:
+        for (_, w, x, ratio, cont, e_fac, _, _), (_, v, _) in grid_calls:
             at = np.flatnonzero(np.isin(w, official))
             assert at.size == official.size and x.size == cont.c.shape[-1]
             # (node, X sample) pairs, X fastest, as v[at] ravels
