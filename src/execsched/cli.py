@@ -106,7 +106,7 @@ _MODEL_FIELDS = {
     name: tuple(f.name for f in dataclasses.fields(cls) if f.init)
     for name, cls in _MODEL_TYPES.items()
 }
-_SOLVER_FIELDS = {f.name: f.type for f in dataclasses.fields(RecursionConfig)}
+_SOLVER_FIELDS = {f.name for f in dataclasses.fields(RecursionConfig)}
 
 
 class SchemaError(ValueError):
@@ -131,7 +131,10 @@ def _obj(value, path: str) -> dict:
 def _num(value, path: str, *, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise SchemaError(path, f"must be finite, got {value!r}")
     if positive and v <= 0.0:
@@ -239,13 +242,8 @@ def validate_config(doc) -> dict:
     solver = {}
     if root.get("solver") is not None:
         sv = _obj(root["solver"], "solver")
-        _no_unknown(sv, "solver", set(_SOLVER_FIELDS))
-        for key, value in sv.items():
-            path = f"solver.{key}"
-            if _SOLVER_FIELDS[key] in ("int", int):
-                solver[key] = _intval(value, path, lo=1)
-            else:
-                solver[key] = _num(value, path, positive=True)
+        _no_unknown(sv, "solver", _SOLVER_FIELDS)
+        solver = {key: _intval(value, f"solver.{key}", lo=1) for key, value in sv.items()}
 
     simulation = None
     if root.get("simulation") is not None:
@@ -651,55 +649,64 @@ def _csv_fill_columns(text: str) -> _FillColumns:
     """The columns of a fills text parsed by ``csv``.
 
     Errors name the physical line on which the first bad record starts.
+    csv's field size limit (131072 characters by default) is lifted to the
+    text's length for the read, since the numpy route has none, and put back
+    afterwards.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError("fills", "empty file")
-    if header != FILLS_HEADER:
-        raise SchemaError(
-            "fills",
-            "header must be exactly "
-            f"'{','.join(FILLS_HEADER)}', got '{','.join(header)}'",
-        )
-    t_raw, qty_raw, price_raw, order = [], [], [], []
-    codes: dict[tuple[str, str], int] = {}
-    width = None
-    for row in reader:
-        if len(row) == 5:
-            t_raw.append(row[0])
-            qty_raw.append(row[3])
-            price_raw.append(row[4])
-            order.append(codes.setdefault((row[1], row[2]), len(codes)))
-        elif row:
-            # the rows before it are checked first, so the earliest bad line is named
-            width = len(row)
-            break
-    n = len(t_raw)
-    if not n and width is None:
-        raise SchemaError("fills", "no fill rows after the header")
-    orders = tuple(codes)
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     try:
-        cols = _FillColumns(
-            t=_int_column(t_raw),
-            qty=np.fromiter(map(float, qty_raw), np.float64, n),
-            price=np.fromiter(map(float, price_raw), np.float64, n),
-            order=np.array(order, dtype=np.intp),
-            orders=orders,
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("fills", "empty file")
+        if header != FILLS_HEADER:
+            raise SchemaError(
+                "fills",
+                "header must be exactly "
+                f"'{','.join(FILLS_HEADER)}', got '{','.join(header)}'",
+            )
+        t_raw, qty_raw, price_raw, order = [], [], [], []
+        codes: dict[tuple[str, str], int] = {}
+        width = None
+        for row in reader:
+            if len(row) == 5:
+                t_raw.append(row[0])
+                qty_raw.append(row[3])
+                price_raw.append(row[4])
+                order.append(codes.setdefault((row[1], row[2]), len(codes)))
+            elif row:
+                # the rows before it are checked first, so the earliest bad line is named
+                width = len(row)
+                break
+        n = len(t_raw)
+        if not n and width is None:
+            raise SchemaError("fills", "no fill rows after the header")
+        orders = tuple(codes)
+        try:
+            cols = _FillColumns(
+                t=_int_column(t_raw),
+                qty=np.fromiter(map(float, qty_raw), np.float64, n),
+                price=np.fromiter(map(float, price_raw), np.float64, n),
+                order=np.array(order, dtype=np.intp),
+                orders=orders,
+            )
+        except ValueError:
+            first_bad = 0
+        else:
+            first_bad = _first_bad_fill(cols)
+            if first_bad == n and width is None:
+                return cols
+        # a value did not parse, a mask caught a row or a record has the wrong
+        # width: the row checks word the error of the first bad row
+        for i in range(first_bad, n):
+            problem = _fill_row_problem(t_raw[i], *orders[order[i]], qty_raw[i], price_raw[i])
+            if problem is not None:
+                raise SchemaError(f"fills line {_record_line(text, i)}", problem)
+        raise SchemaError(
+            f"fills line {_record_line(text, n)}", f"expected 5 columns, got {width}"
         )
-    except ValueError:
-        first_bad = 0
-    else:
-        first_bad = _first_bad_fill(cols)
-        if first_bad == n and width is None:
-            return cols
-    # a value did not parse, a mask caught a row or a record has the wrong
-    # width: the row checks word the error of the first bad row
-    for i in range(first_bad, n):
-        problem = _fill_row_problem(t_raw[i], *orders[order[i]], qty_raw[i], price_raw[i])
-        if problem is not None:
-            raise SchemaError(f"fills line {_record_line(text, i)}", problem)
-    raise SchemaError(f"fills line {_record_line(text, n)}", f"expected 5 columns, got {width}")
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _parse_fills(raw: bytes) -> _FillColumns:

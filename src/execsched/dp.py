@@ -58,6 +58,11 @@ __all__ = [
 # Points of the scan that brackets the re-solve of a stage at an exact
 # residual; the stage objective need not be convex there.
 _RESOLVE_POINTS = 2001
+# Lowest published residual as a fraction of the order: the policy bends
+# hardest at small residuals, so the grid is log-spaced down to here.
+_GRID_LO_FRAC = 1e-3
+# Log steps per gap of the published grid in this module's recursions.
+_REFINE = 8
 
 # Tolerance scale for Schedule bookkeeping identities (relative to S-bar).
 SCHEDULE_REL_TOL = 1e-9
@@ -274,15 +279,16 @@ class PolicyTable:
 
 @dataclass(frozen=True)
 class RecursionConfig:
-    """Knobs for the grid recursion; defaults match the published accuracy."""
+    """Knobs for the grid recursion; defaults match the published accuracy.
+
+    grid_nodes: published residual nodes per stage (at least 8).
+    newton_iters: cap on the Newton iterations of every stage solve.
+    quad_order: Gauss-Hermite order of the gbm premium and the liquidity stage T-1.
+    """
 
     grid_nodes: int = 64
-    grid_lo_frac: float = 1e-3
-    refine: int = 8
     newton_iters: int = 100
     quad_order: int = 40
-    regression_samples: int = 15
-    regression_degree: int = 3
 
     def __post_init__(self) -> None:
         if self.grid_nodes < 8:
@@ -290,16 +296,10 @@ class RecursionConfig:
                 f"grid_nodes={self.grid_nodes} is too small to resolve a value "
                 "function over the horizon; need at least 8"
             )
-        if not 0.0 < self.grid_lo_frac <= 0.5:
-            raise ConfigError(f"grid_lo_frac must lie in (0, 0.5], got {self.grid_lo_frac}")
-        if self.refine < 1:
-            raise ConfigError(f"refine must be >= 1, got {self.refine}")
         if self.newton_iters < 1:
             raise ConfigError(f"newton_iters must be >= 1, got {self.newton_iters}")
         if not 1 <= self.quad_order <= 128:
             raise ConfigError(f"quad_order must lie in [1, 128], got {self.quad_order}")
-        if self.regression_degree < 1 or self.regression_samples <= self.regression_degree:
-            raise ConfigError("regression needs degree >= 1 and more samples than degree")
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +503,9 @@ class _Mesh:
     official_idx: np.ndarray  # positions of official inside fine
 
 
-def _build_mesh(total: float, curvature_scale: float, cfg: RecursionConfig) -> _Mesh:
-    official = np.geomspace(total * cfg.grid_lo_frac, total, cfg.grid_nodes)
-    official[0] = total * cfg.grid_lo_frac
-    official[-1] = total
+def _build_mesh(total: float, curvature_scale: float, grid_nodes: int, refine: int) -> _Mesh:
+    """The published grid, padded below and cut into ``refine`` (>= 2) log steps per gap."""
+    official = np.geomspace(total * _GRID_LO_FRAC, total, grid_nodes)
     ratio = official[1] / official[0]
     # Continuation arguments W - S* fall below the lowest published node, and
     # the value function's curvature transition lives near W ~ beta/theta; pad
@@ -518,15 +517,11 @@ def _build_mesh(total: float, curvature_scale: float, cfg: RecursionConfig) -> _
         n_pad = int(math.ceil(math.log(official[0] / target) / math.log(ratio)))
     pad = official[0] / ratio ** np.arange(n_pad, 0, -1)
     coarse = np.concatenate([pad, official])
-    r = cfg.refine
-    if r > 1:
-        expo = np.arange(r, dtype=float) / r
-        base = coarse[:-1, None] * (coarse[1:] / coarse[:-1])[:, None] ** expo[None, :]
-        fine = np.append(base.ravel(), coarse[-1])
-    else:
-        fine = coarse
-    official_idx = (n_pad + np.arange(cfg.grid_nodes)) * r
-    fine[official_idx] = official
+    expo = np.arange(refine, dtype=float) / refine
+    base = coarse[:-1, None] * (coarse[1:] / coarse[:-1])[:, None] ** expo[None, :]
+    fine = np.append(base.ravel(), coarse[-1])
+    # x**0.0 is exactly 1, so the published nodes sit in ``fine`` unrounded
+    official_idx = (n_pad + np.arange(grid_nodes)) * refine
     nodes = np.concatenate([[0.0], fine])
     return _Mesh(official=official, fine=fine, nodes=nodes, official_idx=official_idx)
 
@@ -864,7 +859,9 @@ def approximate_recursion(
     """
     cfg = config or RecursionConfig()
     T = problem.horizon.T
-    mesh = _build_mesh(problem.horizon.total_shares, problem.curvature_scale, cfg)
+    mesh = _build_mesh(
+        problem.horizon.total_shares, problem.curvature_scale, cfg.grid_nodes, _REFINE
+    )
     families = {t: problem.family(t) for t in range(T - 1, 0, -1)}
     res = _backward_pass(families, problem.terminal(), mesh, cfg, problem.trade_caps)
     metadata = {
@@ -945,7 +942,7 @@ def _solve_residual_weighted(
     whether or not ``metadata["convexity_ok"]`` certifies the stage convex.
     """
     T, total = horizon.T, horizon.total_shares
-    mesh = _build_mesh(total, beta / theta, cfg)
+    mesh = _build_mesh(total, beta / theta, cfg.grid_nodes, _REFINE)
     # columns numbered by the first stage that uses them, so the columns
     # stage t needs are a prefix
     columns = list(dict.fromkeys(alphas[: T - 1]))
@@ -1017,7 +1014,7 @@ def _solve_arithmetic(
     if residual_weighted:
         return _solve_residual_weighted(theta, beta, alphas, horizon, cfg, metadata)
     # trading 1/n of the residual with n stages to go composes to the equal split
-    w = _build_mesh(total, beta / theta, cfg).official
+    w = _build_mesh(total, beta / theta, cfg.grid_nodes, _REFINE).official
     to_go = range(T, 0, -1)
     values = [
         w * beta * mills_psi((theta * w + n * a) / (n * beta)) for a, n in zip(alphas, to_go)

@@ -20,7 +20,6 @@ re-solve, runs the shared safeguarded Newton on the first-order condition.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -50,10 +49,13 @@ from execsched.models import LinearPercentage, MarketState
 
 __all__ = ["solve_gbm_simple"]
 
-# Grid refinement is capped for this model: every Newton step costs a
-# Gauss-Hermite pass over the mixture, and the spline payoff from refine=8
-# is far below the regression error in X.
-_GBM_MAX_REFINE = 2
+# Log steps per gap of the published grid, against dp's 8: every Newton
+# step costs a Gauss-Hermite pass over the mixture, and a finer spline pays
+# off far below the regression error in X.
+_REFINE = 2
+# Stratified X samples per stage; odd, so the middle one is the
+# certainty-equivalent state.
+_X_SAMPLES = 15
 
 
 def _premium_mean(params: LinearPercentage, s, x):
@@ -92,26 +94,21 @@ def _stage_premium_derivs(params: LinearPercentage, s, x, ratio: float, order: i
     return prem, params.theta * d1, params.theta * params.theta * d2
 
 
-def _x_samples(params: LinearPercentage, x0: float, t: int, m: int) -> np.ndarray:
+def _x_samples(params: LinearPercentage, x0: float, t: int) -> np.ndarray:
     """Stratified quantile samples of the X_{t-1} marginal (atom x0 at t=1)."""
     if t == 1 or params.gamma == 0.0:
         return np.array([x0 if t == 1 else params.rho ** (t - 1) * x0])
     mean = params.rho ** (t - 1) * x0
     var = params.sigma_eta**2 * sum(params.rho ** (2 * j) for j in range(t - 1))
-    z = ndtri((np.arange(m) + 0.5) / m)
+    z = ndtri((np.arange(_X_SAMPLES) + 0.5) / _X_SAMPLES)
     return mean + math.sqrt(var) * z
 
 
-def _eta_moments(m, sigma: float, degree: int) -> list:
-    """Raw moments E[(m + eta)^d] for eta ~ N(0, sigma^2), d = 0..degree."""
+def _eta_moments(m, sigma: float) -> list:
+    """Raw moments E[(m + eta)^d] for eta ~ N(0, sigma^2), d = 0..3."""
     m = np.asarray(m, dtype=float)
     v = sigma * sigma
-    out = [np.ones_like(m), m, m * m + v]
-    if degree >= 3:
-        out.append(m**3 + 3.0 * m * v)
-    if degree >= 4:
-        out.append(m**4 + 6.0 * m * m * v + 3.0 * v * v)
-    return out[: degree + 1]
+    return [np.ones_like(m), m, m * m + v, m**3 + 3.0 * m * v]
 
 
 def _fit_continuation(
@@ -120,25 +117,22 @@ def _fit_continuation(
     v_grid: np.ndarray,
     x_next: np.ndarray,
     x_now: np.ndarray,
-    degree: int,
 ) -> _SplineCont:
     """Monotone cubic (PCHIP) splines of w -> E_eta[v_{t+1}(w, rho*x + eta)].
 
     One column per current sample x.  ``v_grid`` holds v_{t+1} at (node,
     x_next-sample); the X dependence is fitted per node with a least-squares
-    polynomial and the AR(1) innovation integrated against the basis in
-    closed form.
+    cubic and the AR(1) innovation integrated against the basis in closed
+    form.
     """
     if x_next.size == 1:
         g = np.tile(v_grid[:, 0][:, None], (1, x_now.size))
     else:
-        deg = min(degree, x_next.size - 1)
         # polynomial.polyfit returns coefficients per column, low order first
-        coeffs = np.polynomial.polynomial.polyfit(x_next, v_grid.T, deg)
-        moments = _eta_moments(params.rho * x_now, params.sigma_eta, deg)
+        coeffs = np.polynomial.polynomial.polyfit(x_next, v_grid.T, 3)
         g = np.zeros((nodes.size, x_now.size))
-        for d in range(deg + 1):
-            g += coeffs[d][:, None] * moments[d][None, :]
+        for c, moment in zip(coeffs, _eta_moments(params.rho * x_now, params.sigma_eta)):
+            g += c[:, None] * moment[None, :]
     g = np.maximum(g, 0.0)
     g[0, :] = 0.0  # v(0, x) = 0 exactly
     return _pchip(nodes, g)
@@ -240,10 +234,8 @@ def solve_gbm_simple(
                 "the conditional premium kernel needs k = -ratio < 0"
             )
 
-    if cfg.refine > _GBM_MAX_REFINE:
-        cfg = dataclasses.replace(cfg, refine=_GBM_MAX_REFINE)
     scale = math.hypot(params.sigma_B, params.gamma * params.sigma_eta) / params.theta
-    mesh = _build_mesh(total, scale, cfg)
+    mesh = _build_mesh(total, scale, cfg.grid_nodes, _REFINE)
     fine, nodes, oi = mesh.fine, mesh.nodes, mesh.official_idx
 
     metadata = {
@@ -255,8 +247,7 @@ def solve_gbm_simple(
         "price_ratio": ratios[0],
     }
 
-    m = cfg.regression_samples if cfg.regression_samples % 2 == 1 else cfg.regression_samples + 1
-    stage_x = {t: _x_samples(params, x0, t, m) for t in range(1, T + 1)}
+    stage_x = {t: _x_samples(params, x0, t) for t in range(1, T + 1)}
     ce_idx = {t: stage_x[t].size // 2 for t in range(1, T + 1)}
 
     # Terminal stage on the fine grid, then fit and walk backward.
@@ -270,9 +261,7 @@ def solve_gbm_simple(
 
     v_with_zero = np.vstack([np.zeros((1, stage_x[T].size)), v_fine])
     for t in range(T - 1, 0, -1):
-        cont = _fit_continuation(
-            params, nodes, v_with_zero, stage_x[t + 1], stage_x[t], cfg.regression_degree
-        )
+        cont = _fit_continuation(params, nodes, v_with_zero, stage_x[t + 1], stage_x[t])
         stage_conts[t] = cont
         s_fine, v_fine, grid_diags[t] = _minimize_stage(
             params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg, t

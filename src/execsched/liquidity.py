@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +64,6 @@ from .dp import (
     _scalar_stage_solve,
     _scan_newton,
     _SplineCont,
-    _TerminalMills,
 )
 from .kernels import GH_MAX_ORDER, gauss_hermite, mills_psi, mills_psi_derivs, mills_psi_prime
 from .models import Liquidity, MarketState
@@ -75,10 +74,11 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Stage T-1 on the full refined mesh is a dense (nodes x price x volume)
-# tensor per scan point and Newton step; two refinement levels keep that
-# affordable while the Hermite slopes preserve the continuation's accuracy.
-_MAX_REFINE = 2
+# Log steps per gap of the published grid.  Stage T-1 on the full refined
+# mesh is a dense (nodes x price x volume) tensor per scan point and Newton
+# step; two steps keep that affordable while the Hermite slopes preserve the
+# continuation's accuracy.
+_REFINE = 2
 # Elements of one evaluated block of that tensor: it bounds the memory, and
 # blocks of this size ran fastest on a 2-core host with 2 MiB of L2 per core.
 _BLOCK_ELEMS = 1 << 16
@@ -432,17 +432,6 @@ def solve_liquidity(
         "volume_bounds": tuple(bounds),
     }
 
-    if T == 1:
-        if total > bounds[0] + tol:
-            raise InfeasibleLiquidityError(
-                f"terminal trade {total} exceeds the volume bound {bounds[0]}"
-            )
-        metadata["diagnostics"] = []
-        official = np.geomspace(total * cfg.grid_lo_frac, total, cfg.grid_nodes)
-        values = _TerminalMills(*_stage_family(params, prices[0], volumes[0])).value(official)
-        return Schedule.from_trades([total], total), _grid_table(official, [], [values], metadata)
-
-    cfg_liq = replace(cfg, refine=min(cfg.refine, _MAX_REFINE))
     thetas, alphas, betas = zip(
         *(_stage_family(params, prices[t - 1], volumes[t - 1]) for t in range(1, T + 1))
     )
@@ -455,55 +444,54 @@ def solve_liquidity(
         trade_caps=tuple(bounds),
         model_tag="liquidity",
     )
-    mesh = _build_mesh(total, problem.curvature_scale, cfg_liq)
-
-    pen_nodes = mesh.official if T == 2 else mesh.fine
-    pen = _make_penultimate(
-        params,
-        prices[T - 2],
-        volumes[T - 2],
-        bounds[T - 2],
-        float(min(total, bounds[T - 2])),
-        _NODE_PANEL_ORDER,
-        cfg.quad_order,
-    )
-    s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
+    mesh = _build_mesh(total, problem.curvature_scale, cfg.grid_nodes, _REFINE)
 
     grid_trades: list[np.ndarray] = []
     grid_values: list[np.ndarray] = []
     trades: list[float] = []
     diagnostics: list[dict] = []
     w = total
-
-    if T > 2:
-        cont = _SplineCont.from_slopes(
-            mesh.nodes,
-            np.concatenate([[0.0], v_pen]),
-            np.concatenate([[slope0], vd_pen]),
+    if T > 1:
+        pen_nodes = mesh.official if T == 2 else mesh.fine
+        pen = _make_penultimate(
+            params,
+            prices[T - 2],
+            volumes[T - 2],
+            bounds[T - 2],
+            float(min(total, bounds[T - 2])),
+            _NODE_PANEL_ORDER,
+            cfg.quad_order,
         )
-        families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
-        res = _backward_pass(families, cont, mesh, cfg_liq, problem.trade_caps)
-        for t in range(1, T - 1):
-            grid_trades.append(res.trades[t][0])
-            grid_values.append(res.values[t][0])
-            s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg_liq)
-            diagnostics.append(
-                {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
+        s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
+        if T > 2:
+            cont = _SplineCont.from_slopes(
+                mesh.nodes,
+                np.concatenate([[0.0], v_pen]),
+                np.concatenate([[slope0], vd_pen]),
             )
-            trades.append(s)
-            w -= s
-        s_pen, v_pen = s_pen[mesh.official_idx], v_pen[mesh.official_idx]
-    grid_trades.append(s_pen)
-    grid_values.append(v_pen)
+            families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
+            res = _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
+            for t in range(1, T - 1):
+                grid_trades.append(res.trades[t][0])
+                grid_values.append(res.values[t][0])
+                s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg)
+                diagnostics.append(
+                    {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
+                )
+                trades.append(s)
+                w -= s
+            s_pen, v_pen = s_pen[mesh.official_idx], v_pen[mesh.official_idx]
+        grid_trades.append(s_pen)
+        grid_values.append(v_pen)
 
-    s, iters, drift = _penultimate_scalar(
-        params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg
-    )
-    diagnostics.append(
-        {"stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift}
-    )
-    trades.append(s)
-    w -= s
+        s, iters, drift = _penultimate_scalar(
+            params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg
+        )
+        diagnostics.append(
+            {"stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift}
+        )
+        trades.append(s)
+        w -= s
 
     if w > bounds[T - 1] + tol:
         raise InfeasibleLiquidityError(

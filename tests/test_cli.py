@@ -3,6 +3,7 @@
 File outputs are checked byte-for-byte where the determinism contract
 demands it; exit codes follow the documented 0/2/3/4 map.
 """
+import csv
 import hashlib
 import json
 import subprocess
@@ -83,6 +84,15 @@ class TestConfigValidation:
             (lambda d: d.update(solver={"golden_iters": 72}), "solver.golden_iters"),
             (lambda d: d.update(solver={"foc_tol_factor": 1e-10}), "solver.foc_tol_factor"),
             (lambda d: d.update(solver={"foc_max_iter": 200}), "solver.foc_max_iter"),
+            (lambda d: d.update(solver={"grid_lo_frac": 1e-3}), "solver.grid_lo_frac"),
+            (lambda d: d.update(solver={"refine": 8}), "solver.refine"),
+            (lambda d: d.update(solver={"regression_samples": 15}), "solver.regression_samples"),
+            (lambda d: d.update(solver={"regression_degree": 3}), "solver.regression_degree"),
+            pytest.param(
+                lambda d: d["params"].update(theta=10**400),
+                "params.theta",
+                id="params.theta-beyond-float",
+            ),
             pytest.param(
                 lambda d: d["simulation"].update(seed=2**63),
                 "simulation.seed",
@@ -434,6 +444,14 @@ class TestAttribute:
         assert main(["attribute", fills, drifted,
                      "--output-dir", str(tmp_path)]) == EXIT_INPUT
         assert "arrival_price" in capsys.readouterr().err
+        # an integer beyond the float range is named, not a traceback
+        huge = _write_json(tmp_path, "ctx3.json", {
+            "arrival_price": 10**400, "horizon": 1,
+            "price_path": [100.0, 102.0], "total_shares": 5.0,
+        })
+        assert main(["attribute", fills, huge,
+                     "--output-dir", str(tmp_path)]) == EXIT_INPUT
+        assert "context.arrival_price: must be finite" in capsys.readouterr().err
 
     def test_bad_fill_row_points_at_the_line(self, tmp_path, capsys):
         bad = "t,participant,side,qty,price\n1,desk,buy,1.0,100.0\n2,desk,buy,x,101.0\n"
@@ -714,6 +732,35 @@ class TestFillsRoutes:
         assert len(plain[1]) == 3000 and len(plain[-1]) == 100
         assert load("quoted.csv", '{},"{}",{},{},{}') == plain
         assert load("crlf.csv", "{},{},{},{},{}", "\r\n") == plain
+
+    def test_quoted_field_beyond_the_csv_limit_loads_like_its_plain_twin(
+        self, tmp_path, capsys
+    ):
+        # csv.reader refuses a field over 131072 characters unless its limit
+        # is lifted; the numpy route that reads the plain twin has no limit
+        who = "p" * 140_000
+        context = _write_json(tmp_path, "ctx.json", {
+            "arrival_price": 100.0, "horizon": 1,
+            "price_path": [100.0, 102.0], "total_shares": 5.0,
+        })
+        limit = csv.field_size_limit()
+        docs = []
+        for name, field in (("plain", who), ("quoted", f'"{who}"')):
+            fills = _write_text(tmp_path, f"{name}.csv", _fills_text(f"1,{field},buy,5,102.0"))
+            out = tmp_path / name
+            assert main(["attribute", fills, context, "--output-dir", str(out)]) == EXIT_OK
+            doc = json.loads((out / "attribution.json").read_text())
+            docs.append({k: v for k, v in doc.items() if k not in ("run_id", "fills_digest")})
+            assert csv.field_size_limit() == limit
+        assert docs[0] == docs[1]
+        assert docs[0]["reports"][0]["participant"] == who
+        # the error path finds the bad record's line past the long field too
+        bad = _write_text(
+            tmp_path, "bad.csv", _fills_text(f'1,"{who}",buy,5,102.0', "1,desk,buy,x,102.0")
+        )
+        assert main(["attribute", bad, context, "--output-dir", str(tmp_path)]) == EXIT_INPUT
+        assert "fills line 3: qty/price: not a number" in capsys.readouterr().err
+        assert csv.field_size_limit() == limit
 
 
 class TestJsonText:

@@ -134,7 +134,7 @@ class TestValidation:
         v_grid = np.array([[0.0], [0.5], [math.nan], [2.0]])
         with pytest.raises(ValueError, match="finite"):
             gbm._fit_continuation(
-                _params(), nodes, v_grid, np.array([0.0]), np.array([0.0, 0.1]), 2
+                _params(), nodes, v_grid, np.array([0.0]), np.array([0.0, 0.1])
             )
 
     def test_metadata_describes_the_run(self):
