@@ -329,16 +329,17 @@ def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, lis
 
     Returns a (orders, horizon) array and two lists in the order of
     ``cols.orders``.  Every sum takes the order's fills in file order:
-    ``ufunc.at`` adds in index order and the stable sort keeps each order's
+    ``np.bincount`` adds in index order and the stable sort keeps each order's
     fills as they came, so the floats are those of a loop over the fills.
     Every ``t`` must lie in 1..horizon.  An order whose quantities or fill
     values sum beyond the float range raises ValueError naming the order.
     """
     n_orders = len(cols.orders)
-    qty = np.zeros((n_orders, horizon))
+    cell = cols.order * horizon + (cols.t.astype(np.intp, copy=False) - 1)
     by_order = np.argsort(cols.order, kind="stable")
     with np.errstate(over="ignore"):  # overflow to inf, silently, as Python floats do
-        np.add.at(qty, (cols.order, cols.t.astype(np.intp, copy=False) - 1), cols.qty)
+        qty = np.bincount(cell, weights=cols.qty, minlength=n_orders * horizon)
+        qty = qty.reshape(n_orders, horizon)
         notional = (cols.qty * cols.price)[by_order].tolist()
     fill_qty = cols.qty[by_order].tolist()
     ends = np.cumsum(np.bincount(cols.order, minlength=n_orders)).tolist()
@@ -475,14 +476,12 @@ def zero_sum_audit(
         raise _outside_horizon_error(cols.t[outside], horizon)
     t = cols.t.astype(np.intp, copy=False)
 
-    # ufunc.at adds in index order, as a loop over the fills would; sums
+    # bincount adds in index order, as a loop over the fills would; sums
     # overflow to inf and compare as Python floats do, without warnings
     buy = np.array([side == "buy" for _, side in cols.orders], dtype=bool)[cols.order]
-    bought = np.zeros(horizon + 1)
-    sold = np.zeros(horizon + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(bought, t[buy], cols.qty[buy])
-        np.add.at(sold, t[~buy], cols.qty[~buy])
+        bought = np.bincount(t[buy], weights=cols.qty[buy], minlength=horizon + 1)
+        sold = np.bincount(t[~buy], weights=cols.qty[~buy], minlength=horizon + 1)
         gap = np.abs(bought - sold) > AUDIT_REL_TOL * np.maximum(bought, sold)
     unbalanced = _first(gap)
     if unbalanced is not None:

@@ -179,6 +179,11 @@ def _parse_json(raw: bytes, label: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(label, f"invalid JSON: {e}") from None
+    except ValueError:  # int() refuses a literal past the interpreter's digit limit
+        raise SchemaError(
+            label,
+            f"an integer literal is too long (over {sys.get_int_max_str_digits()} digits)",
+        ) from None
 
 
 def _read_bytes(path: str) -> bytes:
@@ -606,41 +611,70 @@ def _first_bad_fill(cols: _FillColumns) -> int:
 
 
 # ASCII bytes of a fills file that send it to the csv route: numpy does not
-# read quotes and CR as csv does, and it strips \x1c-\x1f around a number,
-# which int() and float() reject
-_CSV_ONLY_BYTES = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_FILLS_DTYPE = np.dtype(
-    [("t", "i8"), ("participant", "O"), ("side", "O"), ("qty", "f8"), ("price", "f8")]
-)
+# read quotes and CR as csv does, it strips \x1c-\x1f around a number, which
+# int() and float() reject, and a fixed-width string field drops trailing NULs
+_CSV_ONLY_BYTES = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x00")
+_PLAIN_HEADER = (",".join(FILLS_HEADER) + "\n").encode("ascii")
+# The plain route reads participant and side at the width of the longest line,
+# so its records take more memory the more that line outgrows the others.  A
+# fill's line holds at least 12 bytes ("1,a,buy,1,1" and a newline), so when
+# every line is about as long as the longest the records take under 4 bytes per
+# byte of the file.  A file whose records would take more than this many bytes
+# per file byte (a few very long lines among short ones) goes to the csv route,
+# whose strings take each field's own length.
+_PLAIN_RECORD_BYTES_PER_FILE_BYTE = 8
 
 
 def _plain_fill_columns(raw: bytes) -> _FillColumns | None:
-    """The columns of an ASCII fills file that holds none of ``_CSV_ONLY_BYTES``,
-    read after its header line by numpy's C tokenizer; None when a record does
-    not parse or a row fails a check.
+    """The columns of an ASCII fills file that starts with the header line and
+    holds none of ``_CSV_ONLY_BYTES``, read after the header by numpy's C
+    tokenizer; None when a record does not parse, a row fails a check or the
+    records would outgrow ``_PLAIN_RECORD_BYTES_PER_FILE_BYTE``.
 
     On such a file ``loadtxt`` splits records and fields as ``csv.reader``
     does, skips blank lines, rejects a record that is not 5 fields wide and
     parses a number to the value ``int()``/``float()`` give or not at all, so
     the columns are those of the csv route, which words every error.
+    Participant and side are read as bytes as wide as the longest line (the
+    last one counts without a newline), so no field is cut short, and one
+    stable ``np.unique`` over each record's (participant, side) bytes codes
+    the orders.
     """
+    body = np.frombuffer(raw, np.uint8, offset=len(_PLAIN_HEADER))
+    lengths = np.diff(np.flatnonzero(body == ord("\n")), prepend=-1, append=len(body)) - 1
+    width = max(int(lengths.max()), 1)
+    dtype = np.dtype([
+        ("t", "i8"), ("participant", f"S{width}"), ("side", f"S{width}"),
+        ("qty", "f8"), ("price", "f8"),
+    ])
+    if len(lengths) * dtype.itemsize > _PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw):
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a file with no record only warns
         try:
             rec = np.loadtxt(
-                io.BytesIO(raw), dtype=_FILLS_DTYPE, delimiter=",", comments=None,
-                skiprows=1, ndmin=1, encoding="utf-8",
+                io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None,
+                skiprows=1, ndmin=1, encoding="latin1",
             )
         except (ValueError, Warning):
             return None
-    who, side = rec["participant"].tolist(), rec["side"].tolist()
-    index = {key: i for i, key in enumerate(dict.fromkeys(zip(who, side)))}
+    # participant and side lie side by side in a record: key each fill on
+    # their bytes, then number the keys in order of first appearance
+    pair = np.dtype({
+        "names": ["pair"], "formats": [f"V{2 * width}"],
+        "offsets": [dtype.fields["participant"][1]], "itemsize": dtype.itemsize,
+    })
+    _, first, inverse = np.unique(rec.view(pair)["pair"], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
     cols = _FillColumns(
         t=rec["t"].copy(),
         qty=rec["qty"].copy(),
         price=rec["price"].copy(),
-        order=np.fromiter(map(index.__getitem__, zip(who, side)), np.intp, len(who)),
-        orders=tuple(index),
+        order=np.argsort(by_first)[inverse],
+        orders=tuple(
+            (who.decode("ascii"), side.decode("ascii"))
+            for who, side in rec[["participant", "side"]][first[by_first]].tolist()
+        ),
     )
     return cols if _first_bad_fill(cols) == len(cols) else None
 
@@ -712,21 +746,25 @@ def _csv_fill_columns(text: str) -> _FillColumns:
 def _parse_fills(raw: bytes) -> _FillColumns:
     """The columns of a fills CSV (strict header).
 
-    An ASCII file with none of ``_CSV_ONLY_BYTES`` goes through
-    :func:`_plain_fill_columns`; any other file, and any file that route turns
-    down, through :func:`_csv_fill_columns`, which words every error.  Both
-    give the same columns.  (numpy's int64 reader takes many non-ASCII
-    characters for digits, so a non-ASCII file never reaches it.)
+    An ASCII file that starts with the header line and holds none of
+    ``_CSV_ONLY_BYTES`` goes through :func:`_plain_fill_columns`; any other
+    file, and any file that route turns down, is decoded and goes through
+    :func:`_csv_fill_columns`, which words every error.  Both give the same
+    columns.  (numpy's int64 reader takes many non-ASCII characters for
+    digits, so a non-ASCII file never reaches it.)
     """
+    if (
+        raw.startswith(_PLAIN_HEADER)
+        and raw.isascii()
+        and not any(b in raw for b in _CSV_ONLY_BYTES)
+    ):
+        cols = _plain_fill_columns(raw)
+        if cols is not None:
+            return cols
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise SchemaError("fills", f"not valid UTF-8 ({e})") from None
-    plain = raw.isascii() and not any(b in raw for b in _CSV_ONLY_BYTES)
-    if plain and text.startswith(",".join(FILLS_HEADER) + "\n"):
-        cols = _plain_fill_columns(raw)
-        if cols is not None:
-            return cols
     return _csv_fill_columns(text)
 
 
@@ -1185,16 +1223,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as ``<Category>: <message>``, without a source location."""
+    print(f"{category.__name__}: {message}", file=sys.stderr if file is None else file)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except UnbalancedIntervalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_AUDIT
-    except SolverError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    # a warning prints without this file's path and line, so stderr reads the
+    # same from any checkout; library callers get Python's display back on return
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.handler(args)
+        except UnbalancedIntervalError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_AUDIT
+        except SolverError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_SOLVER
+        except (ValueError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT

@@ -8,6 +8,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ class TestConfigValidation:
         bad = _write_text(tmp_path, "bad.json", "{not json")
         assert main(["solve", bad, "--output-dir", str(tmp_path)]) == EXIT_INPUT
         assert "JSON" in capsys.readouterr().err
+
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.loads hands such a literal to int(), which refuses it
+        digits = "1" + "0" * 5000
+        limit = sys.get_int_max_str_digits()
+        config = json.dumps(_bench_doc(params={"theta": "THETA", "sigma_eps": 2.0}))
+        path = _write_text(tmp_path, "c.json", config.replace('"THETA"', digits))
+        assert main(["solve", path, "--output-dir", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: config: an integer literal is too long (over {limit} digits)\n"
+        )
+        context = json.dumps({"arrival_price": "P", "horizon": 1, "price_path": [100.0, 101.0]})
+        path = _write_text(tmp_path, "ctx.json", context.replace('"P"', digits))
+        fills = _write_text(tmp_path, "fills.csv", _fills_text(*_GOOD_FILLS))
+        assert main(["attribute", fills, path, "--output-dir", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: context: an integer literal is too long (over {limit} digits)\n"
+        )
 
 
 class TestSolve:
@@ -292,6 +311,18 @@ class TestSolve:
             "error: stage 9 grid solve did not converge within 4 Newton iterations at 128 nodes\n"
         )
         assert not (tmp_path / "policy.json").exists()
+
+    def test_warning_prints_its_category_and_message_only(self, tmp_path, capsys):
+        doc = _bench_doc(formulation="complex", params={"theta": 0.5, "sigma_eps": 2.0},
+                         horizon={"periods": 4, "total_shares": 10.0})
+        shown = warnings.showwarning
+        rc = main(["solve", _write_json(tmp_path, "c.json", doc), "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == (
+            "ConvexityWarning: stage costs are not certified convex (theta=0.5 against noise "
+            "scale 2.0); reported optima may be local\n"
+        )
+        assert warnings.showwarning is shown
 
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         outdir = tmp_path / "env_out"
@@ -628,7 +659,11 @@ _NUMBER_VALUES = st.one_of(
 )
 _GOOD_FIELDS = (
     _padded(_T_VALUES),
-    st.text(st.sampled_from([*"ab# \t\x0b\x0c\x00\x7f"]), min_size=1, max_size=3),
+    st.one_of(
+        st.text(st.sampled_from([*"ab# \t\x0b\x0c\x00\x7f"]), min_size=1, max_size=3),
+        # names of many widths, so the plain route reads its fields at many widths
+        st.text(st.sampled_from([*"ab# \t\x0b\x0c\x7f"]), min_size=1, max_size=40),
+    ),
     st.sampled_from(["buy", "sell"]),
     _padded(_NUMBER_VALUES),
     _padded(_NUMBER_VALUES),
@@ -732,6 +767,65 @@ class TestFillsRoutes:
         assert len(plain[1]) == 3000 and len(plain[-1]) == 100
         assert load("quoted.csv", '{},"{}",{},{},{}') == plain
         assert load("crlf.csv", "{},{},{},{},{}", "\r\n") == plain
+
+    @staticmethod
+    def _routes_agree(raw):
+        outcome = _fill_outcome(cli._parse_fills, raw)
+        assert outcome == _fill_outcome(cli._csv_fill_columns, raw.decode("utf-8-sig"))
+        return outcome
+
+    def test_last_line_counts_for_the_width_without_a_newline(self):
+        who = "p" * 40
+        raw = _fills_text(*_GOOD_FILLS).encode() + f"2,{who},buy,5,102.0".encode()
+        cols = cli._plain_fill_columns(raw)
+        assert cols is not None and cols.orders[-1] == (who, "buy")
+        assert self._routes_agree(raw)[-1] == (("b", "buy"), ("s", "sell"), (who, "buy"))
+
+    def test_nul_in_a_participant_takes_the_csv_route(self, monkeypatch):
+        # a fixed-width field drops trailing NULs, so "b\x00" would read as "b"
+        raw = _fills_text("1,b\x00,buy,5,101.0", "1,b,buy,5,101.0", "1,s,sell,10,101.0").encode()
+
+        def refuse(raw):
+            raise AssertionError("plain route called on a file holding NUL")
+
+        monkeypatch.setattr(cli, "_plain_fill_columns", refuse)
+        outcome = self._routes_agree(raw)
+        assert outcome[-1] == (("b\x00", "buy"), ("b", "buy"), ("s", "sell"))
+
+    def test_one_very_long_line_takes_the_csv_route(self, monkeypatch):
+        rows = [f"{t},{who},{side},5,10{t}.0"
+                for t in range(1, 6) for who, side in (("b", "buy"), ("s", "sell"))]
+        who = "p" * 100_000
+        raw = _fills_text(*rows, f"1,{who},buy,5,101.0").encode()
+        # its records would take 2 * 100k bytes for each of the 12 lines
+        width = max(map(len, raw.split(b"\n")[1:]))
+        assert 12 * 2 * width > cli._PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called past the record-size bound")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli.np, "loadtxt", refuse)
+            assert cli._plain_fill_columns(raw) is None
+            outcome = self._routes_agree(raw)
+        assert outcome[-1] == (("b", "buy"), ("s", "sell"), (who, "buy"))
+        # the same file with a short name stays on the plain route
+        assert cli._plain_fill_columns(raw.replace(who.encode(), b"p")) is not None
+
+    def test_shared_prefixes_and_both_sides_code_apart(self):
+        stem = "desk-" + "0" * 30
+        rows = [
+            f"1,{stem}1,buy,5,101.0", f"1,{stem}10,sell,3,101.0", f"1,{stem}1,sell,2,101.0",
+            f"2,{stem},buy,4,102.0", f"2,{stem}1,buy,1,102.0", f"2,{stem}10,sell,5,102.0",
+        ]
+        raw = _fills_text(*rows).encode()
+        cols = cli._plain_fill_columns(raw)
+        assert cols is not None
+        assert cols.orders == (
+            (f"{stem}1", "buy"), (f"{stem}10", "sell"), (f"{stem}1", "sell"), (stem, "buy"),
+        )
+        assert cols.order.tolist() == [0, 1, 2, 3, 0, 1]
+        assert self._routes_agree(raw)[-1] == cols.orders
 
     def test_quoted_field_beyond_the_csv_limit_loads_like_its_plain_twin(
         self, tmp_path, capsys
