@@ -10,15 +10,21 @@ so that E[Y | Y > 0] = sigma * psi(mu / sigma) for Y ~ N(mu, sigma^2), plus a
 normal-lognormal mixture expectation and Gauss-Hermite rules for the Gaussian
 expectations the solvers take numerically.
 
-There is one Mills kernel, ``_mills_g`` (G = phi/Phi).  It evaluates each
-element on one branch only (erfcx where u < 0, phi/ndtr elsewhere) and
-scatters both into one output.  ``mills_psi``, ``mills_psi_prime`` and
-``_mills_psi_second`` each build on one G; ``mills_psi_derivs`` returns psi,
-psi' and psi'' from a single G for the stage solves, bit for bit equal to
-the separate calls.  The Gauss-Hermite mixture expectation and
-its sigma_Y = 0 limit have companions (``_mixture_derivs_gh``,
-``_lognormal_shift_derivs``) that also return the first two derivatives in
-the mean of Y, with values bit for bit equal to theirs.
+There is one Mills kernel, ``_mills_g`` (G = phi/Phi), and one formula in
+it: G(u) = sqrt(2/pi) / erfcx(-u/sqrt(2)) for every u.  It cancels the
+e^{-u^2/2} factors, so nothing underflows in the left tail.  For u >= 0 it
+is within 2e-13 relative of the direct quotient phi/Phi up to u = 30, and
+above u ~ 37.7, where erfcx overflows, it returns exactly 0 (the true G is
+below 1e-300 there).  It never returns NaN for finite u.  Callers that need
+only part of a tensor cut the tensor before calling it, as the liquidity
+stage T-1 expectation does with its price-node window.  ``mills_psi``,
+``mills_psi_prime`` and ``_mills_psi_second`` each build on one G;
+``mills_psi_derivs`` returns psi, psi' and psi'' from a single G for the
+stage solves, bit for bit equal to the separate calls.  The Gauss-Hermite
+mixture expectation and its sigma_Y = 0 limit have companions
+(``_mixture_derivs_gh``, ``_lognormal_shift_derivs``) that also return the
+first two derivatives in the mean of Y, with values bit for bit equal to
+theirs.
 """
 from __future__ import annotations
 
@@ -95,19 +101,15 @@ def _phi(z):
 def _mills_g(u):
     """phi(u)/Phi(u), the lower-tail Mills ratio reciprocal, stable for all u.
 
-    For u < 0 the ratio is formed through the scaled complementary error
-    function, phi/Phi = sqrt(2/pi) / erfcx(-u/sqrt(2)), so the e^{-u^2/2}
-    factors cancel symbolically and nothing underflows; for u >= 0 the direct
-    quotient is exact.  Each element is evaluated on its own branch only.
+    One formula over every element: phi/Phi = sqrt(2/pi) / erfcx(-u/sqrt(2)),
+    so the e^{-u^2/2} factors cancel symbolically and nothing underflows in
+    the left tail.  In the right tail erfcx(-x) = 2e^{x^2} - erfcx(x) grows
+    like e^{u^2/2} and overflows to inf above u ~ 37.7, where G is exactly 0
+    (the true G there is below 1e-300); G(-inf) is inf.
     """
     u = np.asarray(u, dtype=float)
-    left = u < 0.0
-    right = ~left
-    out = np.empty_like(u)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out[left] = SQRT_2_OVER_PI / erfcx(-u[left] / SQRT_2)
-        ur = u[right]
-        out[right] = _phi(ur) / ndtr(ur)
+    with np.errstate(over="ignore", divide="ignore"):
+        out = SQRT_2_OVER_PI / erfcx(-u / SQRT_2)
     return out if out.ndim else float(out)
 
 

@@ -20,7 +20,13 @@ conditioning on P' (itself Gaussian) the volume innovation is Gaussian again,
 so the double integral becomes a Gauss-Hermite rule in the conditional volume
 crossed with panelled Gauss-Legendre in P'.  The panels are graded toward
 P' = 0, where the terminal scale hypot(gamma*P'*sigma_eta, sigma_eps) has a
-kink that a raw tensor Hermite rule resolves poorly.  The stage T-1 objective
+kink that a raw tensor Hermite rule resolves poorly.  The price mesh spans
+10 s_P beyond the centers A0(S) of every trade the stage can make, but one
+trade's Gaussian weight falls below 3e-18 of its peak past 9 s_P.  So each
+evaluated block of trades works on a window: the contiguous run of the
+sorted price nodes within ``_WINDOW_SIGMAS`` = 9 s_P of some trade's center,
+found by binary search.  Blocks are sized by their window, so
+``_BLOCK_ELEMS`` still bounds the tensor.  The stage T-1 objective
 is smooth in the trade S: the price-node weights are Gaussian in an affine
 function of S and every Mills argument shifts linearly with S, so its first
 and second S-derivatives come in closed form from psi, psi' and psi'' on the
@@ -89,6 +95,10 @@ _SCAN_POINTS = 9
 _NODE_PANEL_ORDER = 16
 # Reach of the price mesh around its Gaussian center, in units of s_P.
 _PRICE_SPAN = 10.0
+# Half-width, in units of s_P, of the price-node window an evaluated block
+# keeps around its elements' centers A0(S): past 9 s_P a node's Gaussian
+# weight is below 3e-18 of the peak (e^{-40.5}).
+_WINDOW_SIGMAS = 9.0
 
 
 def _noise_scale(params: Liquidity, price: float) -> float:
@@ -142,15 +152,15 @@ class _Penultimate:
 
     Every method takes flat arrays of trades and residuals and evaluates
     the (element, price node, volume node) tensor in blocks of about
-    ``_BLOCK_ELEMS`` elements, so memory stays flat in the number of
-    elements.
+    ``_BLOCK_ELEMS`` elements, each on its window of price nodes, so memory
+    stays flat in the number of elements.
     """
 
     params: Liquidity
     price: float
     volume: float
     cap: float
-    x: np.ndarray  # P' abscissae
+    x: np.ndarray  # P' abscissae, ascending
     w: np.ndarray  # bare Gauss-Legendre weights
     z_nodes: np.ndarray
     z_weights: np.ndarray
@@ -169,80 +179,107 @@ class _Penultimate:
     def stage(self) -> _MillsStage:
         return _MillsStage(*_stage_family(self.params, self.price, self.volume), False)
 
-    def _blocked(self, block, *arrays):
-        """``block`` over slices of the broadcast 1-d ``arrays``, results joined."""
-        arrays = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in arrays))
-        step = max(1, _BLOCK_ELEMS // (self.x.size * self.z_nodes.size))
-        parts = [
-            block(*(a[i : i + step] for a in arrays)) for i in range(0, arrays[0].size, step)
-        ]
+    def _mean(self, trades):
+        """A0(S) = P*(alpha + 1 + beta*S - gamma*rho*O), the mean of P' given S."""
+        p = self.params
+        return self.price * (p.alpha + 1.0 + p.beta * trades - p.gamma * p.rho * self.volume)
+
+    def _blocked(self, block, trades, resids):
+        """``block(trades, resids, nodes)`` over runs of elements, results joined.
+
+        ``nodes`` is the run's window: the contiguous slice of the sorted price
+        nodes within ``_WINDOW_SIGMAS`` s_P of some element's A0(S).  A run
+        grows while its elements times its window's price nodes times the
+        volume nodes stay within ``_BLOCK_ELEMS``.
+        """
+        trades, resids = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (trades, resids))
+        )
+        a0 = self._mean(trades)
+        reach = _WINDOW_SIGMAS * self.s_p
+        lo = np.searchsorted(self.x, a0 - reach, side="left")
+        hi = np.searchsorted(self.x, a0 + reach, side="right")
+        per_node = self.z_nodes.size
+        # a window of one node or more fits at most this many elements
+        most = max(1, _BLOCK_ELEMS // per_node)
+        parts = []
+        i = 0
+        while i < trades.size:
+            # window bounds and tensor size of the runs i..i+k-1, k = 1, 2, ...
+            first = np.minimum.accumulate(lo[i : i + most])
+            last = np.maximum.accumulate(hi[i : i + most])
+            size = np.arange(1, first.size + 1) * (last - first) * per_node
+            k = max(1, int(np.searchsorted(size, _BLOCK_ELEMS, side="right")))
+            nodes = slice(first[k - 1], last[k - 1])
+            parts.append(block(trades[i : i + k], resids[i : i + k], nodes))
+            i += k
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*parts))
         return np.concatenate(parts)
 
-    def _tensor(self, trades, resids):
-        """(zscore, gauss_w, u) for a block: the price-node z-scores and weights
-        under P' ~ N(A0(S), s_P^2), and the terminal Mills arguments.
+    def _tensor(self, trades, resids, nodes):
+        """(zscore, gauss_w, u) for a block on the price ``nodes``: their
+        z-scores and weights under P' ~ N(A0(S), s_P^2), and the terminal
+        Mills arguments.
 
         Conditioning on P' with A0 = P*(alpha + 1 + beta*S - gamma*rho*O)
         leaves eta | P' Gaussian with mean -gamma*P*sigma_eta^2*(P' - A0)/s_P^2
         and standard deviation sigma_eta*sigma_eps/s_P.
         """
         p, s_p = self.params, self.s_p
-        a0 = self.price * (
-            p.alpha + 1.0 + p.beta * trades - p.gamma * p.rho * self.volume
-        )
-        zscore = (self.x[None, :] - a0[:, None]) / s_p
-        gauss_w = self.w[None, :] * np.exp(-0.5 * zscore**2) / (s_p * _SQRT_2PI)
+        x, s_next = self.x[nodes], self.s_next[nodes]
+        zscore = (x[None, :] - self._mean(trades)[:, None]) / s_p
+        gauss_w = self.w[nodes][None, :] * np.exp(-0.5 * zscore**2) / (s_p * _SQRT_2PI)
         mu_c = -(p.gamma * self.price * p.sigma_eta**2) * zscore / s_p
         sig_c = p.sigma_eta * p.sigma_eps / s_p
         # u = P' * (alpha + beta*W - gamma*rho*O') / s(P') is affine in the
         # volume node: O' = rho*O + mu_c + sqrt(2)*sig_c*z_j, so
         # u = base[n, k] + slope[k] * z_j without an O' tensor.
         base = (
-            self.x[None, :]
+            x[None, :]
             * (
                 p.alpha
                 + p.beta * resids[:, None]
                 - p.gamma * p.rho * (p.rho * self.volume + mu_c)
             )
-            / self.s_next[None, :]
+            / s_next[None, :]
         )
-        slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * self.x / self.s_next
+        slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * x / s_next
         return zscore, gauss_w, base[:, :, None] + (slope[:, None] * self.z_nodes)[None, :, :]
 
-    def _expected_block(self, trades, resids, derivative):
-        _, gauss_w, u = self._tensor(trades, resids)
+    def _expected_block(self, trades, resids, nodes, derivative):
+        _, gauss_w, u = self._tensor(trades, resids, nodes)
+        s_next = self.s_next[nodes]
         over_z = mills_psi(u) @ self.z_weights
         if derivative:
-            over_z = self.s_next[None, :] * over_z + (
-                resids[:, None] * self.x[None, :] * self.params.beta
+            over_z = s_next[None, :] * over_z + (
+                resids[:, None] * self.x[nodes][None, :] * self.params.beta
             ) * (mills_psi_prime(u) @ self.z_weights)
         else:
-            over_z = resids[:, None] * self.s_next[None, :] * over_z
+            over_z = resids[:, None] * s_next[None, :] * over_z
         return np.einsum("nk,nk->n", over_z / _SQRT_PI, gauss_w)
 
     def expected_terminal(self, trades, resids, *, derivative: bool = False) -> np.ndarray:
         """E over (eta, eps) of V_T(P', O', resid), or of dV_T/dW."""
         return self._blocked(
-            lambda s, r: self._expected_block(s, r, derivative), trades, resids
+            lambda s, r, nodes: self._expected_block(s, r, nodes, derivative), trades, resids
         )
 
     def objective(self, trades, resids) -> np.ndarray:
         cost = self.stage.value(trades, trades)
         return cost + self.expected_terminal(trades, resids - trades)
 
-    def _derivs_block(self, trades, resids):
+    def _derivs_block(self, trades, resids, nodes):
         p, s_p = self.params, self.s_p
         r = resids - trades
-        zscore, gauss_w, u = self._tensor(trades, r)
+        zscore, gauss_w, u = self._tensor(trades, r, nodes)
         psi, d1, d2 = (k @ self.z_weights for k in mills_psi_derivs(u))
         # A0 moves by P*beta per share: the z-scores fall at that rate over
         # s_P, and u moves through the residual and the conditional mean of
         # eta, by the same amount at every volume node
         rate = self.price * p.beta / s_p
         du = -(p.beta + p.gamma * p.rho * (p.gamma * self.price * p.sigma_eta**2 / s_p) * rate) * (
-            self.x / self.s_next
+            self.x[nodes] / self.s_next[nodes]
         )
         dw = gauss_w * zscore * rate
         ddw = gauss_w * (zscore * zscore - 1.0) * (rate * rate)
@@ -252,7 +289,7 @@ class _Penultimate:
         f0 = rr * psi
         f1 = rr * du * d1 - psi
         f2 = du * (rr * du * d2 - 2.0 * d1)
-        scale = self.s_next / _SQRT_PI
+        scale = self.s_next[nodes] / _SQRT_PI
         e1 = (dw * f0 + gauss_w * f1) @ scale
         e2 = (ddw * f0 + 2.0 * dw * f1 + gauss_w * f2) @ scale
         c1, c2 = self.stage.ds_dss(trades, resids)

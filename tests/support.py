@@ -1,5 +1,5 @@
 """Helpers shared by the solver tests: finite-difference checks, bench configs
-and a cap on the exact-residual stage re-solves."""
+and reference values, and a cap on the exact-residual stage re-solves."""
 import dataclasses
 import importlib.util
 import sys
@@ -10,12 +10,22 @@ from execsched import cli, dp, gbm, liquidity
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
 
-def bench_solve_config(model: str, value: float) -> dict:
-    """The benchmark's solve config for one model, validated as the CLI reads it."""
+def _bench_inputs():
     spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
     inputs = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(inputs)
-    return cli.validate_config(inputs.solve_config(model, value))
+    return inputs
+
+
+def bench_solve_config(model: str, value: float) -> dict:
+    """The benchmark's solve config for one model, validated as the CLI reads it."""
+    return cli.validate_config(_bench_inputs().solve_config(model, value))
+
+
+def bench_reference(model: str) -> dict:
+    """The benchmark's recorded top-node value of each solve variant of one model."""
+    inputs = _bench_inputs()
+    return dict(zip(inputs.VARIANTS[model], inputs.load_reference()[model]))
 
 
 _RESOLVE_STAGE = dp._resolve_stage

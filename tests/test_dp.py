@@ -796,23 +796,24 @@ def _digests(schedule, table):
 
 class TestComplexSolvesPinned:
     # sha256 of the solver output, recorded with every stage solve on one
-    # Newton exit rule; any change that moves a bit of it shows here
+    # Newton exit rule and the one-formula Mills kernel; any change that
+    # moves a bit of it shows here
     def test_benchmark_complex(self):
         params = Benchmark(theta=3.0, sigma_eps=1.0)
         got = _digests(*solve_benchmark_complex(params, Horizon(10, 100.0)))
         assert got == {
-            "stages": "ecad1a8f79131caf5542ae2d0401067232087a3365d03aaa237ab55ac04d26ff",
+            "stages": "9a705faff69095555aec4c4d77dde264d28dfd0e216da1423eb94dc217a6abbf",
             "schedule": "508ed5244c506198d32f6084aa6622438c5037914535f37c2123a89d435aaa9c",
-            "value_samples": "fd6e11b988011c2e2b05dec5bd1d1e8f09f5e207685655460afe58b68e1cd709",
+            "value_samples": "235633ddaea84cc63d9b77c363df8b30f58476843cfd9e954541b9f4bb9fa850",
         }
 
     def test_ar1_complex(self):
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
         got = _digests(*solve_ar1_complex(params, Horizon(10, 10.0), 0.5))
         assert got == {
-            "stages": "8ac2e50378e7284c441e3bd1bda9edec8c902e3eedc9a8145ca3a6c8a91924ec",
-            "schedule": "190ff7adcd67d7e46e1ea9c99a3dfd65aa0c8863364c5f742372b84eed0523d4",
-            "value_samples": "6005298467e936d34ecee0d41d3f5cd85aa9e024631797420f26565a0c7af7af",
+            "stages": "14971828a35344a04c6dc7bb6f62bac8209acc29ead572abaf36b8b20467ded9",
+            "schedule": "768dd4c39c97e777d0a728177af6eff3eef7b5e68955d0431ca4d7e2b3a9bd6d",
+            "value_samples": "feafb2fddc4bf55b9174aafef6610f7cfe0c735bb479cdc9a9e5d79a7d5505c8",
         }
 
     def test_ar1_complex_runs_one_grid_solve_per_stage(self, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execsched import cli
+from execsched import cli, liquidity
 from execsched.dp import (
     Horizon,
     InfeasibleLiquidityError,
@@ -32,7 +32,7 @@ from execsched.liquidity import (
     solve_liquidity,
 )
 from execsched.models import Liquidity, MarketState
-from support import bench_solve_config, central_differences
+from support import bench_reference, bench_solve_config, central_differences
 
 SPEC_PARAMS = Liquidity(
     alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5, sigma_eta=10.0
@@ -229,6 +229,96 @@ class TestStageDerivatives:
         got1, got2 = (float(a[0]) for a in pen.objective_derivs(np.array([s]), w))
         assert abs(got1 - d1) <= tol1
         assert abs(got2 - d2) <= tol2
+
+
+class TestPriceNodeWindow:
+    @given(
+        price=st.floats(70.0, 130.0),
+        volume=st.floats(30.0, 80.0),
+        alpha=st.floats(-0.005, 0.02),
+        theta=st.floats(0.02, 0.08),
+        gamma=st.floats(0.01, 0.03),
+        rho=st.floats(0.3, 0.9),
+        sigma_eps=st.floats(0.3, 1.5),
+        sigma_eta=st.floats(5.0, 15.0),
+        pairs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 30.0)), min_size=1, max_size=40),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_window_agrees_with_the_full_mesh(
+        self, price, volume, alpha, theta, gamma, rho, sigma_eps, sigma_eta, pairs
+    ):
+        p = Liquidity(alpha=alpha, theta=theta, gamma=gamma, rho=rho,
+                      sigma_eps=sigma_eps, sigma_eta=sigma_eta)
+        cap = rho * volume
+        pen = _make_penultimate(p, price, volume, cap, cap, _NODE_PANEL_ORDER, 40)
+        frac, extra = np.array(pairs).T
+        trades = frac * cap
+        resids = trades + extra
+
+        def evaluate():
+            return (
+                pen.objective(trades, resids),
+                *pen.objective_derivs(trades, resids),
+                pen.expected_terminal(trades, extra, derivative=True),
+            )
+
+        windowed = evaluate()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(liquidity, "_WINDOW_SIGMAS", math.inf)
+            full = evaluate()
+        # J's two S-derivatives are a stage-cost part plus an expectation part
+        # that cancel near a stationary point, so they are compared relative
+        # to the size of the parts
+        c1, c2 = pen.stage.ds_dss(trades, resids)
+        scales = (
+            np.abs(full[0]),
+            np.abs(c1) + np.abs(full[1] - c1),
+            np.abs(c2) + np.abs(full[2] - c2),
+            np.abs(full[3]),
+        )
+        for got, want, scale in zip(windowed, full, scales):
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_blocks_cover_each_window_within_the_element_budget(self, monkeypatch):
+        # a scan-shaped call: 9 trades in [0, min(w, cap)] at each of 64 residuals
+        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
+        w = np.repeat(np.geomspace(0.02, 20.0, 64), 9)
+        trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 64)
+        blocks = []
+        tensor = liquidity._Penultimate._tensor
+
+        def recorded(self, s, r, nodes):
+            blocks.append((s, nodes))
+            return tensor(self, s, r, nodes)
+
+        monkeypatch.setattr(liquidity._Penultimate, "_tensor", recorded)
+        pen.objective(trades, w)
+        assert np.array_equal(np.concatenate([s for s, _ in blocks]), trades)
+        reach = 9.0 * pen.s_p
+        for s, nodes in blocks:
+            assert s.size * (nodes.stop - nodes.start) * pen.z_nodes.size <= liquidity._BLOCK_ELEMS
+            near = np.abs(pen.x[:, None] - pen._mean(s)[None, :]) <= reach
+            (inside,) = np.nonzero(near.any(axis=1))
+            assert (nodes.start, nodes.stop) == (inside[0], inside[-1] + 1)
+        # the small residuals trade little, so their windows are narrow and
+        # their blocks hold more elements than a full-mesh block would
+        assert blocks[0][1].stop - blocks[0][1].start < 0.75 * pen.x.size
+        assert blocks[0][0].size > liquidity._BLOCK_ELEMS // (pen.x.size * pen.z_nodes.size)
+
+    @pytest.mark.parametrize("total", [16.0, 18.0, 20.0, 22.0])
+    def test_bench_variants_keep_their_recorded_top_values(self, total):
+        cfg = bench_solve_config("liquidity", total)
+        assert cfg["solver"]["quad_order"] == 40
+        _, table = solve_liquidity(
+            cli.build_model(cfg),
+            cli.build_horizon(cfg),
+            cli.build_state(cfg),
+            cli.build_recursion_config(cfg),
+        )
+        w_top, v_top = table.value_samples[0][-1]
+        assert w_top == total
+        ref = bench_reference("liquidity")[total]
+        assert abs(v_top - ref) <= 1e-12 * abs(ref)
 
 
 class TestGlobalMinimum:
