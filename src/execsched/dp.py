@@ -33,7 +33,14 @@ from execsched.kernels import (  # noqa: F401
     mills_psi_derivs,
     mills_psi_prime,
 )
-from execsched.models import Ar1Extra, Benchmark, Spread, _premium_convex
+from execsched.models import (
+    Ar1Extra,
+    Benchmark,
+    MarketState,
+    Spread,
+    _certainty_equivalent_path,
+    _premium_convex,
+)
 
 __all__ = [
     "Horizon",
@@ -701,6 +708,23 @@ def _resolve_stage(
     return float(s[0]), float(v[0]), int(report.iterations[0])
 
 
+def _quadrature_drift(value: float, doubled: float, stage, order: int, doubled_to: int) -> float:
+    """Relative change of a stage objective re-evaluated at doubled quadrature.
+
+    Above 1e-6 it raises ResolutionWarning: the objective at ``order`` is
+    not resolved to the accuracy the solvers publish.
+    """
+    rel = abs(doubled - value) / max(abs(value), 1e-300)
+    if rel > 1e-6:
+        warnings.warn(
+            f"stage {stage} objective moved {rel:.3e} relative under quadrature "
+            f"order doubling ({order}->{doubled_to}); increase quad_order",
+            ResolutionWarning,
+            stacklevel=4,
+        )
+    return rel
+
+
 def _scalar_stage_solve(
     fam: _MillsStage,
     cont,
@@ -902,9 +926,10 @@ def _grid_table(grid: np.ndarray, trades, values, metadata: dict) -> PolicyTable
 def _premium_law(params: Benchmark | Ar1Extra, T: int, x0: float):
     """(theta, beta, alphas) of the law's stage premiums over T stages.
 
-    The AR(1)/spread shift is alpha_t = gamma*rho^t*x0 (the observed state
-    propagated at its conditional mean) and the composite noise scale is
-    beta = sqrt(gamma^2*sigma_eta^2 + sigma_eps^2).
+    Each stage reads the law's ``move`` at its certainty-equivalent state,
+    the observed aux x0 walked forward at zero noise.  The arithmetic moves
+    depend neither on the price level nor on the trades, so the walk starts
+    at price 0 and trades nothing.
     """
     # The zero-noise law simulates fine but has no premium kernel to solve.
     if params.sigma_eps <= 0.0:
@@ -912,13 +937,11 @@ def _premium_law(params: Benchmark | Ar1Extra, T: int, x0: float):
             f"sigma_eps must be > 0 for the solver, got {params.sigma_eps}; "
             "the noise-free law is simulation-only"
         )
-    if not isinstance(params, Ar1Extra):
-        return params.theta, params.sigma_eps, (0.0,) * T
-    beta = math.hypot(params.gamma * params.sigma_eta, params.sigma_eps)
-    alphas = tuple(params.gamma * params.rho**t * x0 for t in range(1, T + 1))
+    path = _certainty_equivalent_path(params, MarketState(price=0.0, aux=x0), 0.0, T - 1)
+    (theta, *_), alphas, (beta, *_) = zip(*(params.move(s.price, s.aux) for s in path))
     if not all(map(math.isfinite, (beta, *alphas))):
         raise ValueError(f"x0 = {x0} gives a non-finite premium shift or noise scale")
-    return params.theta, beta, alphas
+    return theta, beta, alphas
 
 
 def _solve_residual_weighted(

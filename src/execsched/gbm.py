@@ -13,14 +13,20 @@ the X-marginal (the usual regression treatment of a conditioning variable in
 simulation-based recursions), with the fitted basis integrated against the
 AR(1) innovation in closed form.
 
-The premium depends on the trade only through the mean of Y, so its first
-two trade derivatives come in closed form from the same Gauss-Hermite pieces
-as its value, and every stage, on the grid and in the certainty-equivalent
-re-solve, runs the shared safeguarded Newton on the first-order condition.
+Y = theta*S + alpha + beta*Z is the law's ``move``, and the price ratios
+come from its ``step`` at zero noise.  The premium depends on the trade only
+through the mean of Y, so its first two trade derivatives come in closed form
+from the same Gauss-Hermite pieces as its value, and every stage, on the grid
+and in the certainty-equivalent re-solve, runs the shared safeguarded Newton
+on the first-order condition.  The Gauss-Hermite premium is under-resolved
+when gamma*sigma_eta is small next to sigma_B, so each re-solve evaluates its
+objective at the chosen trade again at doubled order and reports the relative
+change as ``quadrature_drift``, warning above 1e-6.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -34,18 +40,20 @@ from execsched.dp import (
     _grid_table,
     _newton_diagnostics,
     _pchip,
+    _quadrature_drift,
     _resolve_stage,
     _SplineCont,
     _vec_newton,
 )
 from execsched.kernels import (
+    GH_MAX_ORDER,
     MixtureRegimeError,
     _lognormal_shift_conditional,
     _lognormal_shift_derivs,
     _mixture_derivs_gh,
     _mixture_expectation_gh,
 )
-from execsched.models import LinearPercentage, MarketState
+from execsched.models import LinearPercentage, MarketState, _certainty_equivalent_path
 
 __all__ = ["solve_gbm_simple"]
 
@@ -58,40 +66,28 @@ _REFINE = 2
 _X_SAMPLES = 15
 
 
-def _premium_mean(params: LinearPercentage, s, x):
-    """Mean of Y, 1 + theta*s + gamma*rho*x; the premium's only s-dependence."""
-    s = np.asarray(s, dtype=float)
-    return 1.0 + params.theta * s + params.gamma * params.rho * np.asarray(x, dtype=float)
-
-
 def _stage_premium(params: LinearPercentage, s, x, ratio: float, order: int):
     """Per-share, per-unit-P~ premium E[D | D > 0] for a stage trade s at state x.
 
-    D/P~ = e^B * Y - ratio with Y ~ N(1 + theta*s + gamma*rho*x, (gamma*sigma_eta)^2).
+    D/P~ = e^B * Y - ratio, with Y = theta*s + alpha + beta*Z from the law's
+    move at the price ratio and x.
     """
-    mu_y = _premium_mean(params, s, x)
-    if params.gamma == 0.0:
+    theta, alpha, sig_y = params.move(ratio, x)
+    mu_y = theta * np.asarray(s, dtype=float) + alpha
+    if sig_y == 0.0:
         return _lognormal_shift_conditional(params.mu_B, params.sigma_B, mu_y, -ratio)
-    return _mixture_expectation_gh(
-        params.mu_B,
-        params.sigma_B,
-        mu_y,
-        params.gamma * params.sigma_eta,
-        -ratio,
-        order=order,
-    )
+    return _mixture_expectation_gh(params.mu_B, params.sigma_B, mu_y, sig_y, -ratio, order=order)
 
 
 def _stage_premium_derivs(params: LinearPercentage, s, x, ratio: float, order: int):
     """The stage premium and its first two s-derivatives (d mu_Y/ds = theta)."""
-    mu_y = _premium_mean(params, s, x)
-    if params.gamma == 0.0:
+    theta, alpha, sig_y = params.move(ratio, x)
+    mu_y = theta * np.asarray(s, dtype=float) + alpha
+    if sig_y == 0.0:
         prem, d1, d2 = _lognormal_shift_derivs(params.mu_B, params.sigma_B, mu_y, -ratio)
     else:
-        prem, d1, d2 = _mixture_derivs_gh(
-            params.mu_B, params.sigma_B, mu_y, params.gamma * params.sigma_eta, -ratio, order
-        )
-    return prem, params.theta * d1, params.theta * params.theta * d2
+        prem, d1, d2 = _mixture_derivs_gh(params.mu_B, params.sigma_B, mu_y, sig_y, -ratio, order)
+    return prem, theta * d1, theta * theta * d2
 
 
 def _x_samples(params: LinearPercentage, x0: float, t: int) -> np.ndarray:
@@ -222,11 +218,8 @@ def solve_gbm_simple(
 
     # CE price ratios r_t = P_{t-1}/P~_{t-1}: observed at t=1, then frozen
     # along a provisional equal split.
-    ratios = [state.price / state.no_impact_price]
-    for t in range(2, T + 1):
-        ratios.append(
-            1.0 + params.theta * (total / T) + params.gamma * params.rho ** (t - 1) * x0
-        )
+    path = _certainty_equivalent_path(params, state, total / T, T - 1)
+    ratios = [s.price / s.no_impact_price for s in path]
     for t, r in enumerate(ratios, start=1):
         if r <= 0.0:
             raise MixtureRegimeError(
@@ -270,18 +263,24 @@ def solve_gbm_simple(
         values[t] = v_fine[oi, ce_idx[t]]
         v_with_zero = np.vstack([np.zeros((1, stage_x[t].size)), v_fine])
 
-    # Forward certainty-equivalent pass at the exact residuals, Newton on [0, w].
+    # Forward certainty-equivalent pass at the exact residuals, Newton on [0, w];
+    # the objective at the chosen trade is evaluated again at doubled order.
+    doubled_cfg = replace(cfg, quad_order=min(2 * cfg.quad_order, GH_MAX_ORDER))
     trades: list[float] = []
     diagnostics: list[dict] = []
     w = total
     for t in range(1, T):
         j = ce_idx[t]
-        objective, foc = _stage_objective(
-            params, np.array([w]), stage_x[t][j : j + 1], np.array([j]),
-            ratios[t - 1], stage_conts[t], e_fac, cfg,
+        args = (params, np.array([w]), stage_x[t][j : j + 1], np.array([j]), ratios[t - 1],
+                stage_conts[t], e_fac)
+        objective, foc = _stage_objective(*args, cfg)
+        s, v, iters = _resolve_stage(objective, foc, w, 2, cfg)
+        doubled, _ = _stage_objective(*args, doubled_cfg)
+        v_doubled = float(doubled(np.array([s]), np.array([0]))[0])
+        drift = _quadrature_drift(v, v_doubled, t, cfg.quad_order, doubled_cfg.quad_order)
+        diagnostics.append(
+            {"stage": t, **grid_diags[t], "schedule_iterations": iters, "quadrature_drift": drift}
         )
-        s, _, iters = _resolve_stage(objective, foc, w, 2, cfg)
-        diagnostics.append({"stage": t, **grid_diags[t], "schedule_iterations": iters})
         trades.append(s)
         w -= s
     trades.append(w)
@@ -291,10 +290,7 @@ def solve_gbm_simple(
     table = _grid_table(
         mesh.official,
         [policies[t] for t in range(1, T)],
-        [
-            state.no_impact_price * math.exp((t - 1) * params.mu_B) * values[t]
-            for t in range(1, T + 1)
-        ],
+        [s.no_impact_price * values[t] for t, s in enumerate(path, start=1)],
         metadata,
     )
     return Schedule.from_trades(trades, total), table

@@ -41,7 +41,6 @@ __all__ = [
     "mills_psi",
     "mills_psi_prime",
     "mills_psi_derivs",
-    "truncated_mean_positive",
     "gauss_hermite",
     "nln_mixture_expectation",
 ]
@@ -192,18 +191,6 @@ def mills_psi_derivs(u, with_psi: bool = True):
     )
 
 
-def truncated_mean_positive(y: Gaussian) -> float:
-    """E[Y | Y > 0] = sigma * psi(mu/sigma) for Y ~ N(mu, sigma^2).
-
-    For mu >= 0 it is formed as mu + sigma * G(mu/sigma), which keeps it at or
-    above mu: sigma * (mu/sigma) can round below mu.
-    """
-    u = y.mu / y.sigma
-    if u >= 0.0:
-        return y.mu + y.sigma * _mills_g(u)
-    return y.sigma * mills_psi(u)
-
-
 @lru_cache(maxsize=32)
 def _hermgauss_cached(n: int):
     nodes, weights = np.polynomial.hermite.hermgauss(n)
@@ -285,9 +272,13 @@ def nln_mixture_expectation(x: Gaussian, y: Gaussian, k: float) -> float:
 def _mixture_expectation_gh(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
     """Vectorized Gauss-Hermite variant of the mixture expectation.
 
-    Accurate to ~1e-9 relative for sig_x up to ~0.35 (solver regimes); the
-    adaptive kernel above is the reference for anything sharper.  Broadcasts
-    over mu_y, sig_y, k.
+    For fixed X the Y-truncation kinks the integrand over a width of about
+    sig_y, so the rule resolves it only when sig_y is not small next to
+    sig_x.  At order 40, against the adaptive kernel above (mu_y in
+    [0.95, 1.1], k = -1), the relative error is about 1e-11 at
+    sig_y = 0.7*sig_x, 5e-8 at 0.5, 4e-6 at 0.4, 2e-4 at 0.3 and 3e-2 at
+    0.1, where order 128 still misses by 1e-2.  Broadcasts over mu_y, sig_y,
+    k.
     """
     nodes, weights = _hermgauss_cached(int(order))
     xv = mu_x + sig_x * np.sqrt(2.0) * nodes

@@ -7,7 +7,8 @@ The law couples own trading to an AR(1) traded-volume process:
 
 with beta = theta + gamma and the interval constraint S <= O'.  Conditional
 on the decision state (P, O) the one-step premium P' - P is Gaussian, so each
-stage cost takes the same Mills-ratio form the other solvers use, with
+stage cost takes the same Mills-ratio form the other solvers use, with the
+triple of the law's ``move``:
 
     theta_hat = P*beta,
     alpha_hat = P*(alpha - gamma*rho*O),
@@ -36,16 +37,18 @@ Newton finishes on the first-order condition.  Stages before T-1 run the
 shared residual-grid recursion at certainty-equivalent states, every search
 interval capped by the volume bound.
 
-Schedules report the certainty-equivalent path (noises at their means, volume
-propagated by rho and clamped at zero); the PolicyTable carries the full
-state-contingent rules.  Solvers treat O' as Gaussian without the clamp, in
-line with the closed forms; the clamp belongs to simulated paths.
+Schedules report the certainty-equivalent path (the law's ``step`` at zero
+noise under an equal provisional split, so the volume is propagated by rho and
+clamped at zero); the PolicyTable carries the full state-contingent rules.
+Solvers treat O' as Gaussian without the clamp, in line with the closed forms;
+the clamp belongs to simulated paths, and the metadata's
+``volume_clamp_probability`` says how often it fires from each
+certainty-equivalent state.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +61,6 @@ from .dp import (
     MillsRecursionProblem,
     PolicyTable,
     RecursionConfig,
-    ResolutionWarning,
     Schedule,
     SolverError,
     _backward_pass,
@@ -66,13 +68,14 @@ from .dp import (
     _grid_table,
     _MillsStage,
     _newton_diagnostics,
+    _quadrature_drift,
     _resolve_stage,
     _scalar_stage_solve,
     _scan_newton,
     _SplineCont,
 )
 from .kernels import GH_MAX_ORDER, gauss_hermite, mills_psi, mills_psi_derivs, mills_psi_prime
-from .models import Liquidity, MarketState
+from .models import Liquidity, MarketState, _certainty_equivalent_path
 
 __all__ = ["solve_liquidity"]
 
@@ -99,19 +102,6 @@ _PRICE_SPAN = 10.0
 # keeps around its elements' centers A0(S): past 9 s_P a node's Gaussian
 # weight is below 3e-18 of the peak (e^{-40.5}).
 _WINDOW_SIGMAS = 9.0
-
-
-def _noise_scale(params: Liquidity, price: float) -> float:
-    """Standard deviation of P' - P given (P, O, S): hypot(gamma*P*sigma_eta, sigma_eps)."""
-    return math.hypot(params.gamma * price * params.sigma_eta, params.sigma_eps)
-
-
-def _stage_family(params: Liquidity, price: float, volume: float):
-    """Per-stage Mills triple at a known decision state."""
-    theta_hat = price * params.beta
-    alpha_hat = price * (params.alpha - params.gamma * params.rho * volume)
-    beta_hat = _noise_scale(params, price)
-    return theta_hat, alpha_hat, beta_hat
 
 
 def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int):
@@ -166,23 +156,22 @@ class _Penultimate:
     z_weights: np.ndarray
 
     @cached_property
+    def stage(self) -> _MillsStage:
+        """The stage cost of the law's move from (P, O)."""
+        return _MillsStage(*self.params.move(self.price, self.volume), False)
+
+    @property
     def s_p(self) -> float:
-        return _noise_scale(self.params, self.price)
+        return self.stage.beta
 
     @cached_property
     def s_next(self) -> np.ndarray:
-        """Terminal noise scale s(P') at every price node."""
-        p = self.params
-        return np.hypot(p.gamma * self.x * p.sigma_eta, p.sigma_eps)
-
-    @cached_property
-    def stage(self) -> _MillsStage:
-        return _MillsStage(*_stage_family(self.params, self.price, self.volume), False)
+        """Terminal noise scale s(P') at every price node (it does not depend on O')."""
+        return self.params.move(self.x, 0.0)[2]
 
     def _mean(self, trades):
-        """A0(S) = P*(alpha + 1 + beta*S - gamma*rho*O), the mean of P' given S."""
-        p = self.params
-        return self.price * (p.alpha + 1.0 + p.beta * trades - p.gamma * p.rho * self.volume)
+        """A0(S) = P + theta_hat*S + alpha_hat, the mean of P' given S."""
+        return self.price + (self.stage.theta * trades + self.stage.alpha)
 
     def _blocked(self, block, trades, resids):
         """``block(trades, resids, nodes)`` over runs of elements, results joined.
@@ -222,9 +211,9 @@ class _Penultimate:
         z-scores and weights under P' ~ N(A0(S), s_P^2), and the terminal
         Mills arguments.
 
-        Conditioning on P' with A0 = P*(alpha + 1 + beta*S - gamma*rho*O)
-        leaves eta | P' Gaussian with mean -gamma*P*sigma_eta^2*(P' - A0)/s_P^2
-        and standard deviation sigma_eta*sigma_eps/s_P.
+        Conditioning on P', whose mean is A0(S), leaves eta | P' Gaussian with
+        mean -gamma*P*sigma_eta^2*(P' - A0)/s_P^2 and standard deviation
+        sigma_eta*sigma_eps/s_P.
         """
         p, s_p = self.params, self.s_p
         x, s_next = self.x[nodes], self.s_next[nodes]
@@ -232,18 +221,11 @@ class _Penultimate:
         gauss_w = self.w[nodes][None, :] * np.exp(-0.5 * zscore**2) / (s_p * _SQRT_2PI)
         mu_c = -(p.gamma * self.price * p.sigma_eta**2) * zscore / s_p
         sig_c = p.sigma_eta * p.sigma_eps / s_p
-        # u = P' * (alpha + beta*W - gamma*rho*O') / s(P') is affine in the
-        # volume node: O' = rho*O + mu_c + sqrt(2)*sig_c*z_j, so
+        # u = (theta'*W + alpha') / s(P') from the move at (P', O') is affine
+        # in the volume node: O' = rho*O + mu_c + sqrt(2)*sig_c*z_j, so
         # u = base[n, k] + slope[k] * z_j without an O' tensor.
-        base = (
-            x[None, :]
-            * (
-                p.alpha
-                + p.beta * resids[:, None]
-                - p.gamma * p.rho * (p.rho * self.volume + mu_c)
-            )
-            / s_next[None, :]
-        )
+        theta_next, alpha_next, _ = p.move(x, p.rho * self.volume + mu_c)
+        base = (theta_next * resids[:, None] + alpha_next) / s_next
         slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * x / s_next
         return zscore, gauss_w, base[:, :, None] + (slope[:, None] * self.z_nodes)[None, :, :]
 
@@ -277,7 +259,7 @@ class _Penultimate:
         # A0 moves by P*beta per share: the z-scores fall at that rate over
         # s_P, and u moves through the residual and the conditional mean of
         # eta, by the same amount at every volume node
-        rate = self.price * p.beta / s_p
+        rate = self.stage.theta / s_p
         du = -(p.beta + p.gamma * p.rho * (p.gamma * self.price * p.sigma_eta**2 / s_p) * rate) * (
             self.x[nodes] / self.s_next[nodes]
         )
@@ -309,9 +291,9 @@ def _make_penultimate(
     panel_order: int,
     z_order: int,
 ) -> _Penultimate:
-    s_p = _noise_scale(params, price)
-    a0_lo = price * (params.alpha + 1.0 - params.gamma * params.rho * volume)
-    a0_hi = a0_lo + price * params.beta * s_max
+    theta_hat, alpha_hat, s_p = params.move(price, volume)
+    a0_lo = price + alpha_hat
+    a0_hi = a0_lo + theta_hat * s_max
     kink = params.sigma_eps / (params.gamma * params.sigma_eta)
     x, w = _price_mesh(
         a0_lo - _PRICE_SPAN * s_p, a0_hi + _PRICE_SPAN * s_p, s_p, kink, panel_order
@@ -388,37 +370,8 @@ def _penultimate_scalar(
         params, price, volume, cap, ub, 2 * order, min(2 * order, GH_MAX_ORDER)
     )
     j_doubled = float(doubled.objective(np.array([s_star]), np.array([w]))[0])
-    rel = abs(j_doubled - j_star) / max(abs(j_star), 1e-300)
-    if rel > 1e-6:
-        warnings.warn(
-            f"stage T-1 objective moved {rel:.3e} relative under quadrature "
-            f"order doubling ({order}->{2 * order}); increase quad_order",
-            ResolutionWarning,
-            stacklevel=3,
-        )
+    rel = _quadrature_drift(j_star, j_doubled, "T-1", order, 2 * order)
     return s_star, iters, rel
-
-
-def _ce_path(params: Liquidity, state: MarketState, T: int, total: float):
-    """Certainty-equivalent states per stage under an equal provisional split.
-
-    ``prices[t-1]``/``volumes[t-1]`` form the state entering stage t;
-    ``bounds[t-1]`` is the mean volume available to trade during stage t.
-    """
-    provisional = total / T
-    prices = [state.price]
-    volumes = [state.aux]
-    bounds = []
-    for t in range(1, T + 1):
-        o_next = max(params.rho * volumes[-1], 0.0)
-        bounds.append(o_next)
-        if t < T:
-            p_next = prices[-1] * (
-                params.alpha + 1.0 + params.beta * provisional - params.gamma * o_next
-            )
-            prices.append(p_next)
-            volumes.append(o_next)
-    return prices, volumes, bounds
 
 
 def solve_liquidity(
@@ -445,17 +398,20 @@ def solve_liquidity(
     total = horizon.total_shares
     tol = 1e-9 * total
 
-    prices, volumes, bounds = _ce_path(params, state, T, total)
+    # certainty-equivalent states under an equal provisional split: stage t
+    # decides at path[t-1], and its volume bound is the mean volume path[t].aux
+    path = _certainty_equivalent_path(params, state, total / T, T)
+    bounds = [s.aux for s in path[1:]]
     for t, bound in enumerate(bounds, start=1):
         if bound <= 0.0:
             raise InfeasibleLiquidityError(
                 f"stage {t}: certainty-equivalent volume bound {bound} is not "
                 "positive, the search interval is empty"
             )
-    for t, price in enumerate(prices, start=1):
-        if price <= 0.0:
+    for t, s in enumerate(path[:-1], start=1):
+        if s.price <= 0.0:
             raise SolverError(
-                f"stage {t}: certainty-equivalent price {price} is not positive; "
+                f"stage {t}: certainty-equivalent price {s.price} is not positive; "
                 "the liquidity stage machinery needs P > 0"
             )
 
@@ -467,11 +423,10 @@ def solve_liquidity(
         "price": state.price,
         "volume": state.aux,
         "volume_bounds": tuple(bounds),
+        "volume_clamp_probability": tuple(params.clamp_probability(s.aux) for s in path[:-1]),
     }
 
-    thetas, alphas, betas = zip(
-        *(_stage_family(params, prices[t - 1], volumes[t - 1]) for t in range(1, T + 1))
-    )
+    thetas, alphas, betas = zip(*(params.move(s.price, s.aux) for s in path[:-1]))
     problem = MillsRecursionProblem(
         horizon=horizon,
         thetas=thetas,
@@ -492,8 +447,8 @@ def solve_liquidity(
         pen_nodes = mesh.official if T == 2 else mesh.fine
         pen = _make_penultimate(
             params,
-            prices[T - 2],
-            volumes[T - 2],
+            path[T - 2].price,
+            path[T - 2].aux,
             bounds[T - 2],
             float(min(total, bounds[T - 2])),
             _NODE_PANEL_ORDER,
@@ -522,7 +477,7 @@ def solve_liquidity(
         grid_values.append(v_pen)
 
         s, iters, drift = _penultimate_scalar(
-            params, prices[T - 2], volumes[T - 2], bounds[T - 2], w, cfg
+            params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg
         )
         diagnostics.append(
             {"stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift}

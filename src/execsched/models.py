@@ -1,5 +1,15 @@
 """Parameter sets and one-step transitions for the five laws of price motion.
 
+Each law class owns its law of motion through two array-native methods.
+``advance(state, trade, z_price, z_aux)`` moves a :class:`MarketBatch` one
+stage on given standard-normal draws; :func:`step` checks its inputs and
+calls it.  ``move(price, aux)`` returns ``(theta, alpha, beta)``, the
+Gaussian part ``theta*S + alpha + beta*Z`` of the next move from the
+decision state (P, aux) for a trade S, each broadcasting against ``price``
+and ``aux``: the price change P' - P, or under LinearPercentage the premium
+ratio Y.  The solvers read a law only through ``move`` and through
+:func:`_certainty_equivalent_path`, the walk of ``step`` at zero noise.
+
 Transitions are pure: noise enters as externally supplied standard-normal
 draws, so the simulator is the single owner of randomness and identical
 inputs always produce bit-identical successor states.
@@ -63,6 +73,15 @@ class Benchmark:
         # positive noise scale.
         _require(self.sigma_eps >= 0.0, f"sigma_eps must be >= 0, got {self.sigma_eps}")
 
+    def move(self, price, aux):
+        """dP = theta*S + sigma_eps*Z: no shift."""
+        return self.theta, 0.0, self.sigma_eps
+
+    def advance(self, state, trade, z_price, z_aux):
+        price = state.price + self.theta * trade + self.sigma_eps * z_price
+        t = state.time_index + 1
+        return MarketBatch(price=price, aux=state.aux, time_index=t), _quiet(trade)
+
 
 @dataclass(frozen=True)
 class Ar1Extra:
@@ -89,6 +108,20 @@ class Ar1Extra:
         _require(abs(self.rho) < 1.0, f"rho must satisfy |rho| < 1, got {self.rho}")
         _require(self.sigma_eps > 0.0, f"sigma_eps must be > 0, got {self.sigma_eps}")
         _require(self.sigma_eta > 0.0, f"sigma_eta must be > 0, got {self.sigma_eta}")
+
+    def move(self, price, aux):
+        """dP = theta*S + gamma*rho*X + hypot(gamma*sigma_eta, sigma_eps)*Z."""
+        return (
+            self.theta,
+            self.gamma * self.rho * aux,
+            math.hypot(self.gamma * self.sigma_eta, self.sigma_eps),
+        )
+
+    def advance(self, state, trade, z_price, z_aux):
+        x_new = self.rho * state.aux + self.sigma_eta * z_aux
+        price = state.price + self.theta * trade + self.gamma * x_new + self.sigma_eps * z_price
+        t = state.time_index + 1
+        return MarketBatch(price=price, aux=x_new, time_index=t), _quiet(trade)
 
 
 @dataclass(frozen=True)
@@ -120,6 +153,25 @@ class LinearPercentage:
         _require(abs(self.rho) < 1.0, f"rho must satisfy |rho| < 1, got {self.rho}")
         _require(self.sigma_B > 0.0, f"sigma_B must be > 0, got {self.sigma_B}")
         _require(self.sigma_eta > 0.0, f"sigma_eta must be > 0, got {self.sigma_eta}")
+
+    def move(self, price, aux):
+        """Y = P'/P~' = theta*S + (1 + gamma*rho*X) + gamma*sigma_eta*Z, whatever
+        the price; ``beta == 0`` (gamma = 0) means Y has no noise."""
+        return self.theta, 1.0 + self.gamma * self.rho * aux, self.gamma * self.sigma_eta
+
+    def advance(self, state, trade, z_price, z_aux):
+        if state.no_impact_price is None:
+            raise ValueError("LinearPercentage requires state.no_impact_price")
+        b = self.mu_B + self.sigma_B * z_price
+        # math.exp per element: np.exp differs from it in the last bit on a
+        # few percent of inputs, which would move every seeded path.
+        growth = np.fromiter(map(math.exp, b.tolist()), dtype=float, count=b.size)
+        p_tilde = state.no_impact_price * growth
+        x_new = self.rho * state.aux + self.sigma_eta * z_aux
+        price = p_tilde * (1.0 + self.theta * trade + self.gamma * x_new)
+        t = state.time_index + 1
+        batch = MarketBatch(price=price, aux=x_new, no_impact_price=p_tilde, time_index=t)
+        return batch, _quiet(trade)
 
 
 @dataclass(frozen=True)
@@ -156,6 +208,31 @@ class Liquidity:
         _require(self.sigma_eps > 0.0, f"sigma_eps must be > 0, got {self.sigma_eps}")
         _require(self.sigma_eta > 0.0, f"sigma_eta must be > 0, got {self.sigma_eta}")
         object.__setattr__(self, "beta", self.theta + self.gamma)
+
+    def move(self, price, aux):
+        """dP = P*beta*S + P*(alpha - gamma*rho*O) + hypot(gamma*P*sigma_eta, sigma_eps)*Z,
+        with O' unclamped; :meth:`clamp_probability` says how often the clamp fires."""
+        return (
+            price * self.beta,
+            price * (self.alpha - self.gamma * self.rho * aux),
+            np.hypot(self.gamma * price * self.sigma_eta, self.sigma_eps),
+        )
+
+    def clamp_probability(self, volume: float) -> float:
+        """P(rho*O + eta < 0) = Phi(-rho*O/sigma_eta): how often the next
+        volume update clamps at zero from O = ``volume``."""
+        return 0.5 * math.erfc(self.rho * volume / (self.sigma_eta * math.sqrt(2.0)))
+
+    def advance(self, state, trade, z_price, z_aux):
+        volume, clamps = ar1_volume_update(self, state.aux, z_aux)
+        violated = trade > volume
+        price = (
+            state.price
+            * (self.alpha + 1.0 + self.theta * trade - self.gamma * (volume - trade))
+            + self.sigma_eps * z_price
+        )
+        events = StepEvents(violated, (price <= 0.0) & ~violated, clamps)
+        return MarketBatch(price=price, aux=volume, time_index=state.time_index + 1), events
 
 
 @dataclass(frozen=True)
@@ -230,6 +307,16 @@ class MarketBatch:
             time_index=state.time_index,
         )
 
+    def state(self, i: int) -> MarketState:
+        """Path ``i`` as a :class:`MarketState`."""
+        nip = self.no_impact_price
+        return MarketState(
+            float(self.price[i]),
+            float(self.aux[i]),
+            None if nip is None else float(nip[i]),
+            self.time_index,
+        )
+
     def take(self, rows: np.ndarray) -> "MarketBatch":
         """The paths selected by an index or boolean array."""
         nip = self.no_impact_price
@@ -254,6 +341,12 @@ class StepEvents:
     violated: np.ndarray
     nonpositive: np.ndarray
     clamps: int = 0
+
+
+def _quiet(trade: np.ndarray) -> StepEvents:
+    """The events of a stage on which nothing but the move happened."""
+    quiet = np.zeros(trade.shape, dtype=bool)
+    return StepEvents(quiet, quiet)
 
 
 def step(params: ModelParams, state, trade, noise):
@@ -291,89 +384,46 @@ def step(params: ModelParams, state, trade, noise):
         if not np.all(np.isfinite(trade) & (trade >= 0.0)):
             raise ValueError("trades must be finite and >= 0")
         noise = np.asarray(noise, dtype=float)
-        batch, events = _advance(params, state, trade, noise[:, 0], noise[:, 1])
+        batch, events = params.advance(state, trade, noise[:, 0], noise[:, 1])
         if not (np.all(np.isfinite(batch.price)) and np.all(np.isfinite(batch.aux))):
             raise ValueError(f"a path reached a non-finite state at t={batch.time_index}")
         return batch, events
 
     if not math.isfinite(trade) or trade < 0.0:
         raise ValueError(f"trade must be finite and >= 0, got {trade}")
-    batch, events = _advance(
-        params,
+    batch, events = params.advance(
         MarketBatch.broadcast(state, 1),
         np.array([float(trade)]),
         np.array([float(noise[0])]),
         np.array([float(noise[1])]),
     )
-    t = state.time_index + 1
-    price, aux = float(batch.price[0]), float(batch.aux[0])
+    t = batch.time_index
     if events.violated[0]:
-        raise LiquidityViolationError(f"trade {trade} exceeds interval volume {aux} at t={t}")
+        raise LiquidityViolationError(
+            f"trade {trade} exceeds interval volume {float(batch.aux[0])} at t={t}"
+        )
     if events.nonpositive[0]:
         warnings.warn(
-            f"liquidity price path reached nonpositive price {price} at t={t}",
+            f"liquidity price path reached nonpositive price {float(batch.price[0])} at t={t}",
             DegeneratePathWarning,
             stacklevel=2,
         )
-    nip = batch.no_impact_price
-    return MarketState(
-        price=price,
-        aux=aux,
-        no_impact_price=None if nip is None else float(nip[0]),
-        time_index=t,
-    )
+    return batch.state(0)
 
 
-def _advance(
-    params: ModelParams,
-    state: MarketBatch,
-    trade: np.ndarray,
-    z_price: np.ndarray,
-    z_aux: np.ndarray,
-) -> tuple[MarketBatch, StepEvents]:
-    """The laws of motion on aligned arrays of paths."""
-    t = state.time_index + 1
-    quiet = np.zeros(trade.shape, dtype=bool)
-
-    if isinstance(params, Benchmark):
-        price = state.price + params.theta * trade + params.sigma_eps * z_price
-        return MarketBatch(price=price, aux=state.aux, time_index=t), StepEvents(quiet, quiet)
-
-    if isinstance(params, Ar1Extra):  # includes Spread
-        x_new = params.rho * state.aux + params.sigma_eta * z_aux
-        price = (
-            state.price
-            + params.theta * trade
-            + params.gamma * x_new
-            + params.sigma_eps * z_price
-        )
-        return MarketBatch(price=price, aux=x_new, time_index=t), StepEvents(quiet, quiet)
-
-    if isinstance(params, LinearPercentage):
-        if state.no_impact_price is None:
-            raise ValueError("LinearPercentage requires state.no_impact_price")
-        b = params.mu_B + params.sigma_B * z_price
-        # math.exp per element: np.exp differs from it in the last bit on a
-        # few percent of inputs, which would move every seeded path.
-        growth = np.fromiter(map(math.exp, b.tolist()), dtype=float, count=b.size)
-        p_tilde = state.no_impact_price * growth
-        x_new = params.rho * state.aux + params.sigma_eta * z_aux
-        price = p_tilde * (1.0 + params.theta * trade + params.gamma * x_new)
-        batch = MarketBatch(price=price, aux=x_new, no_impact_price=p_tilde, time_index=t)
-        return batch, StepEvents(quiet, quiet)
-
-    if isinstance(params, Liquidity):
-        volume, clamps = ar1_volume_update(params, state.aux, z_aux)
-        violated = trade > volume
-        price = (
-            state.price
-            * (params.alpha + 1.0 + params.theta * trade - params.gamma * (volume - trade))
-            + params.sigma_eps * z_price
-        )
-        events = StepEvents(violated, (price <= 0.0) & ~violated, clamps)
-        return MarketBatch(price=price, aux=volume, time_index=t), events
-
-    raise TypeError(f"unsupported model parameters: {type(params).__name__}")
+def _certainty_equivalent_path(
+    params: ModelParams, state: MarketState, trade: float, stages: int
+) -> list[MarketState]:
+    """The states entering stages 1..stages+1 when every shock sits at its
+    mean, zero, and every stage trades ``trade``: one batched :func:`step`
+    per stage, so the path repeats the simulated law's arithmetic, volume
+    clamp included.  Events are not checked; the callers check the states.
+    """
+    batch, path = MarketBatch.broadcast(state, 1), [state]
+    for _ in range(stages):
+        batch, _ = step(params, batch, np.array([trade]), np.zeros((1, 2)))
+        path.append(batch.state(0))
+    return path
 
 
 def _premium_convex(theta: float, beta: float) -> bool:

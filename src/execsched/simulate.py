@@ -1,5 +1,5 @@
-"""Seeded Monte Carlo over the laws of motion: policy evaluation, cost
-distributions, and the enumerated-schedule oracle.
+"""Seeded Monte Carlo over the laws of motion: policy evaluation and cost
+distributions.
 
 Determinism contract: the shocks are random stream v2 (``STREAM_VERSION``),
 one counter-based Philox stream keyed by the seed in which every path owns
@@ -48,11 +48,10 @@ from .attribution import (
     _check_formulation,
     _check_side,
     _require,
-    _residual_ladder,
     _weights,
     path_costs,
 )
-from .dp import ConfigError, Horizon, PolicyTable, Schedule, _MillsStage, _premium_law
+from .dp import Horizon, PolicyTable, Schedule
 from .models import (
     Ar1Extra,
     Benchmark,
@@ -75,7 +74,6 @@ __all__ = [
     "VOLATILITY_LABELS",
     "evaluate_policy",
     "estimate_objective",
-    "brute_force_schedule",
     "momentum_volatility_buckets",
 ]
 
@@ -90,12 +88,6 @@ MOMENTUM_LABELS = (
 
 #: Volatility buckets of the price coefficient of variation.
 VOLATILITY_LABELS = ("no", "low", "moderate", "high")
-
-#: Candidate-count ceiling for the enumerated oracle's closed objective.
-BRUTE_FORCE_BUDGET = 200_000
-
-#: Candidate*path ceiling for the enumerated oracle's Monte Carlo objective.
-BRUTE_FORCE_MC_BUDGET = 20_000_000
 
 #: Paths advanced together; bounds the per-block shock and state arrays.
 BLOCK_PATHS = 4096
@@ -443,104 +435,6 @@ def estimate_objective(
     if not ok.any():
         raise ValueError("every simulated path was infeasible; nothing to estimate")
     return _rejection_objective(paths.prices[ok], paths.trades[ok], side, formulation)
-
-
-# ---------------------------------------------------------------------------
-# Enumerated-schedule oracle.
-# ---------------------------------------------------------------------------
-
-
-def _compositions(units: int, parts: int):
-    """All tuples of nonnegative ints with the given length summing to units."""
-    if parts == 1:
-        yield (units,)
-        return
-    for first in range(units + 1):
-        for rest in _compositions(units - first, parts - 1):
-            yield (first, *rest)
-
-
-def _closed_objective(
-    model: ModelParams, x0: float, trades: np.ndarray, total: float, formulation: str
-) -> np.ndarray:
-    """Exact conditional-premium objective for the arithmetic laws."""
-    T = trades.shape[1]
-    theta, beta, alphas = _premium_law(model, T, x0)
-    residuals = _residual_ladder(trades, np.asarray(total))
-    stage = _MillsStage(theta, np.array(alphas), beta, formulation == "complex")
-    return stage.value(trades, residuals, np.arange(T)).sum(axis=1)
-
-
-def brute_force_schedule(
-    config: SimConfig,
-    grid_per_stage: int,
-    formulation: str = "simple",
-    *,
-    method: str | None = None,
-) -> Schedule:
-    """Enumerate per-stage fraction schedules and return the cheapest.
-
-    Fractions live on the simplex grid {0, 1/g, ..., 1} summing to one.
-    The arithmetic laws default to the exact conditional-premium objective
-    ("closed"); the multiplicative laws default to the Monte Carlo estimate
-    ("mc") with common random numbers across candidates.  Test oracle only;
-    the budget guards keep the enumeration honest about its own cost.
-    """
-    _check_formulation(formulation)
-    if (
-        not isinstance(grid_per_stage, int)
-        or isinstance(grid_per_stage, bool)
-        or grid_per_stage < 1
-    ):
-        raise ValueError(f"grid_per_stage must be an integer >= 1, got {grid_per_stage!r}")
-    T = config.horizon.T
-    total = config.horizon.total_shares
-    closed_ok = isinstance(config.model, (Benchmark, Ar1Extra))
-    if method is None:
-        method = "closed" if closed_ok else "mc"
-    if method not in ("closed", "mc"):
-        raise ValueError(f"method must be 'closed' or 'mc', got {method!r}")
-    if method == "closed" and not closed_ok:
-        raise ValueError(
-            f"the closed objective covers the arithmetic laws only, not "
-            f"{type(config.model).__name__}"
-        )
-    n_candidates = math.comb(grid_per_stage + T - 1, T - 1)
-    if method == "closed" and n_candidates > BRUTE_FORCE_BUDGET:
-        raise ConfigError(
-            f"{n_candidates} candidate schedules exceed the enumeration budget "
-            f"{BRUTE_FORCE_BUDGET}; lower grid_per_stage or T"
-        )
-    if method == "mc" and n_candidates * config.n_paths > BRUTE_FORCE_MC_BUDGET:
-        raise ConfigError(
-            f"{n_candidates} candidates x {config.n_paths} paths exceed the Monte "
-            f"Carlo budget {BRUTE_FORCE_MC_BUDGET}; lower grid_per_stage, T, or n_paths"
-        )
-
-    fractions = np.array(list(_compositions(grid_per_stage, T)), dtype=float)
-    candidates = fractions / grid_per_stage * total
-    if method == "closed":
-        objective = _closed_objective(
-            config.model, config.initial_state.aux, candidates, total, formulation
-        )
-    else:
-        # common random numbers: every candidate runs on the same shocks
-        z = _draw_shocks(config.seed, 0, config.n_paths, T)
-        objective = np.empty(len(candidates))
-        for j, cand in enumerate(candidates):
-            sched = Schedule.from_trades(cand, total)
-            prices, trades, feasible, counters = _run_paths(config, sched, z)
-            _warn_degenerate(counters)
-            if not feasible.any():
-                objective[j] = np.inf
-                continue
-            objective[j], _ = _rejection_objective(
-                prices[feasible], trades[feasible], "buy", formulation
-            )
-    best = int(np.argmin(objective))
-    if not np.isfinite(objective[best]):
-        raise ValueError("no candidate schedule was feasible on any path")
-    return Schedule.from_trades(candidates[best], total)
 
 
 # ---------------------------------------------------------------------------

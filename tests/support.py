@@ -1,11 +1,20 @@
-"""Helpers shared by the solver tests: finite-difference checks, bench configs
-and reference values, and a cap on the exact-residual stage re-solves."""
+"""Helpers shared by the tests: finite-difference checks, bench configs and
+reference values, a cap on the exact-residual stage re-solves, and two
+oracles that the package does not need: the truncated-normal mean and the
+enumerated-schedule search."""
 import dataclasses
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
-from execsched import cli, dp, gbm, liquidity
+import numpy as np
+
+from execsched import cli, dp, gbm, liquidity, simulate
+from execsched.attribution import _check_formulation, _residual_ladder
+from execsched.dp import ConfigError, Schedule, _MillsStage
+from execsched.kernels import Gaussian, _mills_g, mills_psi
+from execsched.models import Ar1Extra, Benchmark
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -63,3 +72,114 @@ def central_differences(f, x: float, h: float, H: float, noise: float):
         (hi - 2.0 * c0 + lo) / (h * h),
         h * h / 12.0 * 4.0 * d4 + 4.0 * noise / (h * h),
     )
+
+
+def truncated_mean_positive(y: Gaussian) -> float:
+    """E[Y | Y > 0] = sigma * psi(mu/sigma) for Y ~ N(mu, sigma^2).
+
+    For mu >= 0 it is formed as mu + sigma * G(mu/sigma), which keeps it at or
+    above mu: sigma * (mu/sigma) can round below mu.
+    """
+    u = y.mu / y.sigma
+    if u >= 0.0:
+        return y.mu + y.sigma * _mills_g(u)
+    return y.sigma * mills_psi(u)
+
+
+#: Candidate-count ceiling for the enumerated oracle's closed objective.
+BRUTE_FORCE_BUDGET = 200_000
+
+#: Candidate*path ceiling for the enumerated oracle's Monte Carlo objective.
+BRUTE_FORCE_MC_BUDGET = 20_000_000
+
+
+def _compositions(units: int, parts: int):
+    """All tuples of nonnegative ints with the given length summing to units."""
+    if parts == 1:
+        yield (units,)
+        return
+    for first in range(units + 1):
+        for rest in _compositions(units - first, parts - 1):
+            yield (first, *rest)
+
+
+def _closed_objective(model, x0: float, trades: np.ndarray, total: float, formulation: str):
+    """Exact conditional-premium objective for the arithmetic laws, from the
+    law's move at each certainty-equivalent state (``dp._premium_law``)."""
+    T = trades.shape[1]
+    theta, beta, alphas = dp._premium_law(model, T, x0)
+    residuals = _residual_ladder(trades, np.asarray(total))
+    stage = _MillsStage(theta, np.array(alphas), beta, formulation == "complex")
+    return stage.value(trades, residuals, np.arange(T)).sum(axis=1)
+
+
+def brute_force_schedule(
+    config,
+    grid_per_stage: int,
+    formulation: str = "simple",
+    *,
+    method: str | None = None,
+) -> Schedule:
+    """Enumerate per-stage fraction schedules and return the cheapest.
+
+    Fractions live on the simplex grid {0, 1/g, ..., 1} summing to one.
+    The arithmetic laws default to the exact conditional-premium objective
+    ("closed"); the multiplicative laws default to the Monte Carlo estimate
+    ("mc") with common random numbers across candidates.  The budget guards
+    keep the enumeration honest about its own cost.
+    """
+    _check_formulation(formulation)
+    if (
+        not isinstance(grid_per_stage, int)
+        or isinstance(grid_per_stage, bool)
+        or grid_per_stage < 1
+    ):
+        raise ValueError(f"grid_per_stage must be an integer >= 1, got {grid_per_stage!r}")
+    T = config.horizon.T
+    total = config.horizon.total_shares
+    closed_ok = isinstance(config.model, (Benchmark, Ar1Extra))
+    if method is None:
+        method = "closed" if closed_ok else "mc"
+    if method not in ("closed", "mc"):
+        raise ValueError(f"method must be 'closed' or 'mc', got {method!r}")
+    if method == "closed" and not closed_ok:
+        raise ValueError(
+            f"the closed objective covers the arithmetic laws only, not "
+            f"{type(config.model).__name__}"
+        )
+    n_candidates = math.comb(grid_per_stage + T - 1, T - 1)
+    if method == "closed" and n_candidates > BRUTE_FORCE_BUDGET:
+        raise ConfigError(
+            f"{n_candidates} candidate schedules exceed the enumeration budget "
+            f"{BRUTE_FORCE_BUDGET}; lower grid_per_stage or T"
+        )
+    if method == "mc" and n_candidates * config.n_paths > BRUTE_FORCE_MC_BUDGET:
+        raise ConfigError(
+            f"{n_candidates} candidates x {config.n_paths} paths exceed the Monte "
+            f"Carlo budget {BRUTE_FORCE_MC_BUDGET}; lower grid_per_stage, T, or n_paths"
+        )
+
+    fractions = np.array(list(_compositions(grid_per_stage, T)), dtype=float)
+    candidates = fractions / grid_per_stage * total
+    if method == "closed":
+        objective = _closed_objective(
+            config.model, config.initial_state.aux, candidates, total, formulation
+        )
+    else:
+        # common random numbers: every candidate runs on the same shocks
+        z = simulate._draw_shocks(config.seed, 0, config.n_paths, T)
+        objective = np.empty(len(candidates))
+        for j, cand in enumerate(candidates):
+            sched = Schedule.from_trades(cand, total)
+            prices, trades, feasible, counters = simulate._run_paths(config, sched, z)
+            simulate._warn_degenerate(counters)
+            if not feasible.any():
+                objective[j] = np.inf
+                continue
+            objective[j], _ = simulate._rejection_objective(
+                prices[feasible], trades[feasible], "buy", formulation
+            )
+    best = int(np.argmin(objective))
+    if not np.isfinite(objective[best]):
+        raise ValueError("no candidate schedule was feasible on any path")
+    return Schedule.from_trades(candidates[best], total)

@@ -1033,6 +1033,11 @@ class TestVerify:
         assert all(c["passed"] for c in doc["checks"])
         assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0.0 for c in doc["checks"])
 
+    def test_parser_offers_every_suite_in_run_order(self):
+        from execsched import verify
+
+        assert cli.VERIFY_SUITES == tuple(verify._SUITES)
+
     def test_unknown_selector_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "everything"])
@@ -1070,3 +1075,11 @@ class TestColdImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
+
+    def test_cli_import_leaves_the_verify_suites_unloaded(self):
+        code = "import sys, execsched.cli; print('execsched.verify' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

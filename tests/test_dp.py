@@ -796,7 +796,8 @@ def _digests(schedule, table):
 
 class TestComplexSolvesPinned:
     # sha256 of the solver output, recorded with every stage solve on one
-    # Newton exit rule and the one-formula Mills kernel; any change that
+    # Newton exit rule and the one-formula Mills kernel, and the AR(1) shifts
+    # read from the law's move along the zero-noise walk; any change that
     # moves a bit of it shows here
     def test_benchmark_complex(self):
         params = Benchmark(theta=3.0, sigma_eps=1.0)
@@ -811,9 +812,9 @@ class TestComplexSolvesPinned:
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
         got = _digests(*solve_ar1_complex(params, Horizon(10, 10.0), 0.5))
         assert got == {
-            "stages": "14971828a35344a04c6dc7bb6f62bac8209acc29ead572abaf36b8b20467ded9",
+            "stages": "dcd31216e7d0d85fdb4fe872d6e99a1b50cde5b1054e9f1739730ee396c3addb",
             "schedule": "768dd4c39c97e777d0a728177af6eff3eef7b5e68955d0431ca4d7e2b3a9bd6d",
-            "value_samples": "feafb2fddc4bf55b9174aafef6610f7cfe0c735bb479cdc9a9e5d79a7d5505c8",
+            "value_samples": "d5714713c50f6edeef3ed564a19bffb616d405337a8535f554173dbe9466ab8e",
         }
 
     def test_ar1_complex_runs_one_grid_solve_per_stage(self, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execsched import cli, gbm
-from execsched.dp import Horizon, RecursionConfig
+from execsched.dp import Horizon, RecursionConfig, ResolutionWarning
 from execsched.gbm import _stage_premium, solve_gbm_simple
 from execsched.kernels import (
     MixtureRegimeError,
@@ -159,13 +159,51 @@ class TestValidation:
         for d in diags:
             assert set(d) == {
                 "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "unsettled_nodes",
-                "convex", "schedule_iterations",
+                "convex", "schedule_iterations", "quadrature_drift",
             }
+            # gamma = 0: the premium is the closed lognormal form, whatever the order
+            assert d["quadrature_drift"] == 0.0
             assert d["unsettled_nodes"] == 0
             assert 0 < d["newton_iterations"] < cfg.newton_iters
             assert math.isfinite(d["max_abs_foc"])
             assert 0 < d["schedule_iterations"] < cfg.newton_iters
             assert d["convex"] is True
+
+
+class TestQuadratureDrift:
+    # The order-40 Gauss-Hermite premium is under-resolved when gamma*sigma_eta
+    # is small next to sigma_B; the re-solve reports the drift of its
+    # objective at doubled order and warns above 1e-6.
+    def test_under_resolved_premium_is_flagged(self):
+        pct = LinearPercentage(mu_B=0.0, sigma_B=0.02, theta=0.001, gamma=0.002, rho=0.5,
+                               sigma_eta=1.0)
+        with pytest.warns(ResolutionWarning) as record:
+            _, table = solve_gbm_simple(pct, Horizon(4, 10.0), _state(aux=0.1))
+        drifts = [d["quadrature_drift"] for d in table.metadata["diagnostics"]]
+        assert len(drifts) == 3 and min(drifts) > 1e-6
+        assert [str(w.message) for w in record] == [
+            f"stage {t} objective moved {d:.3e} relative under quadrature order doubling "
+            "(40->80); increase quad_order"
+            for t, d in enumerate(drifts, start=1)
+        ]
+
+    def test_resolved_premium_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            _, table = solve_gbm_simple(
+                _params(gamma=0.07, rho=0.5), Horizon(3, 10.0), _state(),
+                RecursionConfig(grid_nodes=16),
+            )
+        assert all(0.0 <= d["quadrature_drift"] <= 1e-9 for d in table.metadata["diagnostics"])
+
+    def test_doubled_order_is_capped_at_the_largest_rule(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            _, table = solve_gbm_simple(
+                _params(gamma=0.002, sigma_B=0.02, rho=0.5), Horizon(2, 10.0), _state(),
+                RecursionConfig(grid_nodes=16, quad_order=128),
+            )
+        assert table.metadata["diagnostics"][0]["quadrature_drift"] == 0.0
 
 
 class TestPremiumDerivatives:

@@ -26,8 +26,8 @@ from execsched.kernels import (
     mills_psi_derivs,
     mills_psi_prime,
     nln_mixture_expectation,
-    truncated_mean_positive,
 )
+from support import truncated_mean_positive
 
 
 class TestMillsPsi:

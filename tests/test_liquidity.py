@@ -21,6 +21,7 @@ from execsched.dp import (
     InfeasibleLiquidityError,
     RecursionConfig,
     ResolutionWarning,
+    Schedule,
     SolverError,
 )
 from execsched.kernels import mills_psi
@@ -28,10 +29,10 @@ from execsched.dp import _TerminalMills
 from execsched.liquidity import (
     _NODE_PANEL_ORDER,
     _make_penultimate,
-    _stage_family,
     solve_liquidity,
 )
 from execsched.models import Liquidity, MarketState
+from execsched.simulate import SimConfig, simulate_paths
 from support import bench_reference, bench_solve_config, central_differences
 
 SPEC_PARAMS = Liquidity(
@@ -50,7 +51,7 @@ def spec_solution():
 
 def _terminal_value(params, price, volume, resid):
     """The closed-form V_T at residual ``resid`` and decision state (price, volume)."""
-    return float(_TerminalMills(*_stage_family(params, price, volume)).value(resid))
+    return float(_TerminalMills(*params.move(price, volume)).value(resid))
 
 
 class TestTerminalForm:
@@ -355,6 +356,24 @@ class TestDiagnostics:
         assert diag["unsettled_nodes"] == 0
         # the objective is not convex near S = 0, but it is at every solution
         assert diag["convex"] is True
+
+    def test_clamp_probability_matches_the_simulated_clamps(self):
+        # the solver integrates O' unclamped; the metadata says how often the
+        # simulated law clamps it, Phi(-rho*O/sigma_eta) at each CE state
+        state = MarketState(price=100.0, aux=10.0)
+        horizon = Horizon(2, 4.0)
+        _, table = solve_liquidity(SPEC_PARAMS, horizon, state, RecursionConfig(grid_nodes=8))
+        keys = list(table.metadata)
+        assert keys[keys.index("volume_bounds") + 1] == "volume_clamp_probability"
+        p1, p2 = table.metadata["volume_clamp_probability"]
+        clamp = SPEC_PARAMS.clamp_probability
+        assert (p1, p2) == (clamp(10.0), clamp(5.0))
+        assert p1 == pytest.approx(0.3085, abs=1e-4)
+        cfg = SimConfig(model=SPEC_PARAMS, horizon=horizon, n_paths=20_000, seed=5,
+                        initial_state=state)
+        paths = simulate_paths(cfg, Schedule.from_trades([2.0, 2.0], 4.0))
+        rate = paths.counters["volume_clamps"][0] / cfg.n_paths
+        assert abs(rate - p1) <= 4.0 * math.sqrt(p1 * (1.0 - p1) / cfg.n_paths)
 
     def test_stage_t_minus_1_records_quadrature_drift(self, spec_solution):
         (diag,) = spec_solution[1].metadata["diagnostics"]

@@ -1,12 +1,18 @@
 """Unit tests for the price-motion laws and their parameter validation."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from execsched import gbm
+from execsched.dp import Horizon, RecursionConfig
+from execsched.gbm import solve_gbm_simple
+from execsched.liquidity import solve_liquidity
+from execsched.kernels import mills_psi
 from execsched.models import (
     Ar1Extra,
     Benchmark,
@@ -298,3 +304,116 @@ class TestBatchedStep:
         batch = MarketBatch.broadcast(MarketState(price=10.0), 2)
         with pytest.raises(ValueError):
             step(Benchmark(1.0, 1.0), batch, np.array([1.0, -1.0]), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Each law's move against its simulator.  Seeded batches of ``step`` give the
+# conditional premium E[dP | dP > 0] at a drawn state and trade; it must lie
+# within 4 standard errors of the premium the solvers minimize, unless the
+# diagnostics a run reports flag the state: the clamp probability of the
+# liquidity volume (the solvers integrate O' unclamped) or the quadrature
+# drift of the percentage-law premium at doubled Gauss-Hermite order.
+# ---------------------------------------------------------------------------
+
+_MC_DRAWS = 100_000
+# a diagnostic above this flags a state whose premium the solvers get wrong
+_FLAG = 1e-6
+# the pinned percentage law of the simulate tests, whose premium the order-40
+# rule under-resolves, and one it resolves
+_PCT_COARSE = LinearPercentage(mu_B=0.0, sigma_B=0.02, theta=0.001, gamma=0.002, rho=0.5,
+                               sigma_eta=1.0)
+_PCT_FINE = LinearPercentage(mu_B=0.0, sigma_B=0.1, theta=0.001, gamma=0.07, rho=0.5,
+                             sigma_eta=1.0)
+_SPEC_LIQUIDITY = Liquidity(alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5,
+                            sigma_eta=10.0)
+_GAUSSIAN_LAWS = {
+    "benchmark": (Benchmark(theta=0.5, sigma_eps=2.0), st.just(0.0)),
+    "ar1": (Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0),
+            st.floats(-3.0, 3.0)),
+    "spread": (Spread(theta=0.4, gamma=0.3, rho=0.6, sigma_eps=1.0, sigma_eta=0.5),
+               st.floats(-3.0, 3.0)),
+    # the volume clamp fires with probability above 1e-6 below O ~ 95
+    "liquidity": (_SPEC_LIQUIDITY, st.floats(0.0, 250.0)),
+}
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _simulated_premium(law, state: MarketState, trade: float, seed: int):
+    """E[dP | dP > 0] and its standard error from one seeded batch of ``step``."""
+    z = np.random.default_rng(seed).standard_normal((_MC_DRAWS, 2))
+    batch = MarketBatch.broadcast(state, _MC_DRAWS)
+    new, _ = step(law, batch, np.full(_MC_DRAWS, trade), z)
+    up = new.price - state.price
+    up = up[up > 0.0]
+    return float(up.mean()), float(up.std() / math.sqrt(up.size))
+
+
+def _gaussian_premium(law, price, aux, trade):
+    """The solver's premium beta*psi((theta*S + alpha)/beta) and whether the
+    volume clamp probability flags the state."""
+    theta, alpha, beta = law.move(price, aux)
+    flagged = isinstance(law, Liquidity) and law.clamp_probability(aux) > _FLAG
+    return float(beta * mills_psi((theta * trade + alpha) / beta)), flagged
+
+
+def _percentage_premium(law, ratio, aux, trade):
+    """The solver's premium P~ * gbm._stage_premium (P~ = 100) and whether its
+    drift under quadrature order doubling flags the state."""
+    order = RecursionConfig().quad_order
+    prem, doubled = (gbm._stage_premium(law, trade, aux, ratio, q) for q in (order, 2 * order))
+    return 100.0 * float(prem), abs(doubled - prem) / prem > _FLAG
+
+
+class TestMoveMatchesSimulator:
+    @pytest.mark.parametrize("name", sorted(_GAUSSIAN_LAWS))
+    def test_gaussian_laws(self, name):
+        law, aux_range = _GAUSSIAN_LAWS[name]
+
+        @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+        @given(price=st.floats(50.0, 150.0), aux=aux_range, u=st.floats(-1.0, 2.5), seed=_SEEDS)
+        def check(price, aux, u, seed):
+            # the trade that puts the premium's argument at u, or 0
+            theta, alpha, beta = law.move(price, aux)
+            trade = max((u * beta - alpha) / theta, 0.0)
+            solver, flagged = _gaussian_premium(law, price, aux, trade)
+            mc, se = _simulated_premium(law, MarketState(price=price, aux=aux), trade, seed)
+            assert abs(mc - solver) <= 4.0 * se or flagged, (mc, se, solver)
+
+        check()
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(
+        law=st.sampled_from([_PCT_COARSE, _PCT_FINE, replace(_PCT_FINE, gamma=0.0)]),
+        ratio=st.floats(0.98, 1.02),
+        aux=st.floats(-1.0, 1.0),
+        trade=st.floats(0.0, 10.0),
+        seed=_SEEDS,
+    )
+    def test_percentage_law(self, law, ratio, aux, trade, seed):
+        solver, flagged = _percentage_premium(law, ratio, aux, trade)
+        state = MarketState(price=100.0 * ratio, aux=aux, no_impact_price=100.0)
+        mc, se = _simulated_premium(law, state, trade, seed)
+        assert abs(mc - solver) <= 4.0 * se or flagged, (mc, se, solver)
+
+    @pytest.mark.filterwarnings("ignore::execsched.dp.ResolutionWarning")
+    def test_known_gaps_are_seen_and_flagged_by_the_run(self):
+        # the liquidity clamp at O = 10: the solver's 17.92 against about 11.3
+        # on simulated paths, flagged by the solve's clamp probability
+        state = MarketState(price=100.0, aux=10.0)
+        solver, flagged = _gaussian_premium(_SPEC_LIQUIDITY, 100.0, 10.0, 2.0)
+        mc, se = _simulated_premium(_SPEC_LIQUIDITY, state, 2.0, 1)
+        assert solver == pytest.approx(17.92, abs=0.01)
+        assert flagged and mc < solver - 100.0 * se
+        _, table = solve_liquidity(
+            _SPEC_LIQUIDITY, Horizon(2, 4.0), state, RecursionConfig(grid_nodes=8)
+        )
+        assert table.metadata["volume_clamp_probability"][0] > _FLAG
+        # the order-40 premium of the simulate tests' percentage law at S = 3,
+        # flagged by the solve's quadrature drift
+        state = MarketState(price=100.0, aux=0.1, no_impact_price=100.0)
+        solver, flagged = _percentage_premium(_PCT_COARSE, 1.0, 0.1, 3.0)
+        mc, se = _simulated_premium(_PCT_COARSE, state, 3.0, 1)
+        assert solver == pytest.approx(1.831, abs=1e-3)
+        assert flagged and mc < solver - 10.0 * se
+        _, table = solve_gbm_simple(_PCT_COARSE, Horizon(4, 10.0), state)
+        assert table.metadata["diagnostics"][0]["quadrature_drift"] > _FLAG

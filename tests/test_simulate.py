@@ -43,13 +43,13 @@ from execsched.simulate import (
     MOMENTUM_LABELS,
     SimConfig,
     VOLATILITY_LABELS,
-    brute_force_schedule,
     estimate_objective,
     evaluate_policy,
     momentum_volatility_buckets,
     simulate_paths,
 )
 from execsched.dp import solve_ar1_complex, solve_benchmark_complex, solve_benchmark_simple
+from support import brute_force_schedule
 
 
 def _bench_config(theta=2.0, sigma=2.0, T=3, total=10.0, n_paths=500, seed=99):
