@@ -1,137 +1,57 @@
-"""Optimal trade-execution scheduling and trading-cost attribution."""
-from execsched.attribution import (
-    AttributionReport,
-    Fill,
-    OrderContext,
-    UnbalancedIntervalError,
-    ZeroSumAudit,
-    attribute,
-    impact_complex,
-    impact_simple,
-    path_costs,
-    shortfall,
-    timing,
-    zero_sum_audit,
-)
-from execsched.dp import (
-    ClosedLinearPolicy,
-    ConfigError,
-    ConvexityWarning,
-    Horizon,
-    InfeasibleLiquidityError,
-    MillsRecursionProblem,
-    NumericalPolicy,
-    PolicyTable,
-    RecursionConfig,
-    ResolutionWarning,
-    Schedule,
-    SolverError,
-    approximate_recursion,
-    solve_ar1_complex,
-    solve_ar1_simple,
-    solve_benchmark_complex,
-    solve_benchmark_simple,
-)
-from execsched.gbm import solve_gbm_simple
-from execsched.kernels import (
-    Gaussian,
-    MixtureRegimeError,
-    QuadratureRule,
-    gauss_hermite,
-    mills_psi,
-    mills_psi_prime,
-    nln_mixture_expectation,
-)
-from execsched.liquidity import solve_liquidity
-from execsched.models import (
-    Ar1Extra,
-    Benchmark,
-    DegeneratePathWarning,
-    LinearPercentage,
-    Liquidity,
-    LiquidityViolationError,
-    MarketBatch,
-    MarketState,
-    Spread,
-    StepEvents,
-    ar1_volume_update,
-    convexity_check,
-)
-from execsched.simulate import (
-    MOMENTUM_LABELS,
-    VOLATILITY_LABELS,
-    BucketThresholds,
-    CostDistribution,
-    SimConfig,
-    SimulatedPaths,
-    estimate_objective,
-    evaluate_policy,
-    momentum_volatility_buckets,
-    simulate_paths,
-)
+"""Optimal trade-execution scheduling and trading-cost attribution.
+
+The public names load their modules on first use (PEP 562), so importing
+the package loads none of them, and the attribution, which needs numpy
+alone, never loads the solvers or scipy.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ar1Extra",
-    "AttributionReport",
-    "Benchmark",
-    "BucketThresholds",
-    "ClosedLinearPolicy",
-    "ConfigError",
-    "ConvexityWarning",
-    "CostDistribution",
-    "DegeneratePathWarning",
-    "Fill",
-    "Gaussian",
-    "Horizon",
-    "InfeasibleLiquidityError",
-    "LinearPercentage",
-    "Liquidity",
-    "LiquidityViolationError",
-    "MOMENTUM_LABELS",
-    "MarketBatch",
-    "MarketState",
-    "MillsRecursionProblem",
-    "MixtureRegimeError",
-    "NumericalPolicy",
-    "OrderContext",
-    "PolicyTable",
-    "QuadratureRule",
-    "RecursionConfig",
-    "ResolutionWarning",
-    "Schedule",
-    "SimConfig",
-    "SimulatedPaths",
-    "SolverError",
-    "Spread",
-    "StepEvents",
-    "UnbalancedIntervalError",
-    "VOLATILITY_LABELS",
-    "ZeroSumAudit",
-    "approximate_recursion",
-    "ar1_volume_update",
-    "attribute",
-    "convexity_check",
-    "estimate_objective",
-    "evaluate_policy",
-    "gauss_hermite",
-    "impact_complex",
-    "impact_simple",
-    "mills_psi",
-    "mills_psi_prime",
-    "momentum_volatility_buckets",
-    "nln_mixture_expectation",
-    "path_costs",
-    "shortfall",
-    "simulate_paths",
-    "solve_ar1_complex",
-    "solve_ar1_simple",
-    "solve_benchmark_complex",
-    "solve_benchmark_simple",
-    "solve_gbm_simple",
-    "solve_liquidity",
-    "timing",
-    "zero_sum_audit",
-    "__version__",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "AttributionReport", "Fill", "OrderContext", "UnbalancedIntervalError",
+        "ZeroSumAudit", "attribute", "impact_complex", "impact_simple", "path_costs",
+        "shortfall", "timing", "zero_sum_audit",
+    ), "attribution"),
+    **dict.fromkeys((
+        "ClosedLinearPolicy", "ConfigError", "ConvexityWarning", "Horizon",
+        "InfeasibleLiquidityError", "MillsRecursionProblem", "NumericalPolicy",
+        "PolicyTable", "RecursionConfig", "ResolutionWarning", "Schedule",
+        "approximate_recursion", "solve_ar1_complex", "solve_ar1_simple",
+        "solve_benchmark_complex", "solve_benchmark_simple",
+    ), "dp"),
+    "solve_gbm_simple": "gbm",
+    **dict.fromkeys((
+        "Gaussian", "MixtureRegimeError", "QuadratureRule", "gauss_hermite", "mills_psi",
+        "mills_psi_prime", "nln_mixture_expectation",
+    ), "kernels"),
+    "solve_liquidity": "liquidity",
+    **dict.fromkeys((
+        "Ar1Extra", "Benchmark", "DegeneratePathWarning", "LinearPercentage", "Liquidity",
+        "LiquidityViolationError", "MarketBatch", "MarketState", "SolverError", "Spread",
+        "StepEvents", "ar1_volume_update", "convexity_check",
+    ), "models"),
+    **dict.fromkeys((
+        "MOMENTUM_LABELS", "VOLATILITY_LABELS", "BucketThresholds", "CostDistribution",
+        "SimConfig", "SimulatedPaths", "estimate_objective", "evaluate_policy",
+        "momentum_volatility_buckets", "simulate_paths",
+    ), "simulate"),
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

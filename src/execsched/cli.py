@@ -17,14 +17,14 @@ column schema and are bound to the run by their digest in the manifest.
 The only environment knob is EXECSCHED_OUTPUT_DIR, an output-directory
 fallback for runs that do not pass --output-dir.
 """
+from __future__ import annotations
+
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
-import io
+import importlib
 import json
-import math
 import os
 import sys
 import warnings
@@ -37,50 +37,79 @@ from execsched import __version__
 from execsched.attribution import (
     FORMULATIONS,
     SIDES,
-    Fill,
     OrderContext,
     UnbalancedIntervalError,
-    _FillColumns,
-    _int_column,
     attribute,
     zero_sum_audit,
 )
-from execsched.dp import (
-    ClosedLinearPolicy,
-    Horizon,
-    RecursionConfig,
-    Schedule,
-    SolverError,
-    solve_ar1_complex,
-    solve_ar1_simple,
-    solve_benchmark_complex,
-    solve_benchmark_simple,
-)
-from execsched.gbm import solve_gbm_simple
-from execsched.liquidity import solve_liquidity
 from execsched.models import (
     Ar1Extra,
     Benchmark,
     LinearPercentage,
     Liquidity,
     MarketState,
+    SolverError,
     Spread,
 )
-from execsched.simulate import (
-    STREAM_VERSION,
-    SimConfig,
-    estimate_objective,
-    evaluate_policy,
-    momentum_volatility_buckets,
-    simulate_paths,
+from execsched.schema import (
+    SchemaError,
+    _choice,
+    _intval,
+    _no_unknown,
+    _num,
+    _obj,
+    _parse_json,
+    _read_bytes,
+    _required,
 )
+
+# What the commands take from the modules that only some of them need, by
+# module.  The solvers load scipy.special, and ``attribute`` needs neither
+# them nor the simulator, so these load on first use: a function that uses
+# one of the names calls ``_bind`` on its module first, and a lookup of one
+# as an attribute of this module binds it too.  Commands call the names
+# through this module's globals, so a wrapper set on this module (by a
+# tracer or a test) is what runs.
+_DEFERRED = {
+    "execsched.dp": (
+        "ClosedLinearPolicy", "Horizon", "RecursionConfig", "Schedule",
+        "solve_ar1_complex", "solve_ar1_simple", "solve_benchmark_complex",
+        "solve_benchmark_simple",
+    ),
+    "execsched.gbm": ("solve_gbm_simple",),
+    "execsched.liquidity": ("solve_liquidity",),
+    "execsched.simulate": (
+        "STREAM_VERSION", "SimConfig", "estimate_objective", "evaluate_policy",
+        "momentum_volatility_buckets", "simulate_paths",
+    ),
+    "execsched.fills": ("_validate_context", "load_fills"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind their ``_DEFERRED`` names here, keeping a
+    name that is bound already."""
+    scope = globals()
+    for module in modules:
+        defined = importlib.import_module(module)
+        for name in _DEFERRED[module]:
+            if name not in scope:
+                scope[name] = getattr(defined, name)
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_AUDIT = 4
 
-FILLS_HEADER = ["t", "participant", "side", "qty", "price"]
 PATHS_HEADER = [
     "path_index",
     "shortfall",
@@ -101,89 +130,6 @@ _MODEL_FIELDS = {
     name: tuple(f.name for f in dataclasses.fields(cls) if f.init)
     for name, cls in _MODEL_TYPES.items()
 }
-_SOLVER_FIELDS = {f.name for f in dataclasses.fields(RecursionConfig)}
-
-
-class SchemaError(ValueError):
-    """Input-file violation; the message leads with the offending field path."""
-
-    def __init__(self, path: str, problem: str):
-        self.path = path
-        super().__init__(f"{path}: {problem}" if path else problem)
-
-
-# ---------------------------------------------------------------------------
-# Schema walking.
-# ---------------------------------------------------------------------------
-
-
-def _obj(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _num(value, path: str, *, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise SchemaError(path, f"must be finite, got {value!r}")
-    if positive and v <= 0.0:
-        raise SchemaError(path, f"must be > 0, got {value!r}")
-    return v
-
-
-def _intval(value, path: str, *, lo: int | None = None, hi: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise SchemaError(path, f"must be >= {lo}, got {value}")
-    if hi is not None and value >= hi:
-        raise SchemaError(path, f"must be < {hi}, got {value}")
-    return value
-
-
-def _choice(value, path: str, options) -> str:
-    if value not in options:
-        raise SchemaError(path, f"expected one of {sorted(options)}, got {value!r}")
-    return value
-
-
-def _required(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}" if path else key, "required field is missing")
-    return obj[key]
-
-
-def _no_unknown(obj: dict, path: str, allowed) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}" if path else str(key), "unknown field")
-
-
-def _parse_json(raw: bytes, label: str):
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise SchemaError(label, f"not valid UTF-8 ({e})") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(label, f"invalid JSON: {e}") from None
-    except ValueError:  # int() refuses a literal past the interpreter's digit limit
-        raise SchemaError(
-            label,
-            f"an integer literal is too long (over {sys.get_int_max_str_digits()} digits)",
-        ) from None
-
-
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +188,8 @@ def validate_config(doc) -> dict:
     solver = {}
     if root.get("solver") is not None:
         sv = _obj(root["solver"], "solver")
-        _no_unknown(sv, "solver", _SOLVER_FIELDS)
+        _bind("execsched.dp")
+        _no_unknown(sv, "solver", {f.name for f in dataclasses.fields(RecursionConfig)})
         solver = {key: _intval(value, f"solver.{key}", lo=1) for key, value in sv.items()}
 
     simulation = None
@@ -299,6 +246,7 @@ def build_model(cfg: dict):
 
 
 def build_horizon(cfg: dict) -> Horizon:
+    _bind("execsched.dp")
     h = cfg["horizon"]
     try:
         return Horizon(h["periods"], h["total_shares"])
@@ -321,6 +269,7 @@ def build_state(cfg: dict) -> MarketState | None:
 def build_recursion_config(cfg: dict) -> RecursionConfig | None:
     if not cfg["solver"]:
         return None
+    _bind("execsched.dp")
     try:
         return RecursionConfig(**cfg["solver"])
     except ValueError as e:
@@ -336,6 +285,7 @@ def _require_state(cfg: dict) -> MarketState:
 
 def solve_from_config(cfg: dict) -> tuple[Schedule, "object"]:
     """Dispatch the configured model and formulation to its solver."""
+    _bind("execsched.dp")
     model = build_model(cfg)
     horizon = build_horizon(cfg)
     rc = build_recursion_config(cfg)
@@ -359,11 +309,13 @@ def solve_from_config(cfg: dict) -> tuple[Schedule, "object"]:
             raise SchemaError(
                 "initial_state.no_impact_price", "required for model 'linear_percentage'"
             )
+        _bind("execsched.gbm")
         return solve_gbm_simple(model, horizon, state, config=rc)
     if formulation != "simple":
         raise SchemaError(
             "formulation", "the liquidity law solves the trade-weighted objective only"
         )
+    _bind("execsched.liquidity")
     return solve_liquidity(model, horizon, _require_state(cfg), config=rc)
 
 
@@ -466,6 +418,7 @@ def _write_manifest(
 
 
 def _stage_doc(stage) -> dict:
+    _bind("execsched.dp")
     if isinstance(stage, ClosedLinearPolicy):
         return {"kind": "closed-linear", "fraction": stage.fraction}
     return {
@@ -529,248 +482,9 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _validate_context(doc) -> dict:
-    ctx = _obj(doc, "context")
-    _no_unknown(ctx, "context", {"arrival_price", "total_shares", "horizon", "price_path"})
-    arrival = _num(_required(ctx, "arrival_price", "context"),
-                   "context.arrival_price", positive=True)
-    horizon = _intval(_required(ctx, "horizon", "context"), "context.horizon", lo=1)
-    raw_path = _required(ctx, "price_path", "context")
-    if not isinstance(raw_path, list):
-        raise SchemaError("context.price_path", f"expected a list, got {raw_path!r}")
-    if len(raw_path) != horizon + 1:
-        raise SchemaError(
-            "context.price_path",
-            f"needs horizon + 1 = {horizon + 1} prices, got {len(raw_path)}",
-        )
-    path = tuple(
-        _num(p, f"context.price_path[{i}]", positive=True)
-        for i, p in enumerate(raw_path)
-    )
-    if not math.isclose(arrival, path[0], rel_tol=1e-12):
-        raise SchemaError(
-            "context.arrival_price", f"must equal price_path[0] = {path[0]}"
-        )
-    total = None
-    if ctx.get("total_shares") is not None:
-        total = _num(ctx["total_shares"], "context.total_shares", positive=True)
-    return {
-        "arrival_price": arrival,
-        "total_shares": total,
-        "horizon": horizon,
-        "price_path": path,
-    }
-
-
-def _fill_row_problem(t, participant, side, qty, price) -> str | None:
-    """Why one fills row is rejected, or None when it is valid."""
-    try:
-        t = int(t)
-    except ValueError:
-        return f"t: not an integer: {t!r}"
-    try:
-        qty, price = float(qty), float(price)
-    except ValueError:
-        return f"qty/price: not a number: {qty!r}, {price!r}"
-    try:
-        Fill(t=t, price=price, qty=qty, side=side, participant=participant)
-    except ValueError as e:
-        return str(e)
-    return None
-
-
-def _record_line(text: str, index: int) -> int:
-    """Physical line on which the index-th nonblank record after the header starts."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            if index == 0:
-                break
-            index -= 1
-        start = reader.line_num + 1
-    return start
-
-
-def _first_bad_fill(cols: _FillColumns) -> int:
-    """Index of the first fill that a column check rejects, or ``len(cols)``."""
-    pair_ok = np.array([side in SIDES and who != "" for who, side in cols.orders], dtype=bool)
-    bad = ~(
-        (cols.t >= 1)
-        & np.isfinite(cols.qty) & (cols.qty > 0.0)
-        & np.isfinite(cols.price) & (cols.price > 0.0)
-        & pair_ok[cols.order]
-    )
-    return int(np.argmax(bad)) if bad.any() else len(cols)
-
-
-# ASCII bytes of a fills file that send it to the csv route: numpy does not
-# read quotes and CR as csv does, it strips \x1c-\x1f around a number, which
-# int() and float() reject, and a fixed-width string field drops trailing NULs
-_CSV_ONLY_BYTES = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x00")
-_PLAIN_HEADER = (",".join(FILLS_HEADER) + "\n").encode("ascii")
-# The plain route reads participant and side at the width of the longest line,
-# so its records take more memory the more that line outgrows the others.  A
-# fill's line holds at least 12 bytes ("1,a,buy,1,1" and a newline), so when
-# every line is about as long as the longest the records take under 4 bytes per
-# byte of the file.  A file whose records would take more than this many bytes
-# per file byte (a few very long lines among short ones) goes to the csv route,
-# whose strings take each field's own length.
-_PLAIN_RECORD_BYTES_PER_FILE_BYTE = 8
-
-
-def _plain_fill_columns(raw: bytes) -> _FillColumns | None:
-    """The columns of an ASCII fills file that starts with the header line and
-    holds none of ``_CSV_ONLY_BYTES``, read after the header by numpy's C
-    tokenizer; None when a record does not parse, a row fails a check or the
-    records would outgrow ``_PLAIN_RECORD_BYTES_PER_FILE_BYTE``.
-
-    On such a file ``loadtxt`` splits records and fields as ``csv.reader``
-    does, skips blank lines, rejects a record that is not 5 fields wide and
-    parses a number to the value ``int()``/``float()`` give or not at all, so
-    the columns are those of the csv route, which words every error.
-    Participant and side are read as bytes as wide as the longest line (the
-    last one counts without a newline), so no field is cut short, and one
-    stable ``np.unique`` over each record's (participant, side) bytes codes
-    the orders.
-    """
-    body = np.frombuffer(raw, np.uint8, offset=len(_PLAIN_HEADER))
-    lengths = np.diff(np.flatnonzero(body == ord("\n")), prepend=-1, append=len(body)) - 1
-    width = max(int(lengths.max()), 1)
-    dtype = np.dtype([
-        ("t", "i8"), ("participant", f"S{width}"), ("side", f"S{width}"),
-        ("qty", "f8"), ("price", "f8"),
-    ])
-    if len(lengths) * dtype.itemsize > _PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a file with no record only warns
-        try:
-            rec = np.loadtxt(
-                io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None,
-                skiprows=1, ndmin=1, encoding="latin1",
-            )
-        except (ValueError, Warning):
-            return None
-    # participant and side lie side by side in a record: key each fill on
-    # their bytes, then number the keys in order of first appearance
-    pair = np.dtype({
-        "names": ["pair"], "formats": [f"V{2 * width}"],
-        "offsets": [dtype.fields["participant"][1]], "itemsize": dtype.itemsize,
-    })
-    _, first, inverse = np.unique(rec.view(pair)["pair"], return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    cols = _FillColumns(
-        t=rec["t"].copy(),
-        qty=rec["qty"].copy(),
-        price=rec["price"].copy(),
-        order=np.argsort(by_first)[inverse],
-        orders=tuple(
-            (who.decode("ascii"), side.decode("ascii"))
-            for who, side in rec[["participant", "side"]][first[by_first]].tolist()
-        ),
-    )
-    return cols if _first_bad_fill(cols) == len(cols) else None
-
-
-def _csv_fill_columns(text: str) -> _FillColumns:
-    """The columns of a fills text parsed by ``csv``.
-
-    Errors name the physical line on which the first bad record starts.
-    csv's field size limit (131072 characters by default) is lifted to the
-    text's length for the read, since the numpy route has none, and put back
-    afterwards.
-    """
-    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
-    try:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("fills", "empty file")
-        if header != FILLS_HEADER:
-            raise SchemaError(
-                "fills",
-                "header must be exactly "
-                f"'{','.join(FILLS_HEADER)}', got '{','.join(header)}'",
-            )
-        t_raw, qty_raw, price_raw, order = [], [], [], []
-        codes: dict[tuple[str, str], int] = {}
-        width = None
-        for row in reader:
-            if len(row) == 5:
-                t_raw.append(row[0])
-                qty_raw.append(row[3])
-                price_raw.append(row[4])
-                order.append(codes.setdefault((row[1], row[2]), len(codes)))
-            elif row:
-                # the rows before it are checked first, so the earliest bad line is named
-                width = len(row)
-                break
-        n = len(t_raw)
-        if not n and width is None:
-            raise SchemaError("fills", "no fill rows after the header")
-        orders = tuple(codes)
-        try:
-            cols = _FillColumns(
-                t=_int_column(t_raw),
-                qty=np.fromiter(map(float, qty_raw), np.float64, n),
-                price=np.fromiter(map(float, price_raw), np.float64, n),
-                order=np.array(order, dtype=np.intp),
-                orders=orders,
-            )
-        except ValueError:
-            first_bad = 0
-        else:
-            first_bad = _first_bad_fill(cols)
-            if first_bad == n and width is None:
-                return cols
-        # a value did not parse, a mask caught a row or a record has the wrong
-        # width: the row checks word the error of the first bad row
-        for i in range(first_bad, n):
-            problem = _fill_row_problem(t_raw[i], *orders[order[i]], qty_raw[i], price_raw[i])
-            if problem is not None:
-                raise SchemaError(f"fills line {_record_line(text, i)}", problem)
-        raise SchemaError(
-            f"fills line {_record_line(text, n)}", f"expected 5 columns, got {width}"
-        )
-    finally:
-        csv.field_size_limit(limit)
-
-
-def _parse_fills(raw: bytes) -> _FillColumns:
-    """The columns of a fills CSV (strict header).
-
-    An ASCII file that starts with the header line and holds none of
-    ``_CSV_ONLY_BYTES`` goes through :func:`_plain_fill_columns`; any other
-    file, and any file that route turns down, is decoded and goes through
-    :func:`_csv_fill_columns`, which words every error.  Both give the same
-    columns.  (numpy's int64 reader takes many non-ASCII characters for
-    digits, so a non-ASCII file never reaches it.)
-    """
-    if (
-        raw.startswith(_PLAIN_HEADER)
-        and raw.isascii()
-        and not any(b in raw for b in _CSV_ONLY_BYTES)
-    ):
-        cols = _plain_fill_columns(raw)
-        if cols is not None:
-            return cols
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as e:
-        raise SchemaError("fills", f"not valid UTF-8 ({e})") from None
-    return _csv_fill_columns(text)
-
-
-def load_fills(path: str) -> tuple[_FillColumns, str]:
-    """Parse a fills CSV (strict header) into columns; also return the file digest."""
-    raw = _read_bytes(path)
-    return _parse_fills(raw), hashlib.sha256(raw).hexdigest()
-
-
 def cmd_attribute(args) -> int:
     started = perf_counter()
+    _bind("execsched.fills")
     raw_ctx = _read_bytes(args.context)
     ctx_digest = hashlib.sha256(raw_ctx).hexdigest()
     context = _validate_context(_parse_json(raw_ctx, "context"))
@@ -862,6 +576,7 @@ def cmd_attribute(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = perf_counter()
+    _bind("execsched.dp", "execsched.simulate")
     cfg, digest = load_config(args.config)
     if cfg["simulation"] is None:
         raise SchemaError("simulation", "required: supply n_paths and seed")

@@ -37,6 +37,7 @@ from execsched.models import (
     Ar1Extra,
     Benchmark,
     MarketState,
+    SolverError,
     Spread,
     _certainty_equivalent_path,
     _premium_convex,
@@ -75,15 +76,6 @@ _REFINE = 8
 SCHEDULE_REL_TOL = 1e-9
 # Relaxed no-sales floor: trades may carry this much negative float dust.
 TRADE_FLOOR = -1e-12
-
-
-class SolverError(RuntimeError):
-    """A numerical stage solve failed; carries the bracket and residual."""
-
-    def __init__(self, message: str, *, bracket=None, residual=None):
-        super().__init__(message)
-        self.bracket = bracket
-        self.residual = residual
 
 
 class InfeasibleLiquidityError(SolverError):

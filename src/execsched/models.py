@@ -34,6 +34,7 @@ __all__ = [
     "StepEvents",
     "LiquidityViolationError",
     "DegeneratePathWarning",
+    "SolverError",
     "step",
     "convexity_check",
     "ar1_volume_update",
@@ -46,6 +47,17 @@ class LiquidityViolationError(ValueError):
 
 class DegeneratePathWarning(UserWarning):
     """A liquidity-law price path was driven to a nonpositive price."""
+
+
+# Raised by the solvers in dp, gbm and liquidity; defined here, with numpy
+# alone, so the command line maps it to its exit code without loading them.
+class SolverError(RuntimeError):
+    """A numerical stage solve failed; carries the bracket and residual."""
+
+    def __init__(self, message: str, *, bracket=None, residual=None):
+        super().__init__(message)
+        self.bracket = bracket
+        self.residual = residual
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execsched import cli
+from execsched import fills as fills_reader
 from execsched.cli import (
     EXIT_AUDIT,
     EXIT_INPUT,
@@ -726,8 +727,8 @@ class TestFillsRoutes:
     @settings(max_examples=400, deadline=None)
     def test_both_routes_agree(self, text):
         raw = text.encode("utf-8")
-        assert _fill_outcome(cli._parse_fills, raw) == _fill_outcome(
-            cli._csv_fill_columns, raw.decode("utf-8-sig")
+        assert _fill_outcome(fills_reader._parse_fills, raw) == _fill_outcome(
+            fills_reader._csv_fill_columns, raw.decode("utf-8-sig")
         )
 
     @pytest.mark.parametrize("row, message", [
@@ -741,7 +742,9 @@ class TestFillsRoutes:
     ])
     def test_numbers_numpy_reads_otherwise_are_rejected(self, row, message):
         raw = _fills_text(row).encode("utf-8")
-        for parse, data in ((cli._parse_fills, raw), (cli._csv_fill_columns, raw.decode())):
+        for parse, data in (
+            (fills_reader._parse_fills, raw), (fills_reader._csv_fill_columns, raw.decode()),
+        ):
             assert _fill_outcome(parse, data) == f"fills line 2: {message}"
 
     def test_plain_market_skips_the_csv_reader(self, tmp_path, monkeypatch):
@@ -756,13 +759,13 @@ class TestFillsRoutes:
             text = _fills_text(*(template.format(*row) for row in rows)).replace("\n", newline)
             path = tmp_path / name
             path.write_bytes(text.encode("utf-8"))
-            return _fill_outcome(lambda p: cli.load_fills(p)[0], str(path))
+            return _fill_outcome(lambda p: fills_reader.load_fills(p)[0], str(path))
 
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called on a plain fills file")
 
         with monkeypatch.context() as patched:
-            patched.setattr(cli.csv, "reader", refuse)
+            patched.setattr(fills_reader.csv, "reader", refuse)
             plain = load("plain.csv", "{},{},{},{},{}")
         assert len(plain[1]) == 3000 and len(plain[-1]) == 100
         assert load("quoted.csv", '{},"{}",{},{},{}') == plain
@@ -770,14 +773,14 @@ class TestFillsRoutes:
 
     @staticmethod
     def _routes_agree(raw):
-        outcome = _fill_outcome(cli._parse_fills, raw)
-        assert outcome == _fill_outcome(cli._csv_fill_columns, raw.decode("utf-8-sig"))
+        outcome = _fill_outcome(fills_reader._parse_fills, raw)
+        assert outcome == _fill_outcome(fills_reader._csv_fill_columns, raw.decode("utf-8-sig"))
         return outcome
 
     def test_last_line_counts_for_the_width_without_a_newline(self):
         who = "p" * 40
         raw = _fills_text(*_GOOD_FILLS).encode() + f"2,{who},buy,5,102.0".encode()
-        cols = cli._plain_fill_columns(raw)
+        cols = fills_reader._plain_fill_columns(raw)
         assert cols is not None and cols.orders[-1] == (who, "buy")
         assert self._routes_agree(raw)[-1] == (("b", "buy"), ("s", "sell"), (who, "buy"))
 
@@ -788,7 +791,7 @@ class TestFillsRoutes:
         def refuse(raw):
             raise AssertionError("plain route called on a file holding NUL")
 
-        monkeypatch.setattr(cli, "_plain_fill_columns", refuse)
+        monkeypatch.setattr(fills_reader, "_plain_fill_columns", refuse)
         outcome = self._routes_agree(raw)
         assert outcome[-1] == (("b\x00", "buy"), ("b", "buy"), ("s", "sell"))
 
@@ -799,18 +802,18 @@ class TestFillsRoutes:
         raw = _fills_text(*rows, f"1,{who},buy,5,101.0").encode()
         # its records would take 2 * 100k bytes for each of the 12 lines
         width = max(map(len, raw.split(b"\n")[1:]))
-        assert 12 * 2 * width > cli._PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw)
+        assert 12 * 2 * width > fills_reader._PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.loadtxt called past the record-size bound")
 
         with monkeypatch.context() as patched:
-            patched.setattr(cli.np, "loadtxt", refuse)
-            assert cli._plain_fill_columns(raw) is None
+            patched.setattr(fills_reader.np, "loadtxt", refuse)
+            assert fills_reader._plain_fill_columns(raw) is None
             outcome = self._routes_agree(raw)
         assert outcome[-1] == (("b", "buy"), ("s", "sell"), (who, "buy"))
         # the same file with a short name stays on the plain route
-        assert cli._plain_fill_columns(raw.replace(who.encode(), b"p")) is not None
+        assert fills_reader._plain_fill_columns(raw.replace(who.encode(), b"p")) is not None
 
     def test_shared_prefixes_and_both_sides_code_apart(self):
         stem = "desk-" + "0" * 30
@@ -819,7 +822,7 @@ class TestFillsRoutes:
             f"2,{stem},buy,4,102.0", f"2,{stem}1,buy,1,102.0", f"2,{stem}10,sell,5,102.0",
         ]
         raw = _fills_text(*rows).encode()
-        cols = cli._plain_fill_columns(raw)
+        cols = fills_reader._plain_fill_columns(raw)
         assert cols is not None
         assert cols.orders == (
             (f"{stem}1", "buy"), (f"{stem}10", "sell"), (f"{stem}1", "sell"), (stem, "buy"),
@@ -1083,3 +1086,112 @@ class TestColdImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "module, prefix", [("execsched", "execsched."), ("execsched.cli", "scipy")]
+    )
+    def test_import_loads_no_later_layer(self, module, prefix):
+        loaded, _ = _fresh_json(
+            f"import json, sys, {module}; "
+            f"print(json.dumps([m for m in sys.modules if m.startswith({prefix!r})]))"
+        )
+        assert loaded == []
+
+    @pytest.mark.parametrize("text, code, err", [
+        (_fills_text(*_GOOD_FILLS), EXIT_OK, ""),
+        (_swap(1, "1,s,sell,3,101.0"), EXIT_AUDIT, "interval 1"),
+        (_swap(0, "x,b,buy,5,101.0"), EXIT_INPUT, "error: fills line 2: t: not an integer: 'x'\n"),
+    ], ids=["balanced", "unbalanced", "malformed"])
+    def test_attribute_loads_no_solver_layer(self, tmp_path, text, code, err):
+        fills = _write_text(tmp_path, "fills.csv", text)
+        argv = ["attribute", fills, _write_json(tmp_path, "ctx.json", _ERROR_CONTEXT),
+                "--output-dir", str(tmp_path / "out")]
+        rc, stderr, loaded = _cold_main(argv)
+        assert (rc, loaded) == (code, [])
+        assert (err in stderr) if err else stderr == ""
+
+    def test_cold_solve_maps_a_solver_error_to_exit_3(self, tmp_path):
+        # one period of 26 shares against a volume bound of 25
+        doc = {**_TINY_LIQUIDITY, "horizon": {"periods": 1, "total_shares": 26.0}}
+        argv = ["solve", _write_json(tmp_path, "c.json", doc), "--output-dir", str(tmp_path)]
+        rc, stderr, loaded = _cold_main(argv)
+        assert rc == EXIT_SOLVER
+        assert stderr.startswith("error: ") and "execsched.dp" in loaded
+
+
+# the layers that `attribute` never calls
+_SOLVER_LAYER = (
+    "scipy", "execsched.dp", "execsched.kernels", "execsched.gbm", "execsched.liquidity",
+    "execsched.simulate", "execsched.verify",
+)
+
+
+def _fresh_json(code, *args):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def _cold_main(argv):
+    """Exit code, stderr and the loaded modules of ``_SOLVER_LAYER`` of
+    ``main(argv)`` run in a fresh interpreter."""
+    (rc, loaded), stderr = _fresh_json(
+        "import json, sys; from execsched import cli; rc = cli.main(sys.argv[1:]); "
+        f"print(json.dumps([rc, [m for m in {_SOLVER_LAYER!r} if m in sys.modules]]))",
+        *argv,
+    )
+    return rc, stderr, loaded
+
+
+_TINY_LIQUIDITY = {
+    "model": "liquidity",
+    "params": {"alpha": 0.01, "theta": 0.05, "gamma": 0.02,
+               "rho": 0.5, "sigma_eps": 0.5, "sigma_eta": 10.0},
+    "horizon": {"periods": 1, "total_shares": 10.0},
+    "initial_state": {"price": 100.0, "aux": 50.0},
+}
+
+
+class TestWrappedCallSites:
+    """The benchmark's tracer (``bench/tracing.py``) wraps these functions as
+    attributes of ``execsched.cli``: each command calls the one set there."""
+
+    def _argv(self, tmp_path, command):
+        if command.startswith("attribute"):
+            # two balanced orders go to the audit, one order to ``attribute``
+            rows = _GOOD_FILLS if command == "attribute-pair" else _GOOD_FILLS[::2]
+            fills = _write_text(tmp_path, "fills.csv", _fills_text(*rows))
+            context = _write_json(tmp_path, "ctx.json", _ERROR_CONTEXT)
+            return ["attribute", fills, context, "--output-dir", str(tmp_path)]
+        doc = {
+            "solve-complex": _bench_doc(formulation="complex"),
+            "solve-liquidity": _TINY_LIQUIDITY,
+            "simulate": _bench_doc(),
+        }[command]
+        name = command.split("-")[0]
+        return [name, _write_json(tmp_path, "c.json", doc), "--output-dir", str(tmp_path)]
+
+    @pytest.mark.parametrize("site, command", [
+        ("solve_benchmark_complex", "solve-complex"),
+        ("solve_liquidity", "solve-liquidity"),
+        ("load_fills", "attribute-single"),
+        ("attribute", "attribute-single"),
+        ("zero_sum_audit", "attribute-pair"),
+        ("evaluate_policy", "simulate"),
+        ("_write_output", "solve-complex"),
+    ])
+    def test_command_calls_the_wrapper_set_on_the_module(self, tmp_path, monkeypatch, site,
+                                                         command):
+        original = getattr(cli, site)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(site)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, site, counted)
+        assert main(self._argv(tmp_path, command)) == EXIT_OK
+        assert calls
