@@ -355,12 +355,48 @@ def _json_block(o, depth: int) -> str:
     if not any(isinstance(v, (dict, list, tuple)) and v for v in (o.values() if is_dict else o)):
         text = enc.encode(o)
         return text[0] + pad + text[1:-1] + close
+    if not is_dict and len(o) > 1 and _flat_items(o):
+        return _json_flat_items(o, depth)
     if is_dict:
         # '{"key": null}' less its brace and 'null}' is the key and its separator
         items = (enc.encode({k: None})[1:-5] + _json_block(v, depth + 1) for k, v in o.items())
     else:
         items = (_json_block(v, depth + 1) for v in o)
     return ("{" if is_dict else "[") + pad + enc.item_separator.join(items) + close
+
+
+def _flat_items(o) -> bool:
+    """Whether every item of list ``o`` is a nonempty container of the first
+    item's kind (dict, or list/tuple) that holds no container."""
+    kind = dict if isinstance(o[0], dict) else (list, tuple)
+    return all(
+        isinstance(item, kind)
+        and item
+        and not any(
+            isinstance(v, (dict, list, tuple)) for v in (item.values() if kind is dict else item)
+        )
+        for item in o
+    )
+
+
+def _json_flat_items(o, depth: int) -> str:
+    """List ``o`` of flat containers (see :func:`_flat_items`) at nesting ``depth``.
+
+    One call of the C encoder at ``depth`` + 1 indents the items' values
+    right; only the brackets between items need their own lines.  Inside an
+    item a separator is followed by a key or a scalar, never by a bracket,
+    and an encoded string never holds a raw newline, so the close, separator
+    and open of each pair of neighbours is the one match of a single
+    replace.
+    """
+    enc = _json_encoder(depth + 1)
+    sep = enc.item_separator
+    outer, inner = "\n" + "  " * (depth + 1), sep[1:]
+    opens, closes = ("{", "}") if isinstance(o[0], dict) else ("[", "]")
+    body = enc.encode(o)[2:-2].replace(
+        closes + sep + opens, outer + closes + "," + outer + opens + inner
+    )
+    return "[" + outer + opens + inner + body + outer + closes + "\n" + "  " * depth + "]"
 
 
 def _json_text(doc) -> str:

@@ -533,6 +533,7 @@ class _NewtonReport(NamedTuple):
     pinned: np.ndarray  # monotone on [lo, hi]: returned an endpoint
     curvature: np.ndarray  # f' at the returned point (nan for pinned elements)
     settled: np.ndarray  # False only for elements still moving at the cap
+    carried: tuple  # f_and_fp's outputs after f and f' at the returned point
 
 
 def _vec_newton(
@@ -541,7 +542,8 @@ def _vec_newton(
     """Bisection-safeguarded Newton on f (increasing through its root).
 
     ``f_and_fp(x, idx)`` returns f and f' at points ``x`` of the elements
-    ``idx`` (flat indices into ``lo``/``hi``).  Elements whose objective is
+    ``idx`` (flat indices into ``lo``/``hi``), optionally followed by more
+    per-element outputs of the same evaluation.  Elements whose objective is
     monotone on [lo, hi] are pinned to the matching endpoint via the sign of
     f there.  A step that leaves the bracket falls back to bisection, except
     when the step is defined (f' > 0) and does not move the iterate: that
@@ -550,12 +552,17 @@ def _vec_newton(
     returns its iterate unchanged: from there every iterate is the same, so
     the result is bit for bit the one ``iters`` iterations give, and
     ``iters`` only caps elements that never settle (``settled`` False).
+
+    The report carries the extra outputs of the evaluation at each returned
+    point, so a caller never evaluates there again: a settled element's last
+    iteration, a pinned element's bracket end, and for an element still
+    moving at the cap one evaluation after it.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     everything = np.arange(lo.size)
-    f_lo, _ = f_and_fp(lo, everything)
-    f_hi, _ = f_and_fp(hi, everything)
+    f_lo, _, *carry_lo = f_and_fp(lo, everything)
+    f_hi, _, *carry_hi = f_and_fp(hi, everything)
     at_lo = f_lo >= 0.0
     at_hi = f_hi <= 0.0
     pinned = at_lo | at_hi
@@ -564,12 +571,13 @@ def _vec_newton(
     curv = np.full(lo.size, np.nan)
     used = np.zeros(lo.size, dtype=int)
     settled = np.ones(lo.size, dtype=bool)
+    carried = tuple(np.where(at_lo, a, b) for a, b in zip(carry_lo, carry_hi))
     idx = np.flatnonzero(~pinned)
     a, b, x = lo[idx], hi[idx], out[idx]
     for k in range(1, iters + 1):
         if idx.size == 0:
             break
-        f, fp = f_and_fp(x, idx)
+        f, fp, *extra = f_and_fp(x, idx)
         a = np.where(f < 0.0, x, a)
         b = np.where(f >= 0.0, x, b)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -581,12 +589,17 @@ def _vec_newton(
         moved = xn.view(np.uint64) != x.view(np.uint64)
         done = idx[~moved]
         out[done], foc[done], curv[done], used[done] = x[~moved], f[~moved], fp[~moved], k
+        for c, e in zip(carried, extra):
+            c[done] = e[~moved]
         idx, a, b, x = idx[moved], a[moved], b[moved], xn[moved]
     if idx.size:
         out[idx], used[idx], settled[idx] = x, iters, False
-        foc[idx], curv[idx] = f_and_fp(x, idx)
+        foc[idx], curv[idx], *extra = f_and_fp(x, idx)
+        for c, e in zip(carried, extra):
+            c[idx] = e
     out = np.where(at_lo, lo, out)
-    return np.where(at_hi & ~at_lo, hi, out), _NewtonReport(used, foc, pinned, curv, settled)
+    report = _NewtonReport(used, foc, pinned, curv, settled, carried)
+    return np.where(at_hi & ~at_lo, hi, out), report
 
 
 def _scan_newton(
@@ -602,6 +615,14 @@ def _scan_newton(
     inside that bracket, and the best scan point, no worse than both
     interval ends, competes with the result.  Returns the trades, their
     objective values and the Newton report.
+
+    ``derivs`` may also return the objective value third, then further
+    outputs; Newton carries them (see :func:`_vec_newton`), so the value at
+    its result is not evaluated again.  The report's ``carried`` then holds
+    the value and the further outputs at the returned trades: where a scan
+    point beats Newton, its value is the scan's, and ``derivs`` runs once
+    more, on those elements only, for the rest.  Without a carried value
+    ``objective`` evaluates Newton's result once.
     """
     ub = np.asarray(ub, dtype=float)
     rows = np.arange(ub.size)
@@ -611,9 +632,15 @@ def _scan_newton(
     lo = grid[rows, np.maximum(best - 1, 0)]
     hi = grid[rows, np.minimum(best + 1, points - 1)]
     s, report = _vec_newton(derivs, lo, hi, iters)
-    v = objective(s, rows)
+    v, *more = report.carried or (objective(s, rows),)
     scan = j[rows, best] < v
-    return np.where(scan, grid[rows, best], s), np.where(scan, j[rows, best], v), report
+    s = np.where(scan, grid[rows, best], s)
+    v = np.where(scan, j[rows, best], v)
+    won = np.flatnonzero(scan)
+    if more and won.size:
+        for m, fresh in zip(more, derivs(s[won], won)[3:]):
+            m[won] = fresh
+    return s, v, report._replace(carried=(v, *more) if report.carried else ())
 
 
 def _stage_foc(fam: _MillsStage, cont, s, w, col):
@@ -664,7 +691,7 @@ def _newton_diagnostics(report: _NewtonReport, stage: int, columns: int = 1) -> 
             f"stage {stage} grid solve did not converge within {report.iterations.max()} "
             f"Newton iterations at {unsettled} nodes"
         )
-    iters, foc, pinned, curv, settled = (a.reshape(columns, -1) for a in report)
+    iters, foc, pinned, curv, settled = (a.reshape(columns, -1) for a in report[:5])
     out = []
     for j in range(columns):
         free = ~pinned[j]

@@ -18,7 +18,11 @@ come from its ``step`` at zero noise.  The premium depends on the trade only
 through the mean of Y, so its first two trade derivatives come in closed form
 from the same Gauss-Hermite pieces as its value, and every stage, on the grid
 and in the certainty-equivalent re-solve, runs the shared safeguarded Newton
-on the first-order condition.  The Gauss-Hermite premium is under-resolved
+on the first-order condition.  That derivative pass also returns the stage
+objective, which Newton carries out of its last evaluation, so no stage point
+is evaluated twice; and it runs the premium once per distinct mean of Y, so
+at the S = 0 end of every bracket once per X sample rather than once per
+grid node.  The Gauss-Hermite premium is under-resolved
 when gamma*sigma_eta is small next to sigma_B, so each re-solve evaluates its
 objective at the chosen trade again at doubled order and reports the relative
 change as ``quadrature_drift``, warning above 1e-6.
@@ -80,13 +84,26 @@ def _stage_premium(params: LinearPercentage, s, x, ratio: float, order: int):
 
 
 def _stage_premium_derivs(params: LinearPercentage, s, x, ratio: float, order: int):
-    """The stage premium and its first two s-derivatives (d mu_Y/ds = theta)."""
+    """The stage premium and its first two s-derivatives (d mu_Y/ds = theta).
+
+    The kernels are elementwise in mu_Y, so they run once per distinct mean
+    (told apart by its bits, so -0.0 and +0.0 stay apart) and the results are
+    scattered back: at s = 0 every residual of a state shares one mean.
+    """
     theta, alpha, sig_y = params.move(ratio, x)
     mu_y = theta * np.asarray(s, dtype=float) + alpha
+    keys, inverse = np.unique(np.ravel(mu_y).view(np.uint64), return_inverse=True)
+    if keys.size == 1 < inverse.size:
+        # numpy sums one column over the nodes pairwise but several in node
+        # order, so a lone mean runs as two to keep the whole array's bits
+        keys = np.repeat(keys, 2)
     if sig_y == 0.0:
-        prem, d1, d2 = _lognormal_shift_derivs(params.mu_B, params.sigma_B, mu_y, -ratio)
+        parts = _lognormal_shift_derivs(params.mu_B, params.sigma_B, keys.view(float), -ratio)
     else:
-        prem, d1, d2 = _mixture_derivs_gh(params.mu_B, params.sigma_B, mu_y, sig_y, -ratio, order)
+        parts = _mixture_derivs_gh(
+            params.mu_B, params.sigma_B, keys.view(float), sig_y, -ratio, order
+        )
+    prem, d1, d2 = (p[inverse].reshape(np.shape(mu_y)) for p in parts)
     return prem, theta * d1, theta * theta * d2
 
 
@@ -148,7 +165,8 @@ def _stage_objective(
 
     Element e is residual w[e] at state x[e], continued by column col[e] of
     ``cont``; both take trades ``s`` of the elements ``idx``.  ``foc`` gives
-    the first-order condition and its s-derivative in closed form.
+    the first-order condition and its s-derivative in closed form, then the
+    objective value, bit for bit ``objective``'s, from the same premium.
     """
 
     def resid(s, idx):
@@ -160,8 +178,10 @@ def _stage_objective(
 
     def foc(s, idx):
         prem, d1, d2 = _stage_premium_derivs(params, s, x[idx], ratio, cfg.quad_order)
-        d, dd = cont.d_dd(resid(s, idx), col[idx])
-        return prem + s * d1 - e_fac * d, 2.0 * d1 + s * d2 + e_fac * dd
+        r = resid(s, idx)
+        d, dd = cont.d_dd(r, col[idx])
+        value = s * prem + e_fac * cont.value(r, col[idx])
+        return prem + s * d1 - e_fac * d, 2.0 * d1 + s * d2 + e_fac * dd, value
 
     return objective, foc
 
@@ -178,7 +198,8 @@ def _minimize_stage(
 ):
     """The solve of ``stage`` at every (w, x) pair; ``cont`` has one column per x.
 
-    Returns (s*, value) per pair and the Newton diagnostics.
+    Returns (s*, value) per pair and the Newton diagnostics; the values are
+    the ones Newton's last evaluation at s* computed.
     """
     W, X = np.meshgrid(w, x, indexing="ij")
     w_flat, x_flat = W.ravel(), X.ravel()
@@ -188,9 +209,9 @@ def _minimize_stage(
         return s_flat.reshape(W.shape), v_flat.reshape(W.shape), {}
 
     col = np.repeat(np.arange(x.size)[None, :], w.size, axis=0).ravel()
-    objective, foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
+    _, foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
     s_flat, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, cfg.newton_iters)
-    v_flat = objective(s_flat, np.arange(s_flat.size))
+    v_flat = report.carried[0]
     return s_flat.reshape(W.shape), v_flat.reshape(W.shape), _newton_diagnostics(report, stage)[0]
 
 

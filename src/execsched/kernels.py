@@ -20,8 +20,9 @@ only part of a tensor cut the tensor before calling it, as the liquidity
 stage T-1 expectation does with its price-node window.  ``mills_psi``,
 ``mills_psi_prime`` and ``_mills_psi_second`` each build on one G;
 ``mills_psi_derivs`` returns psi, psi' and psi'' from a single G for the
-stage solves, bit for bit equal to the separate calls.  The Gauss-Hermite
-mixture expectation and its sigma_Y = 0 limit have companions
+stage solves, bit for bit equal to the separate calls; past G it works in
+place in buffers it owns and never writes into its argument.  The
+Gauss-Hermite mixture expectation and its sigma_Y = 0 limit have companions
 (``_mixture_derivs_gh``, ``_lognormal_shift_derivs``) that also return the
 first two derivatives in the mean of Y, with values bit for bit equal to
 theirs.
@@ -107,14 +108,17 @@ def _mills_g(u):
     (the true G there is below 1e-300); G(-inf) is inf.
     """
     u = np.asarray(u, dtype=float)
+    # -u/sqrt(2) as u/(-sqrt(2)): the same bits, in one fresh buffer
+    out = np.divide(u, -SQRT_2, out=np.empty(u.shape))
     with np.errstate(over="ignore", divide="ignore"):
-        out = SQRT_2_OVER_PI / erfcx(-u / SQRT_2)
+        erfcx(out, out=out)
+        np.divide(SQRT_2_OVER_PI, out, out=out)
     return out if out.ndim else float(out)
 
 
-def _psi_from_g(arr, g):
-    """psi = u + G, switching to the asymptotic series at and below u = -150."""
-    direct = arr + g
+def _psi_from_sum(arr, direct):
+    """psi from u and ``direct`` = u + G, switching to the asymptotic series
+    at and below u = -150."""
     deep = arr <= PSI_SERIES_BRANCH_U
     if np.any(deep):
         ud = np.where(deep, arr, PSI_SERIES_BRANCH_U)
@@ -156,7 +160,7 @@ def mills_psi(u):
     float or ndarray
     """
     arr = _finite(u)
-    return _scalar_or_array(_psi_from_g(arr, _mills_g(arr)))
+    return _scalar_or_array(_psi_from_sum(arr, arr + _mills_g(arr)))
 
 
 def mills_psi_prime(u):
@@ -178,17 +182,30 @@ def mills_psi_derivs(u, with_psi: bool = True):
     """(psi(u), psi'(u), psi''(u)) from one G; psi is None unless ``with_psi``.
 
     The expressions are those of :func:`mills_psi`, :func:`mills_psi_prime`
-    and :func:`_mills_psi_second`, so every output is bit for bit the
-    separate call's; like mills_psi it requires finite input.
+    and :func:`_mills_psi_second`, operation for operation, so every output
+    is bit for bit the separate call's; like mills_psi it requires finite
+    input.  Past G, every step writes in place into buffers the call owns,
+    never into ``u``: on the stage tensors the temporaries of the plain
+    expressions cost more than their arithmetic.
     """
     arr = _finite(u)
-    g = _mills_g(arr)
-    gp = -g * (arr + g)
-    return (
-        _scalar_or_array(_psi_from_g(arr, g)) if with_psi else None,
-        _scalar_or_array(1.0 - arr * g - g * g),
-        _scalar_or_array(-g - arr * gp - 2.0 * g * gp),
-    )
+    g = np.asarray(_mills_g(arr))
+    direct, gp, p1, work = (np.empty(arr.shape) for _ in range(4))
+    np.add(arr, g, out=direct)  # u + G: psi before its series branch
+    np.negative(g, out=gp)
+    gp *= direct  # G' = -G(u + G)
+    np.multiply(arr, g, out=p1)
+    np.subtract(1.0, p1, out=p1)
+    np.multiply(g, g, out=work)
+    p1 -= work  # 1 - u*G - G^2
+    psi = _scalar_or_array(_psi_from_sum(arr, direct)) if with_psi else None
+    np.multiply(g, 2.0, out=work)
+    work *= gp
+    gp *= arr
+    p2 = np.negative(g, out=g)  # G is spent: psi'' takes its buffer
+    p2 -= gp
+    p2 -= work  # -G - u*G' - 2*G*G'
+    return psi, _scalar_or_array(p1), _scalar_or_array(p2)
 
 
 @lru_cache(maxsize=32)
@@ -209,18 +226,22 @@ def gauss_hermite(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _mixture_pieces(xv, mu_y, sig_y, k):
+def _mixture_pieces(xv, mu_y, sig_y, k, with_density: bool = False):
     """Numerator and conditioning-probability integrands of the mixture at X=xv.
 
     For fixed X = x the event {e^x Y + k > 0} is {Y > c} with c = -k e^{-x},
     so the inner Y-expectation is the closed truncated-normal pair
-    Q = P(Y > c), M1 = E[Y 1{Y > c}].
+    Q = P(Y > c), M1 = E[Y 1{Y > c}].  ``with_density`` also returns the
+    standardized threshold zc = (c - mu_y)/sig_y and phi(zc).
     """
     c = -k * np.exp(-xv)
     zc = (c - mu_y) / sig_y
     q = ndtr(-zc)
-    m1 = mu_y * q + sig_y * _phi(zc)
-    return np.exp(xv) * m1 + k * q, q
+    phi_zc = _phi(zc)
+    n = mu_y * q + sig_y * phi_zc  # M1; then e^x*M1 + k*Q in place
+    n *= np.exp(xv)
+    n += k * q
+    return (n, q, zc, phi_zc) if with_density else (n, q)
 
 
 def nln_mixture_expectation(x: Gaussian, y: Gaussian, k: float) -> float:
@@ -320,9 +341,8 @@ def _mixture_derivs_gh(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
     )
     shape = (-1,) + (1,) * mu_y.ndim
     xv = (mu_x + sig_x * np.sqrt(2.0) * nodes).reshape(shape)
-    n, q = _mixture_pieces(xv, mu_y[None], sig_y[None], k[None])
-    zc = (-k[None] * np.exp(-xv) - mu_y[None]) / sig_y[None]
-    dens = _phi(zc) / sig_y[None]
+    n, q, zc, phi_zc = _mixture_pieces(xv, mu_y[None], sig_y[None], k[None], with_density=True)
+    dens = np.divide(phi_zc, sig_y[None], out=phi_zc)
     ex = np.exp(xv)
     w = weights.reshape(shape) / np.sqrt(np.pi)
     return _ratio_derivs(

@@ -31,9 +31,14 @@ found by binary search.  Blocks are sized by their window, so
 is smooth in the trade S: the price-node weights are Gaussian in an affine
 function of S and every Mills argument shifts linearly with S, so its first
 and second S-derivatives come in closed form from psi, psi' and psi'' on the
-same tensor.  It need not be unimodal (it can rise from S = 0 over a hump),
+same tensor.  The same volume-node sums of psi and psi' also give the
+objective and the expected terminal slope dV_T/dW, so one pass returns all
+four.  It need not be unimodal (it can rise from S = 0 over a hump),
 so a coarse scan brackets the best scan point and the shared safeguarded
-Newton finishes on the first-order condition.  Stages before T-1 run the
+Newton finishes on the first-order condition, carrying the objective and the
+slope out of its last evaluation: the stage values and the envelope slopes
+that seed the continuation spline cost no further pass over the tensor, except
+at nodes where a scan point beats Newton.  Stages before T-1 run the
 shared residual-grid recursion at certainty-equivalent states, every search
 interval capped by the volume bound.
 
@@ -229,17 +234,23 @@ class _Penultimate:
         slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * x / s_next
         return zscore, gauss_w, base[:, :, None] + (slope[:, None] * self.z_nodes)[None, :, :]
 
+    def _terminal(self, resids, nodes, gauss_w, psi, dpsi=None):
+        """E over (eta, eps) of V_T at residuals ``resids`` from the volume-node
+        sums of psi(u), or of dV_T/dW when those of psi'(u) come too."""
+        s_next = self.s_next[nodes]
+        if dpsi is None:
+            over_z = resids[:, None] * s_next[None, :] * psi
+        else:
+            over_z = s_next[None, :] * psi + (
+                resids[:, None] * self.x[nodes][None, :] * self.params.beta
+            ) * dpsi
+        return np.einsum("nk,nk->n", over_z / _SQRT_PI, gauss_w)
+
     def _expected_block(self, trades, resids, nodes, derivative):
         _, gauss_w, u = self._tensor(trades, resids, nodes)
-        s_next = self.s_next[nodes]
-        over_z = mills_psi(u) @ self.z_weights
-        if derivative:
-            over_z = s_next[None, :] * over_z + (
-                resids[:, None] * self.x[nodes][None, :] * self.params.beta
-            ) * (mills_psi_prime(u) @ self.z_weights)
-        else:
-            over_z = resids[:, None] * s_next[None, :] * over_z
-        return np.einsum("nk,nk->n", over_z / _SQRT_PI, gauss_w)
+        psi = mills_psi(u) @ self.z_weights
+        dpsi = mills_psi_prime(u) @ self.z_weights if derivative else None
+        return self._terminal(resids, nodes, gauss_w, psi, dpsi)
 
     def expected_terminal(self, trades, resids, *, derivative: bool = False) -> np.ndarray:
         """E over (eta, eps) of V_T(P', O', resid), or of dV_T/dW."""
@@ -275,10 +286,14 @@ class _Penultimate:
         e1 = (dw * f0 + gauss_w * f1) @ scale
         e2 = (ddw * f0 + 2.0 * dw * f1 + gauss_w * f2) @ scale
         c1, c2 = self.stage.ds_dss(trades, resids)
-        return c1 + e1, c2 + e2
+        j = self.stage.value(trades, trades) + self._terminal(r, nodes, gauss_w, psi)
+        return c1 + e1, c2 + e2, j, self._terminal(r, nodes, gauss_w, psi, d1)
 
-    def objective_derivs(self, trades, resids) -> tuple[np.ndarray, np.ndarray]:
-        """(dJ/dS, d2J/dS2) of :meth:`objective` at residuals ``resids``."""
+    def objective_derivs(self, trades, resids) -> tuple[np.ndarray, ...]:
+        """(dJ/dS, d2J/dS2, J, dV_T/dW) at residuals ``resids``: the first two
+        S-derivatives of :meth:`objective`, its value, and the slope of the
+        expected terminal value in the residual left after the trade, all
+        from one pass over the tensor."""
         return self._blocked(self._derivs_block, trades, resids)
 
 
@@ -318,7 +333,8 @@ def _penultimate_pass(
 
     Returns trades, values, the envelope slopes dV_{T-1}/dW used to seed the
     continuation spline for earlier stages, the slope at the origin and the
-    Newton diagnostics.
+    Newton diagnostics.  Values and slopes are the ones the search carried
+    out of its evaluations at the returned trades.
     """
     w_nodes = np.asarray(w_nodes, dtype=float)
     ub = np.minimum(w_nodes, pen.cap)
@@ -329,12 +345,10 @@ def _penultimate_pass(
         _SCAN_POINTS,
         cfg.newton_iters,
     )
+    # dV/dW is the expected terminal slope Newton carried, except where the
+    # whole residual trades: then it is the stage cost's s-derivative
     pinned = (s >= ub) & (ub >= w_nodes * (1.0 - 1e-12))
-    vd = np.where(
-        pinned,
-        pen.stage.ds_dss(s, w_nodes)[0],
-        pen.expected_terminal(s, w_nodes - s, derivative=True),
-    )
+    vd = np.where(pinned, pen.stage.ds_dss(s, w_nodes)[0], report.carried[1])
     slope0 = pen.stage.slope_at_origin(float(pen.expected_terminal(0.0, 0.0, derivative=True)[0]))
     return s, v, vd, slope0, _newton_diagnostics(report, stage)[0]
 

@@ -884,6 +884,33 @@ class TestJsonText:
     def test_matches_indented_dumps(self, doc):
         assert cli._json_text(doc) == json.dumps(doc, indent=2, default=cli._json_default) + "\n"
 
+    # strings that look like the brackets and separators between items
+    TRICKY = st.text(
+        st.sampled_from(["}", "]", "{", "[", ",", "\n", " ", '"', "é", "\u2603", "a"])
+    )
+    SCALARS = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), TRICKY)
+
+    @given(
+        st.one_of(
+            st.lists(st.dictionaries(TRICKY, SCALARS, min_size=1, max_size=4), min_size=2),
+            st.lists(
+                st.one_of(
+                    st.lists(SCALARS, min_size=1, max_size=4),
+                    st.lists(SCALARS, min_size=1, max_size=3).map(tuple),
+                ),
+                min_size=2,
+            ),
+        ),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lists_of_flat_containers_match_indented_dumps(self, items, depth):
+        assert cli._flat_items(items)
+        doc = items
+        for _ in range(depth):
+            doc = {"k": doc}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
 
 class TestManifestPhases:
     @pytest.mark.parametrize("command", ["solve", "simulate", "attribute"])

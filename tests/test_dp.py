@@ -587,6 +587,19 @@ def _policy_case(draw):
     return grid, trades, np.concatenate([grid, [0.0, -1.0], grid[-1] * scale])
 
 
+def _scipy_pchip(x, y, **kwargs):
+    """scipy's PchipInterpolator, the oracle of the tests below.
+
+    Its slope formula divides by zero and overflows on flat or steep data
+    and then handles the result; those warnings are its own, so building it
+    silences them, and nothing else.
+    """
+    from scipy.interpolate import PchipInterpolator
+
+    with np.errstate(divide="ignore", over="ignore"):
+        return PchipInterpolator(x, y, **kwargs)
+
+
 class TestPchip:
     @given(_pchip_case())
     @example((np.array([0.0, 1.5]), np.array([1.0, -2.0]), np.array([-1.0, 0.5, 1.5, 4.0])))
@@ -599,27 +612,23 @@ class TestPchip:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_scipy_pchip_bit_for_bit(self, case):
-        from scipy.interpolate import PchipInterpolator
-
         from execsched.dp import _pchip
 
         x, y, r = case
         cont = _pchip(x, y)
         k = cont.c.shape[2]
         for extrapolate in (True, False):
-            ref = PchipInterpolator(x, y, extrapolate=extrapolate)
+            ref = _scipy_pchip(x, y, extrapolate=extrapolate)
             assert np.array_equal(_bits(cont.c), _bits(ref.c.reshape(cont.c.shape)))
         got = np.column_stack([cont.value(r, j) for j in range(k)])
-        want = PchipInterpolator(x, y, extrapolate=True)(r).reshape(r.size, k)
+        want = _scipy_pchip(x, y, extrapolate=True)(r).reshape(r.size, k)
         assert np.array_equal(_bits(got), _bits(want))
 
     @given(_policy_case())
     @settings(max_examples=200, deadline=None)
     def test_policy_trade_matches_a_scipy_built_policy(self, case):
-        from scipy.interpolate import PchipInterpolator
-
         grid, trades, w = case
-        inner = np.clip(PchipInterpolator(grid, trades)(np.minimum(w, grid[-1])), 0.0, w)
+        inner = np.clip(_scipy_pchip(grid, trades)(np.minimum(w, grid[-1])), 0.0, w)
         below = float(trades[0] / grid[0]) * w
         want = np.where(w <= 0.0, 0.0, np.where(w < grid[0], below, inner))
         pol = NumericalPolicy(grid=grid, trades=trades)
@@ -725,6 +734,44 @@ class TestEarlyStoppingNewton:
         assert err.value.bracket == (0.0, 1.0)
 
 
+class TestNewtonCarry:
+    # f = x - c[e], increasing; element kinds by where c sits in [0, 1], and
+    # f' = 0 (bisection only) for the elements meant to hit the cap
+    C = np.array([-0.5, 1.5, 0.3, 0.7, 0.3, 0.6])
+    KINDS = ["pinned_low", "pinned_high", "settled", "settled", "capped", "capped"]
+
+    def f_and_fp(self, x, idx):
+        capped = np.array([self.KINDS[i] == "capped" for i in idx])
+        f = x - self.C[idx]
+        return f, np.where(capped, 0.0, 1.0), np.sin(x) + idx, x * x
+
+    def test_carries_the_evaluation_at_each_returned_point(self):
+        from execsched.dp import _vec_newton
+
+        n = self.C.size
+        x, report = _vec_newton(self.f_and_fp, np.zeros(n), np.ones(n), 5)
+        kinds = np.array(self.KINDS)
+        assert report.pinned.tolist() == list(np.isin(kinds, ["pinned_low", "pinned_high"]))
+        assert report.settled.tolist() == list(kinds != "capped")
+        assert x[0] == 0.0 and x[1] == 1.0
+        fresh = self.f_and_fp(x, np.arange(n))[2:]
+        assert len(report.carried) == 2
+        for got, want in zip(report.carried, fresh):
+            assert np.array_equal(_bits(got), _bits(want))
+        # the cap's own evaluation, not the last iteration inside the loop
+        free = ~report.pinned
+        np.testing.assert_array_equal(report.foc[free], x[free] - self.C[free])
+
+    def test_without_extras_carries_nothing(self):
+        from execsched.dp import _vec_newton
+
+        def f_and_fp(x, idx):
+            return self.f_and_fp(x, idx)[:2]
+
+        _, report = _vec_newton(f_and_fp, np.zeros(6), np.ones(6), 5)
+        assert report.carried == ()
+
+
 class TestScanNewton:
     # objective and its first two derivatives, about a center c
     OBJECTIVES = {
@@ -767,6 +814,43 @@ class TestScanNewton:
             assert np.array_equal(_bits(s), _bits(np.zeros_like(ub)))
         if shape == "decreasing":
             assert np.array_equal(_bits(s), _bits(ub))
+
+    @given(
+        st.sampled_from(sorted(OBJECTIVES)),
+        st.lists(
+            st.tuples(st.floats(1e-6, 100.0), st.floats(-0.5, 1.5)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(2, 40),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_carries_value_and_extras_at_the_returned_trades(
+        self, shape, brackets, points, lowered_scan
+    ):
+        from execsched.dp import _scan_newton
+
+        ub = np.array([b[0] for b in brackets])
+        center = np.array([b[1] for b in brackets]) * ub
+        rows = np.arange(ub.size)
+        # a scan that reads far below the carried values makes every scan
+        # point win, so the extras come from the re-evaluation at the scan
+        # points
+        shift = 1e300 if lowered_scan else 0.0
+
+        def objective(s, idx):
+            return self.OBJECTIVES[shape](s, center[idx])[0] - shift
+
+        def derivs(s, idx):
+            j, d, dd = self.OBJECTIVES[shape](s, center[idx])
+            return d, dd, j, 3.0 * s + idx
+
+        s, value, report = _scan_newton(objective, derivs, ub, points, 100)
+        carried_value, extra = report.carried
+        assert np.array_equal(_bits(carried_value), _bits(value))
+        assert np.array_equal(_bits(value), _bits(objective(s, rows)))
+        assert np.array_equal(_bits(extra), _bits(3.0 * s + rows))
 
 
 def _digests(schedule, table):

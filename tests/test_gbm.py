@@ -308,3 +308,102 @@ class TestGlobalMinimum:
                 e_fac * cont.value(r, col[:, None])
             )
             assert np.all(v[at].ravel() <= scan.min(axis=1) * (1.0 + 1e-12))
+
+
+def _grid_stage_calls(monkeypatch, cfg):
+    """Solve ``cfg`` and return the arguments and results of its grid stages."""
+    params, horizon = cli.build_model(cfg), cli.build_horizon(cfg)
+    state, rc = cli.build_state(cfg), cli.build_recursion_config(cfg) or RecursionConfig()
+    calls = []
+    minimize = gbm._minimize_stage
+
+    def recorded(*args):
+        out = minimize(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(gbm, "_minimize_stage", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        solve_gbm_simple(params, horizon, state, rc)
+    return [c for c in calls if c[0][4] is not None]
+
+
+def _flat_stage(args):
+    """_stage_objective's (objective, foc) over a grid stage's flat (w, x) pairs."""
+    params, w, x, ratio, cont, e_fac, cfg, _ = args
+    w_flat, x_flat = (a.ravel() for a in np.meshgrid(w, x, indexing="ij"))
+    col = np.tile(np.arange(x.size), w.size)
+    return w_flat, gbm._stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
+
+
+class TestEvaluateOnce:
+    @pytest.mark.parametrize("gamma", [0.05, 0.0])
+    def test_newton_carries_the_objective_bit_for_bit(self, monkeypatch, gamma):
+        from execsched.dp import _vec_newton
+
+        cfg = bench_solve_config("linear_percentage", 0.05)
+        cfg["params"]["gamma"] = gamma
+        calls = _grid_stage_calls(monkeypatch, cfg)
+        assert calls
+        for args, (s_grid, v_grid, _) in calls:
+            w_flat, (objective, foc) = _flat_stage(args)
+            every = np.arange(w_flat.size)
+            s, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, args[6].newton_iters)
+            assert np.array_equal(s, s_grid.ravel())
+            (value,) = report.carried
+            assert np.array_equal(value.view(np.uint64), objective(s, every).view(np.uint64))
+            assert np.array_equal(v_grid.ravel().view(np.uint64), value.view(np.uint64))
+
+    def test_s_zero_end_runs_the_mixture_once_per_state(self, monkeypatch):
+        import execsched.kernels as kernels
+
+        calls = _grid_stage_calls(monkeypatch, bench_solve_config("linear_percentage", 0.05))
+        pieces = kernels._mixture_pieces
+        for args, _ in calls:
+            x, order = args[2], args[6].quad_order
+            w_flat, (_, foc) = _flat_stage(args)
+            sizes = []
+
+            def counted(xv, mu_y, sig_y, k, **kwargs):
+                sizes.append(np.broadcast(xv, mu_y, sig_y, k).size)
+                return pieces(xv, mu_y, sig_y, k, **kwargs)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "_mixture_pieces", counted)
+                foc(np.zeros_like(w_flat), np.arange(w_flat.size))
+            assert w_flat.size > x.size
+            # one mean per X sample; a lone one runs as two (see the kernel call)
+            assert sum(sizes) == max(x.size, 2) * order
+
+    @pytest.mark.parametrize(
+        "sig_y, s, x",
+        [
+            # move() below hands back alpha = x, so mu_Y = theta*s + x repeats
+            # where (s, x) does; -0.0 + -0.0 is the one sum that gives -0.0
+            (
+                0.04,
+                [-0.0, 0.0, -0.0, 2.0, 2.0, 0.0, 5.0, -0.0],
+                [-0.0, -0.0, 0.0, 0.9, 0.9, 1.1, 0.9, -0.0],
+            ),
+            (0.04, [0.0] * 5, [0.9] * 5),  # one distinct mean
+            (0.04, [3.0], [0.9]),
+            # the lognormal limit needs mu_Y > 0
+            (0.0, [0.0, 2.0, 2.0, 0.0, 5.0, 0.0], [1.0, 0.9, 0.9, 1.0, 0.9, 1.1]),
+            (0.0, [1.0] * 3, [1.0] * 3),
+        ],
+    )
+    def test_distinct_means_match_the_whole_array_bit_for_bit(self, sig_y, s, x):
+        from types import SimpleNamespace
+
+        law = SimpleNamespace(mu_B=0.0, sigma_B=0.1, move=lambda ratio, x: (0.01, x, sig_y))
+        s, x = np.array(s), np.array(x)
+        got = gbm._stage_premium_derivs(law, s, x, 0.98, 40)
+        mu_y = 0.01 * s + x
+        if sig_y:
+            prem, d1, d2 = _mixture_derivs_gh(0.0, 0.1, mu_y, sig_y, -0.98, 40)
+        else:
+            prem, d1, d2 = _lognormal_shift_derivs(0.0, 0.1, mu_y, -0.98)
+        for a, b in zip(got, (prem, 0.01 * d1, 0.01 * 0.01 * d2)):
+            assert a.shape == s.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

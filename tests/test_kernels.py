@@ -217,6 +217,44 @@ class TestFusedDerivatives:
             assert np.array_equal(_bits(e1), _bits(d1))
             assert np.array_equal(_bits(e2), _bits(d2))
 
+    @staticmethod
+    def _stage_tensor():
+        # the shape _Penultimate._tensor builds: a per-(element, price node)
+        # base plus a per-node slope times the volume nodes
+        rng = np.random.default_rng(7)
+        base = rng.normal(0.0, 20.0, (4, 30))
+        slope = rng.normal(0.0, 3.0, 30)
+        return base[:, :, None] + (slope[:, None] * gauss_hermite(8).nodes)[None, :, :]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["series_branch", "erfcx_overflow", "mixed", "transposed", "broadcast"],
+    )
+    def test_arrays_match_separate_calls_and_leave_the_input(self, case):
+        series = np.concatenate([np.linspace(-400.0, -150.0, 51), [-150.5, -149.5]])
+        overflow = np.linspace(37.0, 60.0, 47)
+        u = {
+            "series_branch": series,
+            "erfcx_overflow": overflow,
+            "mixed": np.concatenate([series, overflow, np.linspace(-30.0, 30.0, 61)]),
+            # non-contiguous
+            "transposed": self._stage_tensor().transpose(2, 0, 1)[:, :, ::3],
+            # zero strides, read-only
+            "broadcast": np.broadcast_to(self._stage_tensor()[:, :, :1], (4, 30, 8)),
+        }[case]
+        before = u.copy()
+        p0, d1, d2 = mills_psi_derivs(u)
+        assert np.array_equal(_bits(u), _bits(before))
+        assert all(a.shape == u.shape for a in (p0, d1, d2))
+        assert np.array_equal(_bits(p0), _bits(mills_psi(u)))
+        assert np.array_equal(_bits(d1), _bits(mills_psi_prime(u)))
+        assert np.array_equal(_bits(d2), _bits(_mills_psi_second(u)))
+        # and element for element the scalar call's
+        scalar = np.array([mills_psi_derivs(float(v)) for v in u.ravel()])
+        assert np.array_equal(_bits(np.stack([p0, d1, d2], axis=-1).reshape(-1, 3)), _bits(scalar))
+        if case == "erfcx_overflow":
+            assert np.all(p0[overflow > 37.7] == overflow[overflow > 37.7])
+
     def test_scalar_in_scalar_out(self):
         p0, d1, d2 = mills_psi_derivs(-3.0)
         assert all(isinstance(v, float) for v in (p0, d1, d2))

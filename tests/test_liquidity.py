@@ -227,7 +227,7 @@ class TestStageDerivatives:
         # J changes by far less than 2x over the stencil
         noise = 2.0 * pen.x.size * pen.z_nodes.size * np.finfo(float).eps * j(s)
         d1, tol1, d2, tol2 = central_differences(j, s, 1e-3, 0.1, noise)
-        got1, got2 = (float(a[0]) for a in pen.objective_derivs(np.array([s]), w))
+        got1, got2 = (float(a[0]) for a in pen.objective_derivs(np.array([s]), w)[:2])
         assert abs(got1 - d1) <= tol1
         assert abs(got2 - d2) <= tol2
 
@@ -269,14 +269,18 @@ class TestPriceNodeWindow:
             full = evaluate()
         # J's two S-derivatives are a stage-cost part plus an expectation part
         # that cancel near a stationary point, so they are compared relative
-        # to the size of the parts
+        # to the size of the parts; J and dV_T/dW come twice, carried by the
+        # derivative pass and evaluated alone
         c1, c2 = pen.stage.ds_dss(trades, resids)
         scales = (
             np.abs(full[0]),
             np.abs(c1) + np.abs(full[1] - c1),
             np.abs(c2) + np.abs(full[2] - c2),
             np.abs(full[3]),
+            np.abs(full[4]),
+            np.abs(full[5]),
         )
+        assert len(windowed) == len(full) == len(scales)
         for got, want, scale in zip(windowed, full, scales):
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
@@ -450,3 +454,57 @@ class TestValidation:
         assert md["method"] == "quadrature-recursion"
         assert md["volume"] == 50.0
         assert md["volume_bounds"] == (25.0, 12.5)
+
+
+class TestEvaluateOnce:
+    # the stage T-1 machinery of the spec two-stage solve, on a residual mesh
+    W = np.geomspace(0.02, 20.0, 64)
+
+    @staticmethod
+    def _pen():
+        return _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, _NODE_PANEL_ORDER, 40)
+
+    @staticmethod
+    def _close(got, want):
+        return np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_newton_carries_value_and_slope_at_its_result(self):
+        from execsched.dp import _vec_newton
+
+        pen, w = self._pen(), self.W
+        ub = np.minimum(w, pen.cap)
+        # brackets that pin some elements low, some high, and leave the rest free
+        lo, hi = 0.3 * ub, 0.9 * ub
+        s, report = _vec_newton(lambda x, idx: pen.objective_derivs(x, w[idx]), lo, hi, 60)
+        assert report.settled.all() and report.pinned.any() and not report.pinned.all()
+        value, slope = report.carried
+        assert self._close(value, pen.objective(s, w))
+        assert self._close(slope, pen.expected_terminal(s, w - s, derivative=True))
+
+    def test_stage_pass_values_and_slopes_match_fresh_evaluations(self):
+        pen, w = self._pen(), self.W
+        s, v, vd, _, _ = liquidity._penultimate_pass(pen, w, RecursionConfig(), 1)
+        assert self._close(v, pen.objective(s, w))
+        free = ~((s >= np.minimum(w, pen.cap)) & (np.minimum(w, pen.cap) >= w * (1.0 - 1e-12)))
+        assert free.any()
+        assert self._close(vd[free], pen.expected_terminal(s, w - s, derivative=True)[free])
+
+    def test_scan_wins_take_the_slope_of_one_more_evaluation(self):
+        from execsched.dp import _scan_newton
+
+        pen, w = self._pen(), self.W
+        ub = np.minimum(w, pen.cap)
+        calls = []
+
+        def derivs(x, idx):
+            calls.append(idx.size)
+            return pen.objective_derivs(x, w[idx])
+
+        # a scan that reads far below every carried value wins at every element
+        s, v, report = _scan_newton(
+            lambda x, idx: pen.objective(x, w[idx]) - 1e300, derivs, ub, 9, 60
+        )
+        assert np.all(v == -1e300)
+        assert calls[-1] == w.size
+        _, slope = report.carried
+        assert self._close(slope, pen.expected_terminal(s, w - s, derivative=True))
