@@ -27,7 +27,13 @@ trade's Gaussian weight falls below 3e-18 of its peak past 9 s_P.  So each
 evaluated block of trades works on a window: the contiguous run of the
 sorted price nodes within ``_WINDOW_SIGMAS`` = 9 s_P of some trade's center,
 found by binary search.  Blocks are sized by their window, so
-``_BLOCK_ELEMS`` still bounds the tensor.  The stage T-1 objective
+``_BLOCK_ELEMS`` still bounds the tensor.  The blocks are independent, and
+numpy and scipy release the GIL inside their array loops, so a solve maps
+them over a thread pool as wide as the CPUs the process may run on, opened
+for its stage T-1 work and shut down when it returns or raises.  The run
+boundaries and windows are planned before the map and the results joined in
+run order, so every output is bit for bit the same at any pool width, and
+memory stays within one block per thread.  The stage T-1 objective
 is smooth in the trade S: the price-node weights are Gaussian in an affine
 function of S and every Mills argument shifts linearly with S, so its first
 and second S-derivatives come in closed form from psi, psi' and psi'' on the
@@ -54,6 +60,10 @@ certainty-equivalent state.
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,7 +158,9 @@ class _Penultimate:
     Every method takes flat arrays of trades and residuals and evaluates
     the (element, price node, volume node) tensor in blocks of about
     ``_BLOCK_ELEMS`` elements, each on its window of price nodes, so memory
-    stays flat in the number of elements.
+    stays flat in the number of elements.  ``map`` evaluates the blocks of a
+    call; a solve passes its thread pool's, and the builtin keeps them in
+    the calling thread.
     """
 
     params: Liquidity
@@ -159,6 +171,7 @@ class _Penultimate:
     w: np.ndarray  # bare Gauss-Legendre weights
     z_nodes: np.ndarray
     z_weights: np.ndarray
+    map: Callable = map
 
     @cached_property
     def stage(self) -> _MillsStage:
@@ -178,8 +191,8 @@ class _Penultimate:
         """A0(S) = P + theta_hat*S + alpha_hat, the mean of P' given S."""
         return self.price + (self.stage.theta * trades + self.stage.alpha)
 
-    def _blocked(self, block, trades, resids):
-        """``block(trades, resids, nodes)`` over runs of elements, results joined.
+    def _runs(self, trades, resids) -> list[tuple]:
+        """The (trades, resids, nodes) runs a call's tensor is evaluated in.
 
         ``nodes`` is the run's window: the contiguous slice of the sorted price
         nodes within ``_WINDOW_SIGMAS`` s_P of some element's A0(S).  A run
@@ -196,7 +209,7 @@ class _Penultimate:
         per_node = self.z_nodes.size
         # a window of one node or more fits at most this many elements
         most = max(1, _BLOCK_ELEMS // per_node)
-        parts = []
+        runs = []
         i = 0
         while i < trades.size:
             # window bounds and tensor size of the runs i..i+k-1, k = 1, 2, ...
@@ -204,9 +217,24 @@ class _Penultimate:
             last = np.maximum.accumulate(hi[i : i + most])
             size = np.arange(1, first.size + 1) * (last - first) * per_node
             k = max(1, int(np.searchsorted(size, _BLOCK_ELEMS, side="right")))
-            nodes = slice(first[k - 1], last[k - 1])
-            parts.append(block(trades[i : i + k], resids[i : i + k], nodes))
+            runs.append((trades[i : i + k], resids[i : i + k], slice(first[k - 1], last[k - 1])))
             i += k
+        return runs
+
+    def _blocked(self, block, trades, resids):
+        """``block(trades, resids, nodes)`` over the :meth:`_runs` of a call,
+        joined in run order.
+
+        The runs are planned here, in the calling thread: they fix every
+        window and einsum length, hence the bits.  Only their evaluation goes
+        through ``self.map``; a call of one run is evaluated inline.
+        """
+        runs = self._runs(trades, resids)
+        if len(runs) == 1:
+            parts = [block(*runs[0])]
+        else:
+            self.s_next  # computed once here; the blocks only read it
+            parts = list(self.map(lambda run: block(*run), runs))
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*parts))
         return np.concatenate(parts)
@@ -297,6 +325,30 @@ class _Penultimate:
         return self._blocked(self._derivs_block, trades, resids)
 
 
+def _pool_width() -> int:
+    """The CPUs this process may run on: the width of a solve's block pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _block_map():
+    """The map a solve evaluates its stage T-1 blocks with: that of a thread
+    pool :func:`_pool_width` wide, shut down on exit, or the builtin at width 1.
+
+    Each thread holds one block in flight, so the tensor memory is at most
+    the width times one block of ``_BLOCK_ELEMS`` elements.
+    """
+    width = _pool_width()
+    if width == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(width) as pool:
+        yield pool.map
+
+
 def _make_penultimate(
     params: Liquidity,
     price: float,
@@ -305,6 +357,7 @@ def _make_penultimate(
     s_max: float,
     panel_order: int,
     z_order: int,
+    block_map: Callable = map,
 ) -> _Penultimate:
     theta_hat, alpha_hat, s_p = params.move(price, volume)
     a0_lo = price + alpha_hat
@@ -323,6 +376,7 @@ def _make_penultimate(
         w=w,
         z_nodes=rule.nodes,
         z_weights=rule.weights,
+        map=block_map,
     )
 
 
@@ -360,6 +414,7 @@ def _penultimate_scalar(
     cap: float,
     w: float,
     cfg: RecursionConfig,
+    block_map: Callable = map,
 ) -> tuple[float, int, float]:
     """Reported stage T-1 trade at the exact residual, with a resolution check.
 
@@ -371,7 +426,7 @@ def _penultimate_scalar(
     """
     ub = min(w, cap)
     order = cfg.quad_order
-    pen = _make_penultimate(params, price, volume, cap, ub, order, order)
+    pen = _make_penultimate(params, price, volume, cap, ub, order, order, block_map)
     s_star, j_star, iters = _resolve_stage(
         lambda x, idx: pen.objective(x, w),
         lambda x, idx: pen.objective_derivs(x, w),
@@ -458,46 +513,49 @@ def solve_liquidity(
     diagnostics: list[dict] = []
     w = total
     if T > 1:
-        pen_nodes = mesh.official if T == 2 else mesh.fine
-        pen = _make_penultimate(
-            params,
-            path[T - 2].price,
-            path[T - 2].aux,
-            bounds[T - 2],
-            float(min(total, bounds[T - 2])),
-            _NODE_PANEL_ORDER,
-            cfg.quad_order,
-        )
-        s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
-        if T > 2:
-            cont = _SplineCont.from_slopes(
-                mesh.nodes,
-                np.concatenate([[0.0], v_pen]),
-                np.concatenate([[slope0], vd_pen]),
+        # one pool for the stage T-1 work; the grid stages between run inline
+        with _block_map() as block_map:
+            pen_nodes = mesh.official if T == 2 else mesh.fine
+            pen = _make_penultimate(
+                params,
+                path[T - 2].price,
+                path[T - 2].aux,
+                bounds[T - 2],
+                float(min(total, bounds[T - 2])),
+                _NODE_PANEL_ORDER,
+                cfg.quad_order,
+                block_map,
             )
-            families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
-            res = _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
-            for t in range(1, T - 1):
-                grid_trades.append(res.trades[t][0])
-                grid_values.append(res.values[t][0])
-                s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg)
-                diagnostics.append(
-                    {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
+            s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
+            if T > 2:
+                cont = _SplineCont.from_slopes(
+                    mesh.nodes,
+                    np.concatenate([[0.0], v_pen]),
+                    np.concatenate([[slope0], vd_pen]),
                 )
-                trades.append(s)
-                w -= s
-            s_pen, v_pen = s_pen[mesh.official_idx], v_pen[mesh.official_idx]
-        grid_trades.append(s_pen)
-        grid_values.append(v_pen)
+                families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
+                res = _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
+                for t in range(1, T - 1):
+                    grid_trades.append(res.trades[t][0])
+                    grid_values.append(res.values[t][0])
+                    s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg)
+                    diagnostics.append(
+                        {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
+                    )
+                    trades.append(s)
+                    w -= s
+                s_pen, v_pen = s_pen[mesh.official_idx], v_pen[mesh.official_idx]
+            grid_trades.append(s_pen)
+            grid_values.append(v_pen)
 
-        s, iters, drift = _penultimate_scalar(
-            params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg
-        )
-        diagnostics.append(
-            {"stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift}
-        )
-        trades.append(s)
-        w -= s
+            s, iters, drift = _penultimate_scalar(
+                params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg, block_map
+            )
+            diagnostics.append({
+                "stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift
+            })
+            trades.append(s)
+            w -= s
 
     if w > bounds[T - 1] + tol:
         raise InfeasibleLiquidityError(

@@ -5,6 +5,7 @@ demands it; exit codes follow the documented 0/2/3/4 map.
 """
 import csv
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execsched import cli
+from execsched import cli, liquidity
 from execsched import fills as fills_reader
 from execsched.cli import (
     EXIT_AUDIT,
@@ -939,6 +940,74 @@ class TestManifestPhases:
             assert hashlib.sha256((a / name).read_bytes()).hexdigest() == entry["sha256"]
 
 
+def _liquidity_doc(periods):
+    """The bench liquidity config; at three periods the stage T-1 pass runs on
+    the fine mesh and the grid recursion runs before it."""
+    doc = json.loads(json.dumps(bench_solve_config("liquidity", 20.0)))
+    if periods != 2:
+        doc["horizon"]["periods"] = periods
+        doc["solver"]["grid_nodes"] = 16
+    return doc
+
+
+class TestSolveThreads:
+    """The liquidity solver's block pool is as wide as the CPUs the process may
+    use; its width shows in the manifest and nowhere else."""
+
+    @staticmethod
+    def _solve(monkeypatch, tmp_path, doc, width):
+        monkeypatch.setattr(liquidity, "_pool_width", lambda: width)
+        out = tmp_path / f"w{width}"
+        argv = ["solve", _write_json(tmp_path, "c.json", doc), "--output-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("periods", [2, 3])
+    def test_artifacts_are_identical_at_every_width(self, monkeypatch, tmp_path, periods):
+        doc = _liquidity_doc(periods)
+        sequential, *pooled = (
+            self._solve(monkeypatch, tmp_path, doc, width) for width in (1, 2, 3)
+        )
+        for out in pooled:
+            for name in ("policy.json", "schedule.csv"):
+                assert (out / name).read_bytes() == (sequential / name).read_bytes()
+
+    def test_manifests_differ_only_in_the_width_and_the_clock(self, monkeypatch, tmp_path):
+        doc = _liquidity_doc(2)
+        one, two = (
+            json.loads((self._solve(monkeypatch, tmp_path, doc, w) / "manifest.json").read_text())
+            for w in (1, 2)
+        )
+        assert (one["threads"], two["threads"]) == (1, 2)
+        varying = ("threads", "created_utc", "phases_s")
+        assert {k: v for k, v in one.items() if k not in varying} == {
+            k: v for k, v in two.items() if k not in varying
+        }
+        policy = (tmp_path / "w2" / "policy.json").read_text()
+        assert "threads" not in policy
+
+    def test_other_models_record_one_thread(self, monkeypatch, tmp_path):
+        doc = {k: v for k, v in _bench_doc().items() if k != "simulation"}
+        out = self._solve(monkeypatch, tmp_path, doc, 3)
+        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
+
+    def test_an_error_in_one_block_keeps_exit_3(self, monkeypatch, tmp_path, capsys):
+        tensor = liquidity._Penultimate._tensor
+        calls = itertools.count()
+
+        def failing(self, s, r, nodes):
+            if next(calls) == 40:
+                raise cli.SolverError("block 40 failed")
+            return tensor(self, s, r, nodes)
+
+        monkeypatch.setattr(liquidity, "_pool_width", lambda: 2)
+        monkeypatch.setattr(liquidity._Penultimate, "_tensor", failing)
+        argv = ["solve", _write_json(tmp_path, "c.json", _liquidity_doc(2)),
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_SOLVER
+        assert capsys.readouterr().err == "error: block 40 failed\n"
+
+
 class TestSimulate:
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_json(tmp_path, "c.json", _bench_doc())
@@ -1113,6 +1182,14 @@ class TestColdImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_liquidity_pool_unloaded(self):
+        # solve loads the liquidity solver, and with it the thread pool, on use
+        loaded, _ = _fresh_json(
+            "import json, sys, execsched.cli; print(json.dumps([m for m in "
+            "('execsched.liquidity', 'concurrent.futures') if m in sys.modules]))"
+        )
+        assert loaded == []
 
     @pytest.mark.parametrize(
         "module, prefix", [("execsched", "execsched."), ("execsched.cli", "scipy")]

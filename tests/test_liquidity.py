@@ -7,8 +7,14 @@ seed 412: 960.4454339441547 +/- 0.054322059695999986 vs closed
 960.4000000000001, 0.8 SE).  The two-stage trade was checked against the
 1000-point-grid x 1e5-path simulation brute force run inside the test.
 """
+import dataclasses
+import functools
+import itertools
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -508,3 +514,126 @@ class TestEvaluateOnce:
         assert calls[-1] == w.size
         _, slope = report.carried
         assert self._close(slope, pen.expected_terminal(s, w - s, derivative=True))
+
+
+def _widths(monkeypatch, width):
+    """Make the solver's block pool ``width`` threads wide."""
+    monkeypatch.setattr(liquidity, "_pool_width", lambda: width)
+
+
+class TestBlockPool:
+    """Stage T-1 blocks mapped over a thread pool give the sequential bits."""
+
+    @staticmethod
+    def _calls(pen, trades, resids):
+        return (
+            pen.objective(trades, resids),
+            *pen.objective_derivs(trades, resids),
+            pen.expected_terminal(trades, resids - trades),
+            pen.expected_terminal(trades, resids - trades, derivative=True),
+        )
+
+    @given(
+        price=st.floats(90.0, 110.0),
+        volume=st.floats(40.0, 60.0),
+        frac=st.floats(0.0, 1.0),
+        offset=st.integers(-1, 2),
+        width=st.integers(2, 3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_pool_map_gives_the_builtin_bits(self, price, volume, frac, offset, width):
+        cap = SPEC_PARAMS.rho * volume
+        pen = _make_penultimate(SPEC_PARAMS, price, volume, cap, cap, _NODE_PANEL_ORDER, 40)
+        # a scan-shaped call; its first run ends after ``split`` elements, so
+        # its first ``split + offset`` elements make one run or two, and more
+        # elements make more runs than threads
+        w = np.repeat(np.geomspace(0.02, cap, 64), 9)
+        trades = np.minimum(w, cap) * np.tile(np.linspace(0.0, 1.0, 9), 64) * frac
+        split = pen._runs(trades, w)[0][0].size
+        n = max(1, split + offset)
+        assert len(pen._runs(trades[:n], w[:n])) == (1 if n <= split else 2)
+        for count in (n, min(w.size, 4 * split + offset)):
+            want = self._calls(pen, trades[:count], w[:count])
+            with ThreadPoolExecutor(width) as pool:
+                got = self._calls(dataclasses.replace(pen, map=pool.map), trades[:count], w[:count])
+            assert len(got) == len(want) == 7
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_bits_hold_with_more_threads_than_cores(self):
+        # four threads switching every microsecond on fresh machinery, whose
+        # cached stage and price-node scales are first computed inside the call
+        def fresh(**kw):
+            return _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40, **kw)
+
+        w = np.repeat(np.geomspace(0.02, 20.0, 32), 9)
+        trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 32)
+        want = self._calls(fresh(), trades, w)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = self._calls(
+                    fresh(block_map=functools.partial(pool.map, timeout=120)), trades, w
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_call_of_one_run_submits_nothing(self):
+        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, _NODE_PANEL_ORDER, 40)
+        mapped = []
+
+        def counting_map(fn, runs):
+            runs = list(runs)
+            mapped.append(len(runs))
+            return map(fn, runs)
+
+        pen = dataclasses.replace(pen, map=counting_map)
+        pen.objective(np.array([5.0]), np.array([20.0]))
+        pen.expected_terminal(0.0, 0.0, derivative=True)
+        assert mapped == []
+        w = np.repeat(np.geomspace(0.02, 20.0, 64), 9)
+        trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 64)
+        pen.objective_derivs(trades, w)
+        assert mapped == [len(pen._runs(trades, w))] and mapped[0] > 1
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_solve_at_order_80_is_width_invariant(self, monkeypatch, width):
+        cfg = RecursionConfig(quad_order=80)
+        _widths(monkeypatch, 1)
+        sched1, table1 = solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE, cfg)
+        _widths(monkeypatch, width)
+        sched, table = solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE, cfg)
+        assert sched.trades == sched1.trades
+        assert table.metadata == table1.metadata
+        for a, b in zip(table.value_samples, table1.value_samples):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(table.stages[:-1], table1.stages[:-1]):
+            assert a.trades.tobytes() == b.trades.tobytes()
+
+    def test_no_pool_outlives_a_solve(self, monkeypatch):
+        _widths(monkeypatch, 3)
+        before = threading.active_count()
+        solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
+        assert threading.active_count() == before
+        assert not any(isinstance(v, Executor) for v in vars(liquidity).values())
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_an_error_in_one_block_leaves_the_solve(self, monkeypatch, width):
+        _widths(monkeypatch, width)
+        tensor = liquidity._Penultimate._tensor
+        calls = itertools.count()
+
+        def failing(self, s, r, nodes):
+            if next(calls) == 40:
+                raise SolverError("block 40 failed")
+            return tensor(self, s, r, nodes)
+
+        monkeypatch.setattr(liquidity._Penultimate, "_tensor", failing)
+        before = threading.active_count()
+        with pytest.raises(SolverError) as err:
+            solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
+        assert type(err.value) is SolverError and str(err.value) == "block 40 failed"
+        assert threading.active_count() == before
