@@ -235,10 +235,6 @@ def load_config(path: str) -> tuple[dict, str]:
     return validate_config(_parse_json(raw, "config")), hashlib.sha256(raw).hexdigest()
 
 
-def canonical_json(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-
-
 def build_model(cfg: dict):
     try:
         return _MODEL_TYPES[cfg["model"]](**cfg["params"])

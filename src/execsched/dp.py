@@ -650,6 +650,12 @@ def _stage_foc(fam: _MillsStage, cont, s, w, col):
     return ds - d, dss + dd
 
 
+def _whole_residual(s, ub, w):
+    """Where trade ``s`` sits on an upper bound ``ub`` that is the whole
+    residual ``w`` (to 1e-12 relative): nothing is left to continue with."""
+    return (s >= ub) & (ub >= w * (1.0 - 1e-12))
+
+
 def _stage_minimize(
     fam: _MillsStage, cont, w: np.ndarray, ub: np.ndarray, col: np.ndarray, cfg: RecursionConfig
 ):
@@ -666,10 +672,10 @@ def _stage_minimize(
     )
     r = w - s
     v = fam.value(s, w, col) + cont.value(r, col)
-    # Envelope slope; when the whole residual trades (upper bound s = w
-    # active) the continuation argument is pinned at 0, so dV/dw picks up
-    # the stage cost's s-derivative instead of the continuation slope.
-    pinned = (s >= ub) & (ub >= w * (1.0 - 1e-12))
+    # Envelope slope; when the whole residual trades the continuation
+    # argument is pinned at 0, so dV/dw picks up the stage cost's
+    # s-derivative instead of the continuation slope.
+    pinned = _whole_residual(s, ub, w)
     free = ~pinned
     vd = fam.dw(s, w, col)
     vd[pinned] += fam.ds_dss(s[pinned], w[pinned], col[pinned])[0]

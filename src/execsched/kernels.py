@@ -17,15 +17,16 @@ is within 2e-13 relative of the direct quotient phi/Phi up to u = 30, and
 above u ~ 37.7, where erfcx overflows, it returns exactly 0 (the true G is
 below 1e-300 there).  It never returns NaN for finite u.  Callers that need
 only part of a tensor cut the tensor before calling it, as the liquidity
-stage T-1 expectation does with its price-node window.  ``mills_psi``,
-``mills_psi_prime`` and ``_mills_psi_second`` each build on one G;
-``mills_psi_derivs`` returns psi, psi' and psi'' from a single G for the
-stage solves, bit for bit equal to the separate calls; past G it works in
-place in buffers it owns and never writes into its argument.  The
-Gauss-Hermite mixture expectation and its sigma_Y = 0 limit have companions
-(``_mixture_derivs_gh``, ``_lognormal_shift_derivs``) that also return the
-first two derivatives in the mean of Y, with values bit for bit equal to
-theirs.
+stage T-1 expectation does with its price-node window.
+
+Each quantity has one formula, in one function.  ``mills_psi_derivs``
+returns psi, psi' and psi'' from a single G for the stage solves, working
+past G in buffers it owns, never in its argument; ``mills_psi_prime`` and
+``_mills_psi_second`` are views of it and, like it, reject non-finite input.
+``mills_psi`` keeps a value-only body for the value-only hot loops.  The
+Gauss-Hermite mixture expectation and its sigma_Y = 0 limit are written once
+with their first two derivatives in the mean of Y (``_mixture_derivs_gh``,
+``_lognormal_shift_derivs``); their value-only entries return the first.
 """
 from __future__ import annotations
 
@@ -164,29 +165,28 @@ def mills_psi(u):
 
 
 def mills_psi_prime(u):
-    """d psi / du = 1 - u*G(u) - G(u)^2 with G = phi/Phi; lies in (0, 1)."""
-    u = np.asarray(u, dtype=float)
-    g = _mills_g(u)
-    return _scalar_or_array(1.0 - u * g - g * g)
+    """d psi / du = 1 - u*G(u) - G(u)^2 with G = phi/Phi; lies in (0, 1).
+
+    The second output of :func:`mills_psi_derivs`, so it also computes
+    psi'' and raises ValueError on non-finite input.
+    """
+    return mills_psi_derivs(u, with_psi=False)[1]
 
 
 def _mills_psi_second(u):
-    """d^2 psi / du^2, from G' = -G(u + G)."""
-    u = np.asarray(u, dtype=float)
-    g = _mills_g(u)
-    gp = -g * (u + g)
-    return _scalar_or_array(-g - u * gp - 2.0 * g * gp)
+    """d^2 psi / du^2: the third output of :func:`mills_psi_derivs`."""
+    return mills_psi_derivs(u, with_psi=False)[2]
 
 
 def mills_psi_derivs(u, with_psi: bool = True):
     """(psi(u), psi'(u), psi''(u)) from one G; psi is None unless ``with_psi``.
 
-    The expressions are those of :func:`mills_psi`, :func:`mills_psi_prime`
-    and :func:`_mills_psi_second`, operation for operation, so every output
-    is bit for bit the separate call's; like mills_psi it requires finite
-    input.  Past G, every step writes in place into buffers the call owns,
-    never into ``u``: on the stage tensors the temporaries of the plain
-    expressions cost more than their arithmetic.
+    psi' = 1 - u*G - G^2 and, from G' = -G(u + G), psi'' = -G - u*G' - 2*G*G'.
+    psi is :func:`mills_psi`'s expression operation for operation, so it is
+    bit for bit that call's; like mills_psi this requires finite input.  Past
+    G, every step writes in place into buffers the call owns, never into
+    ``u``: on the stage tensors the temporaries of the plain expressions cost
+    more than their arithmetic.
     """
     arr = _finite(u)
     g = np.asarray(_mills_g(arr))
@@ -226,13 +226,13 @@ def gauss_hermite(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _mixture_pieces(xv, mu_y, sig_y, k, with_density: bool = False):
+def _mixture_pieces(xv, mu_y, sig_y, k):
     """Numerator and conditioning-probability integrands of the mixture at X=xv.
 
     For fixed X = x the event {e^x Y + k > 0} is {Y > c} with c = -k e^{-x},
     so the inner Y-expectation is the closed truncated-normal pair
-    Q = P(Y > c), M1 = E[Y 1{Y > c}].  ``with_density`` also returns the
-    standardized threshold zc = (c - mu_y)/sig_y and phi(zc).
+    Q = P(Y > c), M1 = E[Y 1{Y > c}].  Returns (e^x*M1 + k*Q, Q, zc, phi(zc))
+    with the standardized threshold zc = (c - mu_y)/sig_y.
     """
     c = -k * np.exp(-xv)
     zc = (c - mu_y) / sig_y
@@ -241,7 +241,7 @@ def _mixture_pieces(xv, mu_y, sig_y, k, with_density: bool = False):
     n = mu_y * q + sig_y * phi_zc  # M1; then e^x*M1 + k*Q in place
     n *= np.exp(xv)
     n += k * q
-    return (n, q, zc, phi_zc) if with_density else (n, q)
+    return n, q, zc, phi_zc
 
 
 def nln_mixture_expectation(x: Gaussian, y: Gaussian, k: float) -> float:
@@ -269,11 +269,11 @@ def nln_mixture_expectation(x: Gaussian, y: Gaussian, k: float) -> float:
     scale = max(abs(y.mu) + 3.0 * y.sigma, abs(k), 1.0) * np.exp(x.mu + 3.0 * x.sigma)
 
     def num_integrand(xv):
-        n, _ = _mixture_pieces(xv, y.mu, y.sigma, k)
+        n = _mixture_pieces(xv, y.mu, y.sigma, k)[0]
         return n * _phi((xv - x.mu) / x.sigma) / x.sigma
 
     def den_integrand(xv):
-        _, q = _mixture_pieces(xv, y.mu, y.sigma, k)
+        q = _mixture_pieces(xv, y.mu, y.sigma, k)[1]
         return q * _phi((xv - x.mu) / x.sigma) / x.sigma
 
     lo = x.mu - MIXTURE_TAIL_SIGMAS * x.sigma
@@ -299,22 +299,9 @@ def _mixture_expectation_gh(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
     [0.95, 1.1], k = -1), the relative error is about 1e-11 at
     sig_y = 0.7*sig_x, 5e-8 at 0.5, 4e-6 at 0.4, 2e-4 at 0.3 and 3e-2 at
     0.1, where order 128 still misses by 1e-2.  Broadcasts over mu_y, sig_y,
-    k.
+    k.  The value of :func:`_mixture_derivs_gh`.
     """
-    nodes, weights = _hermgauss_cached(int(order))
-    xv = mu_x + sig_x * np.sqrt(2.0) * nodes
-    mu_y, sig_y, k = np.broadcast_arrays(
-        np.asarray(mu_y, dtype=float),
-        np.asarray(sig_y, dtype=float),
-        np.asarray(k, dtype=float),
-    )
-    n, q = _mixture_pieces(
-        xv.reshape((-1,) + (1,) * mu_y.ndim), mu_y[None], sig_y[None], k[None]
-    )
-    w = weights.reshape((-1,) + (1,) * mu_y.ndim) / np.sqrt(np.pi)
-    num = (w * n).sum(axis=0)
-    den = (w * q).sum(axis=0)
-    return num / den
+    return _mixture_derivs_gh(mu_x, sig_x, mu_y, sig_y, k, order)[0]
 
 
 def _ratio_derivs(num, d_num, dd_num, den, d_den, dd_den):
@@ -330,8 +317,7 @@ def _mixture_derivs_gh(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
     From the pieces of :func:`_mixture_pieces` at each node x: the numerator
     integrand n = e^x*M1 + k*Q has dn/dmu_y = e^x*Q and d2n = e^x*phi(zc)/sig_y
     (the c-terms cancel because e^x*c = -k), and Q = P(Y > c) has
-    dQ/dmu_y = phi(zc)/sig_y and d2Q = phi(zc)*zc/sig_y^2.  The value is
-    bit for bit :func:`_mixture_expectation_gh`'s.
+    dQ/dmu_y = phi(zc)/sig_y and d2Q = phi(zc)*zc/sig_y^2.
     """
     nodes, weights = _hermgauss_cached(int(order))
     mu_y, sig_y, k = np.broadcast_arrays(
@@ -341,7 +327,7 @@ def _mixture_derivs_gh(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
     )
     shape = (-1,) + (1,) * mu_y.ndim
     xv = (mu_x + sig_x * np.sqrt(2.0) * nodes).reshape(shape)
-    n, q, zc, phi_zc = _mixture_pieces(xv, mu_y[None], sig_y[None], k[None], with_density=True)
+    n, q, zc, phi_zc = _mixture_pieces(xv, mu_y[None], sig_y[None], k[None])
     dens = np.divide(phi_zc, sig_y[None], out=phi_zc)
     ex = np.exp(xv)
     w = weights.reshape(shape) / np.sqrt(np.pi)
@@ -359,26 +345,20 @@ def _lognormal_shift_conditional(mu_x, sig_x, c, k):
     """E[c e^X + k | c e^X + k > 0] for c > 0, k < 0, X ~ N(mu_x, sig_x^2).
 
     The degenerate sigma_Y = 0 limit of the mixture: the event is
-    {X > log(-k/c)} and both moments are closed.  Broadcasts over c and k.
+    {X > log(-k/c)} and both moments are closed.  Broadcasts over c and k;
+    the value of :func:`_lognormal_shift_derivs`, a float for scalar input.
     """
-    c = np.asarray(c, dtype=float)
-    k = np.asarray(k, dtype=float)
-    x0 = np.log(-k / c)
-    z = (mu_x - x0) / sig_x
-    pr = ndtr(z)
-    num = c * np.exp(mu_x + 0.5 * sig_x * sig_x) * ndtr(z + sig_x) + k * pr
-    out = num / pr
-    return out if out.ndim else float(out)
+    return _scalar_or_array(np.asarray(_lognormal_shift_derivs(mu_x, sig_x, c, k)[0]))
 
 
 def _lognormal_shift_derivs(mu_x, sig_x, c, k):
-    """:func:`_lognormal_shift_conditional` and its first two c-derivatives.
+    """E[c e^X + k | c e^X + k > 0] and its first two c-derivatives.
 
-    With z = (mu_x - log(-k/c))/sig_x, dz/dc = 1/(c*sig_x); the numerator
-    c*E[e^X]*Phi(z + sig_x) + k*Phi(z) has derivative E[e^X]*Phi(z + sig_x)
-    (the phi terms cancel, E[e^X]*phi(z + sig_x) = -k*phi(z)/c), so its
-    second derivative is -k*phi(z)/(c^2*sig_x).  The value is bit for bit
-    the conditional's.
+    With z = (mu_x - log(-k/c))/sig_x, the conditional is
+    (c*E[e^X]*Phi(z + sig_x) + k*Phi(z)) / Phi(z).  dz/dc = 1/(c*sig_x); the
+    numerator has derivative E[e^X]*Phi(z + sig_x) (the phi terms cancel,
+    E[e^X]*phi(z + sig_x) = -k*phi(z)/c), so its second derivative is
+    -k*phi(z)/(c^2*sig_x).
     """
     c = np.asarray(c, dtype=float)
     k = np.asarray(k, dtype=float)

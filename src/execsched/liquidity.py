@@ -88,8 +88,18 @@ from .dp import (
     _scalar_stage_solve,
     _scan_newton,
     _SplineCont,
+    _whole_residual,
 )
-from .kernels import GH_MAX_ORDER, gauss_hermite, mills_psi, mills_psi_derivs, mills_psi_prime
+
+# bench/tracing.py wraps ``mills_psi_prime`` under this module's name, so it
+# stays importable from it though unused here.
+from .kernels import (  # noqa: F401
+    GH_MAX_ORDER,
+    gauss_hermite,
+    mills_psi,
+    mills_psi_derivs,
+    mills_psi_prime,
+)
 from .models import Liquidity, MarketState, _certainty_equivalent_path
 
 __all__ = ["solve_liquidity"]
@@ -274,17 +284,13 @@ class _Penultimate:
             ) * dpsi
         return np.einsum("nk,nk->n", over_z / _SQRT_PI, gauss_w)
 
-    def _expected_block(self, trades, resids, nodes, derivative):
+    def _expected_block(self, trades, resids, nodes):
         _, gauss_w, u = self._tensor(trades, resids, nodes)
-        psi = mills_psi(u) @ self.z_weights
-        dpsi = mills_psi_prime(u) @ self.z_weights if derivative else None
-        return self._terminal(resids, nodes, gauss_w, psi, dpsi)
+        return self._terminal(resids, nodes, gauss_w, mills_psi(u) @ self.z_weights)
 
-    def expected_terminal(self, trades, resids, *, derivative: bool = False) -> np.ndarray:
-        """E over (eta, eps) of V_T(P', O', resid), or of dV_T/dW."""
-        return self._blocked(
-            lambda s, r, nodes: self._expected_block(s, r, nodes, derivative), trades, resids
-        )
+    def expected_terminal(self, trades, resids) -> np.ndarray:
+        """E over (eta, eps) of V_T(P', O', resid)."""
+        return self._blocked(self._expected_block, trades, resids)
 
     def objective(self, trades, resids) -> np.ndarray:
         cost = self.stage.value(trades, trades)
@@ -401,9 +407,11 @@ def _penultimate_pass(
     )
     # dV/dW is the expected terminal slope Newton carried, except where the
     # whole residual trades: then it is the stage cost's s-derivative
-    pinned = (s >= ub) & (ub >= w_nodes * (1.0 - 1e-12))
-    vd = np.where(pinned, pen.stage.ds_dss(s, w_nodes)[0], report.carried[1])
-    slope0 = pen.stage.slope_at_origin(float(pen.expected_terminal(0.0, 0.0, derivative=True)[0]))
+    vd = np.where(
+        _whole_residual(s, ub, w_nodes), pen.stage.ds_dss(s, w_nodes)[0], report.carried[1]
+    )
+    # at the origin the terminal slope comes out of the same pass as J
+    slope0 = pen.stage.slope_at_origin(float(pen.objective_derivs(0.0, 0.0)[3][0]))
     return s, v, vd, slope0, _newton_diagnostics(report, stage)[0]
 
 

@@ -1,6 +1,7 @@
 """Helpers shared by the tests: finite-difference checks, bench configs and
-reference values, a cap on the exact-residual stage re-solves, and two
-oracles that the package does not need: the truncated-normal mean and the
+reference values, a cap on the exact-residual stage re-solves, and three
+oracles that the package does not need: the truncated-normal mean, the
+liquidity stage T-1 terminal slope on its own pass, and the
 enumerated-schedule search."""
 import dataclasses
 import importlib.util
@@ -13,7 +14,7 @@ import numpy as np
 from execsched import cli, dp, gbm, liquidity, simulate
 from execsched.attribution import _check_formulation, _residual_ladder
 from execsched.dp import ConfigError, Schedule, _MillsStage
-from execsched.kernels import Gaussian, _mills_g, mills_psi
+from execsched.kernels import Gaussian, _mills_g, mills_psi, mills_psi_prime
 from execsched.models import Ar1Extra, Benchmark
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
@@ -84,6 +85,23 @@ def truncated_mean_positive(y: Gaussian) -> float:
     if u >= 0.0:
         return y.mu + y.sigma * _mills_g(u)
     return y.sigma * mills_psi(u)
+
+
+def expected_terminal_slope(pen, trades, resids) -> np.ndarray:
+    """E over (eta, eps) of dV_T/dW at the terminal residuals ``resids`` left
+    after ``trades``, for a liquidity stage T-1 ``pen`` (``liquidity._Penultimate``).
+
+    Its own pass over the blocked tensor: the volume-node sums of psi(u) and
+    psi'(u), each from its own kernel call, through ``pen._terminal``.  The
+    solver takes the slope from the derivative pass instead.
+    """
+
+    def block(s, r, nodes):
+        _, gauss_w, u = pen._tensor(s, r, nodes)
+        psi = mills_psi(u) @ pen.z_weights
+        return pen._terminal(r, nodes, gauss_w, psi, mills_psi_prime(u) @ pen.z_weights)
+
+    return pen._blocked(block, trades, resids)
 
 
 #: Candidate-count ceiling for the enumerated oracle's closed objective.

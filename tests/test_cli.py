@@ -24,7 +24,6 @@ from execsched.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     SchemaError,
-    canonical_json,
     main,
     validate_config,
 )
@@ -60,9 +59,10 @@ def _bench_doc(**over):
 class TestConfigValidation:
     def test_canonical_form_is_a_fixed_point(self):
         cfg = validate_config(_bench_doc())
-        again = validate_config(json.loads(canonical_json(cfg)))
+        text = json.dumps(cfg, indent=2, sort_keys=True)
+        again = validate_config(json.loads(text))
         assert again == cfg
-        assert canonical_json(again) == canonical_json(cfg)
+        assert json.dumps(again, indent=2, sort_keys=True) == text
 
     @pytest.mark.parametrize(
         "mutate, path",
@@ -292,7 +292,8 @@ class TestSolve:
         # liquidity stage T-1 and the percentage law's
         runs = [(_bench_doc(formulation="complex"), 1)]
         for model, value in (("liquidity", 20.0), ("linear_percentage", 0.05)):
-            cfg = json.loads(canonical_json(bench_solve_config(model, value)))
+            cfg = bench_solve_config(model, value)
+            cfg = json.loads(json.dumps(cfg, indent=2, sort_keys=True))
             runs += [(cfg, 1), (cfg, 2)]
         for k, (doc, newton_iters) in enumerate(runs):
             cap_resolves(monkeypatch, newton_iters)
@@ -305,7 +306,8 @@ class TestSolve:
     def test_unsettled_grid_stage_exits_3(self, tmp_path, capsys):
         # the bench's complex benchmark solve (theta 3, T=10) with Newton
         # capped at 4 iterations leaves grid nodes of its first stage moving
-        cfg = json.loads(canonical_json(bench_solve_config("benchmark", 3.0)))
+        cfg = bench_solve_config("benchmark", 3.0)
+        cfg = json.loads(json.dumps(cfg, indent=2, sort_keys=True))
         cfg["solver"] = {**(cfg["solver"] or {}), "newton_iters": 4}
         rc = main(["solve", _write_json(tmp_path, "c.json", cfg), "--output-dir", str(tmp_path)])
         assert rc == EXIT_SOLVER

@@ -923,6 +923,45 @@ class TestComplexSolvesPinned:
         assert calls == [m * t for t in range(9, 0, -1)] + [1] * resolves
 
 
+
+class TestQuadratureSolvesPinned:
+    # sha256 of the quadrature solvers' output, recorded before their value
+    # kernels became views of the derivative kernels; any change that moves
+    # a bit of it shows here
+    @staticmethod
+    def _bench(model, value, solve):
+        cfg = bench_solve_config(model, value)
+        params, horizon, state = cli.build_model(cfg), cli.build_horizon(cfg), cli.build_state(cfg)
+        return _digests(*solve(params, horizon, state, RecursionConfig(**(cfg["solver"] or {}))))
+
+    def test_liquidity_bench(self):
+        assert self._bench("liquidity", 20.0, solve_liquidity) == {
+            "stages": "ba6ebc7833ac7d626ff3846d0f67fe71c4914b9cebcd467ccf0a905c299aa2a0",
+            "schedule": "10e8536c7a34270205d82cb6db5ad92fa04a6c0acfc643889cef3c9e01bdbc70",
+            "value_samples": "39f564fcf12ee0d74ba5e81270a4cc64a5627b6d79009f21c88ceadf0c1fb7c8",
+        }
+
+    def test_liquidity_three_stage(self):
+        # stage T-1 on the fine mesh, then the grid recursion
+        params = Liquidity(
+            alpha=0.01, theta=0.05, gamma=0.02, rho=0.9, sigma_eps=0.5, sigma_eta=10.0
+        )
+        state, cfg = MarketState(price=100.0, aux=50.0), RecursionConfig(grid_nodes=16)
+        got = _digests(*solve_liquidity(params, Horizon(3, 20.0), state, cfg))
+        assert got == {
+            "stages": "8faede59abfeab4ba4ce5c8a5829d76fb1cd499f373b7547cacadf6d5eebbd1a",
+            "schedule": "d1b505f5ef2e9d893fac3b3c6a465ea5ef8061f369dcbc42bd54b33209a539a8",
+            "value_samples": "0e6fcffe3214f9b58ef077acf40a5f0f8c035f62b89239961dc76832b0a7436d",
+        }
+
+    def test_linear_percentage_bench(self):
+        assert self._bench("linear_percentage", 0.05, solve_gbm_simple) == {
+            "stages": "0e7b0e78b563b363b543a7b086877b5963cd6f73e2e267a47ae72ea60668d687",
+            "schedule": "5946c76f8407295f4ef05ee06493a67db6df4a1471a3000164c588355c0d9df0",
+            "value_samples": "f00166722123f4addc9e0c2f88c83135973550d8f848bac61c822c9a73a907ec",
+        }
+
+
 class TestSolverDiagnostics:
     def _check_newton(self, diag, cfg):
         assert 0 < diag["newton_iterations"] < cfg.newton_iters

@@ -71,10 +71,13 @@ class TestMillsPsi:
         np.testing.assert_allclose(mills_psi(u), [mills_psi(x) for x in u], rtol=1e-14)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            mills_psi(float("nan"))
-        with pytest.raises(ValueError):
-            mills_psi(np.array([1.0, float("inf")]))
+        # psi' and psi'' are views of mills_psi_derivs, so they raise as psi does
+        for f in (mills_psi, mills_psi_prime, _mills_psi_second):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    f(bad)
+                with pytest.raises(ValueError, match="finite"):
+                    f(np.array([1.0, bad]))
 
     @given(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0))
     def test_monotone_nondecreasing(self, a, b):

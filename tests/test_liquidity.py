@@ -31,7 +31,7 @@ from execsched.dp import (
     SolverError,
 )
 from execsched.kernels import mills_psi
-from execsched.dp import _TerminalMills
+from execsched.dp import _TerminalMills, _whole_residual
 from execsched.liquidity import (
     _NODE_PANEL_ORDER,
     _make_penultimate,
@@ -39,7 +39,12 @@ from execsched.liquidity import (
 )
 from execsched.models import Liquidity, MarketState
 from execsched.simulate import SimConfig, simulate_paths
-from support import bench_reference, bench_solve_config, central_differences
+from support import (
+    bench_reference,
+    bench_solve_config,
+    central_differences,
+    expected_terminal_slope,
+)
 
 SPEC_PARAMS = Liquidity(
     alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5, sigma_eta=10.0
@@ -266,7 +271,7 @@ class TestPriceNodeWindow:
             return (
                 pen.objective(trades, resids),
                 *pen.objective_derivs(trades, resids),
-                pen.expected_terminal(trades, extra, derivative=True),
+                expected_terminal_slope(pen, trades, extra),
             )
 
         windowed = evaluate()
@@ -485,15 +490,15 @@ class TestEvaluateOnce:
         assert report.settled.all() and report.pinned.any() and not report.pinned.all()
         value, slope = report.carried
         assert self._close(value, pen.objective(s, w))
-        assert self._close(slope, pen.expected_terminal(s, w - s, derivative=True))
+        assert self._close(slope, expected_terminal_slope(pen, s, w - s))
 
     def test_stage_pass_values_and_slopes_match_fresh_evaluations(self):
         pen, w = self._pen(), self.W
         s, v, vd, _, _ = liquidity._penultimate_pass(pen, w, RecursionConfig(), 1)
         assert self._close(v, pen.objective(s, w))
-        free = ~((s >= np.minimum(w, pen.cap)) & (np.minimum(w, pen.cap) >= w * (1.0 - 1e-12)))
+        free = ~_whole_residual(s, np.minimum(w, pen.cap), w)
         assert free.any()
-        assert self._close(vd[free], pen.expected_terminal(s, w - s, derivative=True)[free])
+        assert self._close(vd[free], expected_terminal_slope(pen, s, w - s)[free])
 
     def test_scan_wins_take_the_slope_of_one_more_evaluation(self):
         from execsched.dp import _scan_newton
@@ -513,7 +518,7 @@ class TestEvaluateOnce:
         assert np.all(v == -1e300)
         assert calls[-1] == w.size
         _, slope = report.carried
-        assert self._close(slope, pen.expected_terminal(s, w - s, derivative=True))
+        assert self._close(slope, expected_terminal_slope(pen, s, w - s))
 
 
 def _widths(monkeypatch, width):
@@ -530,7 +535,7 @@ class TestBlockPool:
             pen.objective(trades, resids),
             *pen.objective_derivs(trades, resids),
             pen.expected_terminal(trades, resids - trades),
-            pen.expected_terminal(trades, resids - trades, derivative=True),
+            expected_terminal_slope(pen, trades, resids - trades),
         )
 
     @given(
@@ -592,7 +597,7 @@ class TestBlockPool:
 
         pen = dataclasses.replace(pen, map=counting_map)
         pen.objective(np.array([5.0]), np.array([20.0]))
-        pen.expected_terminal(0.0, 0.0, derivative=True)
+        expected_terminal_slope(pen, 0.0, 0.0)
         assert mapped == []
         w = np.repeat(np.geomspace(0.02, 20.0, 64), 9)
         trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 64)
