@@ -1,8 +1,9 @@
 """Helpers shared by the tests: finite-difference checks, bench configs and
-reference values, a cap on the exact-residual stage re-solves, and three
-oracles that the package does not need: the truncated-normal mean, the
-liquidity stage T-1 terminal slope on its own pass, and the
-enumerated-schedule search."""
+reference values, a cap on the exact-residual stage re-solves, and oracles
+that the package does not need: the truncated-normal mean, the plain
+expressions of psi', psi'', the Gauss-Hermite mixture ratio and the
+lognormal-shift ratio, the liquidity stage T-1 terminal slope on its own
+pass, and the enumerated-schedule search."""
 import dataclasses
 import importlib.util
 import math
@@ -10,11 +11,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 from execsched import cli, dp, gbm, liquidity, simulate
 from execsched.attribution import _check_formulation, _residual_ladder
 from execsched.dp import ConfigError, Schedule, _MillsStage
-from execsched.kernels import Gaussian, _mills_g, mills_psi, mills_psi_prime
+from execsched.kernels import Gaussian, _hermgauss_cached, _mills_g, _mixture_pieces, mills_psi
 from execsched.models import Ar1Extra, Benchmark
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
@@ -87,19 +89,67 @@ def truncated_mean_positive(y: Gaussian) -> float:
     return y.sigma * mills_psi(u)
 
 
+# The plain expressions of the quantities that the kernels write once, in
+# their derivative kernels, with in-place buffers and shared sums.  Each is
+# operation for operation what the kernel does, so the kernel's output is
+# bit for bit theirs.
+
+
+def psi_prime_oracle(u):
+    """psi'(u) = 1 - u*G - G^2 with G = phi/Phi."""
+    u = np.asarray(u, dtype=float)
+    g = _mills_g(u)
+    out = 1.0 - u * g - g * g
+    return out if np.ndim(out) else float(out)
+
+
+def psi_second_oracle(u):
+    """psi''(u) = -G - u*G' - 2*G*G' with G' = -G(u + G)."""
+    u = np.asarray(u, dtype=float)
+    g = _mills_g(u)
+    gp = -g * (u + g)
+    out = -g - u * gp - 2.0 * g * gp
+    return out if np.ndim(out) else float(out)
+
+
+def mixture_ratio_oracle(mu_x, sig_x, mu_y, sig_y, k, order: int = 64):
+    """E[e^X Y + k | e^X Y + k > 0] as the quotient of two Gauss-Hermite sums
+    over X, of the numerator and the conditioning probability."""
+    nodes, weights = _hermgauss_cached(int(order))
+    xv = mu_x + sig_x * np.sqrt(2.0) * nodes
+    mu_y, sig_y, k = np.broadcast_arrays(
+        np.asarray(mu_y, dtype=float), np.asarray(sig_y, dtype=float), np.asarray(k, dtype=float)
+    )
+    n, q = _mixture_pieces(
+        xv.reshape((-1,) + (1,) * mu_y.ndim), mu_y[None], sig_y[None], k[None]
+    )[:2]
+    w = weights.reshape((-1,) + (1,) * mu_y.ndim) / np.sqrt(np.pi)
+    return (w * n).sum(axis=0) / (w * q).sum(axis=0)
+
+
+def lognormal_shift_oracle(mu_x, sig_x, c, k):
+    """E[c e^X + k | c e^X + k > 0] in closed form: the event is {X > log(-k/c)}."""
+    c = np.asarray(c, dtype=float)
+    k = np.asarray(k, dtype=float)
+    z = (mu_x - np.log(-k / c)) / sig_x
+    pr = ndtr(z)
+    out = (c * np.exp(mu_x + 0.5 * sig_x * sig_x) * ndtr(z + sig_x) + k * pr) / pr
+    return out if out.ndim else float(out)
+
+
 def expected_terminal_slope(pen, trades, resids) -> np.ndarray:
     """E over (eta, eps) of dV_T/dW at the terminal residuals ``resids`` left
     after ``trades``, for a liquidity stage T-1 ``pen`` (``liquidity._Penultimate``).
 
     Its own pass over the blocked tensor: the volume-node sums of psi(u) and
-    psi'(u), each from its own kernel call, through ``pen._terminal``.  The
+    psi'(u), psi' from its plain expression, through ``pen._terminal``.  The
     solver takes the slope from the derivative pass instead.
     """
 
     def block(s, r, nodes):
         _, gauss_w, u = pen._tensor(s, r, nodes)
         psi = mills_psi(u) @ pen.z_weights
-        return pen._terminal(r, nodes, gauss_w, psi, mills_psi_prime(u) @ pen.z_weights)
+        return pen._terminal(r, nodes, gauss_w, psi, psi_prime_oracle(u) @ pen.z_weights)
 
     return pen._blocked(block, trades, resids)
 

@@ -881,8 +881,9 @@ def _digests(schedule, table):
 class TestComplexSolvesPinned:
     # sha256 of the solver output, recorded with every stage solve on one
     # Newton exit rule and the one-formula Mills kernel, and the AR(1) shifts
-    # read from the law's move along the zero-noise walk; any change that
-    # moves a bit of it shows here
+    # read from the law's move along the zero-noise walk; the quadrature
+    # solvers' digests were recorded before their value kernels became views
+    # of the derivative kernels.  Any change that moves a bit of it shows here
     def test_benchmark_complex(self):
         params = Benchmark(theta=3.0, sigma_eps=1.0)
         got = _digests(*solve_benchmark_complex(params, Horizon(10, 100.0)))
@@ -900,6 +901,43 @@ class TestComplexSolvesPinned:
             "schedule": "768dd4c39c97e777d0a728177af6eff3eef7b5e68955d0431ca4d7e2b3a9bd6d",
             "value_samples": "d5714713c50f6edeef3ed564a19bffb616d405337a8535f554173dbe9466ab8e",
         }
+
+    @pytest.mark.parametrize(
+        "case, pins",
+        [
+            ("liquidity", (
+                "ba6ebc7833ac7d626ff3846d0f67fe71c4914b9cebcd467ccf0a905c299aa2a0",
+                "10e8536c7a34270205d82cb6db5ad92fa04a6c0acfc643889cef3c9e01bdbc70",
+                "39f564fcf12ee0d74ba5e81270a4cc64a5627b6d79009f21c88ceadf0c1fb7c8",
+            )),
+            ("liquidity_three_stage", (
+                "8faede59abfeab4ba4ce5c8a5829d76fb1cd499f373b7547cacadf6d5eebbd1a",
+                "d1b505f5ef2e9d893fac3b3c6a465ea5ef8061f369dcbc42bd54b33209a539a8",
+                "0e6fcffe3214f9b58ef077acf40a5f0f8c035f62b89239961dc76832b0a7436d",
+            )),
+            ("linear_percentage", (
+                "0e7b0e78b563b363b543a7b086877b5963cd6f73e2e267a47ae72ea60668d687",
+                "5946c76f8407295f4ef05ee06493a67db6df4a1471a3000164c588355c0d9df0",
+                "f00166722123f4addc9e0c2f88c83135973550d8f848bac61c822c9a73a907ec",
+            )),
+        ],
+    )
+    def test_quadrature_solves(self, case, pins):
+        # the bench configs, and liquidity stage T-1 on the fine mesh followed
+        # by the grid recursion
+        if case == "liquidity_three_stage":
+            params = Liquidity(
+                alpha=0.01, theta=0.05, gamma=0.02, rho=0.9, sigma_eps=0.5, sigma_eta=10.0
+            )
+            args = (params, Horizon(3, 20.0), MarketState(price=100.0, aux=50.0))
+            cfg = RecursionConfig(grid_nodes=16)
+        else:
+            bench = bench_solve_config(case, 0.05 if case == "linear_percentage" else 20.0)
+            args = cli.build_model(bench), cli.build_horizon(bench), cli.build_state(bench)
+            cfg = RecursionConfig(**(bench["solver"] or {}))
+        solve = solve_gbm_simple if case == "linear_percentage" else solve_liquidity
+        got = _digests(*solve(*args, cfg))
+        assert got == dict(zip(("stages", "schedule", "value_samples"), pins))
 
     def test_ar1_complex_runs_one_grid_solve_per_stage(self, monkeypatch):
         import execsched.dp as dp
@@ -921,45 +959,6 @@ class TestComplexSolvesPinned:
         resolves = sum(w > 0.0 for w in sched.residuals[:9])
         assert resolves > 0
         assert calls == [m * t for t in range(9, 0, -1)] + [1] * resolves
-
-
-
-class TestQuadratureSolvesPinned:
-    # sha256 of the quadrature solvers' output, recorded before their value
-    # kernels became views of the derivative kernels; any change that moves
-    # a bit of it shows here
-    @staticmethod
-    def _bench(model, value, solve):
-        cfg = bench_solve_config(model, value)
-        params, horizon, state = cli.build_model(cfg), cli.build_horizon(cfg), cli.build_state(cfg)
-        return _digests(*solve(params, horizon, state, RecursionConfig(**(cfg["solver"] or {}))))
-
-    def test_liquidity_bench(self):
-        assert self._bench("liquidity", 20.0, solve_liquidity) == {
-            "stages": "ba6ebc7833ac7d626ff3846d0f67fe71c4914b9cebcd467ccf0a905c299aa2a0",
-            "schedule": "10e8536c7a34270205d82cb6db5ad92fa04a6c0acfc643889cef3c9e01bdbc70",
-            "value_samples": "39f564fcf12ee0d74ba5e81270a4cc64a5627b6d79009f21c88ceadf0c1fb7c8",
-        }
-
-    def test_liquidity_three_stage(self):
-        # stage T-1 on the fine mesh, then the grid recursion
-        params = Liquidity(
-            alpha=0.01, theta=0.05, gamma=0.02, rho=0.9, sigma_eps=0.5, sigma_eta=10.0
-        )
-        state, cfg = MarketState(price=100.0, aux=50.0), RecursionConfig(grid_nodes=16)
-        got = _digests(*solve_liquidity(params, Horizon(3, 20.0), state, cfg))
-        assert got == {
-            "stages": "8faede59abfeab4ba4ce5c8a5829d76fb1cd499f373b7547cacadf6d5eebbd1a",
-            "schedule": "d1b505f5ef2e9d893fac3b3c6a465ea5ef8061f369dcbc42bd54b33209a539a8",
-            "value_samples": "0e6fcffe3214f9b58ef077acf40a5f0f8c035f62b89239961dc76832b0a7436d",
-        }
-
-    def test_linear_percentage_bench(self):
-        assert self._bench("linear_percentage", 0.05, solve_gbm_simple) == {
-            "stages": "0e7b0e78b563b363b543a7b086877b5963cd6f73e2e267a47ae72ea60668d687",
-            "schedule": "5946c76f8407295f4ef05ee06493a67db6df4a1471a3000164c588355c0d9df0",
-            "value_samples": "f00166722123f4addc9e0c2f88c83135973550d8f848bac61c822c9a73a907ec",
-        }
 
 
 class TestSolverDiagnostics:

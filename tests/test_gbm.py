@@ -25,7 +25,12 @@ from execsched.kernels import (
     _mixture_expectation_gh,
 )
 from execsched.models import LinearPercentage, MarketState
-from support import bench_solve_config, central_differences
+from support import (
+    bench_solve_config,
+    central_differences,
+    lognormal_shift_oracle,
+    mixture_ratio_oracle,
+)
 
 EPS = np.finfo(float).eps
 
@@ -222,10 +227,11 @@ class TestPremiumDerivatives:
     def test_mixture_branch_matches_central_differences(self, mu_x, sig_x, mu_y, sig_y, k):
         order = 64
         value, d1, d2 = _mixture_derivs_gh(mu_x, sig_x, mu_y, sig_y, k, order)
-        assert value == _mixture_expectation_gh(mu_x, sig_x, mu_y, sig_y, k, order)
+        assert value == mixture_ratio_oracle(mu_x, sig_x, mu_y, sig_y, k, order)
+        assert _mixture_expectation_gh(mu_x, sig_x, mu_y, sig_y, k, order) == value
 
         def f(m):
-            return float(_mixture_expectation_gh(mu_x, sig_x, m, sig_y, k, order))
+            return float(mixture_ratio_oracle(mu_x, sig_x, m, sig_y, k, order))
 
         def f1(m):
             return float(_mixture_derivs_gh(mu_x, sig_x, m, sig_y, k, order)[1])
@@ -252,10 +258,11 @@ class TestPremiumDerivatives:
     @settings(max_examples=60, deadline=None)
     def test_gamma_zero_branch_matches_central_differences(self, mu_x, sig_x, c, k):
         value, d1, d2 = _lognormal_shift_derivs(mu_x, sig_x, c, k)
-        assert value == _lognormal_shift_conditional(mu_x, sig_x, c, k)
+        assert value == lognormal_shift_oracle(mu_x, sig_x, c, k)
+        assert _lognormal_shift_conditional(mu_x, sig_x, c, k) == value
 
         def f(m):
-            return float(_lognormal_shift_conditional(mu_x, sig_x, m, k))
+            return float(lognormal_shift_oracle(mu_x, sig_x, m, k))
 
         def f1(m):
             return float(_lognormal_shift_derivs(mu_x, sig_x, m, k)[1])

@@ -27,7 +27,12 @@ from execsched.kernels import (
     mills_psi_prime,
     nln_mixture_expectation,
 )
-from support import truncated_mean_positive
+from support import (
+    mixture_ratio_oracle,
+    psi_prime_oracle,
+    psi_second_oracle,
+    truncated_mean_positive,
+)
 
 
 class TestMillsPsi:
@@ -209,12 +214,16 @@ class TestFusedDerivatives:
     @given(_FINITE_FLOATS)
     @settings(max_examples=300)
     def test_match_separate_calls_bit_for_bit(self, u):
-        # |u| near the float limit overflows u*G in both forms alike
+        # psi' and psi'' against their plain expressions, which the in-place
+        # buffers must reproduce; |u| near the float limit overflows u*G in
+        # both forms alike
         with np.errstate(over="ignore", invalid="ignore"):
             p0, d1, d2 = mills_psi_derivs(u)
             assert np.array_equal(_bits(p0), _bits(mills_psi(u)))
-            assert np.array_equal(_bits(d1), _bits(mills_psi_prime(u)))
-            assert np.array_equal(_bits(d2), _bits(_mills_psi_second(u)))
+            assert np.array_equal(_bits(d1), _bits(psi_prime_oracle(u)))
+            assert np.array_equal(_bits(d2), _bits(psi_second_oracle(u)))
+            assert np.array_equal(_bits(mills_psi_prime(u)), _bits(d1))
+            assert np.array_equal(_bits(_mills_psi_second(u)), _bits(d2))
             none, e1, e2 = mills_psi_derivs(u, with_psi=False)
             assert none is None
             assert np.array_equal(_bits(e1), _bits(d1))
@@ -250,8 +259,8 @@ class TestFusedDerivatives:
         assert np.array_equal(_bits(u), _bits(before))
         assert all(a.shape == u.shape for a in (p0, d1, d2))
         assert np.array_equal(_bits(p0), _bits(mills_psi(u)))
-        assert np.array_equal(_bits(d1), _bits(mills_psi_prime(u)))
-        assert np.array_equal(_bits(d2), _bits(_mills_psi_second(u)))
+        assert np.array_equal(_bits(d1), _bits(psi_prime_oracle(u)))
+        assert np.array_equal(_bits(d2), _bits(psi_second_oracle(u)))
         # and element for element the scalar call's
         scalar = np.array([mills_psi_derivs(float(v)) for v in u.ravel()])
         assert np.array_equal(_bits(np.stack([p0, d1, d2], axis=-1).reshape(-1, 3)), _bits(scalar))
@@ -262,7 +271,8 @@ class TestFusedDerivatives:
         p0, d1, d2 = mills_psi_derivs(-3.0)
         assert all(isinstance(v, float) for v in (p0, d1, d2))
         assert p0 == mills_psi(-3.0)
-        assert d1 == mills_psi_prime(-3.0) and d2 == _mills_psi_second(-3.0)
+        assert d1 == psi_prime_oracle(-3.0) and d2 == psi_second_oracle(-3.0)
+        assert mills_psi_prime(-3.0) == d1 and _mills_psi_second(-3.0) == d2
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -405,6 +415,7 @@ class TestMixtureExpectation:
         k = np.array([-0.8, -1.0])
         out = _mixture_expectation_gh(0.0, 0.2, my, sy, k)
         assert out.shape == (2,)
+        assert np.array_equal(_bits(out), _bits(mixture_ratio_oracle(0.0, 0.2, my, sy, k)))
         single = _mixture_expectation_gh(0.0, 0.2, 2.0, 1.0, -1.0)
         assert out[1] == pytest.approx(float(single), rel=1e-14)
 
