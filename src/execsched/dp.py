@@ -356,32 +356,25 @@ class _MillsStage:
 
 
 class _TerminalMills:
-    """Exact terminal value r * beta * psi((theta*r + alpha)/beta) and derivatives.
+    """Exact terminal value V_T(r) = r * beta * psi((theta*r + alpha)/beta) and derivatives.
 
-    It is also the continuation of the stage before the forced last one.
-    ``alpha`` may hold one value per column, as in :class:`_MillsStage`.
+    The forced last stage trades the whole residual r, so V_T is the
+    trade-weighted :class:`_MillsStage` cost at s = w = r and this class only
+    views it.  It is also the continuation of the stage before the forced
+    last one.  ``alpha`` may hold one value per column, as in
+    :class:`_MillsStage`.
     """
 
     def __init__(self, theta: float, alpha, beta: float):
-        self.theta = theta
-        self.alpha = alpha
-        self.beta = beta
+        self.stage = _MillsStage(theta, alpha, beta, False)
         self.slope_at_origin = self.d_dd(0.0)[0]
 
-    def _u(self, r, col=None):
-        alpha = self.alpha if col is None else self.alpha[col]
-        return (self.theta * r + alpha) / self.beta
-
     def value(self, r, col=None):
-        return r * self.beta * mills_psi(self._u(r, col))
+        return self.stage.value(r, r, col)
 
     def d_dd(self, r, col=None):
         """The value's first two r-derivatives from one Mills kernel evaluation."""
-        p0, p1, p2 = mills_psi_derivs(self._u(r, col))
-        return (
-            self.beta * p0 + r * self.theta * p1,
-            2.0 * self.theta * p1 + r * (self.theta * self.theta / self.beta) * p2,
-        )
+        return self.stage.ds_dss(r, r, col)
 
 
 class _SplineCont:
@@ -737,7 +730,8 @@ def _quadrature_drift(value: float, doubled: float, stage, order: int, doubled_t
     """Relative change of a stage objective re-evaluated at doubled quadrature.
 
     Above 1e-6 it raises ResolutionWarning: the objective at ``order`` is
-    not resolved to the accuracy the solvers publish.
+    not resolved to the accuracy the solvers publish.  Solvers call it
+    directly, so the warning names the line that called the solver.
     """
     rel = abs(doubled - value) / max(abs(value), 1e-300)
     if rel > 1e-6:
@@ -745,7 +739,7 @@ def _quadrature_drift(value: float, doubled: float, stage, order: int, doubled_t
             f"stage {stage} objective moved {rel:.3e} relative under quadrature "
             f"order doubling ({order}->{doubled_to}); increase quad_order",
             ResolutionWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     return rel
 

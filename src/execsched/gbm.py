@@ -18,9 +18,11 @@ come from its ``step`` at zero noise.  The premium depends on the trade only
 through the mean of Y, so its first two trade derivatives come in closed form
 from the same Gauss-Hermite pieces as its value, and every stage, on the grid
 and in the certainty-equivalent re-solve, runs the shared safeguarded Newton
-on the first-order condition.  That derivative pass also returns the stage
-objective, which Newton carries out of its last evaluation, so no stage point
-is evaluated twice; and it runs the premium once per distinct mean of Y, so
+on the first-order condition.  That derivative pass is the only premium
+evaluator: it also returns the stage objective, which Newton carries out of
+its last evaluation, so no stage point is evaluated twice, and the re-solve's
+scan, the doubled-order check and the forced last stage read their values
+from it.  It runs the premium once per distinct mean of Y, so
 at the S = 0 end of every bracket once per X sample rather than once per
 grid node.  The Gauss-Hermite premium is under-resolved
 when gamma*sigma_eta is small next to sigma_B, so each re-solve evaluates its
@@ -49,7 +51,10 @@ from execsched.dp import (
     _SplineCont,
     _vec_newton,
 )
-from execsched.kernels import (
+# bench/tracing.py wraps ``_mixture_expectation_gh`` and
+# ``_lognormal_shift_conditional`` under this module's name, so they stay
+# importable from it though unused here.
+from execsched.kernels import (  # noqa: F401
     GH_MAX_ORDER,
     MixtureRegimeError,
     _lognormal_shift_conditional,
@@ -68,19 +73,6 @@ _REFINE = 2
 # Stratified X samples per stage; odd, so the middle one is the
 # certainty-equivalent state.
 _X_SAMPLES = 15
-
-
-def _stage_premium(params: LinearPercentage, s, x, ratio: float, order: int):
-    """Per-share, per-unit-P~ premium E[D | D > 0] for a stage trade s at state x.
-
-    D/P~ = e^B * Y - ratio, with Y = theta*s + alpha + beta*Z from the law's
-    move at the price ratio and x.
-    """
-    theta, alpha, sig_y = params.move(ratio, x)
-    mu_y = theta * np.asarray(s, dtype=float) + alpha
-    if sig_y == 0.0:
-        return _lognormal_shift_conditional(params.mu_B, params.sigma_B, mu_y, -ratio)
-    return _mixture_expectation_gh(params.mu_B, params.sigma_B, mu_y, sig_y, -ratio, order=order)
 
 
 def _stage_premium_derivs(params: LinearPercentage, s, x, ratio: float, order: int):
@@ -161,29 +153,22 @@ def _stage_objective(
     e_fac: float,
     cfg: RecursionConfig,
 ):
-    """(objective, foc) of s*premium + E[e^B]*cont(w - s) over s in [0, w].
+    """First-order condition of s*premium + E[e^B]*cont(w - s) over s in [0, w].
 
     Element e is residual w[e] at state x[e], continued by column col[e] of
-    ``cont``; both take trades ``s`` of the elements ``idx``.  ``foc`` gives
-    the first-order condition and its s-derivative in closed form, then the
-    objective value, bit for bit ``objective``'s, from the same premium.
+    ``cont``; the returned callable takes trades ``s`` of the elements
+    ``idx`` and gives the objective's first two s-derivatives in closed form,
+    then the objective value, all from one premium evaluation.
     """
-
-    def resid(s, idx):
-        return np.minimum(np.clip(w[idx] - s, 0.0, None), cont.x[-1])
-
-    def objective(s, idx):
-        prem = _stage_premium(params, s, x[idx], ratio, cfg.quad_order)
-        return s * prem + e_fac * cont.value(resid(s, idx), col[idx])
 
     def foc(s, idx):
         prem, d1, d2 = _stage_premium_derivs(params, s, x[idx], ratio, cfg.quad_order)
-        r = resid(s, idx)
+        r = np.minimum(np.clip(w[idx] - s, 0.0, None), cont.x[-1])
         d, dd = cont.d_dd(r, col[idx])
         value = s * prem + e_fac * cont.value(r, col[idx])
         return prem + s * d1 - e_fac * d, 2.0 * d1 + s * d2 + e_fac * dd, value
 
-    return objective, foc
+    return foc
 
 
 def _minimize_stage(
@@ -191,7 +176,7 @@ def _minimize_stage(
     w: np.ndarray,
     x: np.ndarray,
     ratio: float,
-    cont: _SplineCont | None,
+    cont: _SplineCont,
     e_fac: float,
     cfg: RecursionConfig,
     stage: int,
@@ -203,13 +188,8 @@ def _minimize_stage(
     """
     W, X = np.meshgrid(w, x, indexing="ij")
     w_flat, x_flat = W.ravel(), X.ravel()
-    if cont is None:
-        s_flat = w_flat.copy()
-        v_flat = s_flat * _stage_premium(params, s_flat, x_flat, ratio, cfg.quad_order)
-        return s_flat.reshape(W.shape), v_flat.reshape(W.shape), {}
-
     col = np.repeat(np.arange(x.size)[None, :], w.size, axis=0).ravel()
-    _, foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
+    foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
     s_flat, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, cfg.newton_iters)
     v_flat = report.carried[0]
     return s_flat.reshape(W.shape), v_flat.reshape(W.shape), _newton_diagnostics(report, stage)[0]
@@ -270,7 +250,9 @@ def solve_gbm_simple(
     stage_conts: dict[int, _SplineCont] = {}
     grid_diags: dict[int, dict] = {}
 
-    _, v_fine, _ = _minimize_stage(params, fine, stage_x[T], ratios[T - 1], None, e_fac, cfg, T)
+    # the last stage trades the whole residual
+    W, X = np.meshgrid(fine, stage_x[T], indexing="ij")
+    v_fine = W * _stage_premium_derivs(params, W, X, ratios[T - 1], cfg.quad_order)[0]
     values[T] = v_fine[oi, ce_idx[T]]
 
     v_with_zero = np.vstack([np.zeros((1, stage_x[T].size)), v_fine])
@@ -294,10 +276,10 @@ def solve_gbm_simple(
         j = ce_idx[t]
         args = (params, np.array([w]), stage_x[t][j : j + 1], np.array([j]), ratios[t - 1],
                 stage_conts[t], e_fac)
-        objective, foc = _stage_objective(*args, cfg)
-        s, v, iters = _resolve_stage(objective, foc, w, 2, cfg)
-        doubled, _ = _stage_objective(*args, doubled_cfg)
-        v_doubled = float(doubled(np.array([s]), np.array([0]))[0])
+        foc = _stage_objective(*args, cfg)
+        s, v, iters = _resolve_stage(lambda s, idx: foc(s, idx)[2], foc, w, 2, cfg)
+        doubled = _stage_objective(*args, doubled_cfg)
+        v_doubled = float(doubled(np.array([s]), np.array([0]))[2][0])
         drift = _quadrature_drift(v, v_doubled, t, cfg.quad_order, doubled_cfg.quad_order)
         diagnostics.append(
             {"stage": t, **grid_diags[t], "schedule_iterations": iters, "quadrature_drift": drift}

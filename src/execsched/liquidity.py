@@ -423,14 +423,14 @@ def _penultimate_scalar(
     w: float,
     cfg: RecursionConfig,
     block_map: Callable = map,
-) -> tuple[float, int, float]:
+) -> tuple[float, int, float, float]:
     """Reported stage T-1 trade at the exact residual, with a resolution check.
 
     :func:`_resolve_stage` scans ``_SCAN_POINTS`` trades; the objective is
-    then re-evaluated at the minimizer with both quadrature orders doubled,
-    and disagreement beyond 1e-6 relative raises ResolutionWarning per the
-    documented under-resolution contract.  Returns the trade, the Newton
-    iterations used and that relative change (the quadrature drift).
+    then re-evaluated at the minimizer with both quadrature orders doubled.
+    Returns the trade, the Newton iterations used, and the objective at the
+    trade at the configured and at the doubled orders, which the solver
+    hands to :func:`_quadrature_drift`.
     """
     ub = min(w, cap)
     order = cfg.quad_order
@@ -447,8 +447,7 @@ def _penultimate_scalar(
         params, price, volume, cap, ub, 2 * order, min(2 * order, GH_MAX_ORDER)
     )
     j_doubled = float(doubled.objective(np.array([s_star]), np.array([w]))[0])
-    rel = _quadrature_drift(j_star, j_doubled, "T-1", order, 2 * order)
-    return s_star, iters, rel
+    return s_star, iters, j_star, j_doubled
 
 
 def solve_liquidity(
@@ -556,9 +555,10 @@ def solve_liquidity(
             grid_trades.append(s_pen)
             grid_values.append(v_pen)
 
-            s, iters, drift = _penultimate_scalar(
+            s, iters, j_star, j_doubled = _penultimate_scalar(
                 params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg, block_map
             )
+            drift = _quadrature_drift(j_star, j_doubled, "T-1", cfg.quad_order, 2 * cfg.quad_order)
             diagnostics.append({
                 "stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift
             })

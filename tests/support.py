@@ -16,7 +16,15 @@ from scipy.special import ndtr
 from execsched import cli, dp, gbm, liquidity, simulate
 from execsched.attribution import _check_formulation, _residual_ladder
 from execsched.dp import ConfigError, Schedule, _MillsStage
-from execsched.kernels import Gaussian, _hermgauss_cached, _mills_g, _mixture_pieces, mills_psi
+from execsched.kernels import (
+    Gaussian,
+    _hermgauss_cached,
+    _lognormal_shift_conditional,
+    _mills_g,
+    _mixture_expectation_gh,
+    _mixture_pieces,
+    mills_psi,
+)
 from execsched.models import Ar1Extra, Benchmark
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
@@ -135,6 +143,26 @@ def lognormal_shift_oracle(mu_x, sig_x, c, k):
     pr = ndtr(z)
     out = (c * np.exp(mu_x + 0.5 * sig_x * sig_x) * ndtr(z + sig_x) + k * pr) / pr
     return out if out.ndim else float(out)
+
+
+def percentage_stage_objective(params, s, w, x, col, ratio, cont, e_fac, order):
+    """The percentage-law stage objective s*premium + E[e^B]*cont(w - s), written
+    plainly on the value-only premium kernels.
+
+    D/P~ = e^B * Y - ratio with Y = theta*s + alpha + beta*Z from the law's
+    move at the price ratio and state ``x``; the residual w - s is clipped to
+    the continuation spline's reach, column ``col`` of ``cont``.
+    """
+    theta, alpha, sig_y = params.move(ratio, x)
+    mu_y = theta * np.asarray(s, dtype=float) + alpha
+    if sig_y == 0.0:
+        prem = _lognormal_shift_conditional(params.mu_B, params.sigma_B, mu_y, -ratio)
+    else:
+        prem = _mixture_expectation_gh(
+            params.mu_B, params.sigma_B, mu_y, sig_y, -ratio, order=order
+        )
+    resid = np.minimum(np.clip(w - s, 0.0, None), cont.x[-1])
+    return s * prem + e_fac * cont.value(resid, col)
 
 
 def expected_terminal_slope(pen, trades, resids) -> np.ndarray:

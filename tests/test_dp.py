@@ -36,7 +36,7 @@ from execsched.gbm import solve_gbm_simple
 from execsched.kernels import mills_psi
 from execsched.liquidity import solve_liquidity
 from execsched.models import Ar1Extra, Benchmark, Liquidity, MarketState, Spread, convexity_check
-from support import bench_solve_config, cap_resolves
+from support import bench_solve_config, cap_resolves, central_differences
 
 
 class TestHorizon:
@@ -414,6 +414,53 @@ class TestAr1Complex:
         s1, _ = solve_ar1_complex(self.params, Horizon(3, 2.0), x0=0.5)
         s2, _ = solve_ar1_complex(self.params, Horizon(3, 2.0), x0=0.5)
         assert s1.trades == s2.trades
+
+
+class TestTerminalMills:
+    # V_T(r) = r*beta*psi((theta*r + alpha)/beta), the forced last stage's
+    # trade-weighted cost, with one alpha or one per column
+    @given(
+        theta=st.floats(0.1, 5.0),
+        beta=st.floats(0.3, 3.0),
+        alpha=st.one_of(
+            st.floats(-2.0, 2.0),
+            st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4).map(np.array),
+        ),
+        r=st.floats(0.05, 10.0),
+        pick=st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_value_derivatives_and_origin_slope(self, theta, beta, alpha, r, pick):
+        from execsched.dp import _TerminalMills
+
+        term = _TerminalMills(theta, alpha, beta)
+        rs = np.linspace(0.0, r, 9)
+        if np.ndim(alpha):
+            cols = np.arange(rs.size) % alpha.size
+            col, a = pick % alpha.size, alpha[pick % alpha.size]
+            expected = rs * beta * mills_psi((theta * rs + alpha[cols]) / beta)
+        else:
+            cols = col = None
+            a = alpha
+            expected = rs * beta * mills_psi((theta * rs + alpha) / beta)
+        assert np.array_equal(_bits(term.value(rs, cols)), _bits(expected))
+        assert term.value(0.0, col) == 0.0
+        assert np.array_equal(_bits(term.slope_at_origin), _bits(beta * mills_psi(alpha / beta)))
+
+        def f(x):
+            return float(term.value(x, col))
+
+        # psi's scale in r is beta/theta; one value of f rounds its argument
+        # on the scale theta*r + |alpha| and psi = u + G differences two
+        # magnitudes near |u| in the left tail
+        h = 1e-3 * beta / theta
+        hi = r + 20.0 * h
+        psi_hi = mills_psi((theta * hi + a) / beta)
+        noise = 8.0 * np.finfo(float).eps * hi * (theta * hi + abs(a) + beta * (psi_hi + 1.0))
+        d1, tol1, d2, tol2 = central_differences(f, r, h, 10.0 * h, noise)
+        got1, got2 = term.d_dd(r, col)
+        assert abs(got1 - d1) <= tol1
+        assert abs(got2 - d2) <= tol2
 
 
 class TestApproximateRecursion:

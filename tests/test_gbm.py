@@ -7,6 +7,7 @@ gave 297.8329810025543 +/- 0.11544708565927511 against solver values
 89.24077849911055 and 297.8825316783164 (0.39 and 0.43 standard errors).
 """
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from execsched import cli, gbm
 from execsched.dp import Horizon, RecursionConfig, ResolutionWarning
-from execsched.gbm import _stage_premium, solve_gbm_simple
+from execsched.gbm import _stage_premium_derivs, solve_gbm_simple
 from execsched.kernels import (
     MixtureRegimeError,
     _lognormal_shift_conditional,
@@ -30,6 +31,7 @@ from support import (
     central_differences,
     lognormal_shift_oracle,
     mixture_ratio_oracle,
+    percentage_stage_objective,
 )
 
 EPS = np.finfo(float).eps
@@ -192,6 +194,14 @@ class TestQuadratureDrift:
             for t, d in enumerate(drifts, start=1)
         ]
 
+    def test_warning_points_at_the_caller(self):
+        pct = _params(sigma_B=0.02, gamma=0.002, rho=0.5)
+        cfg = RecursionConfig(grid_nodes=16)
+        with pytest.warns(ResolutionWarning) as record:
+            solve_gbm_simple(pct, Horizon(2, 10.0), _state(aux=0.1), cfg)
+            line = sys._getframe().f_lineno - 1
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
+
     def test_resolved_premium_is_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResolutionWarning)
@@ -300,10 +310,10 @@ class TestGlobalMinimum:
         monkeypatch.setattr(gbm, "_minimize_stage", recorded)
         _, table = solve_gbm_simple(params, horizon, state, rc)
         official = table.value_samples[0][:, 0]
-        grid_calls = [c for c in calls if c[0][4] is not None]
-        assert len(grid_calls) == horizon.T - 1
+        # the forced last stage is no grid solve
+        assert len(calls) == horizon.T - 1
         frac = np.linspace(0.0, 1.0, 401)
-        for (_, w, x, ratio, cont, e_fac, _, _), (_, v, _) in grid_calls:
+        for (_, w, x, ratio, cont, e_fac, _, _), (_, v, _) in calls:
             at = np.flatnonzero(np.isin(w, official))
             assert at.size == official.size and x.size == cont.c.shape[-1]
             # (node, X sample) pairs, X fastest, as v[at] ravels
@@ -311,9 +321,8 @@ class TestGlobalMinimum:
             col = np.tile(np.arange(x.size), at.size)
             s = w_at[:, None] * frac
             r = np.minimum(np.clip(w_at[:, None] - s, 0.0, None), cont.x[-1])
-            scan = s * _stage_premium(params, s, x_at[:, None], ratio, rc.quad_order) + (
-                e_fac * cont.value(r, col[:, None])
-            )
+            prem = _stage_premium_derivs(params, s, x_at[:, None], ratio, rc.quad_order)[0]
+            scan = s * prem + e_fac * cont.value(r, col[:, None])
             assert np.all(v[at].ravel() <= scan.min(axis=1) * (1.0 + 1e-12))
 
 
@@ -333,15 +342,16 @@ def _grid_stage_calls(monkeypatch, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
         solve_gbm_simple(params, horizon, state, rc)
-    return [c for c in calls if c[0][4] is not None]
+    return calls
 
 
 def _flat_stage(args):
-    """_stage_objective's (objective, foc) over a grid stage's flat (w, x) pairs."""
+    """A grid stage's flat (w, x, col) pairs and _stage_objective's callable over them."""
     params, w, x, ratio, cont, e_fac, cfg, _ = args
     w_flat, x_flat = (a.ravel() for a in np.meshgrid(w, x, indexing="ij"))
     col = np.tile(np.arange(x.size), w.size)
-    return w_flat, gbm._stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
+    foc = gbm._stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
+    return w_flat, x_flat, col, foc
 
 
 class TestEvaluateOnce:
@@ -354,12 +364,15 @@ class TestEvaluateOnce:
         calls = _grid_stage_calls(monkeypatch, cfg)
         assert calls
         for args, (s_grid, v_grid, _) in calls:
-            w_flat, (objective, foc) = _flat_stage(args)
-            every = np.arange(w_flat.size)
-            s, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, args[6].newton_iters)
+            params, _, _, ratio, cont, e_fac, rc, _ = args
+            w_flat, x_flat, col, foc = _flat_stage(args)
+            s, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, rc.newton_iters)
             assert np.array_equal(s, s_grid.ravel())
             (value,) = report.carried
-            assert np.array_equal(value.view(np.uint64), objective(s, every).view(np.uint64))
+            plain = percentage_stage_objective(
+                params, s, w_flat, x_flat, col, ratio, cont, e_fac, rc.quad_order
+            )
+            assert np.array_equal(value.view(np.uint64), plain.view(np.uint64))
             assert np.array_equal(v_grid.ravel().view(np.uint64), value.view(np.uint64))
 
     def test_s_zero_end_runs_the_mixture_once_per_state(self, monkeypatch):
@@ -369,7 +382,7 @@ class TestEvaluateOnce:
         pieces = kernels._mixture_pieces
         for args, _ in calls:
             x, order = args[2], args[6].quad_order
-            w_flat, (_, foc) = _flat_stage(args)
+            w_flat, _, _, foc = _flat_stage(args)
             sizes = []
 
             def counted(xv, mu_y, sig_y, k, **kwargs):

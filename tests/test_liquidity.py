@@ -172,6 +172,13 @@ class TestTwoStage:
                 SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE, RecursionConfig(quad_order=1)
             )
 
+    def test_resolution_warning_points_at_the_caller(self):
+        coarse = RecursionConfig(quad_order=1)
+        with pytest.warns(ResolutionWarning) as record:
+            solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE, coarse)
+            line = sys._getframe().f_lineno - 1
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
+
     def test_no_resolution_warning_at_default_order(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResolutionWarning)

@@ -357,10 +357,12 @@ def _gaussian_premium(law, price, aux, trade):
 
 
 def _percentage_premium(law, ratio, aux, trade):
-    """The solver's premium P~ * gbm._stage_premium (P~ = 100) and whether its
-    drift under quadrature order doubling flags the state."""
+    """The solver's premium P~ * gbm._stage_premium_derivs(...)[0] (P~ = 100) and
+    whether its drift under quadrature order doubling flags the state."""
     order = RecursionConfig().quad_order
-    prem, doubled = (gbm._stage_premium(law, trade, aux, ratio, q) for q in (order, 2 * order))
+    prem, doubled = (
+        gbm._stage_premium_derivs(law, trade, aux, ratio, q)[0] for q in (order, 2 * order)
+    )
     return 100.0 * float(prem), abs(doubled - prem) / prem > _FLAG
 
 
