@@ -324,6 +324,11 @@ def _outside_horizon_error(t, horizon: int) -> ValueError:
     )
 
 
+#: Orders whose fills ``_order_sums`` turns into Python floats at a time, so
+#: that the floats of a hundred or so orders, not of every fill, are alive at once.
+_ORDERS_PER_RUN = 128
+
+
 def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, list]:
     """Per order: quantity per interval, quantity total and executed value.
 
@@ -331,29 +336,41 @@ def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, lis
     ``cols.orders``.  Every sum takes the order's fills in file order:
     ``np.bincount`` adds in index order and the stable sort keeps each order's
     fills as they came, so the floats are those of a loop over the fills.
-    Every ``t`` must lie in 1..horizon.  An order whose quantities or fill
-    values sum beyond the float range raises ValueError naming the order.
+    The totals are ``math.fsum`` over Python floats, made for a run of
+    ``_ORDERS_PER_RUN`` orders at a time.  Every ``t`` must lie in
+    1..horizon.  An order whose quantities or fill values sum beyond the
+    float range raises ValueError naming the order.
     """
     n_orders = len(cols.orders)
-    cell = cols.order * horizon + (cols.t.astype(np.intp, copy=False) - 1)
-    by_order = np.argsort(cols.order, kind="stable")
+    cell = cols.order * horizon  # in place from here: one index array per fill
+    cell += cols.t
+    cell -= 1
     with np.errstate(over="ignore"):  # overflow to inf, silently, as Python floats do
         qty = np.bincount(cell, weights=cols.qty, minlength=n_orders * horizon)
-        qty = qty.reshape(n_orders, horizon)
-        notional = (cols.qty * cols.price)[by_order].tolist()
-    fill_qty = cols.qty[by_order].tolist()
+    del cell
+    by_order = np.argsort(cols.order, kind="stable")
     ends = np.cumsum(np.bincount(cols.order, minlength=n_orders)).tolist()
+    starts = [0, *ends[:-1]]
     totals, values = [], []
-    for (participant, side), a, b in zip(cols.orders, [0, *ends[:-1]], ends):
-        try:
-            totals.append(math.fsum(fill_qty[a:b]))
-            values.append(math.fsum(notional[a:b]))
-        except OverflowError:
-            raise ValueError(
-                f"order ({participant!r}, {side!r}): fill quantities or values "
-                "sum beyond the float range"
-            ) from None
-    return qty, totals, values
+    for lo in range(0, n_orders, _ORDERS_PER_RUN):
+        hi = min(lo + _ORDERS_PER_RUN, n_orders)
+        run = by_order[starts[lo]:ends[hi - 1]]
+        fill_qty = cols.qty[run]
+        with np.errstate(over="ignore"):
+            notional = (fill_qty * cols.price[run]).tolist()
+        fill_qty = fill_qty.tolist()
+        for k in range(lo, hi):
+            a, b = starts[k] - starts[lo], ends[k] - starts[lo]
+            try:
+                totals.append(math.fsum(fill_qty[a:b]))
+                values.append(math.fsum(notional[a:b]))
+            except OverflowError:
+                participant, side = cols.orders[k]
+                raise ValueError(
+                    f"order ({participant!r}, {side!r}): fill quantities or values "
+                    "sum beyond the float range"
+                ) from None
+    return qty.reshape(n_orders, horizon), totals, values
 
 
 def _reports(

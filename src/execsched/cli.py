@@ -530,7 +530,7 @@ def cmd_attribute(args) -> int:
     raw_ctx = _read_bytes(args.context)
     ctx_digest = hashlib.sha256(raw_ctx).hexdigest()
     context = _validate_context(_parse_json(raw_ctx, "context"))
-    fills, fills_digest = load_fills(args.fills)
+    fills, fills_digest, fills_route = load_fills(args.fills)
     formulation = args.formulation
 
     loaded = perf_counter()
@@ -589,7 +589,7 @@ def cmd_attribute(args) -> int:
         command="attribute",
         run_id=run_id,
         inputs={
-            "fills": {"path": args.fills, "sha256": fills_digest},
+            "fills": {"path": args.fills, "sha256": fills_digest, "route": fills_route},
             "context": {"path": args.context, "sha256": ctx_digest},
         },
         seed=None,

@@ -2,8 +2,9 @@
 
 Only that command imports this module.  :func:`load_fills` reads a fills file
 into the columns the attribution takes, by numpy's C tokenizer when the file
-allows it and by ``csv`` otherwise; both routes give the same columns, and
-the ``csv`` route words every error with the physical line it is on.
+allows it and by ``csv`` otherwise; both routes give the same columns, the
+``csv`` route words every error with the physical line it is on, and
+:func:`load_fills` names the route that read the file.
 """
 import csv
 import hashlib
@@ -108,13 +109,17 @@ def _first_bad_fill(cols: _FillColumns) -> int:
 # int() and float() reject, and a fixed-width string field drops trailing NULs
 _CSV_ONLY_BYTES = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x00")
 _PLAIN_HEADER = (",".join(FILLS_HEADER) + "\n").encode("ascii")
-# The plain route reads participant and side at the width of the longest line,
-# so its records take more memory the more that line outgrows the others.  A
-# fill's line holds at least 12 bytes ("1,a,buy,1,1" and a newline), so when
-# every line is about as long as the longest the records take under 4 bytes per
-# byte of the file.  A file whose records would take more than this many bytes
-# per file byte (a few very long lines among short ones) goes to the csv route,
-# whose strings take each field's own length.
+# The fewest bytes a valid fills line spends outside its participant: one-byte
+# t, qty and price, side "buy" and four commas ("1,,buy,1,1").
+_MIN_OTHER_FIELDS = len("1,,buy,1,1")
+# The plain route reads participant at the width of the longest line less
+# _MIN_OTHER_FIELDS and side at 5 bytes, so a record takes L + 19 bytes for a
+# longest line of L bytes, and the records take more memory the more that line
+# outgrows the others.  A fill's line holds at least 12 bytes ("1,a,buy,1,1"
+# and a newline), so when every line is about as long as the longest the
+# records take under 3 bytes per byte of the file.  A file whose records would
+# take more than this many bytes per file byte (a few very long lines among
+# short ones) goes to the csv route, whose strings take each field's own length.
 _PLAIN_RECORD_BYTES_PER_FILE_BYTE = 8
 
 
@@ -128,17 +133,21 @@ def _plain_fill_columns(raw: bytes) -> _FillColumns | None:
     does, skips blank lines, rejects a record that is not 5 fields wide and
     parses a number to the value ``int()``/``float()`` give or not at all, so
     the columns are those of the csv route, which words every error.
-    Participant and side are read as bytes as wide as the longest line (the
-    last one counts without a newline), so no field is cut short, and one
-    stable ``np.unique`` over each record's (participant, side) bytes codes
-    the orders.
+
+    Fixed-width fields cut what does not fit, and only invalid rows lose
+    bytes.  Side is read as 5 bytes: a longer side is neither ``buy`` nor
+    ``sell``, and its 5 kept bytes are neither either.  Participant is read as
+    wide as the longest line (the last one counts without a newline) less
+    ``_MIN_OTHER_FIELDS``: a row whose participant is wider has a field too
+    short to be valid, so it fails a check.  The participants are then copied
+    down to the widest one read, beside the sides, and one stable
+    ``np.unique`` over those (participant, side) keys codes the orders.
     """
     body = np.frombuffer(raw, np.uint8, offset=len(_PLAIN_HEADER))
     lengths = np.diff(np.flatnonzero(body == ord("\n")), prepend=-1, append=len(body)) - 1
-    width = max(int(lengths.max()), 1)
     dtype = np.dtype([
-        ("t", "i8"), ("participant", f"S{width}"), ("side", f"S{width}"),
-        ("qty", "f8"), ("price", "f8"),
+        ("t", "i8"), ("participant", f"S{max(int(lengths.max()) - _MIN_OTHER_FIELDS, 1)}"),
+        ("side", "S5"), ("qty", "f8"), ("price", "f8"),
     ])
     if len(lengths) * dtype.itemsize > _PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw):
         return None
@@ -151,22 +160,26 @@ def _plain_fill_columns(raw: bytes) -> _FillColumns | None:
             )
         except (ValueError, Warning):
             return None
-    # participant and side lie side by side in a record: key each fill on
-    # their bytes, then number the keys in order of first appearance
-    pair = np.dtype({
-        "names": ["pair"], "formats": [f"V{2 * width}"],
-        "offsets": [dtype.fields["participant"][1]], "itemsize": dtype.itemsize,
-    })
-    _, first, inverse = np.unique(rec.view(pair)["pair"], return_index=True, return_inverse=True)
+    # key each fill on its participant and side bytes, the participant cut to
+    # the widest one read, then number the keys in order of first appearance
+    widest = max(int(np.char.str_len(rec["participant"]).max()), 1)
+    keys = np.empty(len(rec), [("participant", f"S{widest}"), ("side", "S5")])
+    keys["participant"] = rec["participant"]
+    keys["side"] = rec["side"]
+    t, qty, price = (rec[name].copy() for name in ("t", "qty", "price"))
+    del rec
+    _, first, inverse = np.unique(
+        keys.view(f"V{keys.itemsize}"), return_index=True, return_inverse=True
+    )
     by_first = np.argsort(first)
     cols = _FillColumns(
-        t=rec["t"].copy(),
-        qty=rec["qty"].copy(),
-        price=rec["price"].copy(),
+        t=t,
+        qty=qty,
+        price=price,
         order=np.argsort(by_first)[inverse],
         orders=tuple(
             (who.decode("ascii"), side.decode("ascii"))
-            for who, side in rec[["participant", "side"]][first[by_first]].tolist()
+            for who, side in keys[first[by_first]].tolist()
         ),
     )
     return cols if _first_bad_fill(cols) == len(cols) else None
@@ -236,8 +249,9 @@ def _csv_fill_columns(text: str) -> _FillColumns:
         csv.field_size_limit(limit)
 
 
-def _parse_fills(raw: bytes) -> _FillColumns:
-    """The columns of a fills CSV (strict header).
+def _routed_fills(raw: bytes) -> tuple[_FillColumns, str]:
+    """The columns of a fills CSV (strict header) and the route that read
+    them, ``"plain"`` or ``"csv"``.
 
     An ASCII file that starts with the header line and holds none of
     ``_CSV_ONLY_BYTES`` goes through :func:`_plain_fill_columns`; any other
@@ -253,15 +267,22 @@ def _parse_fills(raw: bytes) -> _FillColumns:
     ):
         cols = _plain_fill_columns(raw)
         if cols is not None:
-            return cols
+            return cols, "plain"
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise SchemaError("fills", f"not valid UTF-8 ({e})") from None
-    return _csv_fill_columns(text)
+    return _csv_fill_columns(text), "csv"
 
 
-def load_fills(path: str) -> tuple[_FillColumns, str]:
-    """Parse a fills CSV (strict header) into columns; also return the file digest."""
+def _parse_fills(raw: bytes) -> _FillColumns:
+    """The columns of a fills CSV (strict header), by either route."""
+    return _routed_fills(raw)[0]
+
+
+def load_fills(path: str) -> tuple[_FillColumns, str, str]:
+    """Parse a fills CSV (strict header) into columns; also return the file
+    digest and the route that read it, ``"plain"`` or ``"csv"``."""
     raw = _read_bytes(path)
-    return _parse_fills(raw), hashlib.sha256(raw).hexdigest()
+    cols, route = _routed_fills(raw)
+    return cols, hashlib.sha256(raw).hexdigest(), route

@@ -1,13 +1,15 @@
-"""Helpers shared by the tests: finite-difference checks, bench configs and
-reference values, a cap on the exact-residual stage re-solves, and oracles
-that the package does not need: the truncated-normal mean, the plain
-expressions of psi', psi'', the Gauss-Hermite mixture ratio and the
-lognormal-shift ratio, the liquidity stage T-1 terminal slope on its own
-pass, and the enumerated-schedule search."""
+"""Helpers shared by the tests: finite-difference checks, bench configs,
+markets and reference values, a cap on the exact-residual stage re-solves, a
+traced memory peak, and oracles that the package does not need: the
+truncated-normal mean, the plain expressions of psi', psi'', the
+Gauss-Hermite mixture ratio and the lognormal-shift ratio, the liquidity
+stage T-1 terminal slope on its own pass, and the enumerated-schedule
+search."""
 import dataclasses
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,26 @@ def _bench_inputs():
     inputs = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(inputs)
     return inputs
+
+
+def balanced_market(n_buyers: int, n_sellers: int, T: int, seed: int = 0):
+    """The bench's balanced market (fills CSV text, context document): every
+    participant trades at every interval, so it holds n_buyers + n_sellers
+    orders and (n_buyers + n_sellers) * T fills."""
+    rng = np.random.default_rng(seed)
+    return _bench_inputs().balanced_market(rng, n_buyers, n_sellers, T)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes it held at its peak beyond what was alive
+    before, as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def bench_solve_config(model: str, value: float) -> dict:

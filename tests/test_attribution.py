@@ -6,12 +6,14 @@ hold bitwise, not just to tolerance.  Randomized balanced fill sets check
 the zero-sum property against the audit's own notional-scaled tolerance.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from execsched import attribution
 from execsched.attribution import (
     FORMULATIONS,
     AttributionReport,
@@ -20,6 +22,8 @@ from execsched.attribution import (
     UnbalancedIntervalError,
     ZeroSumAudit,
     _adverse_moves,
+    _FillColumns,
+    _order_sums,
     _residual_ladder,
     attribute,
     impact_complex,
@@ -29,6 +33,8 @@ from execsched.attribution import (
     timing,
     zero_sum_audit,
 )
+from execsched.fills import _parse_fills
+from support import balanced_market, traced_peak
 
 
 def _buy(t, price, qty, who="self"):
@@ -574,3 +580,54 @@ class TestColumnarParity:
             zero_sum_audit(fills, [100.0, 101.0])
         with pytest.raises(ValueError, match=f"t={10**30} is outside the horizon T=1"):
             attribute(_ctx([100.0, 101.0], total=5.0), [_buy(10**30, 101.0, 5.0)])
+
+
+class TestOrderSumRuns:
+    """``_order_sums`` makes Python floats for a run of orders at a time; the
+    runs change neither a bit of its sums nor which order an error names."""
+
+    @staticmethod
+    def _columns(overflowing=()):
+        rng = np.random.default_rng(7)
+        names = [(f"b{i}", "buy") for i in range(5)] + [(f"s{i}", "sell") for i in range(5)]
+        fills = []
+        for t in range(1, 5):
+            for who, side in names:
+                for _ in range(int(rng.integers(1, 4))):
+                    price, qty = rng.uniform(100.0, 101.0), rng.uniform(0.1, 9.0)
+                    qty = 1e308 if (who, side) in overflowing else qty
+                    fills.append(Fill(t, float(price), float(qty), side, who))
+        return _FillColumns.of([fills[i] for i in rng.permutation(len(fills))])
+
+    @staticmethod
+    def _sums(monkeypatch, run, cols):
+        monkeypatch.setattr(attribution, "_ORDERS_PER_RUN", run)
+        qty, totals, values = _order_sums(cols, 4)
+        return qty.tobytes(), repr(totals), repr(values)
+
+    @pytest.mark.parametrize("run", [1, 3])
+    def test_sums_match_one_pass_bit_for_bit(self, monkeypatch, run):
+        cols = self._columns()
+        assert len(cols.orders) > 3 * run
+        assert self._sums(monkeypatch, run, cols) == self._sums(monkeypatch, 10**9, cols)
+
+    @pytest.mark.parametrize("run", [1, 3, 10**9])
+    def test_first_overflowing_order_is_named(self, monkeypatch, run):
+        overflowing = (("b2", "buy"), ("s4", "sell"))
+        cols = self._columns(overflowing)
+        # they come 9th and 4th, so in runs of 3 the first run sums cleanly
+        # and the second holds the first of them
+        assert [cols.orders.index(o) for o in overflowing] == [8, 3]
+        monkeypatch.setattr(attribution, "_ORDERS_PER_RUN", run)
+        message = r"order \('s4', 'sell'\): fill quantities or values sum beyond"
+        with pytest.raises(ValueError, match=message):
+            _order_sums(cols, 4)
+
+
+def test_audit_holds_under_48_bytes_per_fill():
+    # 600 orders: several runs of _ORDERS_PER_RUN
+    text, ctx = balanced_market(300, 300, 40)
+    cols = _parse_fills(text.encode())
+    assert len(cols.orders) > 2 * attribution._ORDERS_PER_RUN
+    peak = traced_peak(zero_sum_audit, cols, ctx["price_path"], "complex")[1]
+    assert peak <= 48 * len(cols)

@@ -28,7 +28,7 @@ from execsched.cli import (
     validate_config,
 )
 from execsched.kernels import mills_psi
-from support import bench_solve_config, cap_resolves
+from support import balanced_market, bench_solve_config, cap_resolves, traced_peak
 
 
 def _write_json(tmp_path, name, doc):
@@ -862,6 +862,41 @@ class TestFillsRoutes:
         assert "fills line 3: qty/price: not a number" in capsys.readouterr().err
         assert csv.field_size_limit() == limit
 
+    def test_participant_at_the_width_bound_stays_plain(self):
+        # the longest line is valid, every field but the participant one byte
+        # or "buy", so the participant takes all the width the route reads
+        who = "p" * 30
+        row = f"1,{who},buy,5,9"
+        raw = _fills_text(*_GOOD_FILLS, row).encode()
+        assert len(row) == max(map(len, raw.split(b"\n")))
+        assert len(row) - fills_reader._MIN_OTHER_FIELDS == len(who)
+        cols = fills_reader._plain_fill_columns(raw)
+        assert cols is not None and cols.orders[-1] == (who, "buy")
+        assert self._routes_agree(raw) == _fill_outcome(lambda raw: cols, raw)
+
+    @pytest.mark.parametrize("side", ["buyer", "sells", "bu", "sell ", "selling"])
+    def test_sides_beyond_or_short_of_the_field_are_worded_by_csv(self, side):
+        # the route reads side as 5 bytes: a longer side keeps 5 that are not a side
+        raw = _fills_text(*_GOOD_FILLS, f"2,b,{side},5,102.0").encode()
+        assert fills_reader._plain_fill_columns(raw) is None
+        assert self._routes_agree(raw) == (
+            f"fills line 6: side must be 'buy' or 'sell', got {side!r}"
+        )
+
+    def test_participant_beyond_the_bound_of_an_invalid_row_is_worded_by_csv(self):
+        # a 37-byte line: the plain route reads 27 bytes of this 30-byte name
+        who = "p" * 30
+        raw = _fills_text(*_GOOD_FILLS, f"1,{who},,5,9").encode()
+        assert len(who) > 37 - fills_reader._MIN_OTHER_FIELDS
+        assert fills_reader._plain_fill_columns(raw) is None
+        assert self._routes_agree(raw) == "fills line 6: side must be 'buy' or 'sell', got ''"
+
+    def test_plain_read_peaks_under_5_bytes_per_file_byte(self):
+        raw = balanced_market(300, 300, 40)[0].encode()
+        (cols, route), peak = traced_peak(fills_reader._routed_fills, raw)
+        assert route == "plain" and len(cols) == 600 * 40
+        assert peak <= 5 * len(raw)
+
 
 class TestJsonText:
     @given(
@@ -940,6 +975,18 @@ class TestManifestPhases:
             name = entry["path"]
             assert (a / name).read_bytes() == (b / name).read_bytes()
             assert hashlib.sha256((a / name).read_bytes()).hexdigest() == entry["sha256"]
+
+
+class TestManifestFillsRoute:
+    @pytest.mark.parametrize("newline, route", [("\n", "plain"), ("\r\n", "csv")])
+    def test_manifest_names_the_route_that_read_the_fills(self, tmp_path, newline, route):
+        # a carriage return sends the file to the csv route
+        fills = tmp_path / "fills.csv"
+        fills.write_bytes(_fills_text(*_GOOD_FILLS).replace("\n", newline).encode())
+        argv = ["attribute", str(fills), _write_json(tmp_path, "ctx.json", _ERROR_CONTEXT)]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["inputs"]["fills"]["route"] == route
 
 
 def _liquidity_doc(periods):
