@@ -215,8 +215,12 @@ def _adverse_moves(path: np.ndarray, sign: float) -> np.ndarray:
 
 
 def _residual_ladder(qty: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Pre-trade residuals W_t = S_bar - sum(S_u, u < t), shaped like qty."""
-    return total[..., None] - np.cumsum(qty, axis=-1) + qty
+    """Pre-trade residuals W_t = S_bar - sum(S_u, u < t), shaped like qty:
+    S_bar less the running sum, plus S_t, in the running sum's buffer."""
+    ladder = np.cumsum(qty, axis=-1)
+    np.subtract(total[..., None], ladder, out=ladder)
+    ladder += qty
+    return ladder
 
 
 def _weights(qty: np.ndarray, total: np.ndarray, formulation: str) -> np.ndarray:
@@ -324,8 +328,9 @@ def _outside_horizon_error(t, horizon: int) -> ValueError:
     )
 
 
-#: Orders whose fills ``_order_sums`` turns into Python floats at a time, so
-#: that the floats of a hundred or so orders, not of every fill, are alive at once.
+#: Orders that ``_order_sums`` turns into Python floats, and ``_weight_rows``
+#: weights, at a time: the floats or residual ladder of a hundred or so
+#: orders, not of every fill or order, are alive at once.
 _ORDERS_PER_RUN = 128
 
 
@@ -373,6 +378,15 @@ def _order_sums(cols: _FillColumns, horizon: int) -> tuple[np.ndarray, list, lis
     return qty.reshape(n_orders, horizon), totals, values
 
 
+def _weight_rows(qty: np.ndarray, totals, formulation: str):
+    """The rows of :func:`_weights` for orders with quantity rows ``qty`` and
+    share totals ``totals``, made for ``_ORDERS_PER_RUN`` orders at a time, so
+    that one run's residual ladder is alive, not every order's."""
+    for lo in range(0, len(qty), _ORDERS_PER_RUN):
+        run = slice(lo, lo + _ORDERS_PER_RUN)
+        yield from _weights(qty[run], np.array(totals[run]), formulation)
+
+
 def _reports(
     orders, qty: np.ndarray, totals, executed, ctx: OrderContext, formulation: str
 ) -> list[AttributionReport]:
@@ -385,8 +399,8 @@ def _reports(
     path = np.asarray(ctx.price_path)
     arrival = ctx.arrival_price
     adverse = {side: _adverse_moves(path, _check_side(side)) for side in SIDES}
-    weights = _weights(qty, np.array(totals), formulation)
     reports = []
+    weights = _weight_rows(qty, totals, formulation)
     for (participant, side), total, value, w in zip(orders, totals, executed, weights):
         _require_positive("total_shares", total)
         sf = _check_side(side) * (value - total * arrival)

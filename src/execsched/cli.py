@@ -463,11 +463,12 @@ def _stage_doc(stage) -> dict:
 
 
 def _solve_threads(model: str) -> int:
-    """Threads a solve of ``model`` runs on: the liquidity solver's block pool
-    is as wide as the CPUs the process may use; every other solver runs on one."""
-    if model != "liquidity":
+    """Threads a solve of ``model`` runs on: the block pool of the two
+    quadrature solvers (liquidity and linear_percentage) is as wide as the
+    CPUs the process may use; every other solver runs on one."""
+    if model not in ("liquidity", "linear_percentage"):
         return 1
-    return importlib.import_module("execsched.liquidity")._pool_width()
+    return importlib.import_module("execsched.dp")._pool_width()
 
 
 def cmd_solve(args) -> int:

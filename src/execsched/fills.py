@@ -145,11 +145,13 @@ def _plain_fill_columns(raw: bytes) -> _FillColumns | None:
     """
     body = np.frombuffer(raw, np.uint8, offset=len(_PLAIN_HEADER))
     lengths = np.diff(np.flatnonzero(body == ord("\n")), prepend=-1, append=len(body)) - 1
+    lines, longest = len(lengths), int(lengths.max())
+    del lengths  # one int64 per line: gone before the records are read
     dtype = np.dtype([
-        ("t", "i8"), ("participant", f"S{max(int(lengths.max()) - _MIN_OTHER_FIELDS, 1)}"),
+        ("t", "i8"), ("participant", f"S{max(longest - _MIN_OTHER_FIELDS, 1)}"),
         ("side", "S5"), ("qty", "f8"), ("price", "f8"),
     ])
-    if len(lengths) * dtype.itemsize > _PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw):
+    if lines * dtype.itemsize > _PLAIN_RECORD_BYTES_PER_FILE_BYTE * len(raw):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a file with no record only warns

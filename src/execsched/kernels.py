@@ -23,7 +23,10 @@ Each quantity has one formula, in one function.  ``mills_psi_derivs``
 returns psi, psi' and psi'' from a single G for the stage solves, working
 past G in buffers it owns, never in its argument; ``mills_psi_prime`` and
 ``_mills_psi_second`` are views of it and, like it, reject non-finite input.
-``mills_psi`` keeps a value-only body for the value-only hot loops.  The
+``mills_psi`` keeps a value-only body for the value-only hot loops.  Both
+take an optional workspace of arrays shaped like u to work in, so that a
+caller evaluating many blocks reuses one set of buffers; the bits are the
+same.  The
 Gauss-Hermite mixture expectation and its sigma_Y = 0 limit are written once
 with their first two derivatives in the mean of Y (``_mixture_derivs_gh``,
 ``_lognormal_shift_derivs``); their value-only entries return the first.
@@ -99,18 +102,19 @@ def _phi(z):
     return np.exp(-0.5 * np.square(z)) / SQRT_2PI
 
 
-def _mills_g(u):
+def _mills_g(u, out=None):
     """phi(u)/Phi(u), the lower-tail Mills ratio reciprocal, stable for all u.
 
     One formula over every element: phi/Phi = sqrt(2/pi) / erfcx(-u/sqrt(2)),
     so the e^{-u^2/2} factors cancel symbolically and nothing underflows in
     the left tail.  In the right tail erfcx(-x) = 2e^{x^2} - erfcx(x) grows
     like e^{u^2/2} and overflows to inf above u ~ 37.7, where G is exactly 0
-    (the true G there is below 1e-300); G(-inf) is inf.
+    (the true G there is below 1e-300); G(-inf) is inf.  It works in ``out``,
+    a float array of u's shape, when one is given, else in a fresh one.
     """
     u = np.asarray(u, dtype=float)
-    # -u/sqrt(2) as u/(-sqrt(2)): the same bits, in one fresh buffer
-    out = np.divide(u, -SQRT_2, out=np.empty(u.shape))
+    # -u/sqrt(2) as u/(-sqrt(2)): the same bits, in one buffer
+    out = np.divide(u, -SQRT_2, out=np.empty(u.shape) if out is None else out)
     with np.errstate(over="ignore", divide="ignore"):
         erfcx(out, out=out)
         np.divide(SQRT_2_OVER_PI, out, out=out)
@@ -142,7 +146,7 @@ def _scalar_or_array(out):
     return out if out.ndim else float(out)
 
 
-def mills_psi(u):
+def mills_psi(u, workspace=None):
     """psi(u) = u + phi(u)/Phi(u).
 
     Strictly positive and nondecreasing; psi(u) -> 0+ as u -> -inf and
@@ -155,13 +159,18 @@ def mills_psi(u):
     ----------
     u : float or ndarray
         Argument(s); must be finite.
+    workspace : sequence of ndarray, optional
+        Its first array, a float array of u's shape, takes G and then u + G
+        in place of a fresh one; the result is then that array unless some
+        u is in the series branch.  The same operations, so the same bits.
 
     Returns
     -------
     float or ndarray
     """
     arr = _finite(u)
-    return _scalar_or_array(_psi_from_sum(arr, arr + _mills_g(arr)))
+    g = np.asarray(_mills_g(arr, None if workspace is None else workspace[0]))
+    return _scalar_or_array(_psi_from_sum(arr, np.add(arr, g, out=g)))
 
 
 def mills_psi_prime(u):
@@ -178,7 +187,7 @@ def _mills_psi_second(u):
     return mills_psi_derivs(u, with_psi=False)[2]
 
 
-def mills_psi_derivs(u, with_psi: bool = True):
+def mills_psi_derivs(u, with_psi: bool = True, workspace=None):
     """(psi(u), psi'(u), psi''(u)) from one G; psi is None unless ``with_psi``.
 
     psi' = 1 - u*G - G^2 and, from G' = -G(u + G), psi'' = -G - u*G' - 2*G*G'.
@@ -186,11 +195,16 @@ def mills_psi_derivs(u, with_psi: bool = True):
     bit for bit that call's; like mills_psi this requires finite input.  Past
     G, every step writes in place into buffers the call owns, never into
     ``u``: on the stage tensors the temporaries of the plain expressions cost
-    more than their arithmetic.
+    more than their arithmetic.  Those five buffers are fresh, or the first
+    five float arrays of u's shape in ``workspace``: psi'' is then written
+    into the first, psi' into the fourth and psi into the second, unless some
+    u is in the series branch.
     """
     arr = _finite(u)
-    g = np.asarray(_mills_g(arr))
-    direct, gp, p1, work = (np.empty(arr.shape) for _ in range(4))
+    if workspace is None:
+        workspace = [np.empty(arr.shape) for _ in range(5)]
+    g = np.asarray(_mills_g(arr, workspace[0]))
+    direct, gp, p1, work = workspace[1:5]
     np.add(arr, g, out=direct)  # u + G: psi before its series branch
     np.negative(g, out=gp)
     gp *= direct  # G' = -G(u + G)

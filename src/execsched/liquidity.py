@@ -30,10 +30,14 @@ found by binary search.  Blocks are sized by their window, so
 ``_BLOCK_ELEMS`` still bounds the tensor.  The blocks are independent, and
 numpy and scipy release the GIL inside their array loops, so a solve maps
 them over a thread pool as wide as the CPUs the process may run on, opened
-for its stage T-1 work and shut down when it returns or raises.  The run
-boundaries and windows are planned before the map and the results joined in
-run order, so every output is bit for bit the same at any pool width, and
-memory stays within one block per thread.  The stage T-1 objective
+for its stage T-1 work and shut down when it returns or raises (``dp``
+owns that pool).  The run boundaries and windows are planned before the map
+and the results joined in run order, so every output is bit for bit the same
+at any pool width, and memory stays within one block per thread.  Each block
+writes its Mills arguments and the kernel's arrays into a workspace held
+from the solve's free list, one per block in flight, so a thread's block
+memory is faulted in once per solve rather than once per block, and goes
+back to the system when the solve returns.  The stage T-1 objective
 is smooth in the trade S: the price-node weights are Gaussian in an affine
 function of S and every Mills argument shifts linearly with S, so its first
 and second S-derivatives come in closed form from psi, psi' and psi'' on the
@@ -60,9 +64,9 @@ certainty-equivalent state.
 from __future__ import annotations
 
 import math
-import os
+import mmap
+import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,6 +75,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dp import (
+    _BLOCK_ELEMS,
     Horizon,
     InfeasibleLiquidityError,
     MillsRecursionProblem,
@@ -79,6 +84,7 @@ from .dp import (
     Schedule,
     SolverError,
     _backward_pass,
+    _block_map,
     _build_mesh,
     _grid_table,
     _MillsStage,
@@ -113,9 +119,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # step; two steps keep that affordable while the Hermite slopes preserve the
 # continuation's accuracy.
 _REFINE = 2
-# Elements of one evaluated block of that tensor: it bounds the memory, and
-# blocks of this size ran fastest on a 2-core host with 2 MiB of L2 per core.
-_BLOCK_ELEMS = 1 << 16
 # Points of the coarse scan of the stage T-1 objective that brackets Newton.
 _SCAN_POINTS = 9
 # Gauss-Legendre points per price panel when sweeping grid nodes; scalar
@@ -161,6 +164,51 @@ def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int)
     return x, w
 
 
+class _Workspaces:
+    """One solve's stage T-1 block memory: a free list of flat float buffers,
+    one per block in flight, and the arrays the running thread holds.
+
+    A block holds a buffer while it runs and writes ``u`` and the Mills
+    kernel's arrays into it.  A buffer grows to the run in hand and is
+    reused by every later block, so a thread's block memory is faulted in
+    once per solve instead of once per block; it is freed with the solve.
+    """
+
+    def __init__(self):
+        self._free: list[np.ndarray] = []
+        self._held = threading.local()
+
+    @contextmanager
+    def hold(self, shape: tuple, count: int):
+        """Hold a buffer of ``count`` arrays of ``shape`` while a block runs."""
+        size = math.prod(shape)
+        # each array starts on a 64-byte boundary of the buffer
+        stride = -(-size // 8) * 8
+        try:
+            flat = self._free.pop()
+        except IndexError:
+            flat = np.empty(0)
+        if flat.size < stride * count:
+            # room for a whole block per array, so that a solve's runs, all
+            # but some lone elements within a block, seldom grow it again;
+            # mapped pages go back to the system when the buffer is freed,
+            # whatever malloc would keep of a heap allocation
+            flat = np.frombuffer(mmap.mmap(-1, max(stride, _BLOCK_ELEMS) * count * 8))
+        self._held.arrays = [
+            flat[i * stride : i * stride + size].reshape(shape) for i in range(count)
+        ]
+        try:
+            yield
+        finally:
+            del self._held.arrays
+            self._free.append(flat)
+
+    @property
+    def held(self) -> list[np.ndarray]:
+        """The arrays this thread's block holds: ``u``, then the kernel's."""
+        return self._held.arrays
+
+
 @dataclass(frozen=True)
 class _Penultimate:
     """Stage T-1 expectation machinery at a fixed decision state (P, O).
@@ -170,7 +218,8 @@ class _Penultimate:
     ``_BLOCK_ELEMS`` elements, each on its window of price nodes, so memory
     stays flat in the number of elements.  ``map`` evaluates the blocks of a
     call; a solve passes its thread pool's, and the builtin keeps them in
-    the calling thread.
+    the calling thread.  Each block works in a buffer held from
+    ``workspaces``, which a solve shares between its stage T-1 machineries.
     """
 
     params: Liquidity
@@ -181,6 +230,7 @@ class _Penultimate:
     w: np.ndarray  # bare Gauss-Legendre weights
     z_nodes: np.ndarray
     z_weights: np.ndarray
+    workspaces: _Workspaces
     map: Callable = map
 
     @cached_property
@@ -231,20 +281,28 @@ class _Penultimate:
             i += k
         return runs
 
-    def _blocked(self, block, trades, resids):
+    def _blocked(self, block, trades, resids, arrays: int = 1):
         """``block(trades, resids, nodes)`` over the :meth:`_runs` of a call,
-        joined in run order.
+        joined in run order, each holding ``arrays`` (element, price node,
+        volume node) arrays of ``workspaces``: ``u`` and the kernel's.
 
         The runs are planned here, in the calling thread: they fix every
         window and einsum length, hence the bits.  Only their evaluation goes
         through ``self.map``; a call of one run is evaluated inline.
         """
         runs = self._runs(trades, resids)
+
+        def held(run):
+            s, _, nodes = run
+            shape = (s.size, nodes.stop - nodes.start, self.z_nodes.size)
+            with self.workspaces.hold(shape, arrays):
+                return block(*run)
+
         if len(runs) == 1:
-            parts = [block(*runs[0])]
+            parts = [held(runs[0])]
         else:
             self.s_next  # computed once here; the blocks only read it
-            parts = list(self.map(lambda run: block(*run), runs))
+            parts = list(self.map(held, runs))
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*parts))
         return np.concatenate(parts)
@@ -252,7 +310,7 @@ class _Penultimate:
     def _tensor(self, trades, resids, nodes):
         """(zscore, gauss_w, u) for a block on the price ``nodes``: their
         z-scores and weights under P' ~ N(A0(S), s_P^2), and the terminal
-        Mills arguments.
+        Mills arguments, written into the block's first held array.
 
         Conditioning on P', whose mean is A0(S), leaves eta | P' Gaussian with
         mean -gamma*P*sigma_eta^2*(P' - A0)/s_P^2 and standard deviation
@@ -270,7 +328,13 @@ class _Penultimate:
         theta_next, alpha_next, _ = p.move(x, p.rho * self.volume + mu_c)
         base = (theta_next * resids[:, None] + alpha_next) / s_next
         slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * x / s_next
-        return zscore, gauss_w, base[:, :, None] + (slope[:, None] * self.z_nodes)[None, :, :]
+        # slope[k] * z_j goes into the first element's rows, so that no
+        # (price node, volume node) temporary is made; addition commutes
+        u = self.workspaces.held[0]
+        np.multiply(slope[:, None], self.z_nodes, out=u[0])
+        np.add(base[1:, :, None], u[0], out=u[1:])
+        u[0] += base[0][:, None]
+        return zscore, gauss_w, u
 
     def _terminal(self, resids, nodes, gauss_w, psi, dpsi=None):
         """E over (eta, eps) of V_T at residuals ``resids`` from the volume-node
@@ -286,11 +350,12 @@ class _Penultimate:
 
     def _expected_block(self, trades, resids, nodes):
         _, gauss_w, u = self._tensor(trades, resids, nodes)
-        return self._terminal(resids, nodes, gauss_w, mills_psi(u) @ self.z_weights)
+        psi = mills_psi(u, workspace=self.workspaces.held[1:])
+        return self._terminal(resids, nodes, gauss_w, psi @ self.z_weights)
 
     def expected_terminal(self, trades, resids) -> np.ndarray:
         """E over (eta, eps) of V_T(P', O', resid)."""
-        return self._blocked(self._expected_block, trades, resids)
+        return self._blocked(self._expected_block, trades, resids, 2)
 
     def objective(self, trades, resids) -> np.ndarray:
         cost = self.stage.value(trades, trades)
@@ -300,7 +365,8 @@ class _Penultimate:
         p, s_p = self.params, self.s_p
         r = resids - trades
         zscore, gauss_w, u = self._tensor(trades, r, nodes)
-        psi, d1, d2 = (k @ self.z_weights for k in mills_psi_derivs(u))
+        kernels = mills_psi_derivs(u, workspace=self.workspaces.held[1:])
+        psi, d1, d2 = (k @ self.z_weights for k in kernels)
         # A0 moves by P*beta per share: the z-scores fall at that rate over
         # s_P, and u moves through the residual and the conditional mean of
         # eta, by the same amount at every volume node
@@ -328,31 +394,7 @@ class _Penultimate:
         S-derivatives of :meth:`objective`, its value, and the slope of the
         expected terminal value in the residual left after the trade, all
         from one pass over the tensor."""
-        return self._blocked(self._derivs_block, trades, resids)
-
-
-def _pool_width() -> int:
-    """The CPUs this process may run on: the width of a solve's block pool."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@contextmanager
-def _block_map():
-    """The map a solve evaluates its stage T-1 blocks with: that of a thread
-    pool :func:`_pool_width` wide, shut down on exit, or the builtin at width 1.
-
-    Each thread holds one block in flight, so the tensor memory is at most
-    the width times one block of ``_BLOCK_ELEMS`` elements.
-    """
-    width = _pool_width()
-    if width == 1:
-        yield map
-        return
-    with ThreadPoolExecutor(width) as pool:
-        yield pool.map
+        return self._blocked(self._derivs_block, trades, resids, 6)
 
 
 def _make_penultimate(
@@ -364,6 +406,7 @@ def _make_penultimate(
     panel_order: int,
     z_order: int,
     block_map: Callable = map,
+    workspaces: _Workspaces | None = None,
 ) -> _Penultimate:
     theta_hat, alpha_hat, s_p = params.move(price, volume)
     a0_lo = price + alpha_hat
@@ -382,6 +425,7 @@ def _make_penultimate(
         w=w,
         z_nodes=rule.nodes,
         z_weights=rule.weights,
+        workspaces=_Workspaces() if workspaces is None else workspaces,
         map=block_map,
     )
 
@@ -423,6 +467,7 @@ def _penultimate_scalar(
     w: float,
     cfg: RecursionConfig,
     block_map: Callable = map,
+    workspaces: _Workspaces | None = None,
 ) -> tuple[float, int, float, float]:
     """Reported stage T-1 trade at the exact residual, with a resolution check.
 
@@ -434,7 +479,7 @@ def _penultimate_scalar(
     """
     ub = min(w, cap)
     order = cfg.quad_order
-    pen = _make_penultimate(params, price, volume, cap, ub, order, order, block_map)
+    pen = _make_penultimate(params, price, volume, cap, ub, order, order, block_map, workspaces)
     s_star, j_star, iters = _resolve_stage(
         lambda x, idx: pen.objective(x, w),
         lambda x, idx: pen.objective_derivs(x, w),
@@ -444,7 +489,8 @@ def _penultimate_scalar(
     )
 
     doubled = _make_penultimate(
-        params, price, volume, cap, ub, 2 * order, min(2 * order, GH_MAX_ORDER)
+        params, price, volume, cap, ub, 2 * order, min(2 * order, GH_MAX_ORDER),
+        workspaces=pen.workspaces,
     )
     j_doubled = float(doubled.objective(np.array([s_star]), np.array([w]))[0])
     return s_star, iters, j_star, j_doubled
@@ -520,7 +566,8 @@ def solve_liquidity(
     diagnostics: list[dict] = []
     w = total
     if T > 1:
-        # one pool for the stage T-1 work; the grid stages between run inline
+        # one pool and one set of block buffers for the stage T-1 work; the
+        # grid stages between run inline
         with _block_map() as block_map:
             pen_nodes = mesh.official if T == 2 else mesh.fine
             pen = _make_penultimate(
@@ -556,7 +603,8 @@ def solve_liquidity(
             grid_values.append(v_pen)
 
             s, iters, j_star, j_doubled = _penultimate_scalar(
-                params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg, block_map
+                params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg, block_map,
+                pen.workspaces,
             )
             drift = _quadrature_drift(j_star, j_doubled, "T-1", cfg.quad_order, 2 * cfg.quad_order)
             diagnostics.append({

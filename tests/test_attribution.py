@@ -631,3 +631,29 @@ def test_audit_holds_under_48_bytes_per_fill():
     assert len(cols.orders) > 2 * attribution._ORDERS_PER_RUN
     peak = traced_peak(zero_sum_audit, cols, ctx["price_path"], "complex")[1]
     assert peak <= 48 * len(cols)
+
+
+@pytest.mark.parametrize("run", [1, 3, 10**9])
+def test_weight_rows_are_the_plain_ladder_bit_for_bit(monkeypatch, run):
+    rng = np.random.default_rng(5)
+    qty = np.where(rng.random((10, 6)) < 0.4, 0.0, rng.uniform(0.1, 3.0, (10, 6)))
+    totals = (qty.sum(axis=1) + rng.uniform(0.0, 1.0, 10)).tolist()
+    plain = np.array(totals)[:, None] - np.cumsum(qty, axis=-1) + qty
+    monkeypatch.setattr(attribution, "_ORDERS_PER_RUN", run)
+    complex_rows = list(attribution._weight_rows(qty, totals, "complex"))
+    assert np.array(complex_rows).tobytes() == plain.tobytes()
+    assert np.array(list(attribution._weight_rows(qty, totals, "simple"))).tobytes() == qty.tobytes()
+
+
+def test_complex_reports_hold_under_13_bytes_per_fill():
+    # one run of orders' residual ladder at a time, in one buffer; the whole
+    # ladder in three temporaries read 19.0 B per fill (simple: 8.5)
+    text, ctx = balanced_market(300, 300, 40)
+    cols = _parse_fills(text.encode())
+    qty, totals, executed = _order_sums(cols, 40)
+    path = ctx["price_path"]
+    order_ctx = OrderContext(path[0], totals[0], 40, path)
+    args = (cols.orders, qty, totals, executed, order_ctx)
+    peak = traced_peak(attribution._reports, *args, "complex")[1]
+    assert len(cols.orders) > 2 * attribution._ORDERS_PER_RUN
+    assert peak <= 13 * len(cols)

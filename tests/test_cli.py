@@ -891,6 +891,13 @@ class TestFillsRoutes:
         assert fills_reader._plain_fill_columns(raw) is None
         assert self._routes_agree(raw) == "fills line 6: side must be 'buy' or 'sell', got ''"
 
+    def test_plain_read_drops_the_line_lengths_before_the_records(self):
+        # one int64 per line kept through np.loadtxt read 3.9 bytes per file byte
+        raw = balanced_market(300, 300, 40)[0].encode()
+        cols, peak = traced_peak(fills_reader._plain_fill_columns, raw)
+        assert cols is not None and len(cols) == 600 * 40
+        assert peak <= 3.75 * len(raw)
+
     def test_plain_read_peaks_under_5_bytes_per_file_byte(self):
         raw = balanced_market(300, 300, 40)[0].encode()
         (cols, route), peak = traced_peak(fills_reader._routed_fills, raw)
@@ -1005,7 +1012,7 @@ class TestSolveThreads:
 
     @staticmethod
     def _solve(monkeypatch, tmp_path, doc, width):
-        monkeypatch.setattr(liquidity, "_pool_width", lambda: width)
+        monkeypatch.setattr("execsched.dp._pool_width", lambda: width)
         out = tmp_path / f"w{width}"
         argv = ["solve", _write_json(tmp_path, "c.json", doc), "--output-dir", str(out)]
         assert main(argv) == EXIT_OK
@@ -1040,6 +1047,17 @@ class TestSolveThreads:
         out = self._solve(monkeypatch, tmp_path, doc, 3)
         assert json.loads((out / "manifest.json").read_text())["threads"] == 1
 
+    def test_percentage_law_artifacts_are_identical_at_every_width(self, monkeypatch, tmp_path):
+        # its premium calls larger than one block run on the same pool
+        doc = json.loads(json.dumps(bench_solve_config("linear_percentage", 0.05)))
+        sequential, *pooled = (
+            self._solve(monkeypatch, tmp_path, doc, width) for width in (1, 2, 3)
+        )
+        for width, out in zip((2, 3), pooled):
+            for name in ("policy.json", "schedule.csv"):
+                assert (out / name).read_bytes() == (sequential / name).read_bytes()
+            assert json.loads((out / "manifest.json").read_text())["threads"] == width
+
     def test_an_error_in_one_block_keeps_exit_3(self, monkeypatch, tmp_path, capsys):
         tensor = liquidity._Penultimate._tensor
         calls = itertools.count()
@@ -1049,7 +1067,7 @@ class TestSolveThreads:
                 raise cli.SolverError("block 40 failed")
             return tensor(self, s, r, nodes)
 
-        monkeypatch.setattr(liquidity, "_pool_width", lambda: 2)
+        monkeypatch.setattr("execsched.dp._pool_width", lambda: 2)
         monkeypatch.setattr(liquidity._Penultimate, "_tensor", failing)
         argv = ["solve", _write_json(tmp_path, "c.json", _liquidity_doc(2)),
                 "--output-dir", str(tmp_path)]

@@ -7,13 +7,16 @@ seed 412: 960.4454339441547 +/- 0.054322059695999986 vs closed
 960.4000000000001, 0.8 SE).  The two-stage trade was checked against the
 1000-point-grid x 1e5-path simulation brute force run inside the test.
 """
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
@@ -44,6 +47,7 @@ from support import (
     bench_solve_config,
     central_differences,
     expected_terminal_slope,
+    traced_peak,
 )
 
 SPEC_PARAMS = Liquidity(
@@ -530,7 +534,7 @@ class TestEvaluateOnce:
 
 def _widths(monkeypatch, width):
     """Make the solver's block pool ``width`` threads wide."""
-    monkeypatch.setattr(liquidity, "_pool_width", lambda: width)
+    monkeypatch.setattr("execsched.dp._pool_width", lambda: width)
 
 
 class TestBlockPool:
@@ -649,3 +653,72 @@ class TestBlockPool:
             solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
         assert type(err.value) is SolverError and str(err.value) == "block 40 failed"
         assert threading.active_count() == before
+
+
+class TestWorkspaces:
+    """Stage T-1 blocks work in buffers held for the solve: each block writes
+    ``u`` and the Mills kernel's arrays into memory an earlier block used."""
+
+    @staticmethod
+    def _multi_run_call(pen):
+        w = np.repeat(np.geomspace(0.02, 20.0, 64), 9)
+        trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 64)
+        runs = pen._runs(trades, w)
+        largest = max(s.size * (nodes.stop - nodes.start) for s, _, nodes in runs)
+        # without the workspace each block would allocate several arrays
+        # of over half a block
+        assert len(runs) > 1 and largest * pen.z_nodes.size > liquidity._BLOCK_ELEMS // 2
+        return trades, w
+
+    @pytest.mark.parametrize("method", ["objective", "objective_derivs"])
+    def test_a_second_inline_call_allocates_less_than_a_block(self, method):
+        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, _NODE_PANEL_ORDER, 40)
+        trades, w = self._multi_run_call(pen)
+        call = getattr(pen, method)
+        first = call(trades, w)
+        second, peak = traced_peak(call, trades, w)
+        assert peak < liquidity._BLOCK_ELEMS * 8
+        for a, b in zip(np.atleast_2d(first), np.atleast_2d(second)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_block_memory_outlives_a_solve(self, monkeypatch):
+        _widths(monkeypatch, 2)
+        buffers = []
+        hold = liquidity._Workspaces.hold
+
+        @contextlib.contextmanager
+        def recorded(self, shape, count):
+            with hold(self, shape, count):
+                # the object that owns the held arrays' memory
+                buffers.append(weakref.ref(self.held[0].base))
+                yield
+
+        monkeypatch.setattr(liquidity._Workspaces, "hold", recorded)
+        tracemalloc.start()
+        try:
+            solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
+            traces = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        assert buffers and all(ref() is None for ref in buffers)
+        assert max((t.size for t in traces), default=0) < liquidity._BLOCK_ELEMS * 8
+
+    def test_two_solves_at_once_give_the_sequential_bits(self, monkeypatch):
+        _widths(monkeypatch, 2)
+        cfg = RecursionConfig(grid_nodes=16)
+
+        def solve(horizon):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ResolutionWarning)
+                sched, table = solve_liquidity(SPEC_PARAMS, horizon, SPEC_STATE, cfg)
+            return (
+                repr(sched.trades),
+                repr(table.metadata),
+                [v.tobytes() for v in table.value_samples],
+                [stage.trades.tobytes() for stage in table.stages[:-1]],
+            )
+
+        horizons = (Horizon(2, 20.0), Horizon(3, 18.0))
+        sequential = [solve(h) for h in horizons]
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(solve, horizons)) == sequential
