@@ -286,7 +286,10 @@ class RecursionConfig:
 
     grid_nodes: published residual nodes per stage (at least 8).
     newton_iters: cap on the Newton iterations of every stage solve.
-    quad_order: Gauss-Hermite order of the gbm premium and the liquidity stage T-1.
+    quad_order: Gauss-Hermite order of the gbm premium.  For the liquidity
+        stage T-1 it caps the volume Gauss-Hermite order, which the solver
+        sizes by the slope of its volume lines, and it is the price-panel
+        Gauss-Legendre order of the re-solve at the exact residual.
     """
 
     grid_nodes: int = 64

@@ -19,7 +19,11 @@ W * beta_hat * psi((theta_hat*W + alpha_hat)/beta_hat) at the realized state.
 Stage T-1 takes the exact expectation of that form over (eta, eps): after
 conditioning on P' (itself Gaussian) the volume innovation is Gaussian again,
 so the double integral becomes a Gauss-Hermite rule in the conditional volume
-crossed with panelled Gauss-Legendre in P'.  The panels are graded toward
+crossed with panelled Gauss-Legendre in P'.  At each price node the volume
+rule integrates the smooth psi along a line u = base + c_k*z in its nodes z,
+so its order is sized by the largest |c_k|: the smallest order of a fixed
+ladder that resolves psi to rounding on such a line, with ``quad_order`` as
+the cap.  The panels are graded toward
 P' = 0, where the terminal scale hypot(gamma*P'*sigma_eta, sigma_eps) has a
 kink that a raw tensor Hermite rule resolves poorly.  The price mesh spans
 10 s_P beyond the centers A0(S) of every trade the stage can make, but one
@@ -68,7 +72,7 @@ import mmap
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -130,6 +134,25 @@ _PRICE_SPAN = 10.0
 # keeps around its elements' centers A0(S): past 9 s_P a node's Gaussian
 # weight is below 3e-18 of the peak (e^{-40.5}).
 _WINDOW_SIGMAS = 9.0
+# Volume nodes a run budgets per (element, price node) pair, at least: so a
+# run's (element, price node) arrays stay within _BLOCK_ELEMS / 16 elements
+# (32 KiB) under a sized rule of 4 or 8 nodes too.  At 4 nodes and no floor
+# they take fresh pages in every block: a bench liquidity solve faulted 4.5k
+# pages instead of 400, and 12 of them in one process peaked 6 MB higher.
+_MIN_RUN_NODES = 16
+# The volume Gauss-Hermite ladder: (order n, largest slope c).  The n-node
+# rule's error in the z-sums of psi(b + c*z) (relative) and psi'(b + c*z)
+# (absolute) over every base b grows like c^p, p rising toward 2n as c
+# falls; measured at 1e-11 and 1e-12 and extrapolated at that p, it is below
+# 1e-15 up to each limit.  It peaks at bases b of about 1 to 2, below the
+# poles of phi/Phi nearest the real line, at 1.92 +- 2.82i.
+_VOLUME_LADDER = ((4, 0.032), (8, 0.21), (16, 0.54), (32, 0.94))
+
+
+def _volume_order(slope: float, cap: int) -> int:
+    """The smallest ``_VOLUME_LADDER`` order below ``cap`` whose rule resolves
+    a volume line of ``slope``, else ``cap``: never smaller at a larger slope."""
+    return next((n for n, limit in _VOLUME_LADDER if n < cap and slope <= limit), cap)
 
 
 def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int):
@@ -247,6 +270,21 @@ class _Penultimate:
         """Terminal noise scale s(P') at every price node (it does not depend on O')."""
         return self.params.move(self.x, 0.0)[2]
 
+    @cached_property
+    def slope(self) -> np.ndarray:
+        """c_k at every price node: the step of the terminal Mills argument
+        per volume node, -gamma*rho*sqrt(2)*sigma_c * P'/s(P') with sigma_c =
+        sigma_eta*sigma_eps/s_P.  The volume rule integrates psi along these
+        lines (see :meth:`_tensor`)."""
+        p = self.params
+        sig_c = p.sigma_eta * p.sigma_eps / self.s_p
+        return -(p.gamma * p.rho * _SQRT2 * sig_c) * self.x / self.s_next
+
+    @property
+    def volume_slope(self) -> float:
+        """The largest |c_k|, which sizes the volume rule (``_volume_order``)."""
+        return float(np.abs(self.slope).max())
+
     def _mean(self, trades):
         """A0(S) = P + theta_hat*S + alpha_hat, the mean of P' given S."""
         return self.price + (self.stage.theta * trades + self.stage.alpha)
@@ -257,7 +295,8 @@ class _Penultimate:
         ``nodes`` is the run's window: the contiguous slice of the sorted price
         nodes within ``_WINDOW_SIGMAS`` s_P of some element's A0(S).  A run
         grows while its elements times its window's price nodes times the
-        volume nodes stay within ``_BLOCK_ELEMS``.
+        volume nodes, at least ``_MIN_RUN_NODES``, stay within
+        ``_BLOCK_ELEMS``.
         """
         trades, resids = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (trades, resids))
@@ -266,7 +305,7 @@ class _Penultimate:
         reach = _WINDOW_SIGMAS * self.s_p
         lo = np.searchsorted(self.x, a0 - reach, side="left")
         hi = np.searchsorted(self.x, a0 + reach, side="right")
-        per_node = self.z_nodes.size
+        per_node = max(self.z_nodes.size, _MIN_RUN_NODES)
         # a window of one node or more fits at most this many elements
         most = max(1, _BLOCK_ELEMS // per_node)
         runs = []
@@ -301,7 +340,7 @@ class _Penultimate:
         if len(runs) == 1:
             parts = [held(runs[0])]
         else:
-            self.s_next  # computed once here; the blocks only read it
+            self.slope  # computed once here, s_next with it; the blocks only read them
             parts = list(self.map(held, runs))
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*parts))
@@ -321,13 +360,12 @@ class _Penultimate:
         zscore = (x[None, :] - self._mean(trades)[:, None]) / s_p
         gauss_w = self.w[nodes][None, :] * np.exp(-0.5 * zscore**2) / (s_p * _SQRT_2PI)
         mu_c = -(p.gamma * self.price * p.sigma_eta**2) * zscore / s_p
-        sig_c = p.sigma_eta * p.sigma_eps / s_p
         # u = (theta'*W + alpha') / s(P') from the move at (P', O') is affine
         # in the volume node: O' = rho*O + mu_c + sqrt(2)*sig_c*z_j, so
         # u = base[n, k] + slope[k] * z_j without an O' tensor.
         theta_next, alpha_next, _ = p.move(x, p.rho * self.volume + mu_c)
         base = (theta_next * resids[:, None] + alpha_next) / s_next
-        slope = -(p.gamma * p.rho * _SQRT2 * sig_c) * x / s_next
+        slope = self.slope[nodes]
         # slope[k] * z_j goes into the first element's rows, so that no
         # (price node, volume node) temporary is made; addition commutes
         u = self.workspaces.held[0]
@@ -466,20 +504,23 @@ def _penultimate_scalar(
     cap: float,
     w: float,
     cfg: RecursionConfig,
+    volume_orders: tuple[int, int],
     block_map: Callable = map,
     workspaces: _Workspaces | None = None,
 ) -> tuple[float, int, float, float]:
     """Reported stage T-1 trade at the exact residual, with a resolution check.
 
-    :func:`_resolve_stage` scans ``_SCAN_POINTS`` trades; the objective is
-    then re-evaluated at the minimizer with both quadrature orders doubled.
+    The price panels take ``cfg.quad_order`` points and the volume rule the
+    first of ``volume_orders``.  :func:`_resolve_stage` scans
+    ``_SCAN_POINTS`` trades; the objective is then re-evaluated at the
+    minimizer with twice the panel points and the second volume order.
     Returns the trade, the Newton iterations used, and the objective at the
-    trade at the configured and at the doubled orders, which the solver
-    hands to :func:`_quadrature_drift`.
+    trade at both, which the solver hands to :func:`_quadrature_drift`.
     """
     ub = min(w, cap)
     order = cfg.quad_order
-    pen = _make_penultimate(params, price, volume, cap, ub, order, order, block_map, workspaces)
+    z_order, z_doubled = volume_orders
+    pen = _make_penultimate(params, price, volume, cap, ub, order, z_order, block_map, workspaces)
     s_star, j_star, iters = _resolve_stage(
         lambda x, idx: pen.objective(x, w),
         lambda x, idx: pen.objective_derivs(x, w),
@@ -489,8 +530,7 @@ def _penultimate_scalar(
     )
 
     doubled = _make_penultimate(
-        params, price, volume, cap, ub, 2 * order, min(2 * order, GH_MAX_ORDER),
-        workspaces=pen.workspaces,
+        params, price, volume, cap, ub, 2 * order, z_doubled, workspaces=pen.workspaces
     )
     j_doubled = float(doubled.objective(np.array([s_star]), np.array([w]))[0])
     return s_star, iters, j_star, j_doubled
@@ -580,6 +620,12 @@ def solve_liquidity(
                 cfg.quad_order,
                 block_map,
             )
+            # quad_order caps the volume rule, sized here, before any block
+            # is planned, by the largest slope of this widest price mesh; the
+            # re-solve's mesh is narrower and takes the same order
+            z_order = _volume_order(pen.volume_slope, cfg.quad_order)
+            rule = gauss_hermite(z_order)
+            pen = replace(pen, z_nodes=rule.nodes, z_weights=rule.weights)
             s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
             if T > 2:
                 cont = _SplineCont.from_slopes(
@@ -602,13 +648,18 @@ def solve_liquidity(
             grid_trades.append(s_pen)
             grid_values.append(v_pen)
 
+            z_orders = (z_order, min(2 * z_order, GH_MAX_ORDER))
             s, iters, j_star, j_doubled = _penultimate_scalar(
-                params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg, block_map,
-                pen.workspaces,
+                params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg, z_orders,
+                block_map, pen.workspaces,
             )
-            drift = _quadrature_drift(j_star, j_doubled, "T-1", cfg.quad_order, 2 * cfg.quad_order)
+            drift = _quadrature_drift(j_star, j_doubled, "T-1", *z_orders)
             diagnostics.append({
-                "stage": T - 1, **pen_diag, "schedule_iterations": iters, "quadrature_drift": drift
+                "stage": T - 1,
+                **pen_diag,
+                "schedule_iterations": iters,
+                "volume_order": z_order,
+                "quadrature_drift": drift,
             })
             trades.append(s)
             w -= s

@@ -28,7 +28,7 @@ from execsched.kernels import (
     mills_psi_prime,
     nln_mixture_expectation,
 )
-from execsched.liquidity import solve_liquidity
+from execsched.liquidity import _make_penultimate, solve_liquidity
 from execsched.models import Ar1Extra, Benchmark, Liquidity, MarketState
 
 
@@ -119,21 +119,26 @@ def _verify_solvers() -> Iterator[dict]:
         f"FOC residual {resid} at S_1 = {s} (scale {scale})",
     )
 
+    # the two-stage top value, solved with the volume rule sized under the
+    # order-40 cap, against the stage objective at its trade with 80 price
+    # panel points and 80 volume nodes
     lparams = Liquidity(
         alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5, sigma_eta=10.0
     )
-    lstate = MarketState(price=100.0, aux=50.0)
-    values = []
-    for order in (40, 80):
-        _, lt = solve_liquidity(
-            lparams, Horizon(2, 20.0), lstate, config=RecursionConfig(quad_order=order)
-        )
-        values.append(float(lt.value_samples[0][-1, 1]))
-    rel = abs(values[0] / values[1] - 1.0)
+    _, lt = solve_liquidity(
+        lparams, Horizon(2, 20.0), MarketState(price=100.0, aux=50.0),
+        config=RecursionConfig(quad_order=40),
+    )
+    cap = lt.metadata["volume_bounds"][0]
+    full = _make_penultimate(lparams, 100.0, 50.0, cap, min(20.0, cap), 80, 80)
+    solved = float(lt.value_samples[0][-1, 1])
+    oracle = float(full.objective(lt.stages[0].trades[-1:], np.array([20.0]))[0])
+    rel = abs(solved / oracle - 1.0)
+    order = lt.metadata["diagnostics"][0]["volume_order"]
     yield _check(
         "liquidity-quadrature-stability",
         rel < 1e-6,
-        f"order 40 {values[0]} vs order 80 {values[1]} (rel {rel})",
+        f"volume order {order} {solved} vs order 80 {oracle} (rel {rel})",
     )
 
 

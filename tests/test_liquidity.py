@@ -21,7 +21,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from execsched import cli, liquidity
@@ -33,11 +33,13 @@ from execsched.dp import (
     Schedule,
     SolverError,
 )
-from execsched.kernels import mills_psi
+from execsched.kernels import gauss_hermite, mills_psi, mills_psi_derivs
 from execsched.dp import _TerminalMills, _whole_residual
 from execsched.liquidity import (
     _NODE_PANEL_ORDER,
+    _VOLUME_LADDER,
     _make_penultimate,
+    _volume_order,
     solve_liquidity,
 )
 from execsched.models import Liquidity, MarketState
@@ -57,6 +59,8 @@ SPEC_STATE = MarketState(price=100.0, aux=50.0)
 NEWTON_KEYS = {
     "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "unsettled_nodes", "convex",
 }
+# and what the stage T-1 entry adds
+T1_KEYS = {"schedule_iterations", "volume_order", "quadrature_drift"}
 
 
 @pytest.fixture(scope="module")
@@ -308,10 +312,8 @@ class TestPriceNodeWindow:
 
     def test_blocks_cover_each_window_within_the_element_budget(self, monkeypatch):
         # a scan-shaped call: 9 trades in [0, min(w, cap)] at each of 64 residuals
-        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
         w = np.repeat(np.geomspace(0.02, 20.0, 64), 9)
         trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 64)
-        blocks = []
         tensor = liquidity._Penultimate._tensor
 
         def recorded(self, s, r, nodes):
@@ -319,18 +321,24 @@ class TestPriceNodeWindow:
             return tensor(self, s, r, nodes)
 
         monkeypatch.setattr(liquidity._Penultimate, "_tensor", recorded)
-        pen.objective(trades, w)
-        assert np.array_equal(np.concatenate([s for s, _ in blocks]), trades)
-        reach = 9.0 * pen.s_p
-        for s, nodes in blocks:
-            assert s.size * (nodes.stop - nodes.start) * pen.z_nodes.size <= liquidity._BLOCK_ELEMS
-            near = np.abs(pen.x[:, None] - pen._mean(s)[None, :]) <= reach
-            (inside,) = np.nonzero(near.any(axis=1))
-            assert (nodes.start, nodes.stop) == (inside[0], inside[-1] + 1)
-        # the small residuals trade little, so their windows are narrow and
-        # their blocks hold more elements than a full-mesh block would
-        assert blocks[0][1].stop - blocks[0][1].start < 0.75 * pen.x.size
-        assert blocks[0][0].size > liquidity._BLOCK_ELEMS // (pen.x.size * pen.z_nodes.size)
+        # the configured order, and the order the bench law's rule is sized to,
+        # whose runs budget _MIN_RUN_NODES volume nodes per (trade, price node)
+        for z_order in (40, 4):
+            pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, z_order)
+            per_node = max(z_order, liquidity._MIN_RUN_NODES)
+            blocks = []
+            pen.objective(trades, w)
+            assert np.array_equal(np.concatenate([s for s, _ in blocks]), trades)
+            reach = 9.0 * pen.s_p
+            for s, nodes in blocks:
+                assert s.size * (nodes.stop - nodes.start) * per_node <= liquidity._BLOCK_ELEMS
+                near = np.abs(pen.x[:, None] - pen._mean(s)[None, :]) <= reach
+                (inside,) = np.nonzero(near.any(axis=1))
+                assert (nodes.start, nodes.stop) == (inside[0], inside[-1] + 1)
+            # the small residuals trade little, so their windows are narrow
+            # and their blocks hold more elements than a full-mesh block would
+            assert blocks[0][1].stop - blocks[0][1].start < 0.75 * pen.x.size
+            assert blocks[0][0].size > liquidity._BLOCK_ELEMS // (pen.x.size * per_node)
 
     @pytest.mark.parametrize("total", [16.0, 18.0, 20.0, 22.0])
     def test_bench_variants_keep_their_recorded_top_values(self, total):
@@ -374,7 +382,7 @@ class TestDiagnostics:
         _, table = spec_solution
         cfg = RecursionConfig()
         (diag,) = table.metadata["diagnostics"]
-        assert set(diag) == NEWTON_KEYS | {"schedule_iterations", "quadrature_drift"}
+        assert set(diag) == NEWTON_KEYS | T1_KEYS
         assert diag["stage"] == 1
         assert 0 < diag["newton_iterations"] < cfg.newton_iters
         assert math.isfinite(diag["max_abs_foc"])
@@ -419,11 +427,202 @@ class TestDiagnostics:
         first, second = table.metadata["diagnostics"]
         assert (first["stage"], second["stage"]) == (1, 2)
         assert set(first) == NEWTON_KEYS | {"schedule_iterations"}
-        assert set(second) == NEWTON_KEYS | {"schedule_iterations", "quadrature_drift"}
+        assert set(second) == NEWTON_KEYS | T1_KEYS
         for diag in (first, second):
             assert 0 < diag["newton_iterations"] < cfg.newton_iters
             assert math.isfinite(diag["max_abs_foc"])
             assert diag["unsettled_nodes"] == 0
+
+
+# Two-stage laws named by the slope of their volume lines: (law, price,
+# volume, total).  The bench law (slope 0.0177), rho 0.9 (0.032), a steep
+# small-price law (0.093) and the simulate replay law (0.67).
+NAMED_LAWS = {
+    "bench": (SPEC_PARAMS, 100.0, 50.0, 20.0),
+    "rho-0.9": (dataclasses.replace(SPEC_PARAMS, rho=0.9), 100.0, 50.0, 20.0),
+    "steep": (
+        Liquidity(alpha=0.01, theta=0.05, gamma=0.05, rho=0.5, sigma_eps=2.0, sigma_eta=30.0),
+        10.0, 50.0, 20.0,
+    ),
+    "replay": (
+        Liquidity(alpha=0.015, theta=0.0005, gamma=0.0002, rho=0.95, sigma_eps=0.5,
+                  sigma_eta=18.0),
+        100.0, 100.0, 40.0,
+    ),
+}
+
+
+def _two_stage(law, cfg=RecursionConfig(grid_nodes=8)):
+    """The two-stage solve of ``law`` and its stage T-1 machinery at ``cfg``'s
+    cap, on the mesh the solver builds before sizing its volume rule."""
+    params, price, volume, total = law
+    sched, table = solve_liquidity(params, Horizon(2, total), MarketState(price, volume), cfg)
+    cap = table.metadata["volume_bounds"][0]
+    pen = _make_penultimate(
+        params, price, volume, cap, min(total, cap), _NODE_PANEL_ORDER, cfg.quad_order
+    )
+    return sched, table, pen
+
+
+@functools.cache
+def _named_order(name):
+    """(largest slope, volume order recorded) of a named law's solve."""
+    _, table, pen = _two_stage(NAMED_LAWS[name])
+    return pen.volume_slope, table.metadata["diagnostics"][0]["volume_order"]
+
+
+@st.composite
+def _laws(draw):
+    """Two-stage laws whose volume lines have slopes of about 0.01 to 0.7."""
+    volume = draw(st.floats(20.0, 80.0))
+    gamma = draw(st.floats(2e-4, 0.03))
+    rho = draw(st.floats(0.3, 0.95))
+    # keep the certainty-equivalent prices well above zero
+    assume(gamma * rho * volume <= 0.3)
+    params = Liquidity(
+        alpha=draw(st.floats(0.0, 0.02)),
+        theta=draw(st.floats(0.01, 0.06)),
+        gamma=gamma,
+        rho=rho,
+        sigma_eps=draw(st.floats(0.3, 2.0)),
+        sigma_eta=draw(st.floats(4.0, 30.0)),
+    )
+    price = draw(st.floats(20.0, 120.0))
+    total = rho**2 * volume * draw(st.floats(0.3, 0.8))
+    cap = rho * volume
+    slope = _make_penultimate(
+        params, price, volume, cap, min(total, cap), _NODE_PANEL_ORDER, 40
+    ).volume_slope
+    assume(0.01 <= slope <= 0.7)
+    return params, price, volume, total
+
+
+class TestVolumeOrder:
+    """Stage T-1 sizes its volume Gauss-Hermite rule by the largest slope of
+    its volume lines, under the ``quad_order`` cap."""
+
+    @staticmethod
+    def _error(order, slope):
+        """Worst error of the ``order``-node rule on lines of ``slope``: the
+        z-sums of psi (relative) and psi' (absolute) over bases b in [-6, 6],
+        against order 128."""
+        b = np.linspace(-6.0, 6.0, 601)
+
+        def sums(n):
+            rule = gauss_hermite(n)
+            psi, d1, _ = mills_psi_derivs(b[:, None] + slope * rule.nodes)
+            return psi @ rule.weights, d1 @ rule.weights
+
+        (psi, d1), (psi_ref, d1_ref) = sums(order), sums(128)
+        d1_error = np.max(np.abs(d1 - d1_ref)) / math.sqrt(math.pi)
+        return max(np.max(np.abs(psi / psi_ref - 1.0)), d1_error)
+
+    def _slope_at(self, order, error):
+        """The slope at which the ``order``-node rule's error reaches ``error``."""
+        lo, hi = 1e-3, 2.0
+        for _ in range(40):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if self._error(order, mid) > error else (mid, hi)
+        return lo
+
+    @pytest.mark.parametrize("order, limit", _VOLUME_LADDER)
+    def test_each_rung_resolves_its_slopes_below_rounding(self, order, limit):
+        # the error grows like slope^p, p rising toward 2n as the slope falls;
+        # p from the slopes where it reads 1e-11 and 1e-12 carries it from
+        # 1e-12 below 1e-15 by the rung's limit
+        c12, c11 = self._slope_at(order, 1e-12), self._slope_at(order, 1e-11)
+        p = math.log(10.0) / math.log(c11 / c12)
+        assert p <= 2 * order
+        assert limit <= c12 * 1e-3 ** (1.0 / p)
+        # at the limit the rule reads the kernel's rounding against order 128
+        assert self._error(order, limit) <= 2e-14
+
+    @given(
+        slopes=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2).map(sorted),
+        cap=st.integers(1, 128),
+    )
+    def test_order_never_falls_as_the_slope_rises(self, slopes, cap):
+        low, high = (_volume_order(c, cap) for c in slopes)
+        assert low <= high <= cap
+        assert low in {n for n, _ in _VOLUME_LADDER} | {cap}
+
+    def test_bench_law_records_a_small_order(self, spec_solution):
+        (diag,) = spec_solution[1].metadata["diagnostics"]
+        assert diag["volume_order"] == 4
+        assert diag["quadrature_drift"] <= 1e-15
+
+    def test_replay_law_records_a_larger_order(self):
+        slope, order = _named_order("replay")
+        assert slope == pytest.approx(0.67, abs=0.01)
+        assert order == 32 > _named_order("bench")[1]
+
+    @given(law=_laws())
+    @example(law=NAMED_LAWS["bench"])
+    @example(law=NAMED_LAWS["rho-0.9"])
+    @example(law=NAMED_LAWS["steep"])
+    @example(law=NAMED_LAWS["replay"])
+    @settings(max_examples=8, deadline=None)
+    def test_sized_solve_matches_order_80_at_widths_1_and_3(self, law):
+        params, price, volume, total = law
+        with pytest.MonkeyPatch.context() as mp:
+            _widths(mp, 1)
+            sched, table, pen = _two_stage(law)
+            _widths(mp, 3)
+            wide = _two_stage(law)
+        # the stage-1 top value against a fixed order-80 evaluation at its trade
+        full = _make_penultimate(params, price, volume, pen.cap, min(total, pen.cap), 80, 80)
+        solved = table.value_samples[0][-1, 1]
+        oracle = full.objective(table.stages[0].trades[-1:], np.array([total]))[0]
+        assert abs(solved - oracle) <= 1e-13 * abs(oracle)
+        # the order is the one its largest slope sizes, and it never falls
+        # below a named law's at a larger slope, nor rises above one at a
+        # smaller slope
+        slope, order = pen.volume_slope, table.metadata["diagnostics"][0]["volume_order"]
+        assert order == _volume_order(slope, 40)
+        for name in NAMED_LAWS:
+            other_slope, other_order = _named_order(name)
+            if other_slope <= slope:
+                assert other_order <= order
+            if other_slope >= slope:
+                assert other_order >= order
+        # bit for bit the same artifacts on one thread and on three
+        assert wide[0].trades == sched.trades
+        assert wide[1].metadata == table.metadata
+        for a, b in zip(wide[1].value_samples, table.value_samples):
+            assert a.tobytes() == b.tobytes()
+        assert wide[1].stages[0].trades.tobytes() == table.stages[0].trades.tobytes()
+
+    @pytest.mark.parametrize(
+        "law, cap, order, doubled",
+        [
+            (NAMED_LAWS["bench"], 40, 4, 8),
+            # at price 1 the far price nodes see the volume arm dominate their
+            # scale while s_P does not, so the slope passes every rung and the
+            # cap of 100 is the order; its double is capped at 128 nodes
+            ((dataclasses.replace(SPEC_PARAMS, rho=0.95), 1.0, 5.0, 4.0), 100, 100, 128),
+        ],
+    )
+    def test_resolve_and_drift_run_the_sized_order(self, monkeypatch, law, cap, order, doubled):
+        made, drifts = [], []
+        make, drift = liquidity._make_penultimate, liquidity._quadrature_drift
+
+        def recorded_make(*args, **kw):
+            pen = make(*args, **kw)
+            made.append(pen.z_nodes.size)
+            return pen
+
+        def recorded_drift(*args):
+            drifts.append(args[3:])
+            return drift(*args)
+
+        monkeypatch.setattr(liquidity, "_make_penultimate", recorded_make)
+        monkeypatch.setattr(liquidity, "_quadrature_drift", recorded_drift)
+        _, table, _ = _two_stage(law, RecursionConfig(grid_nodes=8, quad_order=cap))
+        assert table.metadata["diagnostics"][0]["volume_order"] == order
+        # the grid pass's machinery at the cap, before it is sized; the
+        # re-solve; its doubled check
+        assert made == [cap, order, doubled]
+        assert drifts == [(order, doubled)]
 
 
 class TestLongerHorizons:
@@ -617,17 +816,23 @@ class TestBlockPool:
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_solve_at_order_80_is_width_invariant(self, monkeypatch, width):
+        # under the cap of 80 the spec law sizes its volume rule to 4 nodes;
+        # at price 1 the volume lines are steep enough to take all 80
         cfg = RecursionConfig(quad_order=80)
-        _widths(monkeypatch, 1)
-        sched1, table1 = solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE, cfg)
-        _widths(monkeypatch, width)
-        sched, table = solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE, cfg)
-        assert sched.trades == sched1.trades
-        assert table.metadata == table1.metadata
-        for a, b in zip(table.value_samples, table1.value_samples):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(table.stages[:-1], table1.stages[:-1]):
-            assert a.trades.tobytes() == b.trades.tobytes()
+        steep = (dataclasses.replace(SPEC_PARAMS, rho=0.95), Horizon(2, 4.0),
+                 MarketState(price=1.0, aux=5.0))
+        for args, order in (((SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE), 4), (steep, 80)):
+            _widths(monkeypatch, 1)
+            sched1, table1 = solve_liquidity(*args, cfg)
+            _widths(monkeypatch, width)
+            sched, table = solve_liquidity(*args, cfg)
+            assert table.metadata["diagnostics"][0]["volume_order"] == order
+            assert sched.trades == sched1.trades
+            assert table.metadata == table1.metadata
+            for a, b in zip(table.value_samples, table1.value_samples):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(table.stages[:-1], table1.stages[:-1]):
+                assert a.trades.tobytes() == b.trades.tobytes()
 
     def test_no_pool_outlives_a_solve(self, monkeypatch):
         _widths(monkeypatch, 3)
