@@ -25,7 +25,11 @@ so its order is sized by the largest |c_k|: the smallest order of a fixed
 ladder that resolves psi to rounding on such a line, with ``quad_order`` as
 the cap.  The panels are graded toward
 P' = 0, where the terminal scale hypot(gamma*P'*sigma_eta, sigma_eps) has a
-kink that a raw tensor Hermite rule resolves poorly.  The price mesh spans
+kink that a raw tensor Hermite rule resolves poorly.  How many points a panel
+needs is measured before the grid pass: a probe evaluates the objective at a
+few dozen trades, the pass's own scan points and those whose mean next price
+sits near the kink, on a ladder of orders, and the pass takes the first order
+that agrees with the next to 1e-14.  The price mesh spans
 10 s_P beyond the centers A0(S) of every trade the stage can make, but one
 trade's Gaussian weight falls below 3e-18 of its peak past 9 s_P.  So each
 evaluated block of trades works on a window: the contiguous run of the
@@ -72,8 +76,8 @@ import mmap
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -125,9 +129,21 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _REFINE = 2
 # Points of the coarse scan of the stage T-1 objective that brackets Newton.
 _SCAN_POINTS = 9
-# Gauss-Legendre points per price panel when sweeping grid nodes; scalar
-# solves for the reported schedule use the configured order instead.
-_NODE_PANEL_ORDER = 16
+# Gauss-Legendre points per price panel on the grid pass: the first rung
+# whose objective at the probe's trades agrees within _PANEL_TOL relative
+# with the next rung's (see _panel_order), else the last.  The order is
+# measured, not predicted: Gauss-Legendre converges at a rate set by the
+# integrand's nearest complex singularities, here those the kink of the
+# terminal scale at P' = 0 pulls toward the real axis, and no closed function
+# of the law (s_P against the kink, A0 against s_P, the volume slope) told
+# the laws that 10 points resolve from those that need 48.  Scalar solves
+# for the reported schedule use the configured order instead.
+_PANEL_LADDER = (8, 10, 12, 16, 24, 32, 48, 64)
+_PANEL_TOL = 1e-14
+# Residuals spread over the grid at which the panel probe also evaluates the
+# trades whose mean next price A0 sits at P' = 0 and one s_P either side:
+# the quadrature error peaks where A0 is within a few s_P of the kink.
+_KINK_PROBES = 9
 # Reach of the price mesh around its Gaussian center, in units of s_P.
 _PRICE_SPAN = 10.0
 # Half-width, in units of s_P, of the price-node window an evaluated block
@@ -155,6 +171,15 @@ def _volume_order(slope: float, cap: int) -> int:
     return next((n for n, limit in _VOLUME_LADDER if n < cap and slope <= limit), cap)
 
 
+@lru_cache(maxsize=16)
+def _leggauss_cached(order: int):
+    """The ``order``-point Gauss-Legendre rule on [-1, 1], read-only."""
+    nodes, weights = leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int):
     """Gauss-Legendre panels on [lo, hi], graded toward the kink at zero.
 
@@ -179,7 +204,7 @@ def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int)
         edges.extend(a + (b - a) * k / nsub for k in range(nsub))
     edges.append(bks[-1])
     edges = np.asarray(edges, dtype=float)
-    xg, wg = leggauss(order)
+    xg, wg = _leggauss_cached(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -468,6 +493,56 @@ def _make_penultimate(
     )
 
 
+def _probe_points(pen: _Penultimate, w_nodes: np.ndarray):
+    """(trades, resids) at which :func:`_panel_order` compares rungs.
+
+    The grid pass's own ``_SCAN_POINTS`` scan trades at the bottom, middle
+    and top residuals of ``w_nodes``; and at ``_KINK_PROBES`` residuals
+    spread over them, the trades whose A0(S) is -s_P, 0 and s_P, each held
+    to [0, min(W, cap)]; each (trade, residual) pair once.
+    """
+    ends = w_nodes[[0, w_nodes.size // 2, -1]]
+    scan = np.minimum(ends, pen.cap)[:, None] * np.linspace(0.0, 1.0, _SCAN_POINTS)
+    spread = np.linspace(0, w_nodes.size - 1, _KINK_PROBES).round().astype(int)
+    spread = w_nodes[np.unique(spread)]
+    # A0(S) = price + theta_hat*S + alpha_hat, with theta_hat = P*beta > 0
+    at_a0 = np.array([-1.0, 0.0, 1.0]) * pen.s_p
+    at_kink = (at_a0 - pen.price - pen.stage.alpha) / pen.stage.theta
+    kink = np.clip(at_kink, 0.0, np.minimum(spread, pen.cap)[:, None])
+    # held trades often repeat (at S = 0 on the bench law), so each pair once
+    trades, resids = np.unique(
+        [
+            np.concatenate([scan.ravel(), kink.ravel()]),
+            np.concatenate([np.repeat(ends, _SCAN_POINTS), np.repeat(spread, at_kink.size)]),
+        ],
+        axis=1,
+    )
+    return trades, resids
+
+
+def _panel_order(make: Callable[[int], _Penultimate], w_nodes: np.ndarray):
+    """(order, machinery): the grid pass's price-panel order over residuals
+    ``w_nodes`` and ``make(order)``, its stage T-1 machinery.
+
+    The probe evaluates the objective at :func:`_probe_points` on each rung
+    of ``_PANEL_LADDER`` in turn; the order is the first rung whose values
+    all lie within ``_PANEL_TOL`` relative of the next rung's, else the last
+    rung.  It depends on the law, the state and the residuals only, never on
+    the pool.
+    """
+    order, *finer = _PANEL_LADDER
+    pen = make(order)
+    trades, resids = _probe_points(pen, w_nodes)
+    value = pen.objective(trades, resids)
+    for next_order in finer:
+        next_pen = make(next_order)
+        next_value = next_pen.objective(trades, resids)
+        if np.all(np.abs(value - next_value) <= _PANEL_TOL * np.abs(next_value)):
+            break
+        order, pen, value = next_order, next_pen, next_value
+    return order, pen
+
+
 def _penultimate_pass(
     pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConfig, stage: int
 ):
@@ -610,22 +685,23 @@ def solve_liquidity(
         # grid stages between run inline
         with _block_map() as block_map:
             pen_nodes = mesh.official if T == 2 else mesh.fine
-            pen = _make_penultimate(
+            make = partial(
+                _make_penultimate,
                 params,
                 path[T - 2].price,
                 path[T - 2].aux,
                 bounds[T - 2],
                 float(min(total, bounds[T - 2])),
-                _NODE_PANEL_ORDER,
-                cfg.quad_order,
-                block_map,
+                block_map=block_map,
+                workspaces=_Workspaces(),
             )
             # quad_order caps the volume rule, sized here, before any block
-            # is planned, by the largest slope of this widest price mesh; the
-            # re-solve's mesh is narrower and takes the same order
-            z_order = _volume_order(pen.volume_slope, cfg.quad_order)
-            rule = gauss_hermite(z_order)
-            pen = replace(pen, z_nodes=rule.nodes, z_weights=rule.weights)
+            # is planned, by the largest slope of the densest price mesh the
+            # panel probe may try; the re-solve's mesh is narrower and takes
+            # the same order.  Then the probe sizes the price panels.
+            densest = make(_PANEL_LADDER[-1], cfg.quad_order)
+            z_order = _volume_order(densest.volume_slope, cfg.quad_order)
+            panel_order, pen = _panel_order(partial(make, z_order=z_order), pen_nodes)
             s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
             if T > 2:
                 cont = _SplineCont.from_slopes(
@@ -658,6 +734,7 @@ def solve_liquidity(
                 "stage": T - 1,
                 **pen_diag,
                 "schedule_iterations": iters,
+                "panel_order": panel_order,
                 "volume_order": z_order,
                 "quadrature_drift": drift,
             })

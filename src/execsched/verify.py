@@ -119,9 +119,9 @@ def _verify_solvers() -> Iterator[dict]:
         f"FOC residual {resid} at S_1 = {s} (scale {scale})",
     )
 
-    # the two-stage top value, solved with the volume rule sized under the
-    # order-40 cap, against the stage objective at its trade with 80 price
-    # panel points and 80 volume nodes
+    # the two-stage top value, solved with probe-sized price panels and the
+    # volume rule sized under the order-40 cap, against the stage objective
+    # at its trade with 80 price panel points and 80 volume nodes
     lparams = Liquidity(
         alpha=0.01, theta=0.05, gamma=0.02, rho=0.5, sigma_eps=0.5, sigma_eta=10.0
     )
@@ -134,11 +134,12 @@ def _verify_solvers() -> Iterator[dict]:
     solved = float(lt.value_samples[0][-1, 1])
     oracle = float(full.objective(lt.stages[0].trades[-1:], np.array([20.0]))[0])
     rel = abs(solved / oracle - 1.0)
-    order = lt.metadata["diagnostics"][0]["volume_order"]
+    diag = lt.metadata["diagnostics"][0]
     yield _check(
         "liquidity-quadrature-stability",
         rel < 1e-6,
-        f"volume order {order} {solved} vs order 80 {oracle} (rel {rel})",
+        f"panel order {diag['panel_order']}, volume order {diag['volume_order']} "
+        f"{solved} vs order 80 {oracle} (rel {rel})",
     )
 
 

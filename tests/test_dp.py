@@ -932,7 +932,9 @@ class TestComplexSolvesPinned:
     # solvers' digests were recorded before their value kernels became views
     # of the derivative kernels, the liquidity ones with the volume rule sized
     # by its slope (stage T-1 values within 2.3e-15 of order 80 at every
-    # published node).  Any change that moves a bit of it shows here
+    # published node) and the grid pass's price panels sized by the probe
+    # (10 and 16 points; stage T-1 values within 1.3e-15 of 64-point panels).
+    # Any change that moves a bit of it shows here
     def test_benchmark_complex(self):
         params = Benchmark(theta=3.0, sigma_eps=1.0)
         got = _digests(*solve_benchmark_complex(params, Horizon(10, 100.0)))
@@ -955,9 +957,9 @@ class TestComplexSolvesPinned:
         "case, pins",
         [
             ("liquidity", (
-                "34208e81cb512ad4a69130f72ef7fa36d054530164267d50993966d2f87796ee",
+                "0e8c92e4361ec656c1c666ec750cf8c259115361e8dab0040773a8f2fa7acad5",
                 "10e8536c7a34270205d82cb6db5ad92fa04a6c0acfc643889cef3c9e01bdbc70",
-                "6d6d03d323b07a7e0a4fcada6135c3f7dc91cd62790ed7fedb6c616ce45e741b",
+                "212e924214325214c428f5b19bdb8d4ab619966e7effd85b1916870f3b18336a",
             )),
             ("liquidity_three_stage", (
                 "ce7188b1a692f317187b65c02826713ec723ee15ac6967bad2b21f10df07602e",

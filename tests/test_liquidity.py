@@ -36,7 +36,7 @@ from execsched.dp import (
 from execsched.kernels import gauss_hermite, mills_psi, mills_psi_derivs
 from execsched.dp import _TerminalMills, _whole_residual
 from execsched.liquidity import (
-    _NODE_PANEL_ORDER,
+    _PANEL_LADDER,
     _VOLUME_LADDER,
     _make_penultimate,
     _volume_order,
@@ -60,7 +60,7 @@ NEWTON_KEYS = {
     "stage", "newton_iterations", "max_abs_foc", "pinned_nodes", "unsettled_nodes", "convex",
 }
 # and what the stage T-1 entry adds
-T1_KEYS = {"schedule_iterations", "volume_order", "quadrature_drift"}
+T1_KEYS = {"schedule_iterations", "panel_order", "volume_order", "quadrature_drift"}
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +277,7 @@ class TestPriceNodeWindow:
         p = Liquidity(alpha=alpha, theta=theta, gamma=gamma, rho=rho,
                       sigma_eps=sigma_eps, sigma_eta=sigma_eta)
         cap = rho * volume
-        pen = _make_penultimate(p, price, volume, cap, cap, _NODE_PANEL_ORDER, 40)
+        pen = _make_penultimate(p, price, volume, cap, cap, 16, 40)
         frac, extra = np.array(pairs).T
         trades = frac * cap
         resids = trades + extra
@@ -367,8 +367,11 @@ class TestGlobalMinimum:
         _, table = solve_liquidity(params, horizon, state, rc)
         cap = params.rho * state.aux
         total = horizon.total_shares
+        # the price panels and the volume rule the grid pass was sized to
+        diag = table.metadata["diagnostics"][0]
         pen = _make_penultimate(
-            params, state.price, state.aux, cap, min(total, cap), _NODE_PANEL_ORDER, rc.quad_order
+            params, state.price, state.aux, cap, min(total, cap), diag["panel_order"],
+            diag["volume_order"],
         )
         nodes, solved = table.value_samples[0].T
         frac = np.linspace(0.0, 1.0, 401)
@@ -454,12 +457,13 @@ NAMED_LAWS = {
 
 def _two_stage(law, cfg=RecursionConfig(grid_nodes=8)):
     """The two-stage solve of ``law`` and its stage T-1 machinery at ``cfg``'s
-    cap, on the mesh the solver builds before sizing its volume rule."""
+    cap, on the densest price mesh the panel probe tries, by whose slope the
+    solver sizes its volume rule."""
     params, price, volume, total = law
     sched, table = solve_liquidity(params, Horizon(2, total), MarketState(price, volume), cfg)
     cap = table.metadata["volume_bounds"][0]
     pen = _make_penultimate(
-        params, price, volume, cap, min(total, cap), _NODE_PANEL_ORDER, cfg.quad_order
+        params, price, volume, cap, min(total, cap), _PANEL_LADDER[-1], cfg.quad_order
     )
     return sched, table, pen
 
@@ -491,7 +495,7 @@ def _laws(draw):
     total = rho**2 * volume * draw(st.floats(0.3, 0.8))
     cap = rho * volume
     slope = _make_penultimate(
-        params, price, volume, cap, min(total, cap), _NODE_PANEL_ORDER, 40
+        params, price, volume, cap, min(total, cap), _PANEL_LADDER[-1], 40
     ).volume_slope
     assume(0.01 <= slope <= 0.7)
     return params, price, volume, total
@@ -619,10 +623,161 @@ class TestVolumeOrder:
         monkeypatch.setattr(liquidity, "_quadrature_drift", recorded_drift)
         _, table, _ = _two_stage(law, RecursionConfig(grid_nodes=8, quad_order=cap))
         assert table.metadata["diagnostics"][0]["volume_order"] == order
-        # the grid pass's machinery at the cap, before it is sized; the
-        # re-solve; its doubled check
-        assert made == [cap, order, doubled]
+        # the densest mesh's machinery at the cap, before the rule is sized;
+        # the panel probe's machineries, the last of which runs the grid
+        # pass; the re-solve; its doubled check
+        probe = made[1:-2]
+        assert made == [cap, *probe, order, doubled]
+        assert probe and set(probe) == {order}
         assert drifts == [(order, doubled)]
+
+
+# The law on which 16 price-panel points fall furthest short: against 64-point
+# panels its published stage T-1 values read 9.7e-10 at 16 points, 4.0e-13 at
+# 24 and 1.8e-14 at 32.
+WORST_PANEL_LAW = (
+    Liquidity(alpha=0.019, theta=0.0245, gamma=0.0111, rho=0.82, sigma_eps=0.32, sigma_eta=4.5),
+    134.4, 94.7, 27.45,
+)
+
+
+def _fixed_panels(monkeypatch, order):
+    """Make the grid pass run ``order`` price-panel points, unprobed."""
+    monkeypatch.setattr(liquidity, "_panel_order", lambda make, w_nodes: (order, make(order)))
+
+
+def _stage_gap(table, full):
+    """Worst relative gap of the published stage T-1 values and worst
+    absolute gap of the table trades, against ``full``."""
+    (_, v), (_, v_full) = table.value_samples[-2].T, full.value_samples[-2].T
+    trades, trades_full = table.stages[-2].trades, full.stages[-2].trades
+    return np.max(np.abs(v - v_full) / np.abs(v_full)), np.max(np.abs(trades - trades_full))
+
+
+@st.composite
+def _criterion_06_laws(draw):
+    """Two-stage laws from the ranges of test_criterion_06's order check."""
+    rho = draw(st.floats(0.5, 0.9))
+    volume = draw(st.floats(40.0, 120.0))
+    params = Liquidity(
+        alpha=draw(st.floats(0.0, 0.02)),
+        theta=draw(st.floats(0.02, 0.06)),
+        gamma=draw(st.floats(0.005, 0.02)),
+        rho=rho,
+        sigma_eps=draw(st.floats(0.3, 1.5)),
+        sigma_eta=draw(st.floats(4.0, 12.0)),
+    )
+    price = draw(st.floats(60.0, 140.0))
+    return params, price, volume, rho**2 * volume * draw(st.floats(0.3, 0.8))
+
+
+class TestPanelOrder:
+    """Stage T-1 sizes the grid pass's price panels by a probe: the first
+    rung of the ladder whose objective at the probe points agrees with the
+    next rung's within 1e-14 relative."""
+
+    @staticmethod
+    def _probed(law, w_nodes, z_order):
+        """The probe's choice, restated from its rule."""
+        params, price, volume, total = law
+        cap = params.rho * volume
+
+        def machinery(order):
+            return _make_penultimate(params, price, volume, cap, min(total, cap), order, z_order)
+
+        points = liquidity._probe_points(machinery(_PANEL_LADDER[0]), w_nodes)
+        values = [machinery(order).objective(*points) for order in _PANEL_LADDER]
+        for order, value, finer in zip(_PANEL_LADDER, values, values[1:]):
+            if np.all(np.abs(value - finer) <= 1e-14 * np.abs(finer)):
+                return order
+        return _PANEL_LADDER[-1]
+
+    def test_legendre_rule_is_cached_and_read_only(self):
+        nodes, weights = liquidity._leggauss_cached(10)
+        assert liquidity._leggauss_cached(10)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert weights.sum() == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("total", [16.0, 18.0, 20.0, 22.0])
+    def test_bench_variants_take_at_most_10_points(self, total):
+        cfg = bench_solve_config("liquidity", total)
+        _, table = solve_liquidity(
+            cli.build_model(cfg),
+            cli.build_horizon(cfg),
+            cli.build_state(cfg),
+            cli.build_recursion_config(cfg),
+        )
+        assert table.metadata["diagnostics"][0]["panel_order"] <= 10
+
+    def test_worst_law_reads_rounding_against_64_points(self, monkeypatch):
+        cfg = RecursionConfig(quad_order=40)
+        _, sized, _ = _two_stage(WORST_PANEL_LAW, cfg)
+        _fixed_panels(monkeypatch, 64)
+        _, full, _ = _two_stage(WORST_PANEL_LAW, cfg)
+        _fixed_panels(monkeypatch, 16)
+        _, sixteen, _ = _two_stage(WORST_PANEL_LAW, cfg)
+        # 24 points read 4.0e-13, so the probe climbs past them
+        assert sized.metadata["diagnostics"][0]["panel_order"] == 32
+        assert _stage_gap(sized, full)[0] <= 5e-14
+        assert _stage_gap(sixteen, full)[0] > 1e-10
+
+    @given(law=_criterion_06_laws())
+    @example(law=NAMED_LAWS["bench"])
+    @example(law=NAMED_LAWS["rho-0.9"])
+    @example(law=NAMED_LAWS["steep"])
+    @example(law=NAMED_LAWS["replay"])
+    @example(law=WORST_PANEL_LAW)
+    # the scan trades alone read the first law at 12 points (1.5e-11): its
+    # hard trades sit where A0 is near P' = 0; the second law needs 48
+    # points (32 read 5.1e-13)
+    @example(law=(
+        Liquidity(alpha=0.0169, theta=0.0482, gamma=0.0153, rho=0.852, sigma_eps=1.414,
+                  sigma_eta=6.3),
+        126.7, 117.2, 30.63,
+    ))
+    @example(law=(
+        Liquidity(alpha=0.006, theta=0.0593, gamma=0.00877, rho=0.846, sigma_eps=0.5455,
+                  sigma_eta=10.15),
+        115.9, 119.5, 54.25,
+    ))
+    # the top residual alone reads these two laws at 8 points; a 1e-12
+    # agreement takes 12 points on the third
+    @example(law=(
+        Liquidity(alpha=0.0079, theta=0.0241, gamma=0.0156, rho=0.842, sigma_eps=0.412,
+                  sigma_eta=8.0),
+        79.6, 62.8, 29.98,
+    ))
+    @example(law=(
+        Liquidity(alpha=0.0088, theta=0.0504, gamma=0.0153, rho=0.896, sigma_eps=0.766,
+                  sigma_eta=9.08),
+        66.7, 49.0, 16.8,
+    ))
+    @example(law=(
+        Liquidity(alpha=0.0037, theta=0.0317, gamma=0.0158, rho=0.63, sigma_eps=1.13,
+                  sigma_eta=8.02),
+        95.9, 117.4, 17.85,
+    ))
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    def test_sized_pass_matches_64_points_at_widths_1_and_3(self, law):
+        with pytest.MonkeyPatch.context() as mp:
+            _widths(mp, 1)
+            sched, table, _ = _two_stage(law)
+            _widths(mp, 3)
+            wide = _two_stage(law)
+            _fixed_panels(mp, 64)
+            _, full, _ = _two_stage(law)
+        values_gap, trades_gap = _stage_gap(table, full)
+        assert values_gap <= 5e-14
+        assert trades_gap <= 1e-10
+        diag = table.metadata["diagnostics"][0]
+        w_nodes = table.value_samples[0][:, 0]
+        assert diag["panel_order"] == self._probed(law, w_nodes, diag["volume_order"])
+        # bit for bit the same artifacts on one thread and on three
+        assert wide[0].trades == sched.trades
+        assert wide[1].metadata == table.metadata
+        for a, b in zip(wide[1].value_samples, table.value_samples):
+            assert a.tobytes() == b.tobytes()
+        assert wide[1].stages[0].trades.tobytes() == table.stages[0].trades.tobytes()
 
 
 class TestLongerHorizons:
@@ -683,7 +838,7 @@ class TestEvaluateOnce:
 
     @staticmethod
     def _pen():
-        return _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, _NODE_PANEL_ORDER, 40)
+        return _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
 
     @staticmethod
     def _close(got, want):
@@ -758,7 +913,7 @@ class TestBlockPool:
     @settings(max_examples=20, deadline=None)
     def test_pool_map_gives_the_builtin_bits(self, price, volume, frac, offset, width):
         cap = SPEC_PARAMS.rho * volume
-        pen = _make_penultimate(SPEC_PARAMS, price, volume, cap, cap, _NODE_PANEL_ORDER, 40)
+        pen = _make_penultimate(SPEC_PARAMS, price, volume, cap, cap, 16, 40)
         # a scan-shaped call; its first run ends after ``split`` elements, so
         # its first ``split + offset`` elements make one run or two, and more
         # elements make more runs than threads
@@ -797,7 +952,7 @@ class TestBlockPool:
             assert a.tobytes() == b.tobytes()
 
     def test_a_call_of_one_run_submits_nothing(self):
-        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, _NODE_PANEL_ORDER, 40)
+        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
         mapped = []
 
         def counting_map(fn, runs):
@@ -877,7 +1032,7 @@ class TestWorkspaces:
 
     @pytest.mark.parametrize("method", ["objective", "objective_derivs"])
     def test_a_second_inline_call_allocates_less_than_a_block(self, method):
-        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, _NODE_PANEL_ORDER, 40)
+        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
         trades, w = self._multi_run_call(pen)
         call = getattr(pen, method)
         first = call(trades, w)
