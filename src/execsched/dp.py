@@ -288,8 +288,7 @@ class RecursionConfig:
     newton_iters: cap on the Newton iterations of every stage solve.
     quad_order: Gauss-Hermite order of the gbm premium.  For the liquidity
         stage T-1 it caps the volume Gauss-Hermite order, which the solver
-        sizes by the slope of its volume lines, and it is the price-panel
-        Gauss-Legendre order of the re-solve at the exact residual.
+        sizes by the slope of its volume lines.
     """
 
     grid_nodes: int = 64

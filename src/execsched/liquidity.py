@@ -29,7 +29,9 @@ kink that a raw tensor Hermite rule resolves poorly.  How many points a panel
 needs is measured before the grid pass: a probe evaluates the objective at a
 few dozen trades, the pass's own scan points and those whose mean next price
 sits near the kink, on a ladder of orders, and the pass takes the first order
-that agrees with the next to 1e-14.  The price mesh spans
+that agrees with the next to 1e-14.  The reported trade is re-solved at the
+exact residual on the pass's own machinery, and checked once at twice its
+panel points and volume order.  The price mesh spans
 10 s_P beyond the centers A0(S) of every trade the stage can make, but one
 trade's Gaussian weight falls below 3e-18 of its peak past 9 s_P.  So each
 evaluated block of trades works on a window: the contiguous run of the
@@ -136,8 +138,8 @@ _SCAN_POINTS = 9
 # integrand's nearest complex singularities, here those the kink of the
 # terminal scale at P' = 0 pulls toward the real axis, and no closed function
 # of the law (s_P against the kink, A0 against s_P, the volume slope) told
-# the laws that 10 points resolve from those that need 48.  Scalar solves
-# for the reported schedule use the configured order instead.
+# the laws that 10 points resolve from those that need 48.  The re-solve of
+# the reported trade runs on the grid pass's panels.
 _PANEL_LADDER = (8, 10, 12, 16, 24, 32, 48, 64)
 _PANEL_TOL = 1e-14
 # Residuals spread over the grid at which the panel probe also evaluates the
@@ -572,45 +574,6 @@ def _penultimate_pass(
     return s, v, vd, slope0, _newton_diagnostics(report, stage)[0]
 
 
-def _penultimate_scalar(
-    params: Liquidity,
-    price: float,
-    volume: float,
-    cap: float,
-    w: float,
-    cfg: RecursionConfig,
-    volume_orders: tuple[int, int],
-    block_map: Callable = map,
-    workspaces: _Workspaces | None = None,
-) -> tuple[float, int, float, float]:
-    """Reported stage T-1 trade at the exact residual, with a resolution check.
-
-    The price panels take ``cfg.quad_order`` points and the volume rule the
-    first of ``volume_orders``.  :func:`_resolve_stage` scans
-    ``_SCAN_POINTS`` trades; the objective is then re-evaluated at the
-    minimizer with twice the panel points and the second volume order.
-    Returns the trade, the Newton iterations used, and the objective at the
-    trade at both, which the solver hands to :func:`_quadrature_drift`.
-    """
-    ub = min(w, cap)
-    order = cfg.quad_order
-    z_order, z_doubled = volume_orders
-    pen = _make_penultimate(params, price, volume, cap, ub, order, z_order, block_map, workspaces)
-    s_star, j_star, iters = _resolve_stage(
-        lambda x, idx: pen.objective(x, w),
-        lambda x, idx: pen.objective_derivs(x, w),
-        ub,
-        _SCAN_POINTS,
-        cfg,
-    )
-
-    doubled = _make_penultimate(
-        params, price, volume, cap, ub, 2 * order, z_doubled, workspaces=pen.workspaces
-    )
-    j_doubled = float(doubled.objective(np.array([s_star]), np.array([w]))[0])
-    return s_star, iters, j_star, j_doubled
-
-
 def solve_liquidity(
     params: Liquidity,
     horizon: Horizon,
@@ -697,8 +660,7 @@ def solve_liquidity(
             )
             # quad_order caps the volume rule, sized here, before any block
             # is planned, by the largest slope of the densest price mesh the
-            # panel probe may try; the re-solve's mesh is narrower and takes
-            # the same order.  Then the probe sizes the price panels.
+            # panel probe may try.  Then the probe sizes the price panels.
             densest = make(_PANEL_LADDER[-1], cfg.quad_order)
             z_order = _volume_order(densest.volume_slope, cfg.quad_order)
             panel_order, pen = _panel_order(partial(make, z_order=z_order), pen_nodes)
@@ -724,12 +686,19 @@ def solve_liquidity(
             grid_trades.append(s_pen)
             grid_values.append(v_pen)
 
-            z_orders = (z_order, min(2 * z_order, GH_MAX_ORDER))
-            s, iters, j_star, j_doubled = _penultimate_scalar(
-                params, path[T - 2].price, path[T - 2].aux, bounds[T - 2], w, cfg, z_orders,
-                block_map, pen.workspaces,
+            # the reported trade at the exact residual, on the grid pass's
+            # machinery (its mesh spans min(total, cap) >= min(w, cap)), then
+            # checked at twice the panel points and the volume order doubled
+            s, j_star, iters = _resolve_stage(
+                lambda x, idx: pen.objective(x, w),
+                lambda x, idx: pen.objective_derivs(x, w),
+                min(w, bounds[T - 2]),
+                _SCAN_POINTS,
+                cfg,
             )
-            drift = _quadrature_drift(j_star, j_doubled, "T-1", *z_orders)
+            doubled_z = min(2 * z_order, GH_MAX_ORDER)
+            j_doubled = float(make(2 * panel_order, doubled_z).objective(s, w)[0])
+            drift = _quadrature_drift(j_star, j_doubled, "T-1", z_order, doubled_z)
             diagnostics.append({
                 "stage": T - 1,
                 **pen_diag,

@@ -963,7 +963,7 @@ class TestComplexSolvesPinned:
             )),
             ("liquidity_three_stage", (
                 "ce7188b1a692f317187b65c02826713ec723ee15ac6967bad2b21f10df07602e",
-                "5f672e21782305a7f5a057b52d9519e7f8e27b0dbd8b8aedf9a0bb58942acf5e",
+                "575cf14e61b83fdf044b1b8f555621d90f48da91d5152ca6dd490632b1cf63ca",
                 "c1f4147f9d017925e1e049a709e7ffa984baac1b3932ce7c495b27bae2d9c913",
             )),
             ("linear_percentage", (

@@ -34,7 +34,7 @@ from execsched.dp import (
     SolverError,
 )
 from execsched.kernels import gauss_hermite, mills_psi, mills_psi_derivs
-from execsched.dp import _TerminalMills, _whole_residual
+from execsched.dp import _resolve_stage, _TerminalMills, _whole_residual
 from execsched.liquidity import (
     _PANEL_LADDER,
     _VOLUME_LADDER,
@@ -42,7 +42,7 @@ from execsched.liquidity import (
     _volume_order,
     solve_liquidity,
 )
-from execsched.models import Liquidity, MarketState
+from execsched.models import Liquidity, MarketState, _certainty_equivalent_path
 from execsched.simulate import SimConfig, simulate_paths
 from support import (
     bench_reference,
@@ -625,9 +625,9 @@ class TestVolumeOrder:
         assert table.metadata["diagnostics"][0]["volume_order"] == order
         # the densest mesh's machinery at the cap, before the rule is sized;
         # the panel probe's machineries, the last of which runs the grid
-        # pass; the re-solve; its doubled check
-        probe = made[1:-2]
-        assert made == [cap, *probe, order, doubled]
+        # pass and the re-solve; the re-solve's doubled check
+        probe = made[1:-1]
+        assert made == [cap, *probe, doubled]
         assert probe and set(probe) == {order}
         assert drifts == [(order, doubled)]
 
@@ -778,6 +778,38 @@ class TestPanelOrder:
         for a, b in zip(wide[1].value_samples, table.value_samples):
             assert a.tobytes() == b.tobytes()
         assert wide[1].stages[0].trades.tobytes() == table.stages[0].trades.tobytes()
+
+    @pytest.mark.parametrize(
+        "law, T, grid",
+        [
+            *((law, 2, 8) for law in NAMED_LAWS.values()),
+            (WORST_PANEL_LAW, 2, 8),
+            (NAMED_LAWS["rho-0.9"], 3, 16),
+            ((dataclasses.replace(SPEC_PARAMS, rho=0.95), 100.0, 60.0, 30.0), 4, 16),
+        ],
+        ids=[*NAMED_LAWS, "worst-panel", "rho-0.9-T3", "rho-0.95-T4"],
+    )
+    def test_reported_trade_matches_a_96_point_resolve(self, law, T, grid):
+        # the reported stage T-1 trade is re-solved on the grid pass's sized
+        # machinery; an oracle re-solves it at the same residual on 96-point
+        # panels and 96 volume nodes
+        params, price, volume, total = law
+        state = MarketState(price, volume)
+        cfg = RecursionConfig(grid_nodes=grid)
+        sched, table = solve_liquidity(params, Horizon(T, total), state, cfg)
+        decide = _certainty_equivalent_path(params, state, total / T, T)[T - 2]
+        cap = table.metadata["volume_bounds"][T - 2]
+        w = sched.residuals[T - 2]
+        ub = min(w, cap)
+        oracle = _make_penultimate(params, decide.price, decide.aux, cap, ub, 96, 96)
+        s, _, _ = _resolve_stage(
+            lambda x, idx: oracle.objective(x, w),
+            lambda x, idx: oracle.objective_derivs(x, w),
+            ub,
+            liquidity._SCAN_POINTS,
+            cfg,
+        )
+        assert abs(sched.trades[T - 2] - s) <= 2e-12
 
 
 class TestLongerHorizons:
