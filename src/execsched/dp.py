@@ -13,7 +13,8 @@ solvers return the closed form; everywhere else the grid recursion in
 :func:`approximate_recursion` solves every free stage at every node, and the
 reported schedule re-solves each stage at its exact residual.  Both run one
 stage minimizer, the safeguarded Newton of :func:`_vec_newton` on the
-first-order condition.
+first-order condition, which stops at that condition's rounding floor: a
+Newton step under ``_NEWTON_RTOL`` of its bracket is the last.
 """
 from __future__ import annotations
 
@@ -75,6 +76,9 @@ _RESOLVE_POINTS = 2001
 _GRID_LO_FRAC = 1e-3
 # Log steps per gap of the published grid in this module's recursions.
 _REFINE = 8
+# A Newton step of at most this fraction of its element's bracket is the
+# last one (see _vec_newton): the error it leaves is about its square.
+_NEWTON_RTOL = 2.0**-40
 
 # Tolerance scale for Schedule bookkeeping identities (relative to S-bar).
 SCHEDULE_REL_TOL = 1e-9
@@ -544,35 +548,49 @@ def _vec_newton(
     ``idx`` (flat indices into ``lo``/``hi``), optionally followed by more
     per-element outputs of the same evaluation.  Elements whose objective is
     monotone on [lo, hi] are pinned to the matching endpoint via the sign of
-    f there.  A step that leaves the bracket falls back to bisection, except
-    when the step is defined (f' > 0) and does not move the iterate: that
-    iterate is the root to rounding (f is 0, or the step is under half an
-    ulp) and is kept.  A free element leaves the loop once an iteration
-    returns its iterate unchanged: from there every iterate is the same, so
-    the result is bit for bit the one ``iters`` iterations give, and
-    ``iters`` only caps elements that never settle (``settled`` False).
+    f there; ``hi`` is evaluated only where ``lo`` does not pin.  A step
+    that leaves the bracket falls back to bisection, except when the step is
+    defined (f' > 0) and does not move the iterate: that iterate is the root
+    to rounding (f is 0, or the step is under half an ulp) and is kept.
+
+    A free element leaves the loop by one of two rules.  An iteration that
+    returns its iterate unchanged ends it there.  A Newton step (f' > 0, not
+    the bisection) of at most ``_NEWTON_RTOL`` of the element's bracket
+    ``hi - lo`` is taken and ends it at the next evaluation: converging
+    quadratically, that iterate is off the root by about the step squared,
+    while f near the root is rounding noise whose sign changes would
+    otherwise be bisected down to the last ulp.  ``iters`` caps the
+    iterations; an element still moving at the cap is evaluated once more
+    and reported unsettled (``settled`` False), unless its last step was
+    such a small step.
 
     The report carries the extra outputs of the evaluation at each returned
     point, so a caller never evaluates there again: a settled element's last
-    iteration, a pinned element's bracket end, and for an element still
-    moving at the cap one evaluation after it.
+    iteration, a pinned element's bracket end, and for an element at the
+    cap its evaluation after the loop.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    everything = np.arange(lo.size)
-    f_lo, _, *carry_lo = f_and_fp(lo, everything)
-    f_hi, _, *carry_hi = f_and_fp(hi, everything)
+    f_lo, _, *carried = f_and_fp(lo, np.arange(lo.size))
+    carried = [np.array(c) for c in carried]
     at_lo = f_lo >= 0.0
-    at_hi = f_hi <= 0.0
+    at_hi = np.zeros(lo.size, dtype=bool)
+    up = np.flatnonzero(~at_lo)
+    if up.size:
+        f_hi, _, *carry_hi = f_and_fp(hi[up], up)
+        at_hi[up] = f_hi <= 0.0
+        for c, e in zip(carried, carry_hi):
+            c[up] = e
     pinned = at_lo | at_hi
+    tol = _NEWTON_RTOL * (hi - lo)
     out = 0.5 * (lo + hi)
     foc = np.full(lo.size, np.nan)
     curv = np.full(lo.size, np.nan)
     used = np.zeros(lo.size, dtype=int)
     settled = np.ones(lo.size, dtype=bool)
-    carried = tuple(np.where(at_lo, a, b) for a, b in zip(carry_lo, carry_hi))
     idx = np.flatnonzero(~pinned)
     a, b, x = lo[idx], hi[idx], out[idx]
+    last = np.zeros(idx.size, dtype=bool)
     for k in range(1, iters + 1):
         if idx.size == 0:
             break
@@ -585,20 +603,22 @@ def _vec_newton(
         bad = (xn <= a) | (xn >= b) | ~np.isfinite(xn)
         bad &= (xn != x) | (fp <= 0.0)
         xn = np.where(bad, 0.5 * (a + b), xn)
-        moved = xn.view(np.uint64) != x.view(np.uint64)
-        done = idx[~moved]
-        out[done], foc[done], curv[done], used[done] = x[~moved], f[~moved], fp[~moved], k
+        stop = last | (xn.view(np.uint64) == x.view(np.uint64))
+        done = idx[stop]
+        out[done], foc[done], curv[done], used[done] = x[stop], f[stop], fp[stop], k
         for c, e in zip(carried, extra):
-            c[done] = e[~moved]
-        idx, a, b, x = idx[moved], a[moved], b[moved], xn[moved]
+            c[done] = e[stop]
+        last = ~bad & (fp > 0.0) & (np.abs(step) <= tol[idx])
+        go = ~stop
+        idx, a, b, x, last = idx[go], a[go], b[go], xn[go], last[go]
     if idx.size:
-        out[idx], used[idx], settled[idx] = x, iters, False
+        out[idx], used[idx], settled[idx] = x, iters, last
         foc[idx], curv[idx], *extra = f_and_fp(x, idx)
         for c, e in zip(carried, extra):
             c[idx] = e
     out = np.where(at_lo, lo, out)
-    report = _NewtonReport(used, foc, pinned, curv, settled, carried)
-    return np.where(at_hi & ~at_lo, hi, out), report
+    report = _NewtonReport(used, foc, pinned, curv, settled, tuple(carried))
+    return np.where(at_hi, hi, out), report
 
 
 def _scan_newton(

@@ -95,10 +95,10 @@ def _stage_premium_derivs(params: LinearPercentage, s, x, ratio: float, order: i
     theta, alpha, sig_y = params.move(ratio, x)
     mu_y = theta * np.asarray(s, dtype=float) + alpha
     keys, inverse = np.unique(np.ravel(mu_y).view(np.uint64), return_inverse=True)
-    if keys.size == 1 < inverse.size:
+    if keys.size == 1:
         # numpy sums one column over the nodes pairwise but several in node
-        # order, so a lone mean runs as two to keep the whole array's bits;
-        # for the same reason no part of a pooled call holds one mean
+        # order, so a lone mean runs as two to keep the batch's bits; for the
+        # same reason no part of a pooled call holds one mean
         keys = np.repeat(keys, 2)
     means = keys.view(float)
     if sig_y == 0.0:

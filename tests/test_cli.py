@@ -305,14 +305,15 @@ class TestSolve:
 
     def test_unsettled_grid_stage_exits_3(self, tmp_path, capsys):
         # the bench's complex benchmark solve (theta 3, T=10) with Newton
-        # capped at 4 iterations leaves grid nodes of its first stage moving
+        # capped at 4 iterations leaves grid nodes of its first stage moving;
+        # nodes whose 4th step was a last small one count as settled
         cfg = bench_solve_config("benchmark", 3.0)
         cfg = json.loads(json.dumps(cfg, indent=2, sort_keys=True))
         cfg["solver"] = {**(cfg["solver"] or {}), "newton_iters": 4}
         rc = main(["solve", _write_json(tmp_path, "c.json", cfg), "--output-dir", str(tmp_path)])
         assert rc == EXIT_SOLVER
         assert capsys.readouterr().err == (
-            "error: stage 9 grid solve did not converge within 4 Newton iterations at 128 nodes\n"
+            "error: stage 9 grid solve did not converge within 4 Newton iterations at 76 nodes\n"
         )
         assert not (tmp_path / "policy.json").exists()
 

@@ -693,7 +693,9 @@ class TestPchip:
 
 def _reference_newton(f_and_fp, lo, hi, iters):
     """The fixed-length loop the early-stopping Newton replaced, with its exit
-    rule: a defined step that does not move the iterate keeps it."""
+    rule: a defined step that does not move the iterate keeps it.  Returns the
+    result and, per element, the first iteration that left its iterate
+    unchanged (``iters`` where none did)."""
     a = lo.astype(float).copy()
     b = hi.astype(float).copy()
     f_lo, _ = f_and_fp(a)
@@ -701,7 +703,8 @@ def _reference_newton(f_and_fp, lo, hi, iters):
     at_lo = f_lo >= 0.0
     at_hi = f_hi <= 0.0
     x = 0.5 * (a + b)
-    for _ in range(iters):
+    still = np.full(x.shape, iters)
+    for k in range(1, iters + 1):
         f, fp = f_and_fp(x)
         a = np.where(f < 0.0, x, a)
         b = np.where(f >= 0.0, x, b)
@@ -710,9 +713,11 @@ def _reference_newton(f_and_fp, lo, hi, iters):
         xn = x + step
         bad = (xn <= a) | (xn >= b) | ~np.isfinite(xn)
         bad &= (xn != x) | (fp <= 0.0)
-        x = np.where(bad, 0.5 * (a + b), xn)
+        xn = np.where(bad, 0.5 * (a + b), xn)
+        still = np.where((xn == x) & (still == iters), k, still)
+        x = xn
     x = np.where(at_lo, lo, x)
-    return np.where(at_hi & ~at_lo, hi, x)
+    return np.where(at_hi & ~at_lo, hi, x), still
 
 
 class TestEarlyStoppingNewton:
@@ -723,8 +728,10 @@ class TestEarlyStoppingNewton:
         st.floats(0.5, 200.0),
     )
     @settings(max_examples=25, deadline=None)
-    def test_matches_fixed_length_loop_bit_for_bit(self, theta, sigma, alpha, total):
-        from execsched.dp import _MillsStage, _TerminalMills, _vec_newton
+    def test_matches_fixed_length_loop_within_the_stopping_tolerance(
+        self, theta, sigma, alpha, total
+    ):
+        from execsched.dp import _NEWTON_RTOL, _MillsStage, _TerminalMills, _vec_newton
 
         fam = _MillsStage(theta, alpha, sigma, True)
         term = _TerminalMills(theta, alpha, sigma)
@@ -735,11 +742,12 @@ class TestEarlyStoppingNewton:
             d, dd = term.d_dd(w[idx] - s)
             return ds - d, dss + dd
 
-        ref = _reference_newton(f_and_fp, np.zeros_like(w), w, 100)
+        ref, ref_iters = _reference_newton(f_and_fp, np.zeros_like(w), w, 100)
         got, report = _vec_newton(f_and_fp, np.zeros_like(w), w, 100)
-        assert np.array_equal(_bits(got), _bits(ref))
+        # the bracket of element e is [0, w[e]]
+        assert np.all(np.abs(got - ref) <= _NEWTON_RTOL * w)
         free = ~report.pinned
-        assert np.all(report.iterations[free] < 100)
+        assert np.all(report.iterations[free] <= ref_iters[free])
         assert np.all(report.iterations[~free] == 0)
         assert report.settled.all()
 
@@ -752,7 +760,7 @@ class TestEarlyStoppingNewton:
             return x - 0.3, np.zeros_like(x)
 
         x, report = _vec_newton(f_and_fp, np.zeros(2), np.ones(2), 5)
-        ref = _reference_newton(lambda x: f_and_fp(x, None), np.zeros(2), np.ones(2), 5)
+        ref, _ = _reference_newton(lambda x: f_and_fp(x, None), np.zeros(2), np.ones(2), 5)
         assert np.array_equal(_bits(x), _bits(ref))
         assert report.iterations.tolist() == [5, 5]
         assert report.settled.tolist() == [False, False]
@@ -764,21 +772,30 @@ class TestEarlyStoppingNewton:
         def objective(s, idx):
             return (s - 0.3) ** 2
 
-        def derivs(s, idx):
-            return 2.0 * (s - 0.3), np.full_like(s, 2.0)
+        # with the exact slope 2 Newton lands on the root and the next
+        # iteration leaves it unchanged; with 2.02 it closes in by 1e-2 a
+        # step, and a step under 2**-40 of the bracket is its last, taken on
+        # the cap when the cap falls there
+        for slope in (2.0, 2.02):
 
-        _, report = _vec_newton(derivs, np.zeros(1), np.ones(1), 100)
-        k = int(report.iterations[0])
-        assert k > 1
-        at_cap = _vec_newton(derivs, np.zeros(1), np.ones(1), k)[1]
-        assert at_cap.iterations[0] == k and at_cap.settled[0]
-        assert not _vec_newton(derivs, np.zeros(1), np.ones(1), k - 1)[1].settled[0]
-        # 2 scan points leave Newton the whole of [0, 1]
-        s, v, iters = _resolve_stage(objective, derivs, 1.0, 2, RecursionConfig(newton_iters=k))
-        assert (iters, v) == (k, objective(s, None))
-        with pytest.raises(SolverError) as err:
-            _resolve_stage(objective, derivs, 1.0, 2, RecursionConfig(newton_iters=k - 1))
-        assert err.value.bracket == (0.0, 1.0)
+            def derivs(s, idx):
+                return 2.0 * (s - 0.3), np.full_like(s, slope)
+
+            x, report = _vec_newton(derivs, np.zeros(1), np.ones(1), 100)
+            k = int(report.iterations[0])
+            assert k > 1 and report.settled[0]
+            need = k if slope == 2.0 else k - 1
+            at_cap, capped = _vec_newton(derivs, np.zeros(1), np.ones(1), need)
+            assert capped.iterations[0] == need and capped.settled[0]
+            assert np.array_equal(_bits(at_cap), _bits(x)) and capped.foc[0] == report.foc[0]
+            assert not _vec_newton(derivs, np.zeros(1), np.ones(1), need - 1)[1].settled[0]
+            # 2 scan points leave Newton the whole of [0, 1]
+            enough, short = (RecursionConfig(newton_iters=n) for n in (need, need - 1))
+            s, v, iters = _resolve_stage(objective, derivs, 1.0, 2, enough)
+            assert (iters, v) == (need, objective(s, None))
+            with pytest.raises(SolverError) as err:
+                _resolve_stage(objective, derivs, 1.0, 2, short)
+            assert err.value.bracket == (0.0, 1.0)
 
 
 class TestNewtonCarry:
@@ -927,49 +944,52 @@ def _digests(schedule, table):
 
 class TestComplexSolvesPinned:
     # sha256 of the solver output, recorded with every stage solve on one
-    # Newton exit rule and the one-formula Mills kernel, and the AR(1) shifts
-    # read from the law's move along the zero-noise walk; the quadrature
-    # solvers' digests were recorded before their value kernels became views
-    # of the derivative kernels, the liquidity ones with the volume rule sized
-    # by its slope (stage T-1 values within 2.3e-15 of order 80 at every
-    # published node) and the grid pass's price panels sized by the probe
-    # (10 and 16 points; stage T-1 values within 1.3e-15 of 64-point panels).
-    # Any change that moves a bit of it shows here
+    # Newton that stops at the rounding floor of its first-order condition
+    # (a step under 2**-40 of the bracket is the last; the benchmark's top
+    # value is its closed form 16500 and its schedule the equal split to
+    # 6.2e-13), the one-formula Mills kernel, and the AR(1) shifts read from
+    # the law's move along the zero-noise walk; the liquidity ones with the
+    # volume rule sized by its slope (stage T-1 values within 2.3e-15 of
+    # order 80 at every published node) and the grid pass's price panels
+    # sized by the probe (10 and 16 points; stage T-1 values within 1.3e-15
+    # of 64-point panels), and the percentage law's one-element premium
+    # calls on the batch's node-order sums.  Any change that moves a bit of
+    # it shows here
     def test_benchmark_complex(self):
         params = Benchmark(theta=3.0, sigma_eps=1.0)
         got = _digests(*solve_benchmark_complex(params, Horizon(10, 100.0)))
         assert got == {
-            "stages": "9a705faff69095555aec4c4d77dde264d28dfd0e216da1423eb94dc217a6abbf",
-            "schedule": "508ed5244c506198d32f6084aa6622438c5037914535f37c2123a89d435aaa9c",
-            "value_samples": "235633ddaea84cc63d9b77c363df8b30f58476843cfd9e954541b9f4bb9fa850",
+            "stages": "86a17061051c46c08236caf7fc53498b41442bd1fc0913cc39dfb82d90ad305a",
+            "schedule": "da33a34bf5c4dc7fcd7ed17e4b9b33be2dd158ea83298ea474f615bf0e36a15d",
+            "value_samples": "e4eae098e6516ba8c86e470d98bbfbc7aded946058eafc3c5d15783c3cb11a48",
         }
 
     def test_ar1_complex(self):
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
         got = _digests(*solve_ar1_complex(params, Horizon(10, 10.0), 0.5))
         assert got == {
-            "stages": "dcd31216e7d0d85fdb4fe872d6e99a1b50cde5b1054e9f1739730ee396c3addb",
-            "schedule": "768dd4c39c97e777d0a728177af6eff3eef7b5e68955d0431ca4d7e2b3a9bd6d",
-            "value_samples": "d5714713c50f6edeef3ed564a19bffb616d405337a8535f554173dbe9466ab8e",
+            "stages": "1269fae56ad92e430b2cd238b4d5d00d4c543fa1a95697c35603c421faef5ee4",
+            "schedule": "c4be3f06016aa30a5b20fda7951c71faaf15c1f42509a5ff06ac9f4db1cd8118",
+            "value_samples": "f82af08dd936b300f22dff3b97016e070e245be84e5e913e331d2a75ba25c381",
         }
 
     @pytest.mark.parametrize(
         "case, pins",
         [
             ("liquidity", (
-                "0e8c92e4361ec656c1c666ec750cf8c259115361e8dab0040773a8f2fa7acad5",
+                "35afd788d65e557187d0cdb217c259fb5185c0b90d72ce98a070422896530ec1",
                 "10e8536c7a34270205d82cb6db5ad92fa04a6c0acfc643889cef3c9e01bdbc70",
-                "212e924214325214c428f5b19bdb8d4ab619966e7effd85b1916870f3b18336a",
+                "b75850470553c76bb288cc5aa46a6b61c4bebd38a182f25b1f09a2c93910dc43",
             )),
             ("liquidity_three_stage", (
-                "ce7188b1a692f317187b65c02826713ec723ee15ac6967bad2b21f10df07602e",
-                "575cf14e61b83fdf044b1b8f555621d90f48da91d5152ca6dd490632b1cf63ca",
-                "c1f4147f9d017925e1e049a709e7ffa984baac1b3932ce7c495b27bae2d9c913",
+                "f81a950dd35436408db53620148553691dc47e9e11b812ce2c1d211e33b98cf6",
+                "127e1fadd2f624607c4a57833f7b9b470197511c2d312bb40e8b8de9433b7b8c",
+                "458d3d2ab15f62a46448e98882aa5fe2cf33003191e30afeacd3cc8c3625401c",
             )),
             ("linear_percentage", (
-                "0e7b0e78b563b363b543a7b086877b5963cd6f73e2e267a47ae72ea60668d687",
-                "5946c76f8407295f4ef05ee06493a67db6df4a1471a3000164c588355c0d9df0",
-                "f00166722123f4addc9e0c2f88c83135973550d8f848bac61c822c9a73a907ec",
+                "c128a80b22e6c1d020bf18d2a166323b2c63f0fe4458e88f55a192b987d84369",
+                "b309857f7547bea8bdf21824d2a14002020a72a08b90f2dc8866f7ecbdecdc1d",
+                "a9600d0b83665b0919ecc9b1bfeeb1f0ee9a32f00f1018cc65945d0a651f6907",
             )),
         ],
     )

@@ -377,6 +377,28 @@ class TestEvaluateOnce:
             assert np.array_equal(value.view(np.uint64), plain.view(np.uint64))
             assert np.array_equal(v_grid.ravel().view(np.uint64), value.view(np.uint64))
 
+    def test_grid_stages_stop_at_the_rounding_floor(self, monkeypatch):
+        # each grid stage of the bench law evaluates its first-order condition
+        # at most 12 times, bracket ends included; stopping only on an
+        # unchanged iterate took 18 to 23 here, bisecting the noise of f
+        counts = []
+        newton = gbm._vec_newton
+
+        def counted(f_and_fp, lo, hi, iters):
+            calls = []
+
+            def f(x, idx):
+                calls.append(idx.size)
+                return f_and_fp(x, idx)
+
+            out = newton(f, lo, hi, iters)
+            counts.append(len(calls))
+            return out
+
+        monkeypatch.setattr(gbm, "_vec_newton", counted)
+        _grid_stage_calls(monkeypatch, bench_solve_config("linear_percentage", 0.05))
+        assert len(counts) == 4 and max(counts) <= 12
+
     def test_s_zero_end_runs_the_mixture_once_per_state(self, monkeypatch):
         import execsched.kernels as kernels
 
@@ -421,11 +443,14 @@ class TestEvaluateOnce:
         law = SimpleNamespace(mu_B=0.0, sigma_B=0.1, move=lambda ratio, x: (0.01, x, sig_y))
         s, x = np.array(s), np.array(x)
         got = gbm._stage_premium_derivs(law, s, x, 0.98, 40)
-        mu_y = 0.01 * s + x
+        # the kernel's batch bits: numpy sums a lone column pairwise, so a
+        # one-element call is held to the same mean run twice
+        mu_y = np.resize(0.01 * s + x, max(s.size, 2))
         if sig_y:
             prem, d1, d2 = _mixture_derivs_gh(0.0, 0.1, mu_y, sig_y, -0.98, 40)
         else:
             prem, d1, d2 = _lognormal_shift_derivs(0.0, 0.1, mu_y, -0.98)
+        prem, d1, d2 = (a[: s.size] for a in (prem, d1, d2))
         for a, b in zip(got, (prem, 0.01 * d1, 0.01 * 0.01 * d2)):
             assert a.shape == s.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -657,7 +657,8 @@ class TestBatchedSimulator:
     @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
     def test_policy_tables_and_percentage_law_pinned(self):
         # digests of evaluate_policy output on random stream v2 with the
-        # one-formula Mills kernel
+        # one-formula Mills kernel, the tables solved by the Newton that stops
+        # at the rounding floor of its first-order condition
         bench = Benchmark(theta=2.5, sigma_eps=2.0)
         _, table = solve_benchmark_complex(bench, Horizon(4, 10.0))
         cfg = SimConfig(model=bench, horizon=Horizon(4, 10.0), n_paths=1500, seed=31,
@@ -672,9 +673,9 @@ class TestBatchedSimulator:
             model=pct, horizon=Horizon(4, 10.0), n_paths=1500, seed=33,
             initial_state=MarketState(price=100.0, aux=0.1, no_impact_price=100.0))
         runs = {
-            "da87f3f9e033a9f8f5e65db61d68d99a897b2b81f4775785908ae27b8dae3bb4":
+            "a87131183ff0c321389fe25e3a643368b3b0b71131b3efe11ea79bfe4980df02":
                 evaluate_policy(cfg, table, "complex"),
-            "2dc99b08e468a72a94a09fa871ad30e193363b08459d051306189b2c52319e5d":
+            "9db7876b64a4ecbcedc1a9d4a3ae6666a43670314cac9d6b2788f04ef0b1df86":
                 evaluate_policy(ar1_cfg, ar1_table, "complex"),
             "5832836c262bc09f6d08455f2e657b65598b328c958535dfc8c65580898da8da":
                 evaluate_policy(pct_cfg, Schedule.from_trades([1.0, 2.0, 3.0, 4.0], 10.0)),
