@@ -10,11 +10,10 @@ failure (unbalanced fills, broken zero-sum, failed verify suite).
 
 ``solve``, ``attribute`` and ``simulate`` write their artifacts plus a
 ``manifest.json`` carrying the command, input digests, seed, library
-version, timestamps, for ``solve`` the threads it ran on, and the sha256 of
-each output.  JSON outputs embed the manifest's ``run_id`` (a digest of the
-command and its effective inputs, no clock, so reruns reproduce it); CSV
-outputs keep their strict column schema and are bound to the run by their
-digest in the manifest.
+version, timestamps and the sha256 of each output.  JSON outputs embed the
+manifest's ``run_id`` (a digest of the command and its effective inputs, no
+clock, so reruns reproduce it); CSV outputs keep their strict column schema
+and are bound to the run by their digest in the manifest.
 The only environment knob is EXECSCHED_OUTPUT_DIR, an output-directory
 fallback for runs that do not pass --output-dir.
 """
@@ -462,15 +461,6 @@ def _stage_doc(stage) -> dict:
     }
 
 
-def _solve_threads(model: str) -> int:
-    """Threads a solve of ``model`` runs on: the block pool of the two
-    quadrature solvers (liquidity and linear_percentage) is as wide as the
-    CPUs the process may use; every other solver runs on one."""
-    if model not in ("liquidity", "linear_percentage"):
-        return 1
-    return importlib.import_module("execsched.dp")._pool_width()
-
-
 def cmd_solve(args) -> int:
     started = perf_counter()
     cfg, digest = load_config(args.config)
@@ -512,7 +502,6 @@ def cmd_solve(args) -> int:
         run_id=run_id,
         inputs={"config": {"path": args.config, "sha256": digest}},
         seed=None,
-        threads=_solve_threads(cfg["model"]),
         outputs=[schedule_entry, policy_entry],
         phases_s=_phases(started, loaded, computed),
     )

@@ -19,11 +19,7 @@ Newton step under ``_NEWTON_RTOL`` of its bracket is the last.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -768,54 +764,6 @@ def _quadrature_drift(value: float, doubled: float, stage, order: int, doubled_t
             stacklevel=3,
         )
     return rel
-
-
-# Elements of one evaluated block of a quadrature solver's tensor: it bounds
-# the memory a block holds, and liquidity stage T-1 blocks of this size ran
-# fastest on a 2-core host with 2 MiB of L2 per core.
-_BLOCK_ELEMS = 1 << 16
-
-
-class _Pool(NamedTuple):
-    """How a solve evaluates independent blocks: ``map`` on ``width`` threads."""
-
-    map: Callable = map
-    width: int = 1
-
-
-# The pool of the solve running in this context.  gbm's premium reads it
-# here: the solve reaches it through stage helpers that carry no pool.  A
-# pool thread starts in a fresh context, so a block never maps over the pool.
-_SOLVE_POOL: ContextVar[_Pool] = ContextVar("solve_pool", default=_Pool())
-
-
-def _pool_width() -> int:
-    """The CPUs this process may run on: the width of a solve's block pool."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@contextmanager
-def _block_map():
-    """The map a quadrature solve evaluates its blocks with: that of a thread
-    pool :func:`_pool_width` wide, shut down on exit, or the builtin at width
-    1.  While open, it is also this context's :data:`_SOLVE_POOL`.
-
-    Each thread holds one block in flight, so the block memory is at most
-    the width times the arrays of one block of ``_BLOCK_ELEMS`` elements.
-    """
-    width = _pool_width()
-    executor = ThreadPoolExecutor(width) if width > 1 else None
-    pool = _Pool(executor.map, width) if executor else _Pool()
-    token = _SOLVE_POOL.set(pool)
-    try:
-        yield pool.map
-    finally:
-        _SOLVE_POOL.reset(token)
-        if executor:
-            executor.shutdown()
 
 
 def _scalar_stage_solve(

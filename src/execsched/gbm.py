@@ -24,10 +24,7 @@ its last evaluation, so no stage point is evaluated twice, and the re-solve's
 scan, the doubled-order check and the forced last stage read their values
 from it.  It runs the premium once per distinct mean of Y, so
 at the S = 0 end of every bracket once per X sample rather than once per
-grid node.  A premium call of more than one block of (mean, node) elements,
-as the forced last stage and Newton's evaluations over the grid make,
-runs on the solve's thread pool (``dp._block_map``, the liquidity solver's
-too) in near-equal parts of at least two means, with the inline call's bits.
+grid node.
 The Gauss-Hermite premium is under-resolved
 when gamma*sigma_eta is small next to sigma_B, so each re-solve evaluates its
 objective at the chosen trade again at doubled order and reports the relative
@@ -42,13 +39,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from execsched.dp import (
-    _BLOCK_ELEMS,
-    _SOLVE_POOL,
     Horizon,
     PolicyTable,
     RecursionConfig,
     Schedule,
-    _block_map,
     _build_mesh,
     _grid_table,
     _newton_diagnostics,
@@ -87,34 +81,20 @@ def _stage_premium_derivs(params: LinearPercentage, s, x, ratio: float, order: i
 
     The kernels are elementwise in mu_Y, so they run once per distinct mean
     (told apart by its bits, so -0.0 and +0.0 stay apart) and the results are
-    scattered back: at s = 0 every residual of a state shares one mean.  A
-    mixture call whose (mean, node) tensor is larger than one ``_BLOCK_ELEMS``
-    block is mapped over the solve's pool (``dp._SOLVE_POOL``) in ``width``
-    near-equal parts of at least two means each.
+    scattered back: at s = 0 every residual of a state shares one mean.
     """
     theta, alpha, sig_y = params.move(ratio, x)
     mu_y = theta * np.asarray(s, dtype=float) + alpha
     keys, inverse = np.unique(np.ravel(mu_y).view(np.uint64), return_inverse=True)
     if keys.size == 1:
         # numpy sums one column over the nodes pairwise but several in node
-        # order, so a lone mean runs as two to keep the batch's bits; for the
-        # same reason no part of a pooled call holds one mean
+        # order, so a lone mean runs as two to keep the batch's bits
         keys = np.repeat(keys, 2)
     means = keys.view(float)
     if sig_y == 0.0:
         parts = _lognormal_shift_derivs(params.mu_B, params.sigma_B, means, -ratio)
     else:
-
-        def mixture(mu):
-            return _mixture_derivs_gh(params.mu_B, params.sigma_B, mu, sig_y, -ratio, order)
-
-        pool = _SOLVE_POOL.get()
-        width = min(pool.width, means.size // 2) if means.size * order > _BLOCK_ELEMS else 1
-        if width > 1:
-            split = pool.map(mixture, np.array_split(means, width))
-            parts = [np.concatenate(part) for part in zip(*split)]
-        else:
-            parts = mixture(means)
+        parts = _mixture_derivs_gh(params.mu_B, params.sigma_B, means, sig_y, -ratio, order)
     prem, d1, d2 = (p[inverse].reshape(np.shape(mu_y)) for p in parts)
     return prem, theta * d1, theta * theta * d2
 
@@ -270,23 +250,21 @@ def solve_gbm_simple(
     stage_conts: dict[int, _SplineCont] = {}
     grid_diags: dict[int, dict] = {}
 
-    # the last stage trades the whole residual; its premium and the grid
-    # stages' run on one pool, the re-solves of one element inline
-    with _block_map():
-        W, X = np.meshgrid(fine, stage_x[T], indexing="ij")
-        v_fine = W * _stage_premium_derivs(params, W, X, ratios[T - 1], cfg.quad_order)[0]
-        values[T] = v_fine[oi, ce_idx[T]]
+    # the last stage trades the whole residual
+    W, X = np.meshgrid(fine, stage_x[T], indexing="ij")
+    v_fine = W * _stage_premium_derivs(params, W, X, ratios[T - 1], cfg.quad_order)[0]
+    values[T] = v_fine[oi, ce_idx[T]]
 
-        v_with_zero = np.vstack([np.zeros((1, stage_x[T].size)), v_fine])
-        for t in range(T - 1, 0, -1):
-            cont = _fit_continuation(params, nodes, v_with_zero, stage_x[t + 1], stage_x[t])
-            stage_conts[t] = cont
-            s_fine, v_fine, grid_diags[t] = _minimize_stage(
-                params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg, t
-            )
-            policies[t] = s_fine[oi, ce_idx[t]]
-            values[t] = v_fine[oi, ce_idx[t]]
-            v_with_zero = np.vstack([np.zeros((1, stage_x[t].size)), v_fine])
+    v_with_zero = np.vstack([np.zeros((1, stage_x[T].size)), v_fine])
+    for t in range(T - 1, 0, -1):
+        cont = _fit_continuation(params, nodes, v_with_zero, stage_x[t + 1], stage_x[t])
+        stage_conts[t] = cont
+        s_fine, v_fine, grid_diags[t] = _minimize_stage(
+            params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg, t
+        )
+        policies[t] = s_fine[oi, ce_idx[t]]
+        values[t] = v_fine[oi, ce_idx[t]]
+        v_with_zero = np.vstack([np.zeros((1, stage_x[t].size)), v_fine])
 
     # Forward certainty-equivalent pass at the exact residuals, Newton on [0, w];
     # the objective at the chosen trade is evaluated again at doubled order.

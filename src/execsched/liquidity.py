@@ -37,17 +37,11 @@ trade's Gaussian weight falls below 3e-18 of its peak past 9 s_P.  So each
 evaluated block of trades works on a window: the contiguous run of the
 sorted price nodes within ``_WINDOW_SIGMAS`` = 9 s_P of some trade's center,
 found by binary search.  Blocks are sized by their window, so
-``_BLOCK_ELEMS`` still bounds the tensor.  The blocks are independent, and
-numpy and scipy release the GIL inside their array loops, so a solve maps
-them over a thread pool as wide as the CPUs the process may run on, opened
-for its stage T-1 work and shut down when it returns or raises (``dp``
-owns that pool).  The run boundaries and windows are planned before the map
-and the results joined in run order, so every output is bit for bit the same
-at any pool width, and memory stays within one block per thread.  Each block
-writes its Mills arguments and the kernel's arrays into a workspace held
-from the solve's free list, one per block in flight, so a thread's block
-memory is faulted in once per solve rather than once per block, and goes
-back to the system when the solve returns.  The stage T-1 objective
+``_BLOCK_ELEMS`` still bounds the tensor, and they run one after another on
+the calling thread.  Each block writes its Mills arguments and the kernel's
+arrays into the solve's one workspace buffer, so the block memory is
+faulted in once per solve rather than once per block, and goes back to the
+system when the solve returns.  The stage T-1 objective
 is smooth in the trade S: the price-node weights are Gaussian in an affine
 function of S and every Mills argument shifts linearly with S, so its first
 and second S-derivatives come in closed form from psi, psi' and psi'' on the
@@ -75,9 +69,7 @@ from __future__ import annotations
 
 import math
 import mmap
-import threading
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -85,7 +77,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dp import (
-    _BLOCK_ELEMS,
     Horizon,
     InfeasibleLiquidityError,
     MillsRecursionProblem,
@@ -94,7 +85,6 @@ from .dp import (
     Schedule,
     SolverError,
     _backward_pass,
-    _block_map,
     _build_mesh,
     _grid_table,
     _MillsStage,
@@ -124,6 +114,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Elements of one evaluated block of the stage T-1 tensor: it bounds the
+# memory a block holds, so that memory does not grow with the node count.
+_BLOCK_ELEMS = 1 << 16
 # Log steps per gap of the published grid.  Stage T-1 on the full refined
 # mesh is a dense (nodes x price x volume) tensor per scan point and Newton
 # step; two steps keep that affordable while the Hermite slopes preserve the
@@ -215,48 +208,33 @@ def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int)
 
 
 class _Workspaces:
-    """One solve's stage T-1 block memory: a free list of flat float buffers,
-    one per block in flight, and the arrays the running thread holds.
+    """One solve's stage T-1 block memory: one flat float buffer that every
+    block in turn writes ``u`` and the Mills kernel's arrays into.
 
-    A block holds a buffer while it runs and writes ``u`` and the Mills
-    kernel's arrays into it.  A buffer grows to the run in hand and is
-    reused by every later block, so a thread's block memory is faulted in
-    once per solve instead of once per block; it is freed with the solve.
+    The buffer grows to the run in hand and is reused by every later block,
+    so the block memory is faulted in once per solve instead of once per
+    block; it is freed with the solve.
     """
 
     def __init__(self):
-        self._free: list[np.ndarray] = []
-        self._held = threading.local()
+        self._flat = np.empty(0)
+        # the arrays of the running block: ``u``, then the kernel's
+        self.held: list[np.ndarray] = []
 
-    @contextmanager
-    def hold(self, shape: tuple, count: int):
-        """Hold a buffer of ``count`` arrays of ``shape`` while a block runs."""
+    def hold(self, shape: tuple, count: int) -> None:
+        """Lay ``count`` arrays of ``shape`` over the buffer as :attr:`held`."""
         size = math.prod(shape)
         # each array starts on a 64-byte boundary of the buffer
         stride = -(-size // 8) * 8
-        try:
-            flat = self._free.pop()
-        except IndexError:
-            flat = np.empty(0)
-        if flat.size < stride * count:
+        if self._flat.size < stride * count:
             # room for a whole block per array, so that a solve's runs, all
             # but some lone elements within a block, seldom grow it again;
             # mapped pages go back to the system when the buffer is freed,
             # whatever malloc would keep of a heap allocation
-            flat = np.frombuffer(mmap.mmap(-1, max(stride, _BLOCK_ELEMS) * count * 8))
-        self._held.arrays = [
-            flat[i * stride : i * stride + size].reshape(shape) for i in range(count)
+            self._flat = np.frombuffer(mmap.mmap(-1, max(stride, _BLOCK_ELEMS) * count * 8))
+        self.held = [
+            self._flat[i * stride : i * stride + size].reshape(shape) for i in range(count)
         ]
-        try:
-            yield
-        finally:
-            del self._held.arrays
-            self._free.append(flat)
-
-    @property
-    def held(self) -> list[np.ndarray]:
-        """The arrays this thread's block holds: ``u``, then the kernel's."""
-        return self._held.arrays
 
 
 @dataclass(frozen=True)
@@ -266,10 +244,9 @@ class _Penultimate:
     Every method takes flat arrays of trades and residuals and evaluates
     the (element, price node, volume node) tensor in blocks of about
     ``_BLOCK_ELEMS`` elements, each on its window of price nodes, so memory
-    stays flat in the number of elements.  ``map`` evaluates the blocks of a
-    call; a solve passes its thread pool's, and the builtin keeps them in
-    the calling thread.  Each block works in a buffer held from
-    ``workspaces``, which a solve shares between its stage T-1 machineries.
+    stays flat in the number of elements.  Each block works in the buffer
+    of ``workspaces``, which a solve shares between its stage T-1
+    machineries.
     """
 
     params: Liquidity
@@ -281,7 +258,6 @@ class _Penultimate:
     z_nodes: np.ndarray
     z_weights: np.ndarray
     workspaces: _Workspaces
-    map: Callable = map
 
     @cached_property
     def stage(self) -> _MillsStage:
@@ -350,25 +326,11 @@ class _Penultimate:
     def _blocked(self, block, trades, resids, arrays: int = 1):
         """``block(trades, resids, nodes)`` over the :meth:`_runs` of a call,
         joined in run order, each holding ``arrays`` (element, price node,
-        volume node) arrays of ``workspaces``: ``u`` and the kernel's.
-
-        The runs are planned here, in the calling thread: they fix every
-        window and einsum length, hence the bits.  Only their evaluation goes
-        through ``self.map``; a call of one run is evaluated inline.
-        """
-        runs = self._runs(trades, resids)
-
-        def held(run):
-            s, _, nodes = run
-            shape = (s.size, nodes.stop - nodes.start, self.z_nodes.size)
-            with self.workspaces.hold(shape, arrays):
-                return block(*run)
-
-        if len(runs) == 1:
-            parts = [held(runs[0])]
-        else:
-            self.slope  # computed once here, s_next with it; the blocks only read them
-            parts = list(self.map(held, runs))
+        volume node) arrays of ``workspaces``: ``u`` and the kernel's."""
+        parts = []
+        for s, r, nodes in self._runs(trades, resids):
+            self.workspaces.hold((s.size, nodes.stop - nodes.start, self.z_nodes.size), arrays)
+            parts.append(block(s, r, nodes))
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*parts))
         return np.concatenate(parts)
@@ -470,7 +432,6 @@ def _make_penultimate(
     s_max: float,
     panel_order: int,
     z_order: int,
-    block_map: Callable = map,
     workspaces: _Workspaces | None = None,
 ) -> _Penultimate:
     theta_hat, alpha_hat, s_p = params.move(price, volume)
@@ -491,7 +452,6 @@ def _make_penultimate(
         z_nodes=rule.nodes,
         z_weights=rule.weights,
         workspaces=_Workspaces() if workspaces is None else workspaces,
-        map=block_map,
     )
 
 
@@ -529,8 +489,7 @@ def _panel_order(make: Callable[[int], _Penultimate], w_nodes: np.ndarray):
     The probe evaluates the objective at :func:`_probe_points` on each rung
     of ``_PANEL_LADDER`` in turn; the order is the first rung whose values
     all lie within ``_PANEL_TOL`` relative of the next rung's, else the last
-    rung.  It depends on the law, the state and the residuals only, never on
-    the pool.
+    rung.  It depends on the law, the state and the residuals only.
     """
     order, *finer = _PANEL_LADDER
     pen = make(order)
@@ -644,71 +603,68 @@ def solve_liquidity(
     diagnostics: list[dict] = []
     w = total
     if T > 1:
-        # one pool and one set of block buffers for the stage T-1 work; the
-        # grid stages between run inline
-        with _block_map() as block_map:
-            pen_nodes = mesh.official if T == 2 else mesh.fine
-            make = partial(
-                _make_penultimate,
-                params,
-                path[T - 2].price,
-                path[T - 2].aux,
-                bounds[T - 2],
-                float(min(total, bounds[T - 2])),
-                block_map=block_map,
-                workspaces=_Workspaces(),
+        pen_nodes = mesh.official if T == 2 else mesh.fine
+        make = partial(
+            _make_penultimate,
+            params,
+            path[T - 2].price,
+            path[T - 2].aux,
+            bounds[T - 2],
+            float(min(total, bounds[T - 2])),
+            # one block buffer for all the stage T-1 work of the solve
+            workspaces=_Workspaces(),
+        )
+        # quad_order caps the volume rule, sized here, before any block
+        # is planned, by the largest slope of the densest price mesh the
+        # panel probe may try.  Then the probe sizes the price panels.
+        densest = make(_PANEL_LADDER[-1], cfg.quad_order)
+        z_order = _volume_order(densest.volume_slope, cfg.quad_order)
+        panel_order, pen = _panel_order(partial(make, z_order=z_order), pen_nodes)
+        s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
+        if T > 2:
+            cont = _SplineCont.from_slopes(
+                mesh.nodes,
+                np.concatenate([[0.0], v_pen]),
+                np.concatenate([[slope0], vd_pen]),
             )
-            # quad_order caps the volume rule, sized here, before any block
-            # is planned, by the largest slope of the densest price mesh the
-            # panel probe may try.  Then the probe sizes the price panels.
-            densest = make(_PANEL_LADDER[-1], cfg.quad_order)
-            z_order = _volume_order(densest.volume_slope, cfg.quad_order)
-            panel_order, pen = _panel_order(partial(make, z_order=z_order), pen_nodes)
-            s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
-            if T > 2:
-                cont = _SplineCont.from_slopes(
-                    mesh.nodes,
-                    np.concatenate([[0.0], v_pen]),
-                    np.concatenate([[slope0], vd_pen]),
+            families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
+            res = _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
+            for t in range(1, T - 1):
+                grid_trades.append(res.trades[t][0])
+                grid_values.append(res.values[t][0])
+                s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg)
+                diagnostics.append(
+                    {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
                 )
-                families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
-                res = _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
-                for t in range(1, T - 1):
-                    grid_trades.append(res.trades[t][0])
-                    grid_values.append(res.values[t][0])
-                    s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg)
-                    diagnostics.append(
-                        {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
-                    )
-                    trades.append(s)
-                    w -= s
-                s_pen, v_pen = s_pen[mesh.official_idx], v_pen[mesh.official_idx]
-            grid_trades.append(s_pen)
-            grid_values.append(v_pen)
+                trades.append(s)
+                w -= s
+            s_pen, v_pen = s_pen[mesh.official_idx], v_pen[mesh.official_idx]
+        grid_trades.append(s_pen)
+        grid_values.append(v_pen)
 
-            # the reported trade at the exact residual, on the grid pass's
-            # machinery (its mesh spans min(total, cap) >= min(w, cap)), then
-            # checked at twice the panel points and the volume order doubled
-            s, j_star, iters = _resolve_stage(
-                lambda x, idx: pen.objective(x, w),
-                lambda x, idx: pen.objective_derivs(x, w),
-                min(w, bounds[T - 2]),
-                _SCAN_POINTS,
-                cfg,
-            )
-            doubled_z = min(2 * z_order, GH_MAX_ORDER)
-            j_doubled = float(make(2 * panel_order, doubled_z).objective(s, w)[0])
-            drift = _quadrature_drift(j_star, j_doubled, "T-1", z_order, doubled_z)
-            diagnostics.append({
-                "stage": T - 1,
-                **pen_diag,
-                "schedule_iterations": iters,
-                "panel_order": panel_order,
-                "volume_order": z_order,
-                "quadrature_drift": drift,
-            })
-            trades.append(s)
-            w -= s
+        # the reported trade at the exact residual, on the grid pass's
+        # machinery (its mesh spans min(total, cap) >= min(w, cap)), then
+        # checked at twice the panel points and the volume order doubled
+        s, j_star, iters = _resolve_stage(
+            lambda x, idx: pen.objective(x, w),
+            lambda x, idx: pen.objective_derivs(x, w),
+            min(w, bounds[T - 2]),
+            _SCAN_POINTS,
+            cfg,
+        )
+        doubled_z = min(2 * z_order, GH_MAX_ORDER)
+        j_doubled = float(make(2 * panel_order, doubled_z).objective(s, w)[0])
+        drift = _quadrature_drift(j_star, j_doubled, "T-1", z_order, doubled_z)
+        diagnostics.append({
+            "stage": T - 1,
+            **pen_diag,
+            "schedule_iterations": iters,
+            "panel_order": panel_order,
+            "volume_order": z_order,
+            "quadrature_drift": drift,
+        })
+        trades.append(s)
+        w -= s
 
     if w > bounds[T - 1] + tol:
         raise InfeasibleLiquidityError(

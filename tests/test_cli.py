@@ -997,67 +997,25 @@ class TestManifestFillsRoute:
         assert manifest["inputs"]["fills"]["route"] == route
 
 
-def _liquidity_doc(periods):
-    """The bench liquidity config; at three periods the stage T-1 pass runs on
-    the fine mesh and the grid recursion runs before it."""
-    doc = json.loads(json.dumps(bench_solve_config("liquidity", 20.0)))
-    if periods != 2:
-        doc["horizon"]["periods"] = periods
-        doc["solver"]["grid_nodes"] = 16
-    return doc
-
-
 class TestSolveThreads:
-    """The liquidity solver's block pool is as wide as the CPUs the process may
-    use; its width shows in the manifest and nowhere else."""
+    """A solve runs on the thread that calls it, so its manifest records no
+    thread count, and two reruns differ only in the clock."""
 
     @staticmethod
-    def _solve(monkeypatch, tmp_path, doc, width):
-        monkeypatch.setattr("execsched.dp._pool_width", lambda: width)
-        out = tmp_path / f"w{width}"
+    def _solve(tmp_path, name):
+        doc = bench_solve_config("liquidity", 20.0)
+        out = tmp_path / name
         argv = ["solve", _write_json(tmp_path, "c.json", doc), "--output-dir", str(out)]
         assert main(argv) == EXIT_OK
-        return out
+        return json.loads((out / "manifest.json").read_text())
 
-    @pytest.mark.parametrize("periods", [2, 3])
-    def test_artifacts_are_identical_at_every_width(self, monkeypatch, tmp_path, periods):
-        doc = _liquidity_doc(periods)
-        sequential, *pooled = (
-            self._solve(monkeypatch, tmp_path, doc, width) for width in (1, 2, 3)
-        )
-        for out in pooled:
-            for name in ("policy.json", "schedule.csv"):
-                assert (out / name).read_bytes() == (sequential / name).read_bytes()
-
-    def test_manifests_differ_only_in_the_width_and_the_clock(self, monkeypatch, tmp_path):
-        doc = _liquidity_doc(2)
-        one, two = (
-            json.loads((self._solve(monkeypatch, tmp_path, doc, w) / "manifest.json").read_text())
-            for w in (1, 2)
-        )
-        assert (one["threads"], two["threads"]) == (1, 2)
-        varying = ("threads", "created_utc", "phases_s")
+    def test_manifests_of_two_reruns_differ_only_in_the_clock(self, tmp_path):
+        one, two = (self._solve(tmp_path, name) for name in ("a", "b"))
+        varying = {"created_utc", "phases_s"}
+        assert "threads" not in one and one.keys() == two.keys() >= varying
         assert {k: v for k, v in one.items() if k not in varying} == {
             k: v for k, v in two.items() if k not in varying
         }
-        policy = (tmp_path / "w2" / "policy.json").read_text()
-        assert "threads" not in policy
-
-    def test_other_models_record_one_thread(self, monkeypatch, tmp_path):
-        doc = {k: v for k, v in _bench_doc().items() if k != "simulation"}
-        out = self._solve(monkeypatch, tmp_path, doc, 3)
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
-
-    def test_percentage_law_artifacts_are_identical_at_every_width(self, monkeypatch, tmp_path):
-        # its premium calls larger than one block run on the same pool
-        doc = json.loads(json.dumps(bench_solve_config("linear_percentage", 0.05)))
-        sequential, *pooled = (
-            self._solve(monkeypatch, tmp_path, doc, width) for width in (1, 2, 3)
-        )
-        for width, out in zip((2, 3), pooled):
-            for name in ("policy.json", "schedule.csv"):
-                assert (out / name).read_bytes() == (sequential / name).read_bytes()
-            assert json.loads((out / "manifest.json").read_text())["threads"] == width
 
     def test_an_error_in_one_block_keeps_exit_3(self, monkeypatch, tmp_path, capsys):
         tensor = liquidity._Penultimate._tensor
@@ -1068,9 +1026,8 @@ class TestSolveThreads:
                 raise cli.SolverError("block 40 failed")
             return tensor(self, s, r, nodes)
 
-        monkeypatch.setattr("execsched.dp._pool_width", lambda: 2)
         monkeypatch.setattr(liquidity._Penultimate, "_tensor", failing)
-        argv = ["solve", _write_json(tmp_path, "c.json", _liquidity_doc(2)),
+        argv = ["solve", _write_json(tmp_path, "c.json", bench_solve_config("liquidity", 20.0)),
                 "--output-dir", str(tmp_path)]
         assert main(argv) == EXIT_SOLVER
         assert capsys.readouterr().err == "error: block 40 failed\n"

@@ -9,15 +9,13 @@ gave 297.8329810025543 +/- 0.11544708565927511 against solver values
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execsched import cli, dp, gbm
+from execsched import cli, gbm
 from execsched.dp import Horizon, RecursionConfig, ResolutionWarning
 from execsched.gbm import _stage_premium_derivs, solve_gbm_simple
 from execsched.kernels import (
@@ -454,48 +452,3 @@ class TestEvaluateOnce:
         for a, b in zip(got, (prem, 0.01 * d1, 0.01 * 0.01 * d2)):
             assert a.shape == s.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-class TestPremiumPool:
-    """A premium call whose (mean, node) tensor is larger than one block runs
-    on the solve's pool in parts of at least two means, with the inline bits."""
-
-    @given(
-        keys=st.integers(1, 2 * dp._BLOCK_ELEMS // 40 + 3),
-        repeat=st.integers(1, 3),
-        sig_y=st.sampled_from([0.04, 0.0]),
-        width=st.sampled_from([2, 3, 5000]),
-    )
-    @example(keys=1, repeat=2, sig_y=0.04, width=2)  # one mean, run as two
-    @example(keys=dp._BLOCK_ELEMS // 40, repeat=1, sig_y=0.04, width=2)  # one block: inline
-    @example(keys=dp._BLOCK_ELEMS // 40 + 1, repeat=2, sig_y=0.04, width=3)
-    @example(keys=dp._BLOCK_ELEMS // 40 + 1, repeat=1, sig_y=0.04, width=5000)
-    @settings(max_examples=20, deadline=None)
-    def test_pooled_premium_gives_the_inline_bits(self, keys, repeat, sig_y, width):
-        # move() hands back alpha = x, so at s = 0 the means are the x values
-        law = SimpleNamespace(mu_B=0.0, sigma_B=0.1, move=lambda ratio, x: (0.01, x, sig_y))
-        x = np.tile(np.linspace(0.9, 1.1, keys), repeat)
-        s = np.zeros_like(x)
-        want = gbm._stage_premium_derivs(law, s, x, 0.98, 40)
-        parts = []
-        with ThreadPoolExecutor(min(width, 4)) as pool:
-
-            def recorded(fn, chunks):
-                chunks = list(chunks)
-                parts.append([c.size for c in chunks])
-                return pool.map(fn, chunks)
-
-            token = dp._SOLVE_POOL.set(dp._Pool(recorded, width))
-            try:
-                got = gbm._stage_premium_derivs(law, s, x, 0.98, 40)
-            finally:
-                dp._SOLVE_POOL.reset(token)
-        for a, b in zip(got, want):
-            assert a.shape == x.shape
-            assert a.tobytes() == b.tobytes()
-        if sig_y and keys * 40 > dp._BLOCK_ELEMS:
-            (sizes,) = parts
-            assert sum(sizes) == keys and len(sizes) == min(width, keys // 2)
-            assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
-        else:
-            assert parts == []
