@@ -913,10 +913,25 @@ class TestEvaluateOnce:
         assert self._close(slope, expected_terminal_slope(pen, s, w - s))
 
 
-class TestBlocks:
-    """A solve runs its stage T-1 blocks one after another on its own thread."""
+def _solve_bits(*args):
+    """A liquidity solve's trades, metadata, value samples and stage trades,
+    as comparable values."""
+    sched, table = solve_liquidity(*args)
+    return (
+        repr(sched.trades),
+        repr(table.metadata),
+        [v.tobytes() for v in table.value_samples],
+        [stage.trades.tobytes() for stage in table.stages[:-1]],
+    )
 
-    def test_solve_at_order_80_sizes_its_volume_rule(self):
+
+class TestBlockPool:
+    """A solve runs its pool of stage T-1 blocks one after another on its own
+    thread, so ``width`` solves started at once each give the bits of the
+    solve run alone."""
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_solve_at_order_80_is_width_invariant(self, width):
         # under the cap of 80 the spec law sizes its volume rule to 4 nodes;
         # at price 1 the volume lines are steep enough to take all 80
         cfg = RecursionConfig(quad_order=80)
@@ -925,6 +940,10 @@ class TestBlocks:
         for args, order in (((SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE), 4), (steep, 80)):
             _, table = solve_liquidity(*args, cfg)
             assert table.metadata["diagnostics"][0]["volume_order"] == order
+            alone = _solve_bits(*args, cfg)
+            with ThreadPoolExecutor(width) as pool:
+                at_once = list(pool.map(lambda a: _solve_bits(*a, cfg), [args] * width))
+            assert at_once == [alone] * width
 
     def test_a_solve_starts_no_thread(self, monkeypatch):
         started = []
@@ -939,7 +958,12 @@ class TestBlocks:
         solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
         assert started == [] and threading.active_count() == before
 
-    def test_an_error_in_one_block_leaves_the_solve(self, monkeypatch):
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_an_error_in_one_block_leaves_the_solve(self, monkeypatch, width):
+        # of ``width`` solves at once, the one that evaluates the 41st block
+        # raises its error; the others finish with the bits of a lone solve
+        args = (SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
+        alone = _solve_bits(*args)
         tensor = liquidity._Penultimate._tensor
         calls = itertools.count()
 
@@ -948,10 +972,19 @@ class TestBlocks:
                 raise SolverError("block 40 failed")
             return tensor(self, s, r, nodes)
 
+        def solve(_):
+            try:
+                return _solve_bits(*args)
+            except SolverError as err:
+                return err
+
         monkeypatch.setattr(liquidity._Penultimate, "_tensor", failing)
-        with pytest.raises(SolverError) as err:
-            solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
-        assert type(err.value) is SolverError and str(err.value) == "block 40 failed"
+        with ThreadPoolExecutor(width) as pool:
+            results = list(pool.map(solve, range(width)))
+        errors = [r for r in results if isinstance(r, Exception)]
+        assert len(errors) == 1
+        assert type(errors[0]) is SolverError and str(errors[0]) == "block 40 failed"
+        assert [r for r in results if r is not errors[0]] == [alone] * (width - 1)
 
 
 class TestWorkspaces:
