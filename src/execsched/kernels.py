@@ -21,15 +21,13 @@ stage T-1 expectation does with its price-node window.
 
 Each quantity has one formula, in one function.  ``mills_psi_derivs``
 returns psi, psi' and psi'' from a single G for the stage solves, working
-past G in buffers it owns, never in its argument; ``mills_psi_prime`` and
-``_mills_psi_second`` are views of it and, like it, reject non-finite input.
-``mills_psi`` keeps a value-only body for the value-only hot loops.  Both
-take an optional workspace of arrays shaped like u to work in, so that a
-caller evaluating many blocks reuses one set of buffers; the bits are the
-same.  The
-Gauss-Hermite mixture expectation and its sigma_Y = 0 limit are written once
-with their first two derivatives in the mean of Y (``_mixture_derivs_gh``,
-``_lognormal_shift_derivs``); their value-only entries return the first.
+in place in five fresh arrays of its own, never in its argument;
+``mills_psi_prime`` and ``_mills_psi_second`` are views of it and, like it,
+reject non-finite input.  ``mills_psi`` keeps a value-only body for the
+value-only hot loops.  The Gauss-Hermite mixture expectation and its
+sigma_Y = 0 limit are written once with their first two derivatives in the
+mean of Y (``_mixture_derivs_gh``, ``_lognormal_shift_derivs``); their
+value-only entries return the first.
 """
 from __future__ import annotations
 
@@ -146,7 +144,7 @@ def _scalar_or_array(out):
     return out if out.ndim else float(out)
 
 
-def mills_psi(u, workspace=None):
+def mills_psi(u):
     """psi(u) = u + phi(u)/Phi(u).
 
     Strictly positive and nondecreasing; psi(u) -> 0+ as u -> -inf and
@@ -159,17 +157,13 @@ def mills_psi(u, workspace=None):
     ----------
     u : float or ndarray
         Argument(s); must be finite.
-    workspace : sequence of ndarray, optional
-        Its first array, a float array of u's shape, takes G and then u + G
-        in place of a fresh one; the result is then that array unless some
-        u is in the series branch.  The same operations, so the same bits.
 
     Returns
     -------
     float or ndarray
     """
     arr = _finite(u)
-    g = np.asarray(_mills_g(arr, None if workspace is None else workspace[0]))
+    g = np.asarray(_mills_g(arr))
     return _scalar_or_array(_psi_from_sum(arr, np.add(arr, g, out=g)))
 
 
@@ -187,24 +181,19 @@ def _mills_psi_second(u):
     return mills_psi_derivs(u, with_psi=False)[2]
 
 
-def mills_psi_derivs(u, with_psi: bool = True, workspace=None):
+def mills_psi_derivs(u, with_psi: bool = True):
     """(psi(u), psi'(u), psi''(u)) from one G; psi is None unless ``with_psi``.
 
     psi' = 1 - u*G - G^2 and, from G' = -G(u + G), psi'' = -G - u*G' - 2*G*G'.
     psi is :func:`mills_psi`'s expression operation for operation, so it is
-    bit for bit that call's; like mills_psi this requires finite input.  Past
-    G, every step writes in place into buffers the call owns, never into
-    ``u``: on the stage tensors the temporaries of the plain expressions cost
-    more than their arithmetic.  Those five buffers are fresh, or the first
-    five float arrays of u's shape in ``workspace``: psi'' is then written
-    into the first, psi' into the fourth and psi into the second, unless some
-    u is in the series branch.
+    bit for bit that call's; like mills_psi this requires finite input.  G
+    and every later step are written in place into five fresh arrays the
+    call owns, never into ``u``: on the stage tensors the temporaries of the
+    plain expressions cost more than their arithmetic.
     """
     arr = _finite(u)
-    if workspace is None:
-        workspace = [np.empty(arr.shape) for _ in range(5)]
-    g = np.asarray(_mills_g(arr, workspace[0]))
-    direct, gp, p1, work = workspace[1:5]
+    g, direct, gp, p1, work = (np.empty(arr.shape) for _ in range(5))
+    g = np.asarray(_mills_g(arr, g))
     np.add(arr, g, out=direct)  # u + G: psi before its series branch
     np.negative(g, out=gp)
     gp *= direct  # G' = -G(u + G)

@@ -38,10 +38,9 @@ evaluated block of trades works on a window: the contiguous run of the
 sorted price nodes within ``_WINDOW_SIGMAS`` = 9 s_P of some trade's center,
 found by binary search.  Blocks are sized by their window, so
 ``_BLOCK_ELEMS`` still bounds the tensor, and they run one after another on
-the calling thread.  Each block writes its Mills arguments and the kernel's
-arrays into the solve's one workspace buffer, so the block memory is
-faulted in once per solve rather than once per block, and goes back to the
-system when the solve returns.  The stage T-1 objective
+the calling thread.  Each block allocates its own Mills arguments and
+kernel arrays, so the memory a call holds is one block's, whatever its
+number of elements.  The stage T-1 objective
 is smooth in the trade S: the price-node weights are Gaussian in an affine
 function of S and every Mills argument shifts linearly with S, so its first
 and second S-derivatives come in closed form from psi, psi' and psi'' on the
@@ -68,7 +67,6 @@ certainty-equivalent state.
 from __future__ import annotations
 
 import math
-import mmap
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -146,10 +144,11 @@ _PRICE_SPAN = 10.0
 # weight is below 3e-18 of the peak (e^{-40.5}).
 _WINDOW_SIGMAS = 9.0
 # Volume nodes a run budgets per (element, price node) pair, at least: so a
-# run's (element, price node) arrays stay within _BLOCK_ELEMS / 16 elements
-# (32 KiB) under a sized rule of 4 or 8 nodes too.  At 4 nodes and no floor
-# they take fresh pages in every block: a bench liquidity solve faulted 4.5k
-# pages instead of 400, and 12 of them in one process peaked 6 MB higher.
+# block's arrays stay small under a sized rule of 4 or 8 nodes too.  At 4
+# nodes its 3-D arrays are within 4096 x 4 elements (128 KiB), which malloc
+# serves from the heap the process already holds.  With no floor they take
+# fresh pages in every block: a bench liquidity solve faulted about 5k pages
+# instead of none and ran about 15% slower, and its policy changed bits.
 _MIN_RUN_NODES = 16
 # The volume Gauss-Hermite ladder: (order n, largest slope c).  The n-node
 # rule's error in the z-sums of psi(b + c*z) (relative) and psi'(b + c*z)
@@ -207,46 +206,14 @@ def _price_mesh(lo: float, hi: float, s_p: float, kink_scale: float, order: int)
     return x, w
 
 
-class _Workspaces:
-    """One solve's stage T-1 block memory: one flat float buffer that every
-    block in turn writes ``u`` and the Mills kernel's arrays into.
-
-    The buffer grows to the run in hand and is reused by every later block,
-    so the block memory is faulted in once per solve instead of once per
-    block; it is freed with the solve.
-    """
-
-    def __init__(self):
-        self._flat = np.empty(0)
-        # the arrays of the running block: ``u``, then the kernel's
-        self.held: list[np.ndarray] = []
-
-    def hold(self, shape: tuple, count: int) -> None:
-        """Lay ``count`` arrays of ``shape`` over the buffer as :attr:`held`."""
-        size = math.prod(shape)
-        # each array starts on a 64-byte boundary of the buffer
-        stride = -(-size // 8) * 8
-        if self._flat.size < stride * count:
-            # room for a whole block per array, so that a solve's runs, all
-            # but some lone elements within a block, seldom grow it again;
-            # mapped pages go back to the system when the buffer is freed,
-            # whatever malloc would keep of a heap allocation
-            self._flat = np.frombuffer(mmap.mmap(-1, max(stride, _BLOCK_ELEMS) * count * 8))
-        self.held = [
-            self._flat[i * stride : i * stride + size].reshape(shape) for i in range(count)
-        ]
-
-
 @dataclass(frozen=True)
 class _Penultimate:
     """Stage T-1 expectation machinery at a fixed decision state (P, O).
 
     Every method takes flat arrays of trades and residuals and evaluates
     the (element, price node, volume node) tensor in blocks of about
-    ``_BLOCK_ELEMS`` elements, each on its window of price nodes, so memory
-    stays flat in the number of elements.  Each block works in the buffer
-    of ``workspaces``, which a solve shares between its stage T-1
-    machineries.
+    ``_BLOCK_ELEMS`` elements, each on its window of price nodes and in
+    arrays of its own, so memory stays flat in the number of elements.
     """
 
     params: Liquidity
@@ -257,7 +224,6 @@ class _Penultimate:
     w: np.ndarray  # bare Gauss-Legendre weights
     z_nodes: np.ndarray
     z_weights: np.ndarray
-    workspaces: _Workspaces
 
     @cached_property
     def stage(self) -> _MillsStage:
@@ -323,14 +289,10 @@ class _Penultimate:
             i += k
         return runs
 
-    def _blocked(self, block, trades, resids, arrays: int = 1):
+    def _blocked(self, block, trades, resids):
         """``block(trades, resids, nodes)`` over the :meth:`_runs` of a call,
-        joined in run order, each holding ``arrays`` (element, price node,
-        volume node) arrays of ``workspaces``: ``u`` and the kernel's."""
-        parts = []
-        for s, r, nodes in self._runs(trades, resids):
-            self.workspaces.hold((s.size, nodes.stop - nodes.start, self.z_nodes.size), arrays)
-            parts.append(block(s, r, nodes))
+        joined in run order."""
+        parts = [block(s, r, nodes) for s, r, nodes in self._runs(trades, resids)]
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*parts))
         return np.concatenate(parts)
@@ -338,7 +300,7 @@ class _Penultimate:
     def _tensor(self, trades, resids, nodes):
         """(zscore, gauss_w, u) for a block on the price ``nodes``: their
         z-scores and weights under P' ~ N(A0(S), s_P^2), and the terminal
-        Mills arguments, written into the block's first held array.
+        Mills arguments.
 
         Conditioning on P', whose mean is A0(S), leaves eta | P' Gaussian with
         mean -gamma*P*sigma_eta^2*(P' - A0)/s_P^2 and standard deviation
@@ -354,13 +316,7 @@ class _Penultimate:
         # u = base[n, k] + slope[k] * z_j without an O' tensor.
         theta_next, alpha_next, _ = p.move(x, p.rho * self.volume + mu_c)
         base = (theta_next * resids[:, None] + alpha_next) / s_next
-        slope = self.slope[nodes]
-        # slope[k] * z_j goes into the first element's rows, so that no
-        # (price node, volume node) temporary is made; addition commutes
-        u = self.workspaces.held[0]
-        np.multiply(slope[:, None], self.z_nodes, out=u[0])
-        np.add(base[1:, :, None], u[0], out=u[1:])
-        u[0] += base[0][:, None]
+        u = base[:, :, None] + self.slope[nodes][:, None] * self.z_nodes
         return zscore, gauss_w, u
 
     def _terminal(self, resids, nodes, gauss_w, psi, dpsi=None):
@@ -375,25 +331,22 @@ class _Penultimate:
             ) * dpsi
         return np.einsum("nk,nk->n", over_z / _SQRT_PI, gauss_w)
 
-    def _expected_block(self, trades, resids, nodes):
-        _, gauss_w, u = self._tensor(trades, resids, nodes)
-        psi = mills_psi(u, workspace=self.workspaces.held[1:])
-        return self._terminal(resids, nodes, gauss_w, psi @ self.z_weights)
-
-    def expected_terminal(self, trades, resids) -> np.ndarray:
-        """E over (eta, eps) of V_T(P', O', resid)."""
-        return self._blocked(self._expected_block, trades, resids, 2)
+    def _objective_block(self, trades, resids, nodes):
+        r = resids - trades
+        _, gauss_w, u = self._tensor(trades, r, nodes)
+        psi = mills_psi(u) @ self.z_weights
+        return self.stage.value(trades, trades) + self._terminal(r, nodes, gauss_w, psi)
 
     def objective(self, trades, resids) -> np.ndarray:
-        cost = self.stage.value(trades, trades)
-        return cost + self.expected_terminal(trades, resids - trades)
+        """The stage cost of ``trades`` plus the expectation over (eta, eps)
+        of V_T at the residuals ``resids - trades`` they leave."""
+        return self._blocked(self._objective_block, trades, resids)
 
     def _derivs_block(self, trades, resids, nodes):
         p, s_p = self.params, self.s_p
         r = resids - trades
         zscore, gauss_w, u = self._tensor(trades, r, nodes)
-        kernels = mills_psi_derivs(u, workspace=self.workspaces.held[1:])
-        psi, d1, d2 = (k @ self.z_weights for k in kernels)
+        psi, d1, d2 = (k @ self.z_weights for k in mills_psi_derivs(u))
         # A0 moves by P*beta per share: the z-scores fall at that rate over
         # s_P, and u moves through the residual and the conditional mean of
         # eta, by the same amount at every volume node
@@ -421,7 +374,7 @@ class _Penultimate:
         S-derivatives of :meth:`objective`, its value, and the slope of the
         expected terminal value in the residual left after the trade, all
         from one pass over the tensor."""
-        return self._blocked(self._derivs_block, trades, resids, 6)
+        return self._blocked(self._derivs_block, trades, resids)
 
 
 def _make_penultimate(
@@ -432,7 +385,6 @@ def _make_penultimate(
     s_max: float,
     panel_order: int,
     z_order: int,
-    workspaces: _Workspaces | None = None,
 ) -> _Penultimate:
     theta_hat, alpha_hat, s_p = params.move(price, volume)
     a0_lo = price + alpha_hat
@@ -451,7 +403,6 @@ def _make_penultimate(
         w=w,
         z_nodes=rule.nodes,
         z_weights=rule.weights,
-        workspaces=_Workspaces() if workspaces is None else workspaces,
     )
 
 
@@ -611,8 +562,6 @@ def solve_liquidity(
             path[T - 2].aux,
             bounds[T - 2],
             float(min(total, bounds[T - 2])),
-            # one block buffer for all the stage T-1 work of the solve
-            workspaces=_Workspaces(),
         )
         # quad_order caps the volume rule, sized here, before any block
         # is planned, by the largest slope of the densest price mesh the

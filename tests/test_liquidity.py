@@ -15,7 +15,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -926,9 +925,9 @@ def _solve_bits(*args):
 
 
 class TestBlockPool:
-    """A solve runs its pool of stage T-1 blocks one after another on its own
-    thread, so ``width`` solves started at once each give the bits of the
-    solve run alone."""
+    """A solve runs its stage T-1 blocks one after another on its own thread,
+    so ``width`` solves started at once each give the bits of the solve run
+    alone."""
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_solve_at_order_80_is_width_invariant(self, width):
@@ -986,72 +985,6 @@ class TestBlockPool:
         assert type(errors[0]) is SolverError and str(errors[0]) == "block 40 failed"
         assert [r for r in results if r is not errors[0]] == [alone] * (width - 1)
 
-
-class TestWorkspaces:
-    """Stage T-1 blocks work in one buffer held for the solve: each block
-    writes ``u`` and the Mills kernel's arrays into memory an earlier block
-    used."""
-
-    @staticmethod
-    def _multi_run_call(pen):
-        w = np.repeat(np.geomspace(0.02, 20.0, 64), 9)
-        trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 64)
-        runs = pen._runs(trades, w)
-        largest = max(s.size * (nodes.stop - nodes.start) for s, _, nodes in runs)
-        # without the workspace each block would allocate several arrays
-        # of over half a block
-        assert len(runs) > 1 and largest * pen.z_nodes.size > liquidity._BLOCK_ELEMS // 2
-        return trades, w
-
-    @pytest.mark.parametrize("method", ["objective", "objective_derivs"])
-    def test_a_second_inline_call_allocates_less_than_a_block(self, method):
-        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
-        trades, w = self._multi_run_call(pen)
-        call = getattr(pen, method)
-        first = call(trades, w)
-        second, peak = traced_peak(call, trades, w)
-        assert peak < liquidity._BLOCK_ELEMS * 8
-        for a, b in zip(np.atleast_2d(first), np.atleast_2d(second)):
-            assert a.tobytes() == b.tobytes()
-
-    def test_every_block_of_a_call_writes_into_one_buffer(self, monkeypatch):
-        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
-        trades, w = self._multi_run_call(pen)
-        tensor = liquidity._Penultimate._tensor
-        held = []
-
-        def recorded(self, s, r, nodes):
-            out = tensor(self, s, r, nodes)
-            assert out[2] is self.workspaces.held[0]
-            # the arrays themselves, so that no owner dies and lends its id
-            held.extend(self.workspaces.held)
-            return out
-
-        monkeypatch.setattr(liquidity._Penultimate, "_tensor", recorded)
-        pen.objective_derivs(trades, w)
-        assert len(held) == 6 * len(pen._runs(trades, w)) > 6
-        # every block's arrays are views of the workspace's one buffer
-        assert {id(a.base) for a in held} == {id(pen.workspaces._flat)}
-
-    def test_no_block_memory_outlives_a_solve(self, monkeypatch):
-        buffers = []
-        hold = liquidity._Workspaces.hold
-
-        def recorded(self, shape, count):
-            hold(self, shape, count)
-            # the object that owns the held arrays' memory
-            buffers.append(weakref.ref(self.held[0].base))
-
-        monkeypatch.setattr(liquidity._Workspaces, "hold", recorded)
-        tracemalloc.start()
-        try:
-            solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
-            traces = tracemalloc.take_snapshot().traces
-        finally:
-            tracemalloc.stop()
-        assert buffers and all(ref() is None for ref in buffers)
-        assert max((t.size for t in traces), default=0) < liquidity._BLOCK_ELEMS * 8
-
     def test_two_solves_at_once_give_the_sequential_bits(self):
         cfg = RecursionConfig(grid_nodes=16)
 
@@ -1070,3 +1003,38 @@ class TestWorkspaces:
         sequential = [solve(h) for h in horizons]
         with ThreadPoolExecutor(2) as pool:
             assert list(pool.map(solve, horizons)) == sequential
+
+
+class TestWorkspaces:
+    """Stage T-1 blocks allocate their own arrays: the memory a call holds is
+    one block's, bounded by ``_BLOCK_ELEMS`` whatever the call's size, and
+    none of it outlives the solve."""
+
+    @staticmethod
+    def _multi_run_call(pen):
+        w = np.repeat(np.geomspace(0.02, 20.0, 64), 9)
+        trades = np.minimum(w, 25.0) * np.tile(np.linspace(0.0, 1.0, 9), 64)
+        runs = pen._runs(trades, w)
+        largest = max(s.size * (nodes.stop - nodes.start) for s, _, nodes in runs)
+        # each block allocates several arrays of over half a block
+        assert len(runs) > 1 and largest * pen.z_nodes.size > liquidity._BLOCK_ELEMS // 2
+        return trades, w
+
+    @pytest.mark.parametrize("method", ["objective", "objective_derivs"])
+    def test_a_4x_call_peaks_within_a_block_more(self, method):
+        pen = _make_penultimate(SPEC_PARAMS, 100.0, 50.0, 25.0, 20.0, 16, 40)
+        trades, w = self._multi_run_call(pen)
+        call = getattr(pen, method)
+        call(trades, w)
+        _, once = traced_peak(call, trades, w)
+        _, four = traced_peak(call, np.tile(trades, 4), np.tile(w, 4))
+        assert four - once < 6 * liquidity._BLOCK_ELEMS * 8
+
+    def test_no_block_memory_outlives_a_solve(self):
+        tracemalloc.start()
+        try:
+            solve_liquidity(SPEC_PARAMS, Horizon(2, 20.0), SPEC_STATE)
+            traces = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        assert max((t.size for t in traces), default=0) < liquidity._BLOCK_ELEMS * 8
