@@ -34,7 +34,7 @@ _EXPORTS = {
         "StepEvents", "ar1_volume_update", "convexity_check",
     ), "models"),
     **dict.fromkeys((
-        "MOMENTUM_LABELS", "VOLATILITY_LABELS", "BucketThresholds", "CostDistribution",
+        "MOMENTUM_LABELS", "VOLATILITY_LABELS", "CostDistribution",
         "SimConfig", "SimulatedPaths", "estimate_objective", "evaluate_policy",
         "momentum_volatility_buckets", "simulate_paths",
     ), "simulate"),

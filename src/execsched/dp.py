@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +75,8 @@ _REFINE = 8
 # A Newton step of at most this fraction of its element's bracket is the
 # last one (see _vec_newton): the error it leaves is about its square.
 _NEWTON_RTOL = 2.0**-40
+# Cap on the Newton iterations of every stage solve (see _vec_newton).
+_NEWTON_ITERS = 100
 
 # Tolerance scale for Schedule bookkeeping identities (relative to S-bar).
 SCHEDULE_REL_TOL = 1e-9
@@ -285,14 +287,12 @@ class RecursionConfig:
     """Knobs for the grid recursion; defaults match the published accuracy.
 
     grid_nodes: published residual nodes per stage (at least 8).
-    newton_iters: cap on the Newton iterations of every stage solve.
     quad_order: Gauss-Hermite order of the gbm premium.  For the liquidity
         stage T-1 it caps the volume Gauss-Hermite order, which the solver
         sizes by the slope of its volume lines.
     """
 
     grid_nodes: int = 64
-    newton_iters: int = 100
     quad_order: int = 40
 
     def __post_init__(self) -> None:
@@ -301,8 +301,6 @@ class RecursionConfig:
                 f"grid_nodes={self.grid_nodes} is too small to resolve a value "
                 "function over the horizon; need at least 8"
             )
-        if self.newton_iters < 1:
-            raise ConfigError(f"newton_iters must be >= 1, got {self.newton_iters}")
         if not 1 <= self.quad_order <= 128:
             raise ConfigError(f"quad_order must lie in [1, 128], got {self.quad_order}")
 
@@ -536,7 +534,7 @@ class _NewtonReport(NamedTuple):
 
 
 def _vec_newton(
-    f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray, iters: int
+    f_and_fp: Callable, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, _NewtonReport]:
     """Bisection-safeguarded Newton on f (increasing through its root).
 
@@ -555,8 +553,8 @@ def _vec_newton(
     ``hi - lo`` is taken and ends it at the next evaluation: converging
     quadratically, that iterate is off the root by about the step squared,
     while f near the root is rounding noise whose sign changes would
-    otherwise be bisected down to the last ulp.  ``iters`` caps the
-    iterations; an element still moving at the cap is evaluated once more
+    otherwise be bisected down to the last ulp.  ``_NEWTON_ITERS`` caps
+    the iterations; an element still moving at the cap is evaluated once more
     and reported unsettled (``settled`` False), unless its last step was
     such a small step.
 
@@ -587,7 +585,7 @@ def _vec_newton(
     idx = np.flatnonzero(~pinned)
     a, b, x = lo[idx], hi[idx], out[idx]
     last = np.zeros(idx.size, dtype=bool)
-    for k in range(1, iters + 1):
+    for k in range(1, _NEWTON_ITERS + 1):
         if idx.size == 0:
             break
         f, fp, *extra = f_and_fp(x, idx)
@@ -608,7 +606,7 @@ def _vec_newton(
         go = ~stop
         idx, a, b, x, last = idx[go], a[go], b[go], xn[go], last[go]
     if idx.size:
-        out[idx], used[idx], settled[idx] = x, iters, last
+        out[idx], used[idx], settled[idx] = x, _NEWTON_ITERS, last
         foc[idx], curv[idx], *extra = f_and_fp(x, idx)
         for c, e in zip(carried, extra):
             c[idx] = e
@@ -618,7 +616,7 @@ def _vec_newton(
 
 
 def _scan_newton(
-    objective: Callable, derivs: Callable, ub: np.ndarray, points: int, iters: int
+    objective: Callable, derivs: Callable, ub: np.ndarray, points: int
 ) -> tuple[np.ndarray, np.ndarray, _NewtonReport]:
     """Global minimum of a smooth objective over [0, ub] at every element.
 
@@ -646,7 +644,7 @@ def _scan_newton(
     best = np.argmin(j, axis=1)
     lo = grid[rows, np.maximum(best - 1, 0)]
     hi = grid[rows, np.minimum(best + 1, points - 1)]
-    s, report = _vec_newton(derivs, lo, hi, iters)
+    s, report = _vec_newton(derivs, lo, hi)
     v, *more = report.carried or (objective(s, rows),)
     scan = j[rows, best] < v
     s = np.where(scan, grid[rows, best], s)
@@ -659,10 +657,11 @@ def _scan_newton(
 
 
 def _stage_foc(fam: _MillsStage, cont, s, w, col):
-    """First-order condition of c(s, w) + V_{t+1}(w - s) and its s-derivative."""
+    """First-order condition of c(s, w) + V_{t+1}(w - s) and its s-derivative,
+    then the two slopes it subtracts: dc/ds and V_{t+1}'(w - s)."""
     ds, dss = fam.ds_dss(s, w, col)
     d, dd = cont.d_dd(w - s, col)
-    return ds - d, dss + dd
+    return ds - d, dss + dd, ds, d
 
 
 def _whole_residual(s, ub, w):
@@ -671,30 +670,21 @@ def _whole_residual(s, ub, w):
     return (s >= ub) & (ub >= w * (1.0 - 1e-12))
 
 
-def _stage_minimize(
-    fam: _MillsStage, cont, w: np.ndarray, ub: np.ndarray, col: np.ndarray, cfg: RecursionConfig
-):
+def _stage_minimize(fam: _MillsStage, cont, w: np.ndarray, ub: np.ndarray, col: np.ndarray):
     """Minimize c(s, w) + V_{t+1}(w - s) over s in [0, ub] at every element.
 
     ``w``, ``ub`` and ``col`` are flat arrays: element e is residual w[e] of
     column col[e].
     """
     s, report = _vec_newton(
-        lambda s, idx: _stage_foc(fam, cont, s, w[idx], col[idx]),
-        np.zeros_like(w),
-        ub,
-        cfg.newton_iters,
+        lambda s, idx: _stage_foc(fam, cont, s, w[idx], col[idx]), np.zeros_like(w), ub
     )
-    r = w - s
-    v = fam.value(s, w, col) + cont.value(r, col)
-    # Envelope slope; when the whole residual trades the continuation
-    # argument is pinned at 0, so dV/dw picks up the stage cost's
-    # s-derivative instead of the continuation slope.
-    pinned = _whole_residual(s, ub, w)
-    free = ~pinned
-    vd = fam.dw(s, w, col)
-    vd[pinned] += fam.ds_dss(s[pinned], w[pinned], col[pinned])[0]
-    vd[free] += cont.d_dd(r[free], col[free])[0]
+    ds, d = report.carried
+    v = fam.value(s, w, col) + cont.value(w - s, col)
+    # Envelope slope from the slopes Newton carried; when the whole residual
+    # trades the continuation argument is pinned at 0, so dV/dw picks up the
+    # stage cost's s-derivative instead of the continuation slope.
+    vd = fam.dw(s, w, col) + np.where(_whole_residual(s, ub, w), ds, d)
     return s, v, vd, report
 
 
@@ -729,19 +719,19 @@ def _newton_diagnostics(report: _NewtonReport, stage: int, columns: int = 1) -> 
 
 
 def _resolve_stage(
-    objective: Callable, derivs: Callable, ub: float, points: int, cfg: RecursionConfig
+    objective: Callable, derivs: Callable, ub: float, points: int
 ) -> tuple[float, float, int]:
     """Re-solve one stage at an exact residual by :func:`_scan_newton` on one element.
 
     Returns the trade, its objective value and the Newton iterations (0 when
     the objective is monotone on Newton's bracket); raises SolverError when
-    Newton has not settled within ``cfg.newton_iters``.  Two ``points`` scan
+    Newton has not settled within ``_NEWTON_ITERS``.  Two ``points`` scan
     only the interval ends, so Newton runs on all of [0, ub].
     """
-    s, v, report = _scan_newton(objective, derivs, np.array([ub]), points, cfg.newton_iters)
+    s, v, report = _scan_newton(objective, derivs, np.array([ub]), points)
     if not report.settled[0]:
         raise SolverError(
-            f"stage solve did not converge within {cfg.newton_iters} Newton iterations",
+            f"stage solve did not converge within {_NEWTON_ITERS} Newton iterations",
             bracket=(0.0, ub),
             residual=float(report.foc[0]),
         )
@@ -767,12 +757,7 @@ def _quadrature_drift(value: float, doubled: float, stage, order: int, doubled_t
 
 
 def _scalar_stage_solve(
-    fam: _MillsStage,
-    cont,
-    w: float,
-    ub: float,
-    cfg: RecursionConfig,
-    col: int = 0,
+    fam: _MillsStage, cont, w: float, ub: float, col: int = 0
 ) -> tuple[float, int]:
     """The global minimum over [0, min(ub, w)], convex or not, and its Newton iterations.
 
@@ -783,10 +768,9 @@ def _scalar_stage_solve(
         return 0.0, 0
     s, _, iters = _resolve_stage(
         lambda s, idx: fam.value(s, w, col) + cont.value(w - s, col),
-        lambda s, idx: _stage_foc(fam, cont, s, w, col),
+        lambda s, idx: _stage_foc(fam, cont, s, w, col)[:2],
         ub,
         _RESOLVE_POINTS,
-        cfg,
     )
     return s, iters
 
@@ -878,8 +862,7 @@ def _backward_pass(
     families: dict[int, _MillsStage],
     cont,
     mesh: _Mesh,
-    cfg: RecursionConfig,
-    caps: tuple[float, ...] | None = None,
+    caps: Sequence[float] | None = None,
 ) -> _RecursionResult:
     """Grid recursion over stages max(families)..1, all columns in one solve.
 
@@ -897,7 +880,7 @@ def _backward_pass(
         w = np.tile(fine, k)
         col = np.repeat(np.arange(k), m)
         ub = w if caps is None else np.minimum(w, max(caps[t - 1], 0.0))
-        s, v, vd, report = _stage_minimize(fam, cont, w, ub, col, cfg)
+        s, v, vd, report = _stage_minimize(fam, cont, w, ub, col)
         res.conts[t] = cont
         res.trades[t] = s.reshape(k, m)[:, oi]
         res.values[t] = v.reshape(k, m)[:, oi]
@@ -928,7 +911,7 @@ def approximate_recursion(
         problem.horizon.total_shares, problem.curvature_scale, cfg.grid_nodes, _REFINE
     )
     families = {t: problem.family(t) for t in range(T - 1, 0, -1)}
-    res = _backward_pass(families, problem.terminal(), mesh, cfg, problem.trade_caps)
+    res = _backward_pass(families, problem.terminal(), mesh, problem.trade_caps)
     metadata = {
         "model": problem.model_tag,
         "formulation": "complex" if problem.weight_by_residual else "simple",
@@ -1015,14 +998,14 @@ def _solve_residual_weighted(
         t: _MillsStage(theta, np.array(columns[: max(column[:t]) + 1]), beta, True)
         for t in range(1, T)
     }
-    res = _backward_pass(families, _TerminalMills(theta, np.array(columns), beta), mesh, cfg)
+    res = _backward_pass(families, _TerminalMills(theta, np.array(columns), beta), mesh)
 
     trades: list[float] = []
     diagnostics: list[dict] = []
     w, convex = total, metadata["convexity_ok"]
     for t in range(1, T):
         j = column[t - 1]
-        s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, cfg, j)
+        s, iters = _scalar_stage_solve(families[t], res.conts[t], w, w, j)
         diagnostics.append(
             {"stage": t, **res.diagnostics[t][j], "convex": convex, "schedule_iterations": iters}
         )

@@ -277,11 +277,6 @@ def _routed_fills(raw: bytes) -> tuple[_FillColumns, str]:
     return _csv_fill_columns(text), "csv"
 
 
-def _parse_fills(raw: bytes) -> _FillColumns:
-    """The columns of a fills CSV (strict header), by either route."""
-    return _routed_fills(raw)[0]
-
-
 def load_fills(path: str) -> tuple[_FillColumns, str, str]:
     """Parse a fills CSV (strict header) into columns; also return the file
     digest and the route that read it, ``"plain"`` or ``"csv"``."""

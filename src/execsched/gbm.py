@@ -33,7 +33,6 @@ change as ``quadrature_drift``, warning above 1e-6.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -151,18 +150,19 @@ def _stage_objective(
     ratio: float,
     cont: _SplineCont,
     e_fac: float,
-    cfg: RecursionConfig,
+    order: int,
 ):
     """First-order condition of s*premium + E[e^B]*cont(w - s) over s in [0, w].
 
     Element e is residual w[e] at state x[e], continued by column col[e] of
-    ``cont``; the returned callable takes trades ``s`` of the elements
-    ``idx`` and gives the objective's first two s-derivatives in closed form,
-    then the objective value, all from one premium evaluation.
+    ``cont``, the premium at Gauss-Hermite order ``order``; the returned
+    callable takes trades ``s`` of the elements ``idx`` and gives the
+    objective's first two s-derivatives in closed form, then the objective
+    value, all from one premium evaluation.
     """
 
     def foc(s, idx):
-        prem, d1, d2 = _stage_premium_derivs(params, s, x[idx], ratio, cfg.quad_order)
+        prem, d1, d2 = _stage_premium_derivs(params, s, x[idx], ratio, order)
         r = np.minimum(np.clip(w[idx] - s, 0.0, None), cont.x[-1])
         d, dd = cont.d_dd(r, col[idx])
         value = s * prem + e_fac * cont.value(r, col[idx])
@@ -178,10 +178,11 @@ def _minimize_stage(
     ratio: float,
     cont: _SplineCont,
     e_fac: float,
-    cfg: RecursionConfig,
+    order: int,
     stage: int,
 ):
-    """The solve of ``stage`` at every (w, x) pair; ``cont`` has one column per x.
+    """The solve of ``stage`` at every (w, x) pair; ``cont`` has one column per x,
+    the premium at Gauss-Hermite order ``order``.
 
     Returns (s*, value) per pair and the Newton diagnostics; the values are
     the ones Newton's last evaluation at s* computed.
@@ -189,8 +190,8 @@ def _minimize_stage(
     W, X = np.meshgrid(w, x, indexing="ij")
     w_flat, x_flat = W.ravel(), X.ravel()
     col = np.repeat(np.arange(x.size)[None, :], w.size, axis=0).ravel()
-    foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
-    s_flat, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, cfg.newton_iters)
+    foc = _stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, order)
+    s_flat, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat)
     v_flat = report.carried[0]
     return s_flat.reshape(W.shape), v_flat.reshape(W.shape), _newton_diagnostics(report, stage)[0]
 
@@ -260,7 +261,7 @@ def solve_gbm_simple(
         cont = _fit_continuation(params, nodes, v_with_zero, stage_x[t + 1], stage_x[t])
         stage_conts[t] = cont
         s_fine, v_fine, grid_diags[t] = _minimize_stage(
-            params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg, t
+            params, fine, stage_x[t], ratios[t - 1], cont, e_fac, cfg.quad_order, t
         )
         policies[t] = s_fine[oi, ce_idx[t]]
         values[t] = v_fine[oi, ce_idx[t]]
@@ -268,7 +269,7 @@ def solve_gbm_simple(
 
     # Forward certainty-equivalent pass at the exact residuals, Newton on [0, w];
     # the objective at the chosen trade is evaluated again at doubled order.
-    doubled_cfg = replace(cfg, quad_order=min(2 * cfg.quad_order, GH_MAX_ORDER))
+    doubled_order = min(2 * cfg.quad_order, GH_MAX_ORDER)
     trades: list[float] = []
     diagnostics: list[dict] = []
     w = total
@@ -276,11 +277,11 @@ def solve_gbm_simple(
         j = ce_idx[t]
         args = (params, np.array([w]), stage_x[t][j : j + 1], np.array([j]), ratios[t - 1],
                 stage_conts[t], e_fac)
-        foc = _stage_objective(*args, cfg)
-        s, v, iters = _resolve_stage(lambda s, idx: foc(s, idx)[2], foc, w, 2, cfg)
-        doubled = _stage_objective(*args, doubled_cfg)
+        foc = _stage_objective(*args, cfg.quad_order)
+        s, v, iters = _resolve_stage(lambda s, idx: foc(s, idx)[2], foc, w, 2)
+        doubled = _stage_objective(*args, doubled_order)
         v_doubled = float(doubled(np.array([s]), np.array([0]))[2][0])
-        drift = _quadrature_drift(v, v_doubled, t, cfg.quad_order, doubled_cfg.quad_order)
+        drift = _quadrature_drift(v, v_doubled, t, cfg.quad_order, doubled_order)
         diagnostics.append(
             {"stage": t, **grid_diags[t], "schedule_iterations": iters, "quadrature_drift": drift}
         )

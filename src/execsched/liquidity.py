@@ -77,7 +77,6 @@ from numpy.polynomial.legendre import leggauss
 from .dp import (
     Horizon,
     InfeasibleLiquidityError,
-    MillsRecursionProblem,
     PolicyTable,
     RecursionConfig,
     Schedule,
@@ -92,6 +91,7 @@ from .dp import (
     _scalar_stage_solve,
     _scan_newton,
     _SplineCont,
+    _TerminalMills,
     _whole_residual,
 )
 
@@ -455,9 +455,7 @@ def _panel_order(make: Callable[[int], _Penultimate], w_nodes: np.ndarray):
     return order, pen
 
 
-def _penultimate_pass(
-    pen: _Penultimate, w_nodes: np.ndarray, cfg: RecursionConfig, stage: int
-):
+def _penultimate_pass(pen: _Penultimate, w_nodes: np.ndarray, stage: int):
     """The minimum of the exact stage T-1 objective (``stage``) at every node.
 
     Returns trades, values, the envelope slopes dV_{T-1}/dW used to seed the
@@ -472,7 +470,6 @@ def _penultimate_pass(
         lambda x, idx: pen.objective_derivs(x, w_nodes[idx]),
         ub,
         _SCAN_POINTS,
-        cfg.newton_iters,
     )
     # dV/dW is the expected terminal slope Newton carried, except where the
     # whole residual trades: then it is the stage cost's s-derivative
@@ -536,17 +533,12 @@ def solve_liquidity(
         "volume_clamp_probability": tuple(params.clamp_probability(s.aux) for s in path[:-1]),
     }
 
-    thetas, alphas, betas = zip(*(params.move(s.price, s.aux) for s in path[:-1]))
-    problem = MillsRecursionProblem(
-        horizon=horizon,
-        thetas=thetas,
-        alphas=alphas,
-        betas=betas,
-        weight_by_residual=False,
-        trade_caps=tuple(bounds),
-        model_tag="liquidity",
-    )
-    mesh = _build_mesh(total, problem.curvature_scale, cfg.grid_nodes, _REFINE)
+    # stage t's cost is the law's move at its certainty-equivalent state
+    stages = [
+        _MillsStage(theta, np.array([alpha]), beta, False)
+        for theta, alpha, beta in (params.move(s.price, s.aux) for s in path[:-1])
+    ]
+    mesh = _build_mesh(total, min(c.beta / c.theta for c in stages), cfg.grid_nodes, _REFINE)
 
     grid_trades: list[np.ndarray] = []
     grid_values: list[np.ndarray] = []
@@ -569,19 +561,19 @@ def solve_liquidity(
         densest = make(_PANEL_LADDER[-1], cfg.quad_order)
         z_order = _volume_order(densest.volume_slope, cfg.quad_order)
         panel_order, pen = _panel_order(partial(make, z_order=z_order), pen_nodes)
-        s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, cfg, T - 1)
+        s_pen, v_pen, vd_pen, slope0, pen_diag = _penultimate_pass(pen, pen_nodes, T - 1)
         if T > 2:
             cont = _SplineCont.from_slopes(
                 mesh.nodes,
                 np.concatenate([[0.0], v_pen]),
                 np.concatenate([[slope0], vd_pen]),
             )
-            families = {t: problem.family(t) for t in range(T - 2, 0, -1)}
-            res = _backward_pass(families, cont, mesh, cfg, problem.trade_caps)
+            families = {t: stages[t - 1] for t in range(T - 2, 0, -1)}
+            res = _backward_pass(families, cont, mesh, bounds)
             for t in range(1, T - 1):
                 grid_trades.append(res.trades[t][0])
                 grid_values.append(res.values[t][0])
-                s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1], cfg)
+                s, iters = _scalar_stage_solve(families[t], res.conts[t], w, bounds[t - 1])
                 diagnostics.append(
                     {"stage": t, **res.diagnostics[t][0], "schedule_iterations": iters}
                 )
@@ -599,7 +591,6 @@ def solve_liquidity(
             lambda x, idx: pen.objective_derivs(x, w),
             min(w, bounds[T - 2]),
             _SCAN_POINTS,
-            cfg,
         )
         doubled_z = min(2 * z_order, GH_MAX_ORDER)
         j_doubled = float(make(2 * panel_order, doubled_z).objective(s, w)[0])
@@ -620,7 +611,8 @@ def solve_liquidity(
             f"terminal residual {w} exceeds the stage {T} volume bound {bounds[T - 1]}"
         )
     trades.append(w)
-    grid_values.append(problem.terminal().value(mesh.official, 0))
+    last = stages[-1]
+    grid_values.append(_TerminalMills(last.theta, last.alpha, last.beta).value(mesh.official, 0))
     metadata["diagnostics"] = diagnostics
     table = _grid_table(mesh.official, grid_trades, grid_values, metadata)
     return Schedule.from_trades(trades, total), table

@@ -167,9 +167,10 @@ class LinearPercentage:
         _require(self.sigma_eta > 0.0, f"sigma_eta must be > 0, got {self.sigma_eta}")
 
     def move(self, price, aux):
-        """Y = P'/P~' = theta*S + (1 + gamma*rho*X) + gamma*sigma_eta*Z, whatever
-        the price; ``beta == 0`` (gamma = 0) means Y has no noise."""
-        return self.theta, 1.0 + self.gamma * self.rho * aux, self.gamma * self.sigma_eta
+        """Y = P'/P~' = theta*S + (1 + gamma*rho*X) + |gamma|*sigma_eta*Z, whatever
+        the price (Z is symmetric, so the noise scale carries no sign);
+        ``beta == 0`` (gamma = 0) means Y has no noise."""
+        return self.theta, 1.0 + self.gamma * self.rho * aux, abs(self.gamma) * self.sigma_eta
 
     def advance(self, state, trade, z_price, z_aux):
         if state.no_impact_price is None:

@@ -69,7 +69,6 @@ __all__ = [
     "CostDistribution",
     "SimulatedPaths",
     "simulate_paths",
-    "BucketThresholds",
     "MOMENTUM_LABELS",
     "VOLATILITY_LABELS",
     "evaluate_policy",
@@ -442,34 +441,16 @@ def estimate_objective(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BucketThresholds:
-    """Bucket edges: momentum in fractional return, volatility in CoV.
-
-    Momentum boundaries belong to the inner buckets (the neutral band is
-    closed, the significant tails are open); volatility boundaries belong
-    to the lower bucket, so the no-volatility cutoff is inclusive.
-    """
-
-    momentum: tuple[float, float, float, float] = (-0.02, -1.0 / 300.0, 1.0 / 300.0, 0.02)
-    volatility: tuple[float, float, float] = (1e-15, 0.0010, 0.0050)
-
-    def __post_init__(self) -> None:
-        m = tuple(float(v) for v in self.momentum)
-        v = tuple(float(x) for x in self.volatility)
-        object.__setattr__(self, "momentum", m)
-        object.__setattr__(self, "volatility", v)
-        _require(len(m) == 4, f"momentum needs 4 ascending edges, got {len(m)}")
-        _require(len(v) == 3, f"volatility needs 3 ascending edges, got {len(v)}")
-        for edges, name in ((m, "momentum"), (v, "volatility")):
-            _require(
-                all(math.isfinite(e) for e in edges) and all(a < b for a, b in zip(edges, edges[1:])),
-                f"{name} edges must be finite and strictly ascending, got {edges}",
-            )
+# Bucket edges: momentum in side-adjusted fractional return, volatility in
+# price CoV.  Momentum boundaries belong to the inner buckets (the neutral
+# band is closed, the significant tails are open); volatility boundaries
+# belong to the lower bucket, so the no-volatility cutoff is inclusive.
+_MOMENTUM_EDGES = (-0.02, -1.0 / 300.0, 1.0 / 300.0, 0.02)
+_VOLATILITY_EDGES = (1e-15, 0.0010, 0.0050)
 
 
-def _momentum_index(r: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
-    m0, m1, m2, m3 = edges
+def _momentum_index(r: np.ndarray) -> np.ndarray:
+    m0, m1, m2, m3 = _MOMENTUM_EDGES
     idx = np.full(r.shape, 2, dtype=int)
     idx[r < m0] = 0
     idx[(r >= m0) & (r < m1)] = 1
@@ -478,16 +459,13 @@ def _momentum_index(r: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
     return idx
 
 
-def momentum_volatility_buckets(
-    dist: CostDistribution, thresholds: BucketThresholds | None = None
-) -> dict:
+def momentum_volatility_buckets(dist: CostDistribution) -> dict:
     """Summarize costs on the 5x4 momentum-by-volatility grid.
 
     Every cell is present; empty ones report count 0 with no statistics.
     """
-    th = thresholds or BucketThresholds()
-    m_idx = _momentum_index(dist.side_adjusted_return, th.momentum)
-    v_idx = np.digitize(dist.price_cov, th.volatility, right=True)
+    m_idx = _momentum_index(dist.side_adjusted_return)
+    v_idx = np.digitize(dist.price_cov, _VOLATILITY_EDGES, right=True)
     out = {}
     for mi, m_label in enumerate(MOMENTUM_LABELS):
         row = {}

@@ -5,7 +5,6 @@ truncated-normal mean, the plain expressions of psi', psi'', the
 Gauss-Hermite mixture ratio and the lognormal-shift ratio, the liquidity
 stage T-1 terminal slope on its own pass, and the enumerated-schedule
 search."""
-import dataclasses
 import importlib.util
 import math
 import sys
@@ -77,9 +76,10 @@ def cap_resolves(monkeypatch, newton_iters: int) -> None:
     """Cap the exact-residual stage re-solves of every solver family, and only
     them, at ``newton_iters`` Newton iterations; the grid stages keep theirs."""
 
-    def capped(objective, derivs, ub, points, cfg):
-        cfg = dataclasses.replace(cfg, newton_iters=newton_iters)
-        return _RESOLVE_STAGE(objective, derivs, ub, points, cfg)
+    def capped(objective, derivs, ub, points):
+        with monkeypatch.context() as patch:
+            patch.setattr(dp, "_NEWTON_ITERS", newton_iters)
+            return _RESOLVE_STAGE(objective, derivs, ub, points)
 
     for module in (dp, gbm, liquidity):
         monkeypatch.setattr(module, "_resolve_stage", capped)

@@ -33,7 +33,7 @@ from execsched.attribution import (
     timing,
     zero_sum_audit,
 )
-from execsched.fills import _parse_fills
+from execsched.fills import _routed_fills
 from support import balanced_market, traced_peak
 
 
@@ -627,7 +627,7 @@ class TestOrderSumRuns:
 def test_audit_holds_under_48_bytes_per_fill():
     # 600 orders: several runs of _ORDERS_PER_RUN
     text, ctx = balanced_market(300, 300, 40)
-    cols = _parse_fills(text.encode())
+    cols = _routed_fills(text.encode())[0]
     assert len(cols.orders) > 2 * attribution._ORDERS_PER_RUN
     peak = traced_peak(zero_sum_audit, cols, ctx["price_path"], "complex")[1]
     assert peak <= 48 * len(cols)
@@ -649,7 +649,7 @@ def test_complex_reports_hold_under_13_bytes_per_fill():
     # one run of orders' residual ladder at a time, in one buffer; the whole
     # ladder in three temporaries read 19.0 B per fill (simple: 8.5)
     text, ctx = balanced_market(300, 300, 40)
-    cols = _parse_fills(text.encode())
+    cols = _routed_fills(text.encode())[0]
     qty, totals, executed = _order_sums(cols, 40)
     path = ctx["price_path"]
     order_ctx = OrderContext(path[0], totals[0], 40, path)

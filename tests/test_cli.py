@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execsched import cli, liquidity
+from execsched import cli, dp, liquidity
 from execsched import fills as fills_reader
 from execsched.cli import (
     EXIT_AUDIT,
@@ -89,6 +89,7 @@ class TestConfigValidation:
             (lambda d: d.update(solver={"foc_max_iter": 200}), "solver.foc_max_iter"),
             (lambda d: d.update(solver={"grid_lo_frac": 1e-3}), "solver.grid_lo_frac"),
             (lambda d: d.update(solver={"refine": 8}), "solver.refine"),
+            (lambda d: d.update(solver={"newton_iters": 100}), "solver.newton_iters"),
             (lambda d: d.update(solver={"regression_samples": 15}), "solver.regression_samples"),
             (lambda d: d.update(solver={"regression_degree": 3}), "solver.regression_degree"),
             pytest.param(
@@ -303,13 +304,13 @@ class TestSolve:
             err = capsys.readouterr().err
             assert err == f"error: stage solve did not converge within {newton_iters} Newton iterations\n"
 
-    def test_unsettled_grid_stage_exits_3(self, tmp_path, capsys):
+    def test_unsettled_grid_stage_exits_3(self, tmp_path, capsys, monkeypatch):
         # the bench's complex benchmark solve (theta 3, T=10) with Newton
         # capped at 4 iterations leaves grid nodes of its first stage moving;
         # nodes whose 4th step was a last small one count as settled
         cfg = bench_solve_config("benchmark", 3.0)
         cfg = json.loads(json.dumps(cfg, indent=2, sort_keys=True))
-        cfg["solver"] = {**(cfg["solver"] or {}), "newton_iters": 4}
+        monkeypatch.setattr(dp, "_NEWTON_ITERS", 4)
         rc = main(["solve", _write_json(tmp_path, "c.json", cfg), "--output-dir", str(tmp_path)])
         assert rc == EXIT_SOLVER
         assert capsys.readouterr().err == (
@@ -710,6 +711,11 @@ def _fills_texts():
     ).map(text)
 
 
+def _routed_columns(raw):
+    """The columns of a fills CSV by whichever route reads it."""
+    return fills_reader._routed_fills(raw)[0]
+
+
 def _fill_outcome(parse, data):
     """The columns ``parse(data)`` gives, bit for bit, or its SchemaError text."""
     try:
@@ -731,7 +737,7 @@ class TestFillsRoutes:
     @settings(max_examples=400, deadline=None)
     def test_both_routes_agree(self, text):
         raw = text.encode("utf-8")
-        assert _fill_outcome(fills_reader._parse_fills, raw) == _fill_outcome(
+        assert _fill_outcome(_routed_columns, raw) == _fill_outcome(
             fills_reader._csv_fill_columns, raw.decode("utf-8-sig")
         )
 
@@ -747,7 +753,7 @@ class TestFillsRoutes:
     def test_numbers_numpy_reads_otherwise_are_rejected(self, row, message):
         raw = _fills_text(row).encode("utf-8")
         for parse, data in (
-            (fills_reader._parse_fills, raw), (fills_reader._csv_fill_columns, raw.decode()),
+            (_routed_columns, raw), (fills_reader._csv_fill_columns, raw.decode()),
         ):
             assert _fill_outcome(parse, data) == f"fills line 2: {message}"
 
@@ -777,7 +783,7 @@ class TestFillsRoutes:
 
     @staticmethod
     def _routes_agree(raw):
-        outcome = _fill_outcome(fills_reader._parse_fills, raw)
+        outcome = _fill_outcome(_routed_columns, raw)
         assert outcome == _fill_outcome(fills_reader._csv_fill_columns, raw.decode("utf-8-sig"))
         return outcome
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from execsched import cli
+from execsched import cli, dp
 from execsched.dp import (
     ClosedLinearPolicy,
     ConfigError,
@@ -154,7 +154,6 @@ class TestRecursionConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            pytest.param({"newton_iters": 0}, id="kwargs3"),
             pytest.param({"quad_order": 0}, id="kwargs4"),
             pytest.param({"quad_order": 1000}, id="kwargs5"),
         ],
@@ -743,7 +742,7 @@ class TestEarlyStoppingNewton:
             return ds - d, dss + dd
 
         ref, ref_iters = _reference_newton(f_and_fp, np.zeros_like(w), w, 100)
-        got, report = _vec_newton(f_and_fp, np.zeros_like(w), w, 100)
+        got, report = _vec_newton(f_and_fp, np.zeros_like(w), w)
         # the bracket of element e is [0, w[e]]
         assert np.all(np.abs(got - ref) <= _NEWTON_RTOL * w)
         free = ~report.pinned
@@ -751,7 +750,7 @@ class TestEarlyStoppingNewton:
         assert np.all(report.iterations[~free] == 0)
         assert report.settled.all()
 
-    def test_cap_limits_iterations_and_reports_the_residual(self):
+    def test_cap_limits_iterations_and_reports_the_residual(self, monkeypatch):
         from execsched.dp import _vec_newton
 
         # f' = 0 everywhere: every step is a bisection, which needs far more
@@ -759,14 +758,15 @@ class TestEarlyStoppingNewton:
         def f_and_fp(x, idx):
             return x - 0.3, np.zeros_like(x)
 
-        x, report = _vec_newton(f_and_fp, np.zeros(2), np.ones(2), 5)
+        monkeypatch.setattr(dp, "_NEWTON_ITERS", 5)
+        x, report = _vec_newton(f_and_fp, np.zeros(2), np.ones(2))
         ref, _ = _reference_newton(lambda x: f_and_fp(x, None), np.zeros(2), np.ones(2), 5)
         assert np.array_equal(_bits(x), _bits(ref))
         assert report.iterations.tolist() == [5, 5]
         assert report.settled.tolist() == [False, False]
         np.testing.assert_array_equal(report.foc, x - 0.3)
 
-    def test_settling_on_the_last_allowed_iteration_counts_as_settled(self):
+    def test_settling_on_the_last_allowed_iteration_counts_as_settled(self, monkeypatch):
         from execsched.dp import _resolve_stage, _vec_newton
 
         def objective(s, idx):
@@ -781,21 +781,23 @@ class TestEarlyStoppingNewton:
             def derivs(s, idx):
                 return 2.0 * (s - 0.3), np.full_like(s, slope)
 
-            x, report = _vec_newton(derivs, np.zeros(1), np.ones(1), 100)
+            x, report = _vec_newton(derivs, np.zeros(1), np.ones(1))
             k = int(report.iterations[0])
             assert k > 1 and report.settled[0]
             need = k if slope == 2.0 else k - 1
-            at_cap, capped = _vec_newton(derivs, np.zeros(1), np.ones(1), need)
-            assert capped.iterations[0] == need and capped.settled[0]
-            assert np.array_equal(_bits(at_cap), _bits(x)) and capped.foc[0] == report.foc[0]
-            assert not _vec_newton(derivs, np.zeros(1), np.ones(1), need - 1)[1].settled[0]
-            # 2 scan points leave Newton the whole of [0, 1]
-            enough, short = (RecursionConfig(newton_iters=n) for n in (need, need - 1))
-            s, v, iters = _resolve_stage(objective, derivs, 1.0, 2, enough)
-            assert (iters, v) == (need, objective(s, None))
-            with pytest.raises(SolverError) as err:
-                _resolve_stage(objective, derivs, 1.0, 2, short)
-            assert err.value.bracket == (0.0, 1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(dp, "_NEWTON_ITERS", need)
+                at_cap, capped = _vec_newton(derivs, np.zeros(1), np.ones(1))
+                assert capped.iterations[0] == need and capped.settled[0]
+                assert np.array_equal(_bits(at_cap), _bits(x)) and capped.foc[0] == report.foc[0]
+                # 2 scan points leave Newton the whole of [0, 1]
+                s, v, iters = _resolve_stage(objective, derivs, 1.0, 2)
+                assert (iters, v) == (need, objective(s, None))
+                patch.setattr(dp, "_NEWTON_ITERS", need - 1)
+                assert not _vec_newton(derivs, np.zeros(1), np.ones(1))[1].settled[0]
+                with pytest.raises(SolverError) as err:
+                    _resolve_stage(objective, derivs, 1.0, 2)
+                assert err.value.bracket == (0.0, 1.0)
 
 
 class TestNewtonCarry:
@@ -809,11 +811,12 @@ class TestNewtonCarry:
         f = x - self.C[idx]
         return f, np.where(capped, 0.0, 1.0), np.sin(x) + idx, x * x
 
-    def test_carries_the_evaluation_at_each_returned_point(self):
+    def test_carries_the_evaluation_at_each_returned_point(self, monkeypatch):
         from execsched.dp import _vec_newton
 
         n = self.C.size
-        x, report = _vec_newton(self.f_and_fp, np.zeros(n), np.ones(n), 5)
+        monkeypatch.setattr(dp, "_NEWTON_ITERS", 5)
+        x, report = _vec_newton(self.f_and_fp, np.zeros(n), np.ones(n))
         kinds = np.array(self.KINDS)
         assert report.pinned.tolist() == list(np.isin(kinds, ["pinned_low", "pinned_high"]))
         assert report.settled.tolist() == list(kinds != "capped")
@@ -826,13 +829,14 @@ class TestNewtonCarry:
         free = ~report.pinned
         np.testing.assert_array_equal(report.foc[free], x[free] - self.C[free])
 
-    def test_without_extras_carries_nothing(self):
+    def test_without_extras_carries_nothing(self, monkeypatch):
         from execsched.dp import _vec_newton
 
         def f_and_fp(x, idx):
             return self.f_and_fp(x, idx)[:2]
 
-        _, report = _vec_newton(f_and_fp, np.zeros(6), np.ones(6), 5)
+        monkeypatch.setattr(dp, "_NEWTON_ITERS", 5)
+        _, report = _vec_newton(f_and_fp, np.zeros(6), np.ones(6))
         assert report.carried == ()
 
 
@@ -869,7 +873,7 @@ class TestScanNewton:
             return self.OBJECTIVES[shape](s, center[idx])[1:]
 
         rows = np.arange(ub.size)
-        s, value, _ = _scan_newton(objective, derivs, ub, points, 100)
+        s, value, _ = _scan_newton(objective, derivs, ub, points)
         assert np.array_equal(_bits(value), _bits(objective(s, rows)))
         assert np.all(value <= objective(np.zeros_like(ub), rows))
         assert np.all(value <= objective(ub, rows))
@@ -910,7 +914,7 @@ class TestScanNewton:
             j, d, dd = self.OBJECTIVES[shape](s, center[idx])
             return d, dd, j, 3.0 * s + idx
 
-        s, value, report = _scan_newton(objective, derivs, ub, points, 100)
+        s, value, report = _scan_newton(objective, derivs, ub, points)
         carried_value, extra = report.carried
         assert np.array_equal(_bits(carried_value), _bits(value))
         assert np.array_equal(_bits(value), _bits(objective(s, rows)))
@@ -1011,14 +1015,12 @@ class TestComplexSolvesPinned:
         assert got == dict(zip(("stages", "schedule", "value_samples"), pins))
 
     def test_ar1_complex_runs_one_grid_solve_per_stage(self, monkeypatch):
-        import execsched.dp as dp
-
         calls = []
         newton = dp._vec_newton
 
-        def counted(f_and_fp, lo, hi, iters):
+        def counted(f_and_fp, lo, hi):
             calls.append(lo.size)
-            return newton(f_and_fp, lo, hi, iters)
+            return newton(f_and_fp, lo, hi)
 
         monkeypatch.setattr(dp, "_vec_newton", counted)
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
@@ -1033,15 +1035,14 @@ class TestComplexSolvesPinned:
 
 
 class TestSolverDiagnostics:
-    def _check_newton(self, diag, cfg):
-        assert 0 < diag["newton_iterations"] < cfg.newton_iters
+    def _check_newton(self, diag):
+        assert 0 < diag["newton_iterations"] < dp._NEWTON_ITERS
         assert 0.0 <= diag["max_abs_foc"] < 1e-9
         assert isinstance(diag["pinned_nodes"], int)
         assert diag["unsettled_nodes"] == 0
         assert diag["convex"] is True
 
     def test_complex_solvers_report_each_free_stage(self):
-        cfg = RecursionConfig()
         params = Ar1Extra(theta=1.0, gamma=0.5, rho=0.9, sigma_eps=1.0, sigma_eta=1.0)
         for _, table in (
             solve_benchmark_complex(Benchmark(theta=3.0, sigma_eps=1.0), Horizon(5, 100.0)),
@@ -1050,24 +1051,25 @@ class TestSolverDiagnostics:
             diags = table.metadata["diagnostics"]
             assert [d["stage"] for d in diags] == [1, 2, 3, 4]
             for d in diags:
-                self._check_newton(d, cfg)
-                assert 0 < d["schedule_iterations"] < cfg.newton_iters
+                self._check_newton(d)
+                assert 0 < d["schedule_iterations"] < dp._NEWTON_ITERS
 
     def test_grid_recursion_reports_each_free_stage(self):
-        cfg = RecursionConfig()
         table = approximate_recursion(MillsRecursionProblem.uniform(Horizon(4, 6.0), 1.5, 1.0))
         diags = table.metadata["diagnostics"]
         assert [d["stage"] for d in diags] == [1, 2, 3]
         for d in diags:
-            self._check_newton(d, cfg)
+            self._check_newton(d)
 
-    def test_grid_recursion_counts_unsettled_nodes(self):
+    def test_grid_recursion_counts_unsettled_nodes(self, monkeypatch):
         # a grid stage with nodes still moving at the cap raises rather than
         # publish a policy that interpolates unconverged trades
         problem = MillsRecursionProblem.uniform(Horizon(4, 6.0), 1.5, 1.0)
         stage2 = r"stage 2 grid solve did not converge within 2 Newton iterations at \d+ nodes"
-        with pytest.raises(SolverError, match=stage2):
-            approximate_recursion(problem, RecursionConfig(newton_iters=2))
+        with monkeypatch.context() as patch:
+            patch.setattr(dp, "_NEWTON_ITERS", 2)
+            with pytest.raises(SolverError, match=stage2):
+                approximate_recursion(problem)
         settled = approximate_recursion(problem)
         assert all(d["unsettled_nodes"] == 0 for d in settled.metadata["diagnostics"])
 
@@ -1127,14 +1129,13 @@ class TestExactResidualResolve:
     @pytest.mark.parametrize("name", sorted(_NONCONVEX_RESOLVES))
     @pytest.mark.filterwarnings("ignore::execsched.dp.ConvexityWarning")
     def test_nonconvex_resolve_finds_the_global_minimum(self, name, monkeypatch):
-        import execsched.dp as dp
         import execsched.liquidity as liquidity
 
         solve = dp._scalar_stage_solve
         seen = []
 
-        def recorded(fam, cont, w, ub, cfg, col=0):
-            s, iters = solve(fam, cont, w, ub, cfg, col)
+        def recorded(fam, cont, w, ub, col=0):
+            s, iters = solve(fam, cont, w, ub, col)
             seen.append((lambda x: fam.value(x, w, col) + cont.value(w - x, col), min(ub, w), s))
             return s, iters
 

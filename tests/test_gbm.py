@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execsched import cli, gbm
-from execsched.dp import Horizon, RecursionConfig, ResolutionWarning
+from execsched.dp import _NEWTON_ITERS, Horizon, RecursionConfig, ResolutionWarning
 from execsched.gbm import _stage_premium_derivs, solve_gbm_simple
 from execsched.kernels import (
     MixtureRegimeError,
@@ -121,6 +121,22 @@ class TestMultiStage:
         for samp in table.value_samples:
             assert np.all(samp[:, 1] >= 0.0)
 
+    @pytest.mark.parametrize("gamma, x0", [(0.05, 0.0), (-0.05, 0.5)])
+    def test_mirrored_state_solves_the_same_law(self, gamma, x0):
+        # the price reads X only through gamma*X, and eta is symmetric, so
+        # (gamma, X) -> (-gamma, -X) leaves the law unchanged; a negative
+        # gamma must solve like its mirror
+        horizon = Horizon(3, 10.0)
+        solved = [
+            solve_gbm_simple(_params(gamma=g, rho=0.5), horizon, _state(aux=x))
+            for g, x in ((gamma, x0), (-gamma, -x0))
+        ]
+        (sched, table), (mirror, mirror_table) = solved
+        gap = np.abs(np.subtract(sched.trades, mirror.trades))
+        assert gap.max() <= 1e-9 * horizon.total_shares
+        v, v_mirror = table.value_samples[0][:, 1], mirror_table.value_samples[0][:, 1]
+        np.testing.assert_allclose(v, v_mirror, rtol=1e-12, atol=0.0)
+
 
 class TestValidation:
     def test_requires_no_impact_price(self):
@@ -171,9 +187,9 @@ class TestValidation:
             # gamma = 0: the premium is the closed lognormal form, whatever the order
             assert d["quadrature_drift"] == 0.0
             assert d["unsettled_nodes"] == 0
-            assert 0 < d["newton_iterations"] < cfg.newton_iters
+            assert 0 < d["newton_iterations"] < _NEWTON_ITERS
             assert math.isfinite(d["max_abs_foc"])
-            assert 0 < d["schedule_iterations"] < cfg.newton_iters
+            assert 0 < d["schedule_iterations"] < _NEWTON_ITERS
             assert d["convex"] is True
 
 
@@ -347,10 +363,10 @@ def _grid_stage_calls(monkeypatch, cfg):
 
 def _flat_stage(args):
     """A grid stage's flat (w, x, col) pairs and _stage_objective's callable over them."""
-    params, w, x, ratio, cont, e_fac, cfg, _ = args
+    params, w, x, ratio, cont, e_fac, order, _ = args
     w_flat, x_flat = (a.ravel() for a in np.meshgrid(w, x, indexing="ij"))
     col = np.tile(np.arange(x.size), w.size)
-    foc = gbm._stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, cfg)
+    foc = gbm._stage_objective(params, w_flat, x_flat, col, ratio, cont, e_fac, order)
     return w_flat, x_flat, col, foc
 
 
@@ -364,13 +380,13 @@ class TestEvaluateOnce:
         calls = _grid_stage_calls(monkeypatch, cfg)
         assert calls
         for args, (s_grid, v_grid, _) in calls:
-            params, _, _, ratio, cont, e_fac, rc, _ = args
+            params, _, _, ratio, cont, e_fac, order, _ = args
             w_flat, x_flat, col, foc = _flat_stage(args)
-            s, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat, rc.newton_iters)
+            s, report = _vec_newton(foc, np.zeros_like(w_flat), w_flat)
             assert np.array_equal(s, s_grid.ravel())
             (value,) = report.carried
             plain = percentage_stage_objective(
-                params, s, w_flat, x_flat, col, ratio, cont, e_fac, rc.quad_order
+                params, s, w_flat, x_flat, col, ratio, cont, e_fac, order
             )
             assert np.array_equal(value.view(np.uint64), plain.view(np.uint64))
             assert np.array_equal(v_grid.ravel().view(np.uint64), value.view(np.uint64))
@@ -382,14 +398,14 @@ class TestEvaluateOnce:
         counts = []
         newton = gbm._vec_newton
 
-        def counted(f_and_fp, lo, hi, iters):
+        def counted(f_and_fp, lo, hi):
             calls = []
 
             def f(x, idx):
                 calls.append(idx.size)
                 return f_and_fp(x, idx)
 
-            out = newton(f, lo, hi, iters)
+            out = newton(f, lo, hi)
             counts.append(len(calls))
             return out
 
@@ -403,7 +419,7 @@ class TestEvaluateOnce:
         calls = _grid_stage_calls(monkeypatch, bench_solve_config("linear_percentage", 0.05))
         pieces = kernels._mixture_pieces
         for args, _ in calls:
-            x, order = args[2], args[6].quad_order
+            x, order = args[2], args[6]
             w_flat, _, _, foc = _flat_stage(args)
             sizes = []
 

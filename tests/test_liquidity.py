@@ -32,7 +32,7 @@ from execsched.dp import (
     SolverError,
 )
 from execsched.kernels import gauss_hermite, mills_psi, mills_psi_derivs
-from execsched.dp import _resolve_stage, _TerminalMills, _whole_residual
+from execsched.dp import _NEWTON_ITERS, _resolve_stage, _TerminalMills, _whole_residual
 from execsched.liquidity import (
     _PANEL_LADDER,
     _VOLUME_LADDER,
@@ -381,13 +381,12 @@ class TestGlobalMinimum:
 class TestDiagnostics:
     def test_two_stage_reports_newton_iterations(self, spec_solution):
         _, table = spec_solution
-        cfg = RecursionConfig()
         (diag,) = table.metadata["diagnostics"]
         assert set(diag) == NEWTON_KEYS | T1_KEYS
         assert diag["stage"] == 1
-        assert 0 < diag["newton_iterations"] < cfg.newton_iters
+        assert 0 < diag["newton_iterations"] < _NEWTON_ITERS
         assert math.isfinite(diag["max_abs_foc"])
-        assert 0 < diag["schedule_iterations"] < cfg.newton_iters
+        assert 0 < diag["schedule_iterations"] < _NEWTON_ITERS
         assert diag["unsettled_nodes"] == 0
         # the objective is not convex near S = 0, but it is at every solution
         assert diag["convex"] is True
@@ -430,7 +429,7 @@ class TestDiagnostics:
         assert set(first) == NEWTON_KEYS | {"schedule_iterations"}
         assert set(second) == NEWTON_KEYS | T1_KEYS
         for diag in (first, second):
-            assert 0 < diag["newton_iterations"] < cfg.newton_iters
+            assert 0 < diag["newton_iterations"] < _NEWTON_ITERS
             assert math.isfinite(diag["max_abs_foc"])
             assert diag["unsettled_nodes"] == 0
 
@@ -786,7 +785,6 @@ class TestPanelOrder:
             lambda x, idx: oracle.objective_derivs(x, w),
             ub,
             liquidity._SCAN_POINTS,
-            cfg,
         )
         assert abs(sched.trades[T - 2] - s) <= 2e-12
 
@@ -877,7 +875,7 @@ class TestEvaluateOnce:
         ub = np.minimum(w, pen.cap)
         # brackets that pin some elements low, some high, and leave the rest free
         lo, hi = 0.3 * ub, 0.9 * ub
-        s, report = _vec_newton(lambda x, idx: pen.objective_derivs(x, w[idx]), lo, hi, 60)
+        s, report = _vec_newton(lambda x, idx: pen.objective_derivs(x, w[idx]), lo, hi)
         assert report.settled.all() and report.pinned.any() and not report.pinned.all()
         value, slope = report.carried
         assert self._close(value, pen.objective(s, w))
@@ -885,7 +883,7 @@ class TestEvaluateOnce:
 
     def test_stage_pass_values_and_slopes_match_fresh_evaluations(self):
         pen, w = self._pen(), self.W
-        s, v, vd, _, _ = liquidity._penultimate_pass(pen, w, RecursionConfig(), 1)
+        s, v, vd, _, _ = liquidity._penultimate_pass(pen, w, 1)
         assert self._close(v, pen.objective(s, w))
         free = ~_whole_residual(s, np.minimum(w, pen.cap), w)
         assert free.any()
@@ -904,7 +902,7 @@ class TestEvaluateOnce:
 
         # a scan that reads far below every carried value wins at every element
         s, v, report = _scan_newton(
-            lambda x, idx: pen.objective(x, w[idx]) - 1e300, derivs, ub, 9, 60
+            lambda x, idx: pen.objective(x, w[idx]) - 1e300, derivs, ub, 9
         )
         assert np.all(v == -1e300)
         assert calls[-1] == w.size

@@ -21,7 +21,7 @@ STATED = {
 #: Solver settings a config may no longer name; each exits 2 as unknown.
 RETIRED_SOLVER_FIELDS = {
     "golden_iters", "foc_tol_factor", "foc_max_iter",
-    "grid_lo_frac", "refine", "regression_samples", "regression_degree",
+    "grid_lo_frac", "refine", "regression_samples", "regression_degree", "newton_iters",
 }
 
 

@@ -38,7 +38,6 @@ from execsched.models import (
     step,
 )
 from execsched.simulate import (
-    BucketThresholds,
     CostDistribution,
     MOMENTUM_LABELS,
     SimConfig,
@@ -480,19 +479,6 @@ class TestBuckets:
         assert table["neutral"]["low"]["count"] == 1
         assert table["neutral"]["moderate"]["count"] == 1
         assert table["favorable"]["high"]["count"] == 1
-
-    def test_custom_thresholds(self):
-        dist = _handmade_distribution(returns=[-0.5, 0.5], covs=[1.0, 1.0])
-        th = BucketThresholds(momentum=(-0.9, -0.1, 0.1, 0.9), volatility=(0.1, 2.0, 3.0))
-        table = momentum_volatility_buckets(dist, th)
-        assert table["adverse"]["low"]["count"] == 1
-        assert table["favorable"]["low"]["count"] == 1
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="ascending"):
-            BucketThresholds(momentum=(-0.02, 0.02, -0.01, 0.03))
-        with pytest.raises(ValueError, match="edges"):
-            BucketThresholds(volatility=(0.1, 0.2))
 
     def test_infinite_cov_is_high_volatility(self):
         dist = _handmade_distribution(returns=[0.0], covs=[math.inf])
